@@ -7,8 +7,6 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "hetscale/algos/ge.hpp"
-#include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 
@@ -16,39 +14,20 @@ namespace {
 
 using namespace hetscale;
 
-/// GE combination with an overridden collective tuning.
-class TunedGeCombination final : public scal::ClusterCombination {
- public:
-  TunedGeCombination(std::string name, Config config,
-                     vmpi::CollectiveTuning tuning)
-      : ClusterCombination(std::move(name), std::move(config)),
-        tuning_(tuning) {}
-
-  double work(std::int64_t n) const override {
-    return numeric::ge_workload(static_cast<double>(n));
-  }
-
- private:
-  // The tuning changes timing, so it must be part of the measurement-store
-  // fingerprint — otherwise flat and binomial runs would alias.
-  std::string algo_key() const override {
-    return "ge:bcast=" + std::to_string(static_cast<int>(tuning_.small_bcast)) +
-           ",large>=" + std::to_string(tuning_.large_bcast_threshold_bytes);
-  }
-
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override {
-    machine.set_tuning(tuning_);
-    algos::GeOptions options;
-    options.n = n;
-    options.with_data = false;
-    options.speeds = rank_speeds();
-    const auto result = algos::run_parallel_ge(machine, options);
-    return RunOutcome{result.work_flops, result.run.elapsed,
-                      result.run.overhead_s()};
-  }
-
-  vmpi::CollectiveTuning tuning_;
-};
+/// GE under an overridden collective tuning. The tuning changes timing, so
+/// it is part of the key — otherwise flat and binomial runs would alias in
+/// the measurement store.
+scal::AlgoSpec tuned_ge_algo(vmpi::CollectiveTuning tuning) {
+  return {"ge:bcast=" + std::to_string(static_cast<int>(tuning.small_bcast)) +
+              ",large>=" + std::to_string(tuning.large_bcast_threshold_bytes),
+          scal::ge_algo().work,
+          [tuning, ge = scal::ge_algo().run](
+              vmpi::Machine& machine, std::int64_t n,
+              const std::vector<double>& speeds, bool with_data) {
+            machine.set_tuning(tuning);
+            return ge(machine, n, speeds, with_data);
+          }};
+}
 
 }  // namespace
 
@@ -70,8 +49,10 @@ int main() {
   double prev_tree_c = 0;
   double prev_tree_w = 0;
   for (int nodes : {2, 4, 8, 16}) {
-    TunedGeCombination with_flat("flat", bench::ge_config(nodes), flat);
-    TunedGeCombination with_tree("tree", bench::ge_config(nodes), tree);
+    scal::ClusterCombination with_flat("flat", bench::ge_config(nodes),
+                                       tuned_ge_algo(flat));
+    scal::ClusterCombination with_tree("tree", bench::ge_config(nodes),
+                                       tuned_ge_algo(tree));
     const auto flat_point =
         scal::required_problem_size(with_flat, bench::kGeTargetEs);
     const auto tree_point =

@@ -21,7 +21,7 @@ int main() {
       "Ablation  Metric baselines on identical GE runs",
       "isospeed-efficiency vs J-W productivity vs Pastor-Bosque.");
 
-  std::vector<std::unique_ptr<scal::GeCombination>> combos;
+  std::vector<std::unique_ptr<scal::ClusterCombination>> combos;
   std::vector<scal::Combination*> ptrs;
   for (int nodes : {2, 4, 8, 16}) {
     combos.push_back(bench::make_ge(nodes));

@@ -57,7 +57,8 @@ void parameter_sweeps() {
       auto config = bench::ge_config(4);
       config.net_params.remote.bandwidth_Bps = mbps * 1e6;
       config.net_params.remote.latency_s = latency_us * 1e-6;
-      scal::GeCombination combo("GE-4", std::move(config));
+      scal::ClusterCombination combo("GE-4", std::move(config),
+                                     scal::ge_algo());
       const auto solved =
           scal::required_problem_size(combo, bench::kGeTargetEs);
       table.add_row({Table::num(mbps, 2), Table::num(latency_us, 1),

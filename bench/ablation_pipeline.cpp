@@ -8,7 +8,6 @@
 
 #include "common.hpp"
 #include "hetscale/algos/ge.hpp"
-#include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 
@@ -16,31 +15,22 @@ namespace {
 
 using namespace hetscale;
 
-class PipelinedGeCombination final : public scal::ClusterCombination {
- public:
-  PipelinedGeCombination(std::string name, Config config)
-      : ClusterCombination(std::move(name), std::move(config)) {}
-
-  double work(std::int64_t n) const override {
-    return numeric::ge_workload(static_cast<double>(n));
-  }
-
- private:
-  // Distinct from plain "ge": pipelining changes the timing, so the two
-  // must not share measurement-store entries.
-  std::string algo_key() const override { return "ge:pipelined"; }
-
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override {
-    algos::GeOptions options;
-    options.n = n;
-    options.with_data = false;
-    options.pipelined = true;
-    options.speeds = rank_speeds();
-    const auto result = algos::run_parallel_ge(machine, options);
-    return RunOutcome{result.work_flops, result.run.elapsed,
-                      result.run.overhead_s()};
-  }
-};
+/// The paper's GE with lookahead-1 pipelining. Its key is distinct from
+/// plain "ge": pipelining changes the timing, so the two must not share
+/// measurement-store entries.
+scal::AlgoSpec pipelined_ge_algo() {
+  return {"ge:pipelined", scal::ge_algo().work,
+          [](vmpi::Machine& machine, std::int64_t n,
+             const std::vector<double>& speeds, bool with_data) {
+            const auto result = algos::run_parallel_ge(
+                machine, {.n = n,
+                          .with_data = with_data,
+                          .pipelined = true,
+                          .speeds = speeds});
+            return scal::AlgoRun{result.work_flops, result.run.elapsed,
+                                 result.run.overhead_s()};
+          }};
+}
 
 }  // namespace
 
@@ -55,8 +45,10 @@ int main() {
   double prev_c[2] = {0, 0};
   double prev_w[2] = {0, 0};
   for (int nodes : {2, 4, 8, 16}) {
-    scal::GeCombination paper("paper", bench::ge_config(nodes));
-    PipelinedGeCombination pipelined("pipelined", bench::ge_config(nodes));
+    scal::ClusterCombination paper("paper", bench::ge_config(nodes),
+                                   scal::ge_algo());
+    scal::ClusterCombination pipelined("pipelined", bench::ge_config(nodes),
+                                       pipelined_ge_algo());
     const auto paper_point =
         scal::required_problem_size(paper, bench::kGeTargetEs);
     const auto pipe_point =

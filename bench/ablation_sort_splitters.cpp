@@ -45,8 +45,9 @@ int main() {
   double prev_w = 0;
   std::string prev_name;
   for (int nodes : {4, 8, 16}) {
-    scal::SortCombination combo("sort-" + std::to_string(nodes),
-                                bench::mm_config(nodes));
+    scal::ClusterCombination combo("sort-" + std::to_string(nodes),
+                                   bench::mm_config(nodes),
+                                   scal::sort_algo());
     scal::IsoSolveOptions options;
     options.n_min = static_cast<std::int64_t>(combo.processor_count()) *
                     combo.processor_count();

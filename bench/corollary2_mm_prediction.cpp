@@ -23,7 +23,7 @@ int main() {
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
   predict::MmOverheadModel model;
 
-  std::vector<std::unique_ptr<scal::MmCombination>> combos;
+  std::vector<std::unique_ptr<scal::ClusterCombination>> combos;
   std::vector<scal::Combination*> ptrs;
   for (int nodes : {2, 4, 8, 16}) {
     combos.push_back(bench::make_mm(nodes));

@@ -24,8 +24,8 @@ int main() {
     scal::ClusterCombination::Config config;
     config.cluster = machine::sunwulf::homogeneous_ensemble(nodes);
     config.with_data = false;
-    scal::GeCombination combo("blades-" + std::to_string(nodes),
-                              std::move(config));
+    scal::ClusterCombination combo("blades-" + std::to_string(nodes),
+                                   std::move(config), scal::ge_algo());
     const auto result = scal::memory_bounded_required_size(
         combo, bench::kGeTargetEs, scal::ge_footprint());
     table.add_row(
@@ -43,8 +43,8 @@ int main() {
     scal::ClusterCombination::Config config;
     config.cluster = machine::sunwulf::ge_ensemble(nodes);
     config.with_data = false;
-    scal::GeCombination combo("ge-" + std::to_string(nodes),
-                              std::move(config));
+    scal::ClusterCombination combo("ge-" + std::to_string(nodes),
+                                   std::move(config), scal::ge_algo());
     const auto result = scal::memory_bounded_required_size(
         combo, bench::kGeTargetEs, scal::ge_footprint());
     mixed.add_row(

@@ -5,7 +5,8 @@
 //
 // Two numbers per run:
 //   * wall-clock (google-benchmark real_time) — what the simulator pays to
-//     execute the collective, the quantity BENCH_PR9.json holds CI to;
+//     execute the collective (a developer tool; the tracked benchmark is
+//     `benchmark/run.py`);
 //   * sim_s counter — the *simulated* completion time of the collective,
 //     where the algorithmic gap lives: flat is Θ(p) rounds, tree Θ(log p),
 //     so the flat/tree sim_s ratio at p >= 1024 is the >=5x speedup the

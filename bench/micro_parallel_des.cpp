@@ -10,11 +10,10 @@
 // guarantees it; tests/integration enforces it byte-for-byte), so the only
 // thing that moves between the /1, /2, and /8 rows is host wall-clock.
 //
-// BENCH_PR10.json holds CI to these rows: absolute wall-clock through the
-// usual after_ns budget, and the /1-over-/8 wall ratio through
-// speedup_pairs — gated on hosts with enough cores (min_cpus), because a
-// single-core container serializes the partition threads and the ratio
-// inverts there.
+// A developer tool: the tracked numbers come from `benchmark/run.py`
+// (des.parallel_speedup.*). Read the /1-over-/8 wall ratio only on a host
+// with at least eight cores — fewer cores serialize the partition threads
+// and the ratio inverts.
 //
 // Two counters per row:
 //   * sim_s — the simulated rung completion time (identical across thread

@@ -24,7 +24,8 @@ int main() {
     scal::ClusterCombination::Config config;
     config.cluster = machine::sunwulf::homogeneous_ensemble(nodes);
     config.with_data = false;
-    scal::GeCombination combo("blades", std::move(config));
+    scal::ClusterCombination combo("blades", std::move(config),
+                                   scal::ge_algo());
     const auto bounded = scal::memory_bounded_required_size(
         combo, 0.3, scal::ge_footprint());
     wall.add_row({std::to_string(nodes),

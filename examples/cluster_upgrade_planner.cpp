@@ -17,13 +17,13 @@ namespace {
 
 using namespace hetscale;
 
-std::unique_ptr<scal::GeCombination> make_combo(std::string name,
-                                                machine::Cluster cluster) {
+std::unique_ptr<scal::ClusterCombination> make_combo(
+    std::string name, machine::Cluster cluster) {
   scal::ClusterCombination::Config config;
   config.cluster = std::move(cluster);
   config.with_data = false;
-  return std::make_unique<scal::GeCombination>(std::move(name),
-                                               std::move(config));
+  return std::make_unique<scal::ClusterCombination>(
+      std::move(name), std::move(config), scal::ge_algo());
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ int main() {
 
   scal::ClusterCombination::Config config;
   config.cluster = machine::sunwulf::ge_ensemble(2);
-  scal::GeCombination ge("GE-2", std::move(config));
+  scal::ClusterCombination ge("GE-2", std::move(config), scal::ge_algo());
   constexpr std::int64_t kN = 256;
 
   // A plan that exercises every fault class. Windows are sized to the

@@ -21,13 +21,8 @@ int main() {
                           : machine::sunwulf::mm_ensemble(nodes);
       const std::string name =
           (ge ? "GE-" : "MM-") + std::to_string(nodes);
-      if (ge) {
-        owned.push_back(std::make_unique<scal::GeCombination>(
-            name, std::move(config)));
-      } else {
-        owned.push_back(std::make_unique<scal::MmCombination>(
-            name, std::move(config)));
-      }
+      owned.push_back(std::make_unique<scal::ClusterCombination>(
+          name, std::move(config), ge ? scal::ge_algo() : scal::mm_algo()));
       ptrs.push_back(owned.back().get());
     }
     auto report = scal::scalability_series(ptrs, target);

@@ -30,7 +30,8 @@ int main() {
   scal::ClusterCombination::Config config;
   config.cluster = small;
   config.with_data = true;  // real numerics — the residual is checked below
-  scal::GeCombination combo("GE-small", std::move(config));
+  scal::ClusterCombination combo("GE-small", std::move(config),
+                                 scal::ge_algo());
 
   const auto& at300 = combo.measure(300);
   std::cout << "  GE at N=300: T = " << at300.seconds
@@ -40,7 +41,8 @@ int main() {
   //    and how scalable is the combination?
   scal::ClusterCombination::Config big_config;
   big_config.cluster = machine::sunwulf::ge_ensemble(4);
-  scal::GeCombination big("GE-big", std::move(big_config));
+  scal::ClusterCombination big("GE-big", std::move(big_config),
+                               scal::ge_algo());
 
   const auto small_point = scal::required_problem_size(combo, 0.3);
   const auto big_point = scal::required_problem_size(big, 0.3);

@@ -58,6 +58,22 @@ enum class SpmvDistribution {
   kHomogeneousBlock,    ///< equal rows per rank (baseline)
 };
 
+/// How step 1 splits the rows of a matrix over the ranks.
+struct SpmvRowSplit {
+  std::vector<std::int64_t> counts;      ///< rows per rank
+  std::vector<std::int64_t> offsets;     ///< first row per rank
+  std::vector<std::int64_t> nnz_counts;  ///< nonzeros per rank's block
+  /// dist::imbalance of the split weighted by per-row nonzeros (1.0 =
+  /// perfectly proportional *work* split).
+  double work_imbalance = 0.0;
+};
+
+/// The row split of `csr` over ranks with the given marked speeds — the
+/// one the parallel run uses. A pure function, no simulation.
+SpmvRowSplit spmv_row_split(const CsrMatrix& csr,
+                            const std::vector<double>& speeds,
+                            SpmvDistribution distribution);
+
 struct SpmvOptions {
   std::int64_t n = 0;      ///< rows / vector length (required, >= 1)
   std::int64_t sweeps = 4; ///< GEMV iterations (x <- y between sweeps)
@@ -77,9 +93,7 @@ struct SpmvResult {
   std::int64_t nnz = 0;
   double work_flops = 0.0;     ///< sweeps * 2 * nnz
   double charged_flops = 0.0;  ///< flops actually charged (== work, tested)
-  /// dist::imbalance of the row split actually used, weighted by per-row
-  /// nonzeros (1.0 = perfectly proportional *work* split).
-  double work_imbalance = 0.0;
+  double work_imbalance = 0.0;  ///< of the row split used (SpmvRowSplit)
   /// Only populated when with_data: y after the final sweep.
   std::vector<double> y;
 };

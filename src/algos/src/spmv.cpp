@@ -36,9 +36,7 @@ struct SpmvShared {
   std::int64_t n = 0;
   std::int64_t sweeps = 0;
   bool with_data = true;
-  std::vector<std::int64_t> counts;      ///< rows per rank
-  std::vector<std::int64_t> offsets;     ///< first row per rank
-  std::vector<std::int64_t> nnz_counts;  ///< nonzeros per rank's block
+  SpmvRowSplit split;
   CsrMatrix csr;          ///< root's matrix (always built: sizes drive time)
   std::vector<double> x;  ///< root's working vector (assembled y each sweep)
   std::vector<double> y;  ///< final result at root
@@ -49,9 +47,10 @@ Task<void> spmv_rank(Comm& comm, SpmvShared& sh) {
   const int rank = comm.rank();
   const int p = comm.size();
   const auto r = static_cast<std::size_t>(rank);
-  const std::int64_t cnt = sh.counts[r];
-  const std::int64_t off = sh.offsets[r];
-  const std::int64_t nnzb = sh.nnz_counts[r];
+  const SpmvRowSplit& split = sh.split;
+  const std::int64_t cnt = split.counts[r];
+  const std::int64_t off = split.offsets[r];
+  const std::int64_t nnzb = split.nnz_counts[r];
   const double vec_bytes = static_cast<double>(sh.n) * 8.0;
 
   co_await comm.bcast(kRoot, kMetadataBytes, {});
@@ -64,9 +63,9 @@ Task<void> spmv_rank(Comm& comm, SpmvShared& sh) {
     for (int dst = 0; dst < p; ++dst) {
       if (dst == kRoot) continue;
       const auto d = static_cast<std::size_t>(dst);
-      const std::int64_t dcnt = sh.counts[d];
-      const std::int64_t doff = sh.offsets[d];
-      const std::int64_t dnnz = sh.nnz_counts[d];
+      const std::int64_t dcnt = split.counts[d];
+      const std::int64_t doff = split.offsets[d];
+      const std::int64_t dnnz = split.nnz_counts[d];
       Payload payload;
       if (sh.with_data) {
         payload = Payload::buffer(static_cast<std::size_t>(dcnt + 2 * dnnz));
@@ -149,10 +148,10 @@ Task<void> spmv_rank(Comm& comm, SpmvShared& sh) {
     if (sh.with_data) {
       for (int src = 0; src < p; ++src) {
         const auto i = static_cast<std::size_t>(src);
-        if (sh.counts[i] == 0) continue;
+        if (split.counts[i] == 0) continue;
         const auto block = parts[i].doubles();
         std::copy(block.begin(), block.end(),
-                  x.begin() + static_cast<std::ptrdiff_t>(sh.offsets[i]));
+                  x.begin() + static_cast<std::ptrdiff_t>(split.offsets[i]));
       }
     }
   }
@@ -209,6 +208,25 @@ void spmv_rows(const CsrMatrix& a, std::int64_t row_begin,
   }
 }
 
+SpmvRowSplit spmv_row_split(const CsrMatrix& csr,
+                            const std::vector<double>& speeds,
+                            SpmvDistribution distribution) {
+  const int p = static_cast<int>(speeds.size());
+  SpmvRowSplit split;
+  split.counts = distribution == SpmvDistribution::kHeterogeneousBlock
+                     ? dist::het_block_counts(speeds, csr.n)
+                     : dist::block_counts(p, csr.n);
+  split.offsets = dist::block_offsets(split.counts);
+  split.offsets.pop_back();
+  for (std::size_t i = 0; i < split.counts.size(); ++i) {
+    const auto lo = static_cast<std::size_t>(split.offsets[i]);
+    const auto hi = lo + static_cast<std::size_t>(split.counts[i]);
+    split.nnz_counts.push_back(csr.row_ptr[hi] - csr.row_ptr[lo]);
+  }
+  split.work_imbalance = dist::imbalance(speeds, split.nnz_counts);
+  return split;
+}
+
 SpmvResult run_parallel_spmv(vmpi::Machine& machine,
                              const SpmvOptions& options) {
   HETSCALE_REQUIRE(options.n >= 1, "SpMV needs n >= 1");
@@ -226,25 +244,10 @@ SpmvResult run_parallel_spmv(vmpi::Machine& machine,
   HETSCALE_REQUIRE(static_cast<int>(speeds.size()) == p,
                    "need one marked speed per rank");
 
-  shared->counts =
-      options.distribution == SpmvDistribution::kHeterogeneousBlock
-          ? dist::het_block_counts(speeds, options.n)
-          : dist::block_counts(p, options.n);
-  {
-    auto offsets = dist::block_offsets(shared->counts);
-    offsets.pop_back();
-    shared->offsets = std::move(offsets);
-  }
-
   // The structure (not just the values) drives the simulated time, so the
   // matrix is built even for timing-only runs.
   shared->csr = make_synthetic_csr(options.n, options.seed);
-  shared->nnz_counts.resize(static_cast<std::size_t>(p));
-  for (std::size_t i = 0; i < static_cast<std::size_t>(p); ++i) {
-    const auto lo = static_cast<std::size_t>(shared->offsets[i]);
-    const auto hi = lo + static_cast<std::size_t>(shared->counts[i]);
-    shared->nnz_counts[i] = shared->csr.row_ptr[hi] - shared->csr.row_ptr[lo];
-  }
+  shared->split = spmv_row_split(shared->csr, speeds, options.distribution);
 
   if (options.with_data) {
     Rng rng(options.seed);
@@ -263,7 +266,7 @@ SpmvResult run_parallel_spmv(vmpi::Machine& machine,
   result.work_flops = static_cast<double>(options.sweeps) * 2.0 *
                       static_cast<double>(result.nnz);
   result.charged_flops = shared->charged.total();
-  result.work_imbalance = dist::imbalance(speeds, shared->nnz_counts);
+  result.work_imbalance = shared->split.work_imbalance;
   result.y = std::move(shared->y);
   return result;
 }

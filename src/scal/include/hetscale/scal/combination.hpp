@@ -18,11 +18,10 @@
 #include <string>
 #include <vector>
 
-#include "hetscale/algos/sort.hpp"
-#include "hetscale/algos/spmv.hpp"
 #include "hetscale/machine/cluster.hpp"
 #include "hetscale/net/network.hpp"
 #include "hetscale/numeric/polynomial.hpp"
+#include "hetscale/scal/algo_spec.hpp"
 #include "hetscale/vmpi/machine.hpp"
 
 namespace hetscale::run {
@@ -43,9 +42,9 @@ struct Measurement {
 
 enum class NetworkKind { kSharedBus, kSwitched };
 
-class ClusterCombination;
-struct ProfiledRun;  // scal/profile.hpp
-ProfiledRun profile_run(ClusterCombination& combination, std::int64_t n);
+/// The network model a NetworkKind names.
+std::unique_ptr<net::Network> make_network(NetworkKind kind,
+                                           const net::NetworkParams& params);
 
 /// Build a single-shot machine for one run of a combination. The tuning
 /// default is the paper-era flat collective family: every measurement path
@@ -80,8 +79,8 @@ class Combination {
       std::span<const std::int64_t> sizes, run::Runner& runner);
 };
 
-/// Common machinery for combinations that run on a simulated cluster.
-class ClusterCombination : public Combination {
+/// An algorithm (AlgoSpec) on a simulated cluster (Config).
+class ClusterCombination final : public Combination {
  public:
   struct Config {
     machine::Cluster cluster;
@@ -99,10 +98,11 @@ class ClusterCombination : public Combination {
     vmpi::CollectiveTuning tuning = vmpi::CollectiveTuning::legacy_flat();
   };
 
-  ClusterCombination(std::string name, Config config);
+  ClusterCombination(std::string name, Config config, AlgoSpec algo);
 
   const std::string& name() const override { return name_; }
   double marked_speed() const override { return marked_speed_; }
+  double work(std::int64_t n) const override { return algo_.work(n); }
   const Measurement& measure(std::int64_t n) override;
 
   /// Uncached sizes are simulated concurrently: every run builds its own
@@ -111,153 +111,28 @@ class ClusterCombination : public Combination {
   std::vector<Measurement> measure_many(std::span<const std::int64_t> sizes,
                                         run::Runner& runner) override;
 
+  /// The one measurement path: run the algorithm once at size n on
+  /// `machine` — a fresh machine built from config(), possibly wrapped
+  /// (faults) or observed (profiling) — and score it against this
+  /// combination's marked speed. Uncached, and pure w.r.t. this object.
+  Measurement run_on(vmpi::Machine& machine, std::int64_t n) const;
+
+  const Config& config() const { return config_; }
   const machine::Cluster& cluster() const { return config_.cluster; }
   const std::vector<double>& rank_speeds() const { return rank_speeds_; }
   int processor_count() const { return config_.cluster.processor_count(); }
 
- protected:
-  /// Run the algorithm once on a fresh machine; return (work, elapsed,
-  /// critical-path overhead). Must be const: it may execute on several
-  /// worker threads at once for different machines.
-  struct RunOutcome {
-    double work_flops = 0.0;
-    double seconds = 0.0;
-    double overhead_s = 0.0;
-  };
-  virtual RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const = 0;
-
-  /// Everything about the *algorithm* that determines a run, e.g.
-  /// "jacobi:sweeps=50". Combined with the cluster/network config into the
-  /// MeasurementStore fingerprint, so combinations measured under different
-  /// display names still share measurements.
-  virtual std::string algo_key() const = 0;
-
-  const Config& config() const { return config_; }
-
  private:
-  /// The fault study (scal/fault_study.hpp) replays run_once on a machine
-  /// whose network is wrapped in a fault::DegradedNetwork with a
-  /// fault::Injector attached — it needs the run hook and the config.
-  friend class FaultedCombination;
-
-  /// The profiled measurement path (scal/profile.hpp) re-runs compute()'s
-  /// recipe on its own machine so it can keep the tracer.
-  friend struct ProfiledRun;
-  friend ProfiledRun profile_run(ClusterCombination& combination,
-                                 std::int64_t n);
-
-  /// One full simulation at size n — pure w.r.t. this object.
+  /// run_on a fresh machine built from config().
   Measurement compute(std::int64_t n) const;
-
-  /// The MeasurementStore fingerprint, built lazily (algo_key() is virtual,
-  /// so it cannot be computed in the constructor).
-  const std::string& store_key();
 
   std::string name_;
   Config config_;
-  double marked_speed_ = 0.0;        ///< measured once, then constant
+  AlgoSpec algo_;
   std::vector<double> rank_speeds_;  ///< per-rank marked speeds
+  double marked_speed_ = 0.0;        ///< measured once, then constant
+  std::string store_key_;            ///< MeasurementStore fingerprint
   std::map<std::int64_t, Measurement> cache_;
-  std::string store_key_;
-};
-
-/// GE on a cluster (the paper's first combination).
-class GeCombination final : public ClusterCombination {
- public:
-  GeCombination(std::string name, Config config);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override { return "ge"; }
-};
-
-/// MM on a cluster (the paper's second combination).
-class MmCombination final : public ClusterCombination {
- public:
-  MmCombination(std::string name, Config config);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override { return "mm"; }
-};
-
-/// Sample sort on a cluster (extension; see algos/sort.hpp). Always runs
-/// on real keys — its load balance is data-dependent by nature.
-class SortCombination final : public ClusterCombination {
- public:
-  SortCombination(std::string name, Config config,
-                  algos::SortSplitters splitters =
-                      algos::SortSplitters::kSpeedProportional);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  algos::SortSplitters splitters_;
-};
-
-/// Jacobi on a cluster (extension; see algos/jacobi.hpp).
-class JacobiCombination final : public ClusterCombination {
- public:
-  JacobiCombination(std::string name, Config config, std::int64_t sweeps);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  std::int64_t sweeps_;
-};
-
-/// SUMMA MM on a 2D speed-balanced process grid (see algos/summa.hpp).
-/// Same workload polynomial as MmCombination — the comparison between the
-/// two is purely about the communication pattern.
-class SummaCombination final : public ClusterCombination {
- public:
-  SummaCombination(std::string name, Config config, std::int64_t tile = 64);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  std::int64_t tile_;
-};
-
-/// Panel-blocked GE with partial pivoting (see algos/ge_pivot.hpp). The
-/// measurement's work is the useful GE workload; the pivot search and the
-/// redundant panel reconstruction are charged overhead, so its E_s sits
-/// below pivot-free GE by construction.
-class GePivotCombination final : public ClusterCombination {
- public:
-  GePivotCombination(std::string name, Config config, std::int64_t panel = 32);
-  double work(std::int64_t n) const override;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  std::int64_t panel_;
-};
-
-/// Iterated CSR SpMV (see algos/spmv.hpp) — memory-bound and
-/// load-imbalanced; the distribution choice (heterogeneous vs homogeneous
-/// row blocks) is the ablation axis.
-class SpmvCombination final : public ClusterCombination {
- public:
-  SpmvCombination(std::string name, Config config, std::int64_t sweeps = 50,
-                  algos::SpmvDistribution distribution =
-                      algos::SpmvDistribution::kHeterogeneousBlock);
-  double work(std::int64_t n) const override;  ///< sweeps * 2 * nnz(n)
-
-  /// nnz-weighted dist::imbalance of the row split this combination uses at
-  /// size n — a pure function of the split, no simulation.
-  double work_imbalance(std::int64_t n) const;
-
- private:
-  RunOutcome run_once(vmpi::Machine& machine, std::int64_t n) const override;
-  std::string algo_key() const override;
-  std::int64_t sweeps_;
-  algos::SpmvDistribution distribution_;
 };
 
 /// A sampled speed-efficiency curve (the data behind Figs. 1–2).

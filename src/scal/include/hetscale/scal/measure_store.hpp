@@ -54,9 +54,11 @@ class MeasurementStore {
   void save(std::ostream& os) const;
   bool save_file(const std::string& path) const;
 
-  /// Merge entries from a previously saved stream; returns false (and loads
-  /// nothing) on a missing/garbled header or version mismatch.
-  bool load(std::istream& is);
+  /// Merge entries from a previously saved stream, all or nothing: on a
+  /// missing or mismatched header, or any malformed line (not exactly 7
+  /// fields, a field not wholly numeric, a non-finite value, n < 1), loads
+  /// nothing, returns false and puts the reason in `error` if given.
+  bool load(std::istream& is, std::string* error = nullptr);
   bool load_file(const std::string& path);
 
  private:

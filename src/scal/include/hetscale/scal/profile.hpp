@@ -28,6 +28,7 @@ struct ProfiledRun {
 };
 
 /// Measure `combination` at size `n` on a fresh machine with profiling on.
-ProfiledRun profile_run(ClusterCombination& combination, std::int64_t n);
+ProfiledRun profile_run(const ClusterCombination& combination,
+                        std::int64_t n);
 
 }  // namespace hetscale::scal

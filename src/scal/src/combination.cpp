@@ -3,15 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "hetscale/algos/ge.hpp"
-#include "hetscale/algos/ge_pivot.hpp"
-#include "hetscale/algos/jacobi.hpp"
-#include "hetscale/algos/mm.hpp"
-#include "hetscale/algos/sort.hpp"
-#include "hetscale/algos/summa.hpp"
-#include "hetscale/dist/distribution.hpp"
 #include "hetscale/marked/suite.hpp"
-#include "hetscale/numeric/linsolve.hpp"
+#include "hetscale/net/shared_bus.hpp"
+#include "hetscale/net/switched.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/scal/measure_store.hpp"
 #include "hetscale/scal/metrics.hpp"
@@ -29,30 +23,30 @@ std::vector<Measurement> Combination::measure_many(
   return out;
 }
 
+std::unique_ptr<net::Network> make_network(NetworkKind kind,
+                                           const net::NetworkParams& params) {
+  if (kind == NetworkKind::kSharedBus) {
+    return std::make_unique<net::SharedBusNetwork>(params);
+  }
+  return std::make_unique<net::SwitchedNetwork>(params);
+}
+
 vmpi::Machine make_machine(const machine::Cluster& cluster, NetworkKind kind,
                            const net::NetworkParams& params,
                            const vmpi::CollectiveTuning& tuning) {
-  if (kind == NetworkKind::kSharedBus) {
-    return vmpi::Machine::shared_bus(cluster, params, tuning);
-  }
-  return vmpi::Machine::switched(cluster, params, tuning);
+  return vmpi::Machine(cluster, make_network(kind, params), tuning);
 }
 
-ClusterCombination::ClusterCombination(std::string name, Config config)
-    : name_(std::move(name)), config_(std::move(config)) {
-  rank_speeds_ = marked::rank_marked_speeds(config_.cluster);
-  marked_speed_ = 0.0;
-  for (double c : rank_speeds_) marked_speed_ += c;
-}
-
-const std::string& ClusterCombination::store_key() {
-  // Lazy: algo_key() is virtual and cannot be called from the constructor.
-  if (store_key_.empty()) {
-    store_key_ = config_fingerprint(algo_key(), config_.cluster,
+ClusterCombination::ClusterCombination(std::string name, Config config,
+                                       AlgoSpec algo)
+    : name_(std::move(name)),
+      config_(std::move(config)),
+      algo_(std::move(algo)),
+      rank_speeds_(marked::rank_marked_speeds(config_.cluster)),
+      store_key_(config_fingerprint(algo_.key, config_.cluster,
                                     config_.network, config_.net_params,
-                                    config_.with_data, config_.tuning);
-  }
-  return store_key_;
+                                    config_.with_data, config_.tuning)) {
+  for (double c : rank_speeds_) marked_speed_ += c;
 }
 
 const Measurement& ClusterCombination::measure(std::int64_t n) {
@@ -61,7 +55,7 @@ const Measurement& ClusterCombination::measure(std::int64_t n) {
   const auto [it, inserted] = cache_.try_emplace(n);
   if (!inserted) return it->second;
   auto& store = MeasurementStore::global();
-  if (store.enabled() && store.try_get(store_key(), n, it->second)) {
+  if (store.enabled() && store.try_get(store_key_, n, it->second)) {
     return it->second;
   }
   try {
@@ -70,25 +64,29 @@ const Measurement& ClusterCombination::measure(std::int64_t n) {
     cache_.erase(it);  // don't leave a default-constructed placeholder
     throw;
   }
-  if (store.enabled()) store.put(store_key(), n, it->second);
+  if (store.enabled()) store.put(store_key_, n, it->second);
   return it->second;
 }
 
-Measurement ClusterCombination::compute(std::int64_t n) const {
+Measurement ClusterCombination::run_on(vmpi::Machine& machine,
+                                       std::int64_t n) const {
   HETSCALE_REQUIRE(n >= 1, "problem size must be >= 1");
-  auto machine = make_machine(config_.cluster, config_.network,
-                              config_.net_params, config_.tuning);
-  const RunOutcome outcome = run_once(machine, n);
-
+  const AlgoRun run = algo_.run(machine, n, rank_speeds_, config_.with_data);
   Measurement m;
   m.n = n;
-  m.work_flops = outcome.work_flops;
-  m.seconds = outcome.seconds;
-  m.speed_flops = achieved_speed(outcome.work_flops, outcome.seconds);
+  m.work_flops = run.work_flops;
+  m.seconds = run.seconds;
+  m.speed_flops = achieved_speed(run.work_flops, run.seconds);
   m.speed_efficiency =
-      speed_efficiency(outcome.work_flops, outcome.seconds, marked_speed_);
-  m.overhead_s = outcome.overhead_s;
+      speed_efficiency(run.work_flops, run.seconds, marked_speed_);
+  m.overhead_s = run.overhead_s;
   return m;
+}
+
+Measurement ClusterCombination::compute(std::int64_t n) const {
+  auto machine = make_machine(config_.cluster, config_.network,
+                              config_.net_params, config_.tuning);
+  return run_on(machine, n);
 }
 
 std::vector<Measurement> ClusterCombination::measure_many(
@@ -104,7 +102,7 @@ std::vector<Measurement> ClusterCombination::measure_many(
   for (const auto n : sizes) {
     const auto [it, inserted] = cache_.try_emplace(n);
     if (!inserted) continue;
-    if (use_store && store.try_get(store_key(), n, it->second)) continue;
+    if (use_store && store.try_get(store_key_, n, it->second)) continue;
     batch.emplace_back(n, it);
   }
   // Shape the batch for the work-stealing Runner: ascending by problem
@@ -135,7 +133,7 @@ std::vector<Measurement> ClusterCombination::measure_many(
   }
   if (use_store) {
     for (const auto& [n, slot] : batch) {
-      store.put(store_key(), n, slot->second);
+      store.put(store_key_, n, slot->second);
     }
   }
 
@@ -143,198 +141,6 @@ std::vector<Measurement> ClusterCombination::measure_many(
   out.reserve(sizes.size());
   for (const auto n : sizes) out.push_back(cache_.at(n));
   return out;
-}
-
-GeCombination::GeCombination(std::string name, Config config)
-    : ClusterCombination(std::move(name), std::move(config)) {}
-
-double GeCombination::work(std::int64_t n) const {
-  return numeric::ge_workload(static_cast<double>(n));
-}
-
-ClusterCombination::RunOutcome GeCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::GeOptions options;
-  options.n = n;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_ge(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
-}
-
-MmCombination::MmCombination(std::string name, Config config)
-    : ClusterCombination(std::move(name), std::move(config)) {}
-
-double MmCombination::work(std::int64_t n) const {
-  return numeric::mm_workload(static_cast<double>(n));
-}
-
-ClusterCombination::RunOutcome MmCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::MmOptions options;
-  options.n = n;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_mm(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
-}
-
-SortCombination::SortCombination(std::string name, Config config,
-                                 algos::SortSplitters splitters)
-    : ClusterCombination(std::move(name), std::move(config)),
-      splitters_(splitters) {}
-
-double SortCombination::work(std::int64_t n) const {
-  return algos::sort_workload(n);
-}
-
-std::string SortCombination::algo_key() const {
-  return "sort:" + std::to_string(static_cast<int>(splitters_));
-}
-
-ClusterCombination::RunOutcome SortCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::SortOptions options;
-  options.n = n;
-  options.splitters = splitters_;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_sort(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
-}
-
-JacobiCombination::JacobiCombination(std::string name, Config config,
-                                     std::int64_t sweeps)
-    : ClusterCombination(std::move(name), std::move(config)),
-      sweeps_(sweeps) {
-  HETSCALE_REQUIRE(sweeps_ >= 1, "Jacobi needs sweeps >= 1");
-}
-
-double JacobiCombination::work(std::int64_t n) const {
-  return algos::jacobi_workload(n, sweeps_);
-}
-
-std::string JacobiCombination::algo_key() const {
-  return "jacobi:sweeps=" + std::to_string(sweeps_);
-}
-
-ClusterCombination::RunOutcome JacobiCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::JacobiOptions options;
-  options.n = n;
-  options.sweeps = sweeps_;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_jacobi(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
-}
-
-SummaCombination::SummaCombination(std::string name, Config config,
-                                   std::int64_t tile)
-    : ClusterCombination(std::move(name), std::move(config)), tile_(tile) {
-  HETSCALE_REQUIRE(tile_ >= 1, "SUMMA needs tile >= 1");
-}
-
-double SummaCombination::work(std::int64_t n) const {
-  return numeric::mm_workload(static_cast<double>(n));
-}
-
-std::string SummaCombination::algo_key() const {
-  return "summa:tile=" + std::to_string(tile_);
-}
-
-ClusterCombination::RunOutcome SummaCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::SummaOptions options;
-  options.n = n;
-  options.tile = tile_;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_summa(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
-}
-
-GePivotCombination::GePivotCombination(std::string name, Config config,
-                                       std::int64_t panel)
-    : ClusterCombination(std::move(name), std::move(config)), panel_(panel) {
-  HETSCALE_REQUIRE(panel_ >= 1, "pivoted GE needs panel >= 1");
-}
-
-double GePivotCombination::work(std::int64_t n) const {
-  return numeric::ge_workload(static_cast<double>(n));
-}
-
-std::string GePivotCombination::algo_key() const {
-  return "ge_pivot:panel=" + std::to_string(panel_);
-}
-
-ClusterCombination::RunOutcome GePivotCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::GePivotOptions options;
-  options.n = n;
-  options.panel = panel_;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_ge_pivot(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
-}
-
-SpmvCombination::SpmvCombination(std::string name, Config config,
-                                 std::int64_t sweeps,
-                                 algos::SpmvDistribution distribution)
-    : ClusterCombination(std::move(name), std::move(config)),
-      sweeps_(sweeps),
-      distribution_(distribution) {
-  HETSCALE_REQUIRE(sweeps_ >= 1, "SpMV needs sweeps >= 1");
-}
-
-double SpmvCombination::work(std::int64_t n) const {
-  const auto nnz =
-      algos::make_synthetic_csr(n, algos::SpmvOptions{}.seed).nnz();
-  return static_cast<double>(sweeps_) * 2.0 * static_cast<double>(nnz);
-}
-
-double SpmvCombination::work_imbalance(std::int64_t n) const {
-  const auto& speeds = rank_speeds();
-  const int p = static_cast<int>(speeds.size());
-  const auto counts =
-      distribution_ == algos::SpmvDistribution::kHeterogeneousBlock
-          ? dist::het_block_counts(speeds, n)
-          : dist::block_counts(p, n);
-  const auto offsets = dist::block_offsets(counts);
-  const auto csr = algos::make_synthetic_csr(n, algos::SpmvOptions{}.seed);
-  std::vector<std::int64_t> nnz_counts(static_cast<std::size_t>(p));
-  for (std::size_t i = 0; i < nnz_counts.size(); ++i) {
-    nnz_counts[i] =
-        csr.row_ptr[static_cast<std::size_t>(offsets[i + 1])] -
-        csr.row_ptr[static_cast<std::size_t>(offsets[i])];
-  }
-  return dist::imbalance(speeds, nnz_counts);
-}
-
-std::string SpmvCombination::algo_key() const {
-  return "spmv:sweeps=" + std::to_string(sweeps_) + ",dist=" +
-         (distribution_ == algos::SpmvDistribution::kHeterogeneousBlock
-              ? "het"
-              : "hom");
-}
-
-ClusterCombination::RunOutcome SpmvCombination::run_once(
-    vmpi::Machine& machine, std::int64_t n) const {
-  algos::SpmvOptions options;
-  options.n = n;
-  options.sweeps = sweeps_;
-  options.distribution = distribution_;
-  options.with_data = config().with_data;
-  options.speeds = rank_speeds();
-  const auto result = algos::run_parallel_spmv(machine, options);
-  return RunOutcome{result.work_flops, result.run.elapsed,
-                    result.run.overhead_s()};
 }
 
 std::vector<double> EfficiencyCurve::sizes() const {

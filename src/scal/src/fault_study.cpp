@@ -6,22 +6,11 @@
 
 #include "hetscale/fault/analysis.hpp"
 #include "hetscale/fault/degraded_network.hpp"
-#include "hetscale/net/shared_bus.hpp"
-#include "hetscale/net/switched.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/scal/metrics.hpp"
-#include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
 namespace {
-
-std::unique_ptr<net::Network> make_network(NetworkKind kind,
-                                           const net::NetworkParams& params) {
-  if (kind == NetworkKind::kSharedBus) {
-    return std::make_unique<net::SharedBusNetwork>(params);
-  }
-  return std::make_unique<net::SwitchedNetwork>(params);
-}
 
 std::vector<double> processor_rates(const machine::Cluster& cluster) {
   std::vector<double> rates;
@@ -44,7 +33,6 @@ double FaultedCombination::work(std::int64_t n) const {
 }
 
 FaultyMeasurement FaultedCombination::compute(std::int64_t n) const {
-  HETSCALE_REQUIRE(n >= 1, "problem size must be >= 1");
   const auto& config = inner_->config();
   auto network = std::make_unique<fault::DegradedNetwork>(
       make_network(config.network, config.net_params), *plan_);
@@ -52,21 +40,13 @@ FaultyMeasurement FaultedCombination::compute(std::int64_t n) const {
   fault::Injector injector(*plan_, processor_rates(config.cluster));
   machine.attach_fault_hooks(&injector);
 
-  const ClusterCombination::RunOutcome outcome = inner_->run_once(machine, n);
-
   FaultyMeasurement fm;
-  fm.measurement.n = n;
-  fm.measurement.work_flops = outcome.work_flops;
-  fm.measurement.seconds = outcome.seconds;
-  fm.measurement.speed_flops =
-      achieved_speed(outcome.work_flops, outcome.seconds);
-  fm.measurement.speed_efficiency = speed_efficiency(
-      outcome.work_flops, outcome.seconds, inner_->marked_speed());
-  fm.measurement.overhead_s = outcome.overhead_s;
+  fm.measurement = inner_->run_on(machine, n);
+  const Measurement& m = fm.measurement;
   fm.effective_marked_speed = fault::mean_effective_marked_speed(
-      *plan_, inner_->rank_speeds(), outcome.seconds);
-  fm.degraded_es = speed_efficiency(outcome.work_flops, outcome.seconds,
-                                    fm.effective_marked_speed);
+      *plan_, inner_->rank_speeds(), m.seconds);
+  fm.degraded_es =
+      speed_efficiency(m.work_flops, m.seconds, fm.effective_marked_speed);
   fm.fault_totals = injector.totals();
   fm.critical_path_fault_s = injector.critical_path_fault_s();
   return fm;

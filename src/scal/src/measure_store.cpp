@@ -1,10 +1,12 @@
 #include "hetscale/scal/measure_store.hpp"
 
-#include <cinttypes>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "hetscale/support/error.hpp"
 
@@ -21,6 +23,14 @@ std::string exact(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
+}
+
+/// Parse all of `text` as a T: no whitespace, no leftovers, in range.
+template <class T>
+bool parse_whole(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
 void append_exact(std::string& s, double v) {
@@ -117,42 +127,56 @@ bool MeasurementStore::save_file(const std::string& path) const {
   return out.good();
 }
 
-bool MeasurementStore::load(std::istream& is) {
-  std::string header;
-  if (!std::getline(is, header)) return false;
-  if (header != std::string(kHeader) + " v" + std::to_string(kFormatVersion)) {
+bool MeasurementStore::load(std::istream& is, std::string* error) {
+  const auto fail = [error](std::string why) {
+    if (error != nullptr) *error = std::move(why);
     return false;
-  }
+  };
+  const std::string header =
+      std::string(kHeader) + " v" + std::to_string(kFormatVersion);
   std::string line;
-  while (std::getline(is, line)) {
+  if (!std::getline(is, line) || line != header) {
+    return fail("not a '" + header + "' file");
+  }
+  // Parse everything before touching the store: one bad line rejects the
+  // whole file.
+  std::map<std::string, std::map<std::int64_t, Measurement>> parsed;
+  for (int line_no = 2; std::getline(is, line); ++line_no) {
     if (line.empty()) continue;
-    // key \t n \t work \t seconds \t speed \t efficiency \t overhead
-    std::size_t fields[6];
-    std::size_t at = line.size();
-    bool ok = true;
-    for (int f = 5; f >= 0; --f) {
-      at = line.rfind('\t', at == 0 ? 0 : at - 1);
-      if (at == std::string::npos) {
-        ok = false;
-        break;
-      }
-      fields[f] = at;
-    }
-    if (!ok) return false;  // truncated line: reject the file's tail
-    const std::string key = line.substr(0, fields[0]);
-    const char* cursor = line.c_str() + fields[0] + 1;
-    char* end = nullptr;
-    Measurement m;
-    m.n = static_cast<std::int64_t>(std::strtoll(cursor, &end, 10));
-    const auto number = [&](std::size_t field) {
-      return std::strtod(line.c_str() + fields[field] + 1, nullptr);
+    const auto bad = [&](const std::string& what) {
+      return fail("line " + std::to_string(line_no) + ": " + what);
     };
-    m.work_flops = number(1);
-    m.seconds = number(2);
-    m.speed_flops = number(3);
-    m.speed_efficiency = number(4);
-    m.overhead_s = number(5);
-    put(key, m.n, m);
+    // key \t n \t work \t seconds \t speed \t efficiency \t overhead
+    std::vector<std::string_view> fields;
+    std::string_view rest(line);
+    for (std::size_t tab; (tab = rest.find('\t')) != std::string_view::npos;
+         rest.remove_prefix(tab + 1)) {
+      fields.push_back(rest.substr(0, tab));
+    }
+    fields.push_back(rest);
+    if (fields.size() != 7) {
+      return bad("expected 7 tab-separated fields, found " +
+                 std::to_string(fields.size()));
+    }
+    Measurement m;
+    if (!parse_whole(fields[1], m.n) || m.n < 1) {
+      return bad("problem size '" + std::string(fields[1]) +
+                 "' is not an integer >= 1");
+    }
+    double* const values[] = {&m.work_flops, &m.seconds, &m.speed_flops,
+                              &m.speed_efficiency, &m.overhead_s};
+    for (std::size_t v = 0; v < 5; ++v) {
+      if (!parse_whole(fields[v + 2], *values[v]) ||
+          !std::isfinite(*values[v])) {
+        return bad("field " + std::to_string(v + 3) + " '" +
+                   std::string(fields[v + 2]) + "' is not a finite number");
+      }
+    }
+    parsed[std::string(fields[0])][m.n] = m;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [key, by_n] : parsed) {
+    for (const auto& [n, m] : by_n) entries_[key][n] = m;
   }
   return true;
 }

@@ -1,33 +1,22 @@
 #include "hetscale/scal/profile.hpp"
 
-#include "hetscale/scal/metrics.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
 
-ProfiledRun profile_run(ClusterCombination& combination, std::int64_t n) {
-  HETSCALE_REQUIRE(n >= 1, "problem size must be >= 1");
+ProfiledRun profile_run(const ClusterCombination& combination,
+                        std::int64_t n) {
+  const auto& config = combination.config();
   obs::Profiler profiler;
   ProfiledRun out;
   {
     obs::ProfilerScope scope(profiler);
-    auto machine = make_machine(
-        combination.config_.cluster, combination.config_.network,
-        combination.config_.net_params, combination.config_.tuning);
-    const auto outcome = combination.run_once(machine, n);
-
-    Measurement& m = out.measurement;
-    m.n = n;
-    m.work_flops = outcome.work_flops;
-    m.seconds = outcome.seconds;
-    m.speed_flops = achieved_speed(outcome.work_flops, outcome.seconds);
-    m.speed_efficiency = speed_efficiency(outcome.work_flops, outcome.seconds,
-                                          combination.marked_speed());
-    m.overhead_s = outcome.overhead_s;
-
+    auto machine = make_machine(config.cluster, config.network,
+                                config.net_params, config.tuning);
+    out.measurement = combination.run_on(machine, n);
     const vmpi::TraceRecorder* tracer = machine.tracer();
     HETSCALE_CHECK(tracer != nullptr, "a profiled machine must trace");
-    out.utilization = tracer->utilization_table(outcome.seconds);
+    out.utilization = tracer->utilization_table(out.measurement.seconds);
     out.chrome_trace = tracer->chrome_trace_json();
   }
   const auto runs = profiler.sorted_runs();

@@ -30,10 +30,10 @@ scal::ClusterCombination::Config ge_config(
 scal::ClusterCombination::Config mm_config(
     int nodes, scal::NetworkKind network = scal::NetworkKind::kSwitched);
 
-std::unique_ptr<scal::GeCombination> make_ge(
+std::unique_ptr<scal::ClusterCombination> make_ge(
     int nodes, scal::NetworkKind network = scal::NetworkKind::kSwitched);
 
-std::unique_ptr<scal::MmCombination> make_mm(
+std::unique_ptr<scal::ClusterCombination> make_mm(
     int nodes, scal::NetworkKind network = scal::NetworkKind::kSwitched);
 
 /// The uniform harness header every artifact prints.

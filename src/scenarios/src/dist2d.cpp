@@ -1,9 +1,11 @@
 #include "hetscale/scenarios/dist2d.hpp"
 
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "hetscale/algos/spmv.hpp"
 #include "hetscale/run/scenario.hpp"
 #include "hetscale/scal/series.hpp"
 #include "hetscale/scenarios/paper.hpp"
@@ -22,6 +24,41 @@ using run::Value;
 /// top of the paper's, and the 32-node rung adds cost without changing any
 /// of the comparisons these artifacts pin.
 const std::vector<int> kDist2dNodeCounts{2, 4, 8, 16};
+
+/// SUMMA over the MM ensembles (speed-balanced 2D grid, switched network).
+std::unique_ptr<scal::ClusterCombination> make_summa(int nodes) {
+  return std::make_unique<scal::ClusterCombination>(
+      std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "''",
+      mm_config(nodes), scal::summa_algo());
+}
+
+/// Panel-blocked pivoted GE over the GE ensembles.
+std::unique_ptr<scal::ClusterCombination> make_ge_pivot(int nodes) {
+  return std::make_unique<scal::ClusterCombination>(
+      std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "p",
+      ge_config(nodes), scal::ge_pivot_algo());
+}
+
+/// Iterated SpMV over the MM ensembles with either row split.
+std::unique_ptr<scal::ClusterCombination> make_spmv(
+    int nodes, algos::SpmvDistribution distribution) {
+  const char* tag =
+      distribution == algos::SpmvDistribution::kHeterogeneousBlock ? "het"
+                                                                   : "hom";
+  return std::make_unique<scal::ClusterCombination>(
+      std::to_string(nodes) + " Nodes, spmv-" + tag, mm_config(nodes),
+      scal::spmv_algo(/*sweeps=*/50, distribution));
+}
+
+/// nnz-weighted dist::imbalance of the row split `combo` uses at size n.
+double spmv_imbalance_at(const scal::ClusterCombination& combo,
+                         std::int64_t n,
+                         algos::SpmvDistribution distribution) {
+  return algos::spmv_row_split(
+             algos::make_synthetic_csr(n, algos::SpmvOptions{}.seed),
+             combo.rank_speeds(), distribution)
+      .work_imbalance;
+}
 
 // ---- SUMMA: speed-efficiency curves + psi vs the 1D row algorithm -------
 
@@ -224,13 +261,15 @@ RunResult spmv(const RunContext& context) {
                     "E_s (het)", "E_s (hom)", "het beats hom"});
   bool all_rows_win = true;
   for (int nodes : ensembles) {
-    auto het = make_spmv(nodes, algos::SpmvDistribution::kHeterogeneousBlock);
-    auto hom = make_spmv(nodes, algos::SpmvDistribution::kHomogeneousBlock);
+    constexpr auto kHet = algos::SpmvDistribution::kHeterogeneousBlock;
+    constexpr auto kHom = algos::SpmvDistribution::kHomogeneousBlock;
+    auto het = make_spmv(nodes, kHet);
+    auto hom = make_spmv(nodes, kHom);
     const auto het_measured = het->measure_many(sizes, context.runner);
     const auto hom_measured = hom->measure_many(sizes, context.runner);
     for (std::size_t s = 0; s < sizes.size(); ++s) {
-      const double het_imb = het->work_imbalance(sizes[s]);
-      const double hom_imb = hom->work_imbalance(sizes[s]);
+      const double het_imb = spmv_imbalance_at(*het, sizes[s], kHet);
+      const double hom_imb = spmv_imbalance_at(*hom, sizes[s], kHom);
       const double het_es = het_measured[s].speed_efficiency;
       const double hom_es = hom_measured[s].speed_efficiency;
       const bool wins = het_imb < hom_imb && het_es > hom_es;
@@ -255,28 +294,6 @@ RunResult spmv(const RunContext& context) {
 }
 
 }  // namespace
-
-std::unique_ptr<scal::SummaCombination> make_summa(int nodes) {
-  return std::make_unique<scal::SummaCombination>(
-      std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "''",
-      mm_config(nodes));
-}
-
-std::unique_ptr<scal::GePivotCombination> make_ge_pivot(int nodes) {
-  return std::make_unique<scal::GePivotCombination>(
-      std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "p",
-      ge_config(nodes));
-}
-
-std::unique_ptr<scal::SpmvCombination> make_spmv(
-    int nodes, algos::SpmvDistribution distribution) {
-  const char* tag =
-      distribution == algos::SpmvDistribution::kHeterogeneousBlock ? "het"
-                                                                   : "hom";
-  return std::make_unique<scal::SpmvCombination>(
-      std::to_string(nodes) + " Nodes, spmv-" + tag, mm_config(nodes),
-      /*sweeps=*/50, distribution);
-}
 
 void register_dist2d_scenarios() {
   static const bool registered = [] {

@@ -63,20 +63,21 @@ RunResult large_p(const RunContext& context) {
                     "psi"};
 
   // ---- GE: fixed-communication-volume ladder ----------------------------
-  std::vector<std::unique_ptr<scal::GeCombination>> ge;
+  std::vector<std::unique_ptr<scal::ClusterCombination>> ge;
   for (int p : rungs) {
-    ge.push_back(std::make_unique<scal::GeCombination>(rung_name("ge", p),
-                                                       large_p_config(p)));
+    ge.push_back(std::make_unique<scal::ClusterCombination>(
+        rung_name("ge", p), large_p_config(p), scal::ge_algo()));
   }
   const auto ge_points = context.runner.map(rungs.size(), [&](std::size_t i) {
     return ge[i]->measure(kGeVolume / rungs[i]);
   });
 
   // ---- Jacobi: weak-scaling ladder --------------------------------------
-  std::vector<std::unique_ptr<scal::JacobiCombination>> jacobi;
+  std::vector<std::unique_ptr<scal::ClusterCombination>> jacobi;
   for (int p : rungs) {
-    jacobi.push_back(std::make_unique<scal::JacobiCombination>(
-        rung_name("jacobi", p), large_p_config(p), kJacobiSweeps));
+    jacobi.push_back(std::make_unique<scal::ClusterCombination>(
+        rung_name("jacobi", p), large_p_config(p),
+        scal::jacobi_algo(kJacobiSweeps)));
   }
   const auto jacobi_points =
       context.runner.map(rungs.size(), [&](std::size_t i) {
@@ -84,11 +85,11 @@ RunResult large_p(const RunContext& context) {
       });
 
   // ---- MM: the paper's isospeed ladder, 16-4096x the testbed ------------
-  std::vector<std::unique_ptr<scal::MmCombination>> mm;
+  std::vector<std::unique_ptr<scal::ClusterCombination>> mm;
   std::vector<scal::Combination*> mm_ptrs;
   for (int p : rungs) {
-    mm.push_back(std::make_unique<scal::MmCombination>(rung_name("mm", p),
-                                                       large_p_config(p)));
+    mm.push_back(std::make_unique<scal::ClusterCombination>(
+        rung_name("mm", p), large_p_config(p), scal::mm_algo()));
     mm_ptrs.push_back(mm.back().get());
   }
   scal::IsoSolveOptions solve;

@@ -498,18 +498,18 @@ scal::ClusterCombination::Config mm_config(int nodes,
   return config;
 }
 
-std::unique_ptr<scal::GeCombination> make_ge(int nodes,
-                                             scal::NetworkKind network) {
-  return std::make_unique<scal::GeCombination>(
+std::unique_ptr<scal::ClusterCombination> make_ge(int nodes,
+                                                  scal::NetworkKind network) {
+  return std::make_unique<scal::ClusterCombination>(
       std::to_string(nodes) + " Nodes, C" + std::to_string(nodes),
-      ge_config(nodes, network));
+      ge_config(nodes, network), scal::ge_algo());
 }
 
-std::unique_ptr<scal::MmCombination> make_mm(int nodes,
-                                             scal::NetworkKind network) {
-  return std::make_unique<scal::MmCombination>(
+std::unique_ptr<scal::ClusterCombination> make_mm(int nodes,
+                                                  scal::NetworkKind network) {
+  return std::make_unique<scal::ClusterCombination>(
       std::to_string(nodes) + " Nodes, C" + std::to_string(nodes) + "'",
-      mm_config(nodes, network));
+      mm_config(nodes, network), scal::mm_algo());
 }
 
 std::string artifact_header(const std::string& artifact,

@@ -7,7 +7,7 @@
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/predict/probe.hpp"
 #include "hetscale/run/scenario.hpp"
-#include "hetscale/scenarios/dist2d.hpp"
+#include "hetscale/scal/algo_spec.hpp"
 #include "hetscale/scenarios/paper.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/table.hpp"
@@ -25,10 +25,6 @@ using run::Value;
 /// cost to a golden artifact.
 const std::vector<int> kZooLadder{2, 4, 8};
 
-/// Sweep count shared by the Jacobi and SpMV combinations and their
-/// analytic overhead models (overhead_model_for defaults).
-constexpr std::int64_t kZooSweeps = 50;
-
 std::vector<std::int64_t> zoo_sizes(const std::string& algo) {
   if (algo == "ge") return {64, 128, 256, 384, 512};
   if (algo == "mm") return {32, 64, 128, 192, 256};
@@ -39,20 +35,17 @@ std::vector<std::int64_t> zoo_sizes(const std::string& algo) {
   return {};
 }
 
+/// The algorithm's registry entry (its default parameters match the
+/// analytic overhead model's) on its ensemble ladder.
 std::unique_ptr<scal::ClusterCombination> make_zoo_combination(
     const std::string& algo, int nodes) {
-  const std::string name =
-      std::to_string(nodes) + " Nodes, zoo-" + algo;
-  if (algo == "ge") return make_ge(nodes);
-  if (algo == "mm") return make_mm(nodes);
-  if (algo == "jacobi") {
-    return std::make_unique<scal::JacobiCombination>(name, ge_config(nodes),
-                                                     kZooSweeps);
-  }
-  if (algo == "spmv") return make_spmv(nodes);
-  HETSCALE_REQUIRE(false, "no zoo combination for algorithm '" + algo +
-                              "' (supported: ge, mm, jacobi, spmv)");
-  return nullptr;
+  const scal::AlgoEntry& entry = scal::find_algo(algo);
+  scal::ClusterCombination::Config config;
+  config.cluster = entry.ensemble(nodes);
+  config.with_data = false;
+  return std::make_unique<scal::ClusterCombination>(
+      std::to_string(nodes) + " Nodes, zoo-" + algo, std::move(config),
+      entry.spec);
 }
 
 RunResult model_zoo_ranking(const RunContext& context) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/marked/suite.hpp"
 #include "hetscale/numeric/matrix.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/rng.hpp"
@@ -111,6 +113,31 @@ TEST(Spmv, HetSplitBeatsHomogeneousOnMixedSpeeds) {
   const auto b = run_spmv(mixed_cluster(4), hom);
   EXPECT_LT(a.work_imbalance, b.work_imbalance);
   EXPECT_LT(a.run.elapsed, b.run.elapsed);
+}
+
+TEST(Spmv, RowSplitIsTheOneTheRunUses) {
+  const auto cluster = mixed_cluster(4);
+  const auto speeds = marked::rank_marked_speeds(cluster);
+  const auto csr = make_synthetic_csr(300, SpmvOptions{}.seed);
+  for (const auto distribution : {SpmvDistribution::kHeterogeneousBlock,
+                                  SpmvDistribution::kHomogeneousBlock}) {
+    const auto split = spmv_row_split(csr, speeds, distribution);
+    std::int64_t rows = 0;
+    std::int64_t nnz = 0;
+    for (std::size_t i = 0; i < split.counts.size(); ++i) {
+      EXPECT_EQ(split.offsets[i], rows);
+      rows += split.counts[i];
+      nnz += split.nnz_counts[i];
+    }
+    EXPECT_EQ(rows, csr.n);
+    EXPECT_EQ(nnz, csr.nnz());
+    SpmvOptions options;
+    options.n = csr.n;
+    options.with_data = false;
+    options.distribution = distribution;
+    EXPECT_EQ(run_spmv(cluster, options).work_imbalance,
+              split.work_imbalance);
+  }
 }
 
 TEST(Spmv, TimingInvariantUnderWithData) {

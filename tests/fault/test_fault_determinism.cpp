@@ -54,10 +54,10 @@ void expect_identical(const Measurement& a, const Measurement& b) {
 }
 
 TEST(FaultDeterminism, RepeatedGeRunsAreBitIdentical) {
-  GeCombination first_inner("GE-2", ge_config());
+  ClusterCombination first_inner("GE-2", ge_config(), ge_algo());
   const fault::FaultPlan plan = active_plan(7, first_inner.processor_count());
   FaultedCombination first(first_inner, plan);
-  GeCombination second_inner("GE-2", ge_config());
+  ClusterCombination second_inner("GE-2", ge_config(), ge_algo());
   FaultedCombination second(second_inner, plan);
 
   const FaultyMeasurement& a = first.measure_faulty(96);
@@ -77,14 +77,14 @@ TEST(FaultDeterminism, RepeatedGeRunsAreBitIdentical) {
 TEST(FaultDeterminism, JobsCountDoesNotChangeFaultyMeasurements) {
   const std::vector<std::int64_t> sizes{32, 48, 64, 96};
 
-  GeCombination sequential_inner("GE-2", ge_config());
+  ClusterCombination sequential_inner("GE-2", ge_config(), ge_algo());
   const fault::FaultPlan plan =
       active_plan(7, sequential_inner.processor_count());
   FaultedCombination sequential(sequential_inner, plan);
   run::Runner one(1);
   const auto a = sequential.measure_many(sizes, one);
 
-  GeCombination parallel_inner("GE-2", ge_config());
+  ClusterCombination parallel_inner("GE-2", ge_config(), ge_algo());
   FaultedCombination parallel(parallel_inner, plan);
   run::Runner eight(8);
   const auto b = parallel.measure_many(sizes, eight);
@@ -96,11 +96,11 @@ TEST(FaultDeterminism, JobsCountDoesNotChangeFaultyMeasurements) {
 TEST(FaultDeterminism, MmDecompositionIsReproducible) {
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::mm_ensemble(2);
-  MmCombination first_inner("MM-2", config);
+  ClusterCombination first_inner("MM-2", config, mm_algo());
   const fault::FaultPlan plan = active_plan(3, first_inner.processor_count());
   const FaultDecomposition a = decompose_faults(first_inner, 64, plan);
 
-  MmCombination second_inner("MM-2", config);
+  ClusterCombination second_inner("MM-2", config, mm_algo());
   const FaultDecomposition b = decompose_faults(second_inner, 64, plan);
 
   expect_identical(a.healthy, b.healthy);
@@ -118,7 +118,7 @@ TEST(FaultDeterminism, MmDecompositionIsReproducible) {
 }
 
 TEST(FaultDeterminism, FaultyViewRelatesSanelyToTheHealthyOne) {
-  GeCombination inner("GE-2", ge_config());
+  ClusterCombination inner("GE-2", ge_config(), ge_algo());
   const fault::FaultPlan plan = active_plan(7, inner.processor_count());
   FaultedCombination faulted(inner, plan);
   EXPECT_EQ(faulted.marked_speed(), inner.marked_speed());  // C is constant

@@ -14,12 +14,12 @@
 namespace hetscale::scal {
 namespace {
 
-std::unique_ptr<GeCombination> homogeneous_ge(int nodes) {
+std::unique_ptr<ClusterCombination> homogeneous_ge(int nodes) {
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::homogeneous_ensemble(nodes);
   config.with_data = false;
-  return std::make_unique<GeCombination>("hom-" + std::to_string(nodes),
-                                         std::move(config));
+  return std::make_unique<ClusterCombination>(
+      "hom-" + std::to_string(nodes), std::move(config), ge_algo());
 }
 
 TEST(HomogeneousSpecialCase, PsiEqualsIsospeedForm) {

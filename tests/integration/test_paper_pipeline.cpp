@@ -13,20 +13,20 @@
 namespace hetscale::scal {
 namespace {
 
-std::unique_ptr<GeCombination> ge_combo(int nodes) {
+std::unique_ptr<ClusterCombination> ge_combo(int nodes) {
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::ge_ensemble(nodes);
   config.with_data = false;
-  return std::make_unique<GeCombination>("GE-" + std::to_string(nodes),
-                                         std::move(config));
+  return std::make_unique<ClusterCombination>(
+      "GE-" + std::to_string(nodes), std::move(config), ge_algo());
 }
 
-std::unique_ptr<MmCombination> mm_combo(int nodes) {
+std::unique_ptr<ClusterCombination> mm_combo(int nodes) {
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::mm_ensemble(nodes);
   config.with_data = false;
-  return std::make_unique<MmCombination>("MM-" + std::to_string(nodes),
-                                         std::move(config));
+  return std::make_unique<ClusterCombination>(
+      "MM-" + std::to_string(nodes), std::move(config), mm_algo());
 }
 
 TEST(PaperPipeline, GeRequiredSizeGrowsWithSystem) {

@@ -22,7 +22,7 @@ TEST(PredictionVsMeasured, GeRequiredSizeWithinModelError) {
   scal::ClusterCombination::Config config;
   config.cluster = machine::sunwulf::ge_ensemble(4);
   config.with_data = false;
-  scal::GeCombination combo("GE-4", std::move(config));
+  scal::ClusterCombination combo("GE-4", std::move(config), scal::ge_algo());
 
   const auto measured = scal::required_problem_size(combo, 0.3);
   ASSERT_TRUE(measured.found);
@@ -45,8 +45,8 @@ TEST(PredictionVsMeasured, GeScalabilityCloseToMeasured) {
     scal::ClusterCombination::Config config;
     config.cluster = machine::sunwulf::ge_ensemble(nodes);
     config.with_data = false;
-    return std::make_unique<scal::GeCombination>(
-        "GE-" + std::to_string(nodes), std::move(config));
+    return std::make_unique<scal::ClusterCombination>(
+        "GE-" + std::to_string(nodes), std::move(config), scal::ge_algo());
   };
   auto g2 = make_combo(2);
   auto g4 = make_combo(4);

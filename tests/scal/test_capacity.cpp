@@ -72,7 +72,7 @@ TEST(Capacity, MemoryBoundedSolveFindsFeasibleTarget) {
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::ge_ensemble(2);
   config.with_data = false;
-  GeCombination combo("GE-2", std::move(config));
+  ClusterCombination combo("GE-2", std::move(config), ge_algo());
   // Root is the 4 GB server: plenty of room for the E_s = 0.3 point.
   const auto result =
       memory_bounded_required_size(combo, 0.3, ge_footprint());
@@ -88,7 +88,7 @@ TEST(Capacity, AllBladeSystemBecomesMemoryBound) {
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::homogeneous_ensemble(32);
   config.with_data = false;
-  GeCombination combo("hom-32", std::move(config));
+  ClusterCombination combo("hom-32", std::move(config), ge_algo());
   const auto result =
       memory_bounded_required_size(combo, 0.3, ge_footprint());
   EXPECT_TRUE(result.memory_bound);

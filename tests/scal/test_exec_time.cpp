@@ -75,11 +75,11 @@ TEST(ExecTime, GeBigSystemOvertakesSmallOne) {
   ClusterCombination::Config small_config;
   small_config.cluster = machine::sunwulf::ge_ensemble(2);
   small_config.with_data = false;
-  GeCombination small("GE-2", std::move(small_config));
+  ClusterCombination small("GE-2", std::move(small_config), ge_algo());
   ClusterCombination::Config big_config;
   big_config.cluster = machine::sunwulf::ge_ensemble(8);
   big_config.with_data = false;
-  GeCombination big("GE-8", std::move(big_config));
+  ClusterCombination big("GE-8", std::move(big_config), ge_algo());
 
   const auto crossing = find_time_crossing(small, big, 16, 1 << 14);
   ASSERT_TRUE(crossing.exists);

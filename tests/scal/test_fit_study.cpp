@@ -48,8 +48,8 @@ ClusterCombination::Config ge_config(int nodes) {
 }
 
 TEST(FitStudy, GatherIsLadderMajorSizeMinorWithFullRows) {
-  GeCombination two("C2", ge_config(2));
-  GeCombination four("C4", ge_config(4));
+  ClusterCombination two("C2", ge_config(2), ge_algo());
+  ClusterCombination four("C4", ge_config(4), ge_algo());
   std::vector<ClusterCombination*> ladder{&two, &four};
   const std::vector<std::int64_t> sizes{32, 64};
   const auto data = gather_fit_points("ge", ladder, sizes);
@@ -85,8 +85,8 @@ TEST(FitStudy, RunnerAndSequentialGatherAreBitIdentical) {
   const bool was_enabled = store.enabled();
   store.set_enabled(false);
 
-  GeCombination a("C2", ge_config(2));
-  GeCombination b("C2-again", ge_config(2));
+  ClusterCombination a("C2", ge_config(2), ge_algo());
+  ClusterCombination b("C2-again", ge_config(2), ge_algo());
   std::vector<ClusterCombination*> ladder_a{&a};
   std::vector<ClusterCombination*> ladder_b{&b};
   const std::vector<std::int64_t> sizes{24, 48, 96};
@@ -107,7 +107,7 @@ TEST(FitStudy, RunnerAndSequentialGatherAreBitIdentical) {
 }
 
 TEST(FitStudy, RejectsEmptyLadderOrSizes) {
-  GeCombination two("C2", ge_config(2));
+  ClusterCombination two("C2", ge_config(2), ge_algo());
   std::vector<ClusterCombination*> ladder{&two};
   const std::vector<std::int64_t> sizes{32};
   EXPECT_THROW(gather_fit_points("ge", {}, sizes), PreconditionError);

@@ -56,11 +56,11 @@ TEST(IsoSolver, TrendLineLandsNearTheDirectAnswer) {
   EXPECT_NEAR(via_trend.achieved_es, 0.5, 0.06);
 }
 
-TEST(IsoSolver, TrendLineOnRealGeCombination) {
+TEST(IsoSolver, TrendLineOnRealGe) {
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::ge_ensemble(2);
   config.with_data = false;
-  GeCombination combo("GE-2", std::move(config));
+  ClusterCombination combo("GE-2", std::move(config), ge_algo());
 
   IsoSolveOptions trend;
   trend.method = IsoSolveOptions::Method::kTrendLine;
@@ -74,12 +74,12 @@ TEST(IsoSolver, TrendLineOnRealGeCombination) {
               static_cast<double>(direct.n), 0.25 * direct.n);
 }
 
-TEST(IsoSolver, WorksOnSortCombination) {
+TEST(IsoSolver, WorksOnSort) {
   // A real-data combination with sub-cubic work: the solver must handle
   // its (noisier, slowly rising) efficiency curve and the p^2 size floor.
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::mm_ensemble(4);
-  SortCombination combo("sort-4", std::move(config));
+  ClusterCombination combo("sort-4", std::move(config), sort_algo());
   IsoSolveOptions options;
   options.n_min = 16;  // p^2
   const auto result = required_problem_size(combo, 0.2, options);

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <cstdio>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -101,11 +104,103 @@ TEST_F(MeasureStoreTest, LoadRejectsVersionMismatch) {
   EXPECT_EQ(store.size(), 0u);
 }
 
+/// Load `text` into the (empty) global store; the failure reason, if any.
+std::string load_text(const std::string& text) {
+  std::istringstream in(text);
+  std::string why;
+  if (MeasurementStore::global().load(in, &why)) return "";
+  EXPECT_FALSE(why.empty()) << "a failed load must say why";
+  return why.empty() ? "?" : why;
+}
+
+constexpr const char* kGoodHeader = "hetscale-measure-store v1\n";
+constexpr const char* kGoodLine = "key\t64\t1\t2\t0.5\t0.25\t1e-3\n";
+
+TEST_F(MeasureStoreTest, LoadAcceptsAWellFormedFile) {
+  EXPECT_EQ(load_text(std::string(kGoodHeader) + kGoodLine + "\n"), "");
+  EXPECT_EQ(MeasurementStore::global().size(), 1u);
+}
+
+TEST_F(MeasureStoreTest, LoadRejectsATruncatedTailWhole) {
+  // Two good lines, then a line cut mid-record: nothing may load.
+  const std::string text = std::string(kGoodHeader) + kGoodLine +
+                           "other\t32\t1\t2\t0.5\t0.25\t0\n" +
+                           "key\t128\t1\t2";
+  EXPECT_NE(load_text(text).find("line 4"), std::string::npos);
+  EXPECT_EQ(MeasurementStore::global().size(), 0u)
+      << "the lines before the bad one must not be half-loaded";
+}
+
+TEST_F(MeasureStoreTest, LoadRejectsGarbageFields) {
+  const std::string header = kGoodHeader;
+  EXPECT_NE(load_text(header + "key\t64\tabc\t2\t0.5\t0.25\t0\n"), "");
+  EXPECT_NE(load_text(header + "key\t64\t1x\t2\t0.5\t0.25\t0\n"), "");
+  EXPECT_NE(load_text(header + "key\t64\t\t2\t0.5\t0.25\t0\n"), "");
+  EXPECT_NE(load_text(header + "key\t6.5\t1\t2\t0.5\t0.25\t0\n"), "");
+  EXPECT_NE(load_text(header + "key\t0\t1\t2\t0.5\t0.25\t0\n"), "");
+  EXPECT_NE(load_text(header + "key\t 64\t1\t2\t0.5\t0.25\t0\n"), "");
+  EXPECT_EQ(MeasurementStore::global().size(), 0u);
+}
+
+TEST_F(MeasureStoreTest, LoadRejectsNonFiniteValues) {
+  const std::string header = kGoodHeader;
+  EXPECT_NE(load_text(header + "key\t64\tnan\t2\t0.5\t0.25\t0\n"), "");
+  EXPECT_NE(load_text(header + "key\t64\t1\tinf\t0.5\t0.25\t0\n"), "");
+  EXPECT_NE(load_text(header + "key\t64\t1\t2\t0.5\t0.25\t1e999\n"),
+            "");
+  EXPECT_EQ(MeasurementStore::global().size(), 0u);
+}
+
+TEST_F(MeasureStoreTest, LoadRejectsAnExtraField) {
+  const std::string why = load_text(std::string(kGoodHeader) +
+                                    "key\t64\t1\t2\t0.5\t0.25\t0\t9\n");
+  EXPECT_NE(why.find("found 8"), std::string::npos) << why;
+  EXPECT_EQ(MeasurementStore::global().size(), 0u);
+}
+
+TEST_F(MeasureStoreTest, GoodFileRoundTripsExactly) {
+  auto& store = MeasurementStore::global();
+  store.put("ge|timing|switch", 64, sample(64));
+  store.put("mm|timing|bus", 7, sample(7));
+  std::ostringstream first;
+  store.save(first);
+  store.clear();
+  EXPECT_EQ(load_text(first.str()), "");
+  std::ostringstream second;
+  store.save(second);
+  EXPECT_EQ(second.str(), first.str());
+}
+
+TEST_F(MeasureStoreTest, RegistryKeysArePinned) {
+  // Changing any of these keys orphans every persisted --measure-cache
+  // entry for the algorithm: they are part of the on-disk format.
+  const std::pair<const char*, const char*> pinned[] = {
+      {"ge", "ge"},
+      {"mm", "mm"},
+      {"sort", "sort:1"},
+      {"jacobi", "jacobi:sweeps=50"},
+      {"summa", "summa:tile=64"},
+      {"ge_pivot", "ge_pivot:panel=32"},
+      {"spmv", "spmv:sweeps=50,dist=het"},
+      {"spmv-hom", "spmv:sweeps=50,dist=hom"},
+  };
+  ASSERT_EQ(algo_registry().size(), std::size(pinned));
+  const auto config = ge2_config();
+  for (const auto& [name, key] : pinned) {
+    const std::string fingerprint =
+        config_fingerprint(find_algo(name).spec.key, config.cluster,
+                           config.network, config.net_params,
+                           config.with_data, config.tuning);
+    EXPECT_TRUE(fingerprint.starts_with(std::string(key) + "|timing|"))
+        << name << " -> " << fingerprint;
+  }
+}
+
 TEST_F(MeasureStoreTest, FingerprintSharesAcrossDisplayNames) {
   // table3 / table4 / table7 all simulate GE on the same ensembles under
   // different scenario names: the fingerprint must make them share.
-  GeCombination first("GE required-rank", ge2_config());
-  GeCombination second("GE scalability", ge2_config());
+  ClusterCombination first("GE required-rank", ge2_config(), ge_algo());
+  ClusterCombination second("GE scalability", ge2_config(), ge_algo());
   auto& store = MeasurementStore::global();
 
   const Measurement& a = first.measure(64);
@@ -148,16 +243,16 @@ TEST_F(MeasureStoreTest, FingerprintSeparatesDifferentConfigs) {
 TEST_F(MeasureStoreTest, DisabledStoreDoesNotShare) {
   auto& store = MeasurementStore::global();
   store.set_enabled(false);
-  GeCombination first("GE-a", ge2_config());
-  GeCombination second("GE-b", ge2_config());
+  ClusterCombination first("GE-a", ge2_config(), ge_algo());
+  ClusterCombination second("GE-b", ge2_config(), ge_algo());
   (void)first.measure(48);
   (void)second.measure(48);
   EXPECT_EQ(store.size(), 0u) << "disabled store must stay empty";
 }
 
 TEST_F(MeasureStoreTest, MeasureManyDeduplicatesAndUsesStore) {
-  GeCombination first("GE-a", ge2_config());
-  GeCombination second("GE-b", ge2_config());
+  ClusterCombination first("GE-a", ge2_config(), ge_algo());
+  ClusterCombination second("GE-b", ge2_config(), ge_algo());
   run::Runner runner(1);
   const std::int64_t sizes[] = {32, 64, 32, 64, 96};
   const auto batch = first.measure_many(sizes, runner);
@@ -180,7 +275,7 @@ TEST_F(MeasureStoreTest, PersistedCacheWarmStartsFitStudyByteIdentically) {
   // Cold pass: gather a fit dataset (every point is a store miss), fit a
   // model, and persist the store — the `--measure-cache` save path.
   auto& store = MeasurementStore::global();
-  GeCombination cold("C2", ge2_config());
+  ClusterCombination cold("C2", ge2_config(), ge_algo());
   std::vector<ClusterCombination*> ladder{&cold};
   const std::vector<std::int64_t> sizes{32, 48, 64};
   run::Runner runner(2);
@@ -202,7 +297,7 @@ TEST_F(MeasureStoreTest, PersistedCacheWarmStartsFitStudyByteIdentically) {
   ASSERT_EQ(store.size(), sizes.size());
   const std::uint64_t hits_before = store.hits();
   const std::uint64_t misses_before = store.misses();
-  GeCombination warm("C2-warm", ge2_config());
+  ClusterCombination warm("C2-warm", ge2_config(), ge_algo());
   std::vector<ClusterCombination*> warm_ladder{&warm};
   const auto warm_data = gather_fit_points("ge", warm_ladder, sizes, &runner);
   EXPECT_EQ(store.misses(), misses_before)

@@ -40,8 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "hetscale/algos/ge.hpp"
-#include "hetscale/algos/mm.hpp"
 #include "hetscale/machine/parse.hpp"
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/marked/suite.hpp"
@@ -52,6 +50,7 @@
 #include "hetscale/fault/plan.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/run/scenario.hpp"
+#include "hetscale/scal/algo_spec.hpp"
 #include "hetscale/scal/fault_study.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/measure_store.hpp"
@@ -73,40 +72,13 @@ using namespace hetscale;
 
 std::unique_ptr<scal::ClusterCombination> make_combination(
     const std::string& algo, machine::Cluster cluster) {
+  const scal::AlgoEntry& entry = scal::find_algo(algo);
   scal::ClusterCombination::Config config;
   config.cluster = std::move(cluster);
   config.with_data = false;
   const std::string name = algo + " on " + config.cluster.summary();
-  if (algo == "ge") {
-    return std::make_unique<scal::GeCombination>(name, std::move(config));
-  }
-  if (algo == "mm") {
-    return std::make_unique<scal::MmCombination>(name, std::move(config));
-  }
-  if (algo == "sort") {
-    return std::make_unique<scal::SortCombination>(name, std::move(config));
-  }
-  if (algo == "jacobi") {
-    return std::make_unique<scal::JacobiCombination>(name, std::move(config),
-                                                     /*sweeps=*/50);
-  }
-  if (algo == "summa") {
-    return std::make_unique<scal::SummaCombination>(name, std::move(config));
-  }
-  if (algo == "ge_pivot") {
-    return std::make_unique<scal::GePivotCombination>(name,
-                                                      std::move(config));
-  }
-  if (algo == "spmv" || algo == "spmv-hom") {
-    return std::make_unique<scal::SpmvCombination>(
-        name, std::move(config), /*sweeps=*/50,
-        algo == "spmv" ? algos::SpmvDistribution::kHeterogeneousBlock
-                       : algos::SpmvDistribution::kHomogeneousBlock);
-  }
-  throw PreconditionError(
-      "unknown --algo '" + algo +
-      "' (expected ge, mm, sort, jacobi, summa, ge_pivot, spmv, or "
-      "spmv-hom)");
+  return std::make_unique<scal::ClusterCombination>(name, std::move(config),
+                                                    entry.spec);
 }
 
 /// All scenario registrations, shared by run / scenarios / profile.
@@ -254,14 +226,13 @@ int cmd_curve(const ArgParser& args) {
 
 int cmd_series(const ArgParser& args) {
   const std::string algo = args.get_or("algo", "ge");
-  const double target = args.get_double("target", algo == "mm" ? 0.2 : 0.3);
+  const scal::AlgoEntry& entry = scal::find_algo(algo);
+  const double target = args.get_double("target", entry.target_es);
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::Combination*> ptrs;
   for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
     const int nodes = static_cast<int>(std::stol(piece));
-    owned.push_back(make_combination(
-        algo, algo == "mm" ? machine::sunwulf::mm_ensemble(nodes)
-                           : machine::sunwulf::ge_ensemble(nodes)));
+    owned.push_back(make_combination(algo, entry.ensemble(nodes)));
     ptrs.push_back(owned.back().get());
   }
   run::Runner runner(resolve_jobs(args));
@@ -285,26 +256,18 @@ int cmd_predict(const ArgParser& args) {
   // Throws a loud PreconditionError for algorithms without an analytic
   // model (sort, summa, ...) — predict never silently falls back to GE.
   const auto model = predict::overhead_model_for(algo);
-  // Per-algorithm defaults: the paper's targets for ge/mm, ge's for the
-  // compute-bound jacobi, and a low bar for spmv — its CSR streaming stall
-  // caps E_s well below the dense targets.
-  const double default_target =
-      algo == "mm" ? 0.2 : (algo == "spmv" ? 0.05 : 0.3);
-  const double target = args.get_double("target", default_target);
+  // The registry's defaults: the same target and ensemble ladder `series`
+  // measures, and the pairing the fit study uses.
+  const scal::AlgoEntry& entry = scal::find_algo(algo);
+  const double target = args.get_double("target", entry.target_es);
   const auto comm = predict::probe_comm_model(
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
-  // ge/jacobi run on the paper's GE ensembles, mm/spmv on the MM ones —
-  // the same pairing the fit study measures.
-  const bool mm_ensembles = algo == "mm" || algo == "spmv";
   Table table("Predicted " + algo +
               " operating points (probed parameters, paper §4.5)");
   table.set_header({"nodes", "predicted N"});
   for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
     const int nodes = static_cast<int>(std::stol(piece));
-    const auto system = predict::system_model_for(
-        mm_ensembles ? machine::sunwulf::mm_ensemble(nodes)
-                     : machine::sunwulf::ge_ensemble(nodes),
-        comm);
+    const auto system = predict::system_model_for(entry.ensemble(nodes), comm);
     table.add_row({piece, std::to_string(predict::predicted_required_size(
                               *model, system, target))});
   }
@@ -441,7 +404,7 @@ void write_report(const ArgParser& args, const obs::Report& report) {
   }
 }
 
-/// One instrumented run of --algo (ge, mm, sort, jacobi) on --cluster at
+/// One instrumented run of --algo on --cluster at
 /// --n. In profile mode the report goes to stdout (or --out) and the
 /// per-rank utilization table to stderr; `trace` keeps its historical
 /// contract — utilization on stdout, chrome trace via --out.
@@ -601,10 +564,7 @@ int dispatch(const std::string& command, const ArgParser& args) {
 int main(int argc, char** argv) {
   ArgParser args;
   args.add_flag("cluster", "cluster description, e.g. \"server:2,sunbladex3\"")
-      .add_flag("algo",
-                "algorithm: ge, mm, sort, jacobi, summa, ge_pivot, spmv, "
-                "spmv-hom",
-                "ge")
+      .add_flag("algo", "algorithm: " + scal::algo_names(), "ge")
       .add_flag("target", "target speed-efficiency", "0.3")
       .add_flag("ladder", "comma-separated ensemble node counts", "2,4,8")
       .add_flag("from", "curve: first N", "32")
@@ -640,8 +600,13 @@ int main(int argc, char** argv) {
     if (args.has("no-measure-cache")) store.set_enabled(false);
     const std::string cache_path = args.get_or("measure-cache", "");
     if (store.enabled() && !cache_path.empty()) {
-      // A missing file is the first run; a version mismatch starts fresh.
-      (void)store.load_file(cache_path);
+      // A missing file is the first run; a malformed one starts empty.
+      std::ifstream cache(cache_path);
+      std::string why;
+      if (cache.good() && !store.load(cache, &why)) {
+        std::cerr << "warning: ignoring measurement cache '" << cache_path
+                  << "': " << why << '\n';
+      }
     }
     const auto& positional = args.positional();
     const std::string command = positional.empty() ? "" : positional.front();
