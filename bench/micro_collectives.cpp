@@ -60,7 +60,7 @@ CollectiveRun run_collective(const machine::Cluster& cluster,
   params.recv_overhead_s = params.per_message_overhead_s;
   auto machine = vmpi::Machine::switched(cluster, params, tuning);
   const double sim_s = machine.run(body).elapsed;
-  return CollectiveRun{sim_s, machine.scheduler().events_processed()};
+  return CollectiveRun{sim_s, machine.events_processed()};
 }
 
 /// Publish per-run counters: the simulated completion time, and the host

@@ -3,8 +3,8 @@
 // Every simulated operation (a send, a recv, a collective step) is a Task
 // coroutine, so the simulator's allocation rate is dominated by frame
 // new/delete pairs of a handful of distinct sizes. Frames are recycled
-// through thread-local size-binned freelists: a simulation runs entirely on
-// one thread (the Runner gives each concurrent simulation its own worker), so
+// through thread-local size-binned freelists: each simulation partition runs
+// on one thread (a machine spawns its ranks on their partition's thread), so
 // no locks are needed and a frame always returns to the freelist it came
 // from.
 //
@@ -23,16 +23,9 @@ void* frame_alloc(std::size_t size);
 /// to the heap).
 void frame_free(void* p, std::size_t size) noexcept;
 
-/// Statistics for benchmarks: frames currently parked on this thread's
-/// freelists.
-std::size_t frame_pool_parked();
-
-/// Frames currently allocated (not yet freed) on this thread — one per
-/// suspended coroutine, roughly.
-std::size_t frame_pool_live();
-
-/// High-water mark of frame_pool_live() since the last reset. Machine::run
-/// resets it at launch so a profiled run reports its own peak.
+/// High-water mark, since the last reset, of the frames allocated and not
+/// yet freed on this thread — one per suspended coroutine, roughly. Each
+/// partition of Machine::run resets it at launch and reads its own peak.
 std::size_t frame_pool_live_peak();
 
 /// Restart the high-water mark at the current live count.

@@ -1,7 +1,8 @@
 // Conservative parallel execution of partitioned schedulers.
 //
 // The sequential Scheduler stays the unit of determinism; this layer runs
-// several of them — one per OS thread — in lockstep windows. Each round:
+// one of them inline (the classic sequential schedule, as one unbounded
+// window), or several — one per OS thread — in lockstep windows. Each round:
 //
 //   1. barrier;
 //   2. every partition drains its cross-partition inbox (the `deliver`
@@ -66,12 +67,17 @@ struct PartitionHooks {
   /// Called at the top of every round, after the barrier guaranteed all
   /// partitions finished the previous window: deliver inbound
   /// cross-partition work produced during it. Only this partition's own
-  /// scheduler/state may be touched.
+  /// scheduler/state may be touched. Never called for a single partition.
   std::function<void(int partition)> deliver;
+
+  /// Called last on the partition's thread, also after a failure, to read
+  /// back thread-local state. Must not throw.
+  std::function<void(int partition)> finish;
 };
 
-/// Run `partitions` to global quiescence on one thread each, with windows
-/// bounded by `lookahead_s` past the global next-event time. Returns one
+/// Run `partitions` to global quiescence: one inline, as a single unbounded
+/// window (any `lookahead_s`); several on one thread each, with windows
+/// bounded by `lookahead_s > 0` past the global next-event time. Returns one
 /// slot per partition holding the exception that stopped it (from the
 /// window loop or from Scheduler::check_roots() at quiescence), or null.
 /// Any partition failure stops every partition at the next round.

@@ -82,14 +82,13 @@ class Scheduler {
   /// re-thrown by run().
   void spawn(Task<void> task);
 
-  /// Run until the event queue drains. Throws if any root process terminated
-  /// with an exception (the first one, in completion order) or if any root is
-  /// still suspended when the queue empties (deadlock in the model).
+  /// Run until the event queue drains: run_window(+infinity), then
+  /// check_roots().
   void run();
 
-  /// Conservative-parallel building block: run every pending event with
-  /// time strictly before `end`, then stop (the clock stays at the last
-  /// executed event, never advancing to `end` itself). Root liveness is NOT
+  /// The event loop: run every pending event with time strictly before
+  /// `end`, then stop (the clock stays at the last executed event, never
+  /// advancing to `end` itself). Root liveness is NOT
   /// checked here — a partition legitimately idles between windows while
   /// its ranks wait on cross-partition messages; call check_roots() once
   /// the coordinator decides the whole simulation is quiescent.
@@ -100,9 +99,9 @@ class Scheduler {
   /// safe window bound.
   SimTime next_event_time() const;
 
-  /// The termination checks factored out of run(): throws DeadlockError if
-  /// any root is still suspended, and rethrows the first captured root
-  /// exception (in spawn order) otherwise.
+  /// The termination checks: throws DeadlockError if any root is still
+  /// suspended, and rethrows the first captured root exception (in spawn
+  /// order) otherwise.
   void check_roots();
 
   /// Awaitable: suspend for `dt >= 0` seconds of virtual time.

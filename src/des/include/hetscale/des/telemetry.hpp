@@ -5,8 +5,8 @@
 // instrumented increments compile to a tested-and-skipped branch when
 // telemetry is unbound — the scheduler's front-slot fast path never
 // touches the ladder at all, and the overlap path pays one predictable
-// branch. vmpi::Machine binds a telemetry block when it is profiled and
-// copies the totals into its RunProfile after the run.
+// branch. A profiled vmpi::Machine binds one block per partition scheduler
+// and sums them into its RunProfile after the run.
 //
 // Times are plain doubles (= des::SimTime) so the struct stays header-only
 // and dependency-free for the obs layer to mirror.

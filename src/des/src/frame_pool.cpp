@@ -108,14 +108,6 @@ void frame_free(void* p, std::size_t size) noexcept {
   HETSCALE_POISON(node, (bin_index(size) + 1) * kGranularity);
 }
 
-std::size_t frame_pool_parked() {
-  std::size_t total = 0;
-  for (const Bin& bin : t_pool.bins) total += bin.count;
-  return total;
-}
-
-std::size_t frame_pool_live() { return t_live; }
-
 std::size_t frame_pool_live_peak() { return t_live_peak; }
 
 void frame_pool_reset_live_peak() { t_live_peak = t_live; }

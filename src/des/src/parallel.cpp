@@ -33,12 +33,17 @@ std::vector<std::exception_ptr> run_conservative(
     const PartitionHooks& hooks) {
   const int count = static_cast<int>(partitions.size());
   HETSCALE_REQUIRE(count >= 1, "need at least one partition");
-  HETSCALE_REQUIRE(lookahead_s > 0.0,
+  HETSCALE_REQUIRE(count == 1 || lookahead_s > 0.0,
                    "conservative windows need a positive lookahead");
 
   constexpr SimTime kIdle = std::numeric_limits<SimTime>::infinity();
+  // The lookahead holds in exact arithmetic, but an arrival is a few
+  // rounded additions past its departure: shave a few ulps of the clock off
+  // every window end so no message lands inside the window it was sent in.
+  constexpr double kRoundingMargin =
+      16 * std::numeric_limits<double>::epsilon();
   SpinBarrier barrier(count);
-  std::vector<SimTime> next_time(partitions.size(), 0.0);
+  std::vector<SimTime> next_time;  // sized once several partitions run
   std::vector<std::exception_ptr> errors(partitions.size());
   std::atomic<bool> failed{false};
 
@@ -63,7 +68,8 @@ std::vector<std::exception_ptr> run_conservative(
     guarded([&] {
       if (hooks.bootstrap) hooks.bootstrap(p);
     });
-    for (;;) {
+    if (count == 1) guarded([&] { scheduler.run_window(kIdle); });
+    while (count > 1) {
       // Top of the round: all partitions have finished the previous window
       // (or just bootstrapped) — cross-partition handoffs are complete and
       // safe to deliver. The failure check sits here so every thread exits
@@ -81,15 +87,25 @@ std::vector<std::exception_ptr> run_conservative(
       SimTime horizon = kIdle;
       for (const SimTime t : next_time) horizon = std::min(horizon, t);
       if (horizon == kIdle) break;
-      guarded([&] { scheduler.run_window(horizon + lookahead_s); });
+      const SimTime end = (horizon + lookahead_s) * (1.0 - kRoundingMargin);
+      guarded([&] {
+        HETSCALE_CHECK(end > horizon, "clock too large for the lookahead");
+        scheduler.run_window(end);
+      });
     }
     // Per-partition liveness/exception check, even after a failure
     // elsewhere: the caller prefers real exceptions over the secondary
     // deadlocks an aborted run leaves behind, and checking unconditionally
     // keeps the recorded error set deterministic.
     guarded([&] { scheduler.check_roots(); });
+    if (hooks.finish) hooks.finish(p);
   };
 
+  if (count == 1) {
+    partition_loop(0);  // inline: no thread, no barrier
+    return errors;
+  }
+  next_time.assign(partitions.size(), 0.0);
   std::vector<std::thread> threads;
   threads.reserve(partitions.size());
   for (int p = 0; p < count; ++p) {

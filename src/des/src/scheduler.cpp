@@ -29,31 +29,19 @@ void Scheduler::spawn(Task<void> task) {
 }
 
 void Scheduler::run() {
-  while (front_.handle) {
-    // Advance the clock and lift the handle out of the front slot, then
-    // refill the slot from the ladder before resuming — the resumed
-    // coroutine usually schedules its next hop straight back into the (now
-    // possibly empty) front slot.
-    HETSCALE_DCHECK(front_.time >= now_, "event queue went back in time");
-    now_ = front_.time;
-    ++events_processed_;
-    const std::coroutine_handle<> handle = front_.handle;
-    if (queue_.empty()) {
-      front_.handle = nullptr;
-    } else {
-      front_ = queue_.pop_min();
-    }
-    handle.resume();
-  }
+  run_window(std::numeric_limits<SimTime>::infinity());
   check_roots();
 }
 
 void Scheduler::run_window(SimTime end) {
-  // Same loop as run(), bounded strictly below `end`: events exactly at the
-  // window edge belong to the next window (the coordinator's lower bound is
-  // inclusive, so the upper bound must be exclusive to partition the event
-  // timeline without overlap).
+  // Events exactly at the window edge belong to the next window (the
+  // coordinator's lower bound is inclusive, so the upper bound must be
+  // exclusive to partition the event timeline without overlap).
   while (front_.handle && front_.time < end) {
+    // Advance the clock and lift the handle out of the front slot, then
+    // refill the slot from the ladder before resuming — the resumed
+    // coroutine usually schedules its next hop straight back into the (now
+    // possibly empty) front slot.
     HETSCALE_DCHECK(front_.time >= now_, "event queue went back in time");
     now_ = front_.time;
     ++events_processed_;

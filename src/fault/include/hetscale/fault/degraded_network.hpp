@@ -40,7 +40,13 @@ class DegradedNetwork final : public net::Network {
     return inner_->wire_model();
   }
 
+  /// The inner model's bound still holds: inflated frames and extra
+  /// latency only make arrivals later.
+  double lookahead_s() const override { return inner_->lookahead_s(); }
+
  private:
+  void presize_nodes(int node_count) override { inner_->presize(node_count); }
+
   // Never reached: transfer() is overridden wholesale and delegates to the
   // inner model.
   net::TransferResult remote_transfer(int src_node, int dst_node,

@@ -25,7 +25,7 @@ net::TransferResult DegradedNetwork::transfer(int src_node, int dst_node,
                                               double bytes,
                                               des::SimTime depart) {
   HETSCALE_REQUIRE(bytes >= 0.0, "message size must be non-negative");
-  record_traffic(bytes);
+  record_traffic(src_node, bytes);
   if (src_node == dst_node) {
     // Intra-node copies never touch the degraded medium.
     return inner_->transfer(src_node, dst_node, bytes, depart);

@@ -1,6 +1,7 @@
 #include "hetscale/machine/parse.hpp"
 
-#include <cstdlib>
+#include <cctype>
+#include <climits>
 #include <sstream>
 
 #include "hetscale/machine/sunwulf.hpp"
@@ -20,11 +21,7 @@ NodeSpec spec_for(const std::string& type) {
 }
 
 int parse_positive_int(const std::string& text, const std::string& what) {
-  char* end = nullptr;
-  const long value = std::strtol(text.c_str(), &end, 10);
-  HETSCALE_REQUIRE(end != nullptr && *end == '\0' && value >= 1,
-                   what + " must be a positive integer, got '" + text + "'");
-  return static_cast<int>(value);
+  return static_cast<int>(parse_int(text, what, 1, INT_MAX));
 }
 
 }  // namespace

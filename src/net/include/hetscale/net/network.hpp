@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "hetscale/des/scheduler.hpp"
@@ -63,7 +62,7 @@ struct LinkStats {
   double stall_s = 0.0; ///< time frames waited for the link (contention)
 };
 
-/// Cumulative traffic statistics.
+/// Cumulative traffic statistics (see Network::stats()).
 struct NetworkStats {
   std::uint64_t messages = 0;
   double bytes = 0.0;
@@ -87,30 +86,24 @@ class Network {
                                   SimTime depart);
 
   const NetworkParams& params() const { return params_; }
-  const NetworkStats& stats() const { return stats_; }
+
+  /// Cumulative totals. Every value is recorded under the sending node that
+  /// caused it, and the machine totals are sums over nodes in index order,
+  /// so they do not depend on which thread simulated which node.
+  NetworkStats stats() const;
 
   /// Conservative-parallel lookahead: a positive lower bound on the virtual
   /// time between a message's departure and its visibility at any *other*
   /// node, or 0 when the model provides no such bound (a shared medium
-  /// serializes every sender globally, so the partitioned scheduler falls
-  /// back to sequential execution on it). Concrete models with per-node
-  /// links override this.
+  /// serializes every sender globally, so a machine on it runs as one
+  /// partition). Concrete models with per-node links override this.
   virtual double lookahead_s() const { return 0.0; }
 
-  /// Prepare this network for concurrent use by `partitions` simulation
-  /// threads covering nodes [0, node_count): presize lazily-grown per-node
-  /// state and shard the stats counters so the recording hot path never
-  /// shares a sink between threads. Requires lookahead_s() > 0.
-  void begin_partitioned(int partitions, int node_count);
-
-  /// Fold the per-partition stats shards back into stats(), in partition
-  /// order (a fixed fold order keeps the double sums deterministic for a
-  /// given partition count). Call after the partition threads have joined.
-  void end_partitioned();
-
-  /// Bind the calling thread to stats shard `partition` (-1 unbinds). Only
-  /// meaningful between begin_partitioned() and end_partitioned().
-  static void set_thread_partition(int partition);
+  /// Grow every per-node table to cover nodes [0, node_count) up front, so
+  /// simulation threads that each own distinct sending nodes never race a
+  /// lazy resize. Afterwards each node's state is written only by
+  /// transfers that node sends.
+  void presize(int node_count);
 
   /// The network whose stats() describe what was physically on the wire.
   /// Decorators that re-route transfers through an inner model (and record
@@ -123,14 +116,19 @@ class Network {
   virtual TransferResult remote_transfer(int src_node, int dst_node,
                                          double bytes, SimTime depart) = 0;
 
-  /// Model-specific hook of begin_partitioned(): grow any per-node state up
-  /// front so partition threads never race a lazy resize.
+  /// Model-specific hook of presize(): grow any per-node state of the
+  /// model (or of the model it decorates).
   virtual void presize_nodes(int node_count) { (void)node_count; }
 
-  /// Count one message of `bytes` toward stats() (decorators overriding
-  /// transfer() call this with the *nominal* size, so traffic reports stay
-  /// comparable between healthy and degraded runs).
-  void record_traffic(double bytes);
+  /// Count one message of `bytes` sent by `src_node` toward stats()
+  /// (decorators overriding transfer() call this with the *nominal* size,
+  /// so traffic reports stay comparable between healthy and degraded runs).
+  void record_traffic(int src_node, double bytes);
+
+  /// The same for a decorator that does not track the sending node: the
+  /// message is counted under node 0, so such a decorator must only run as
+  /// a single partition.
+  void record_traffic(double bytes) { record_traffic(0, bytes); }
 
   /// Count one frame's link occupancy: `wire_s` of transmission and
   /// `stall_s` of waiting for the link, charged to `src_node`'s link.
@@ -139,12 +137,17 @@ class Network {
   NetworkParams params_;
 
  private:
-  /// The stats sink for the calling thread: the bound shard during a
-  /// partitioned run, the shared totals otherwise.
-  NetworkStats& sink();
+  /// Everything recorded under one sending node.
+  struct NodeStats {
+    std::uint64_t messages = 0;
+    double bytes = 0.0;          ///< nominal traffic
+    std::uint64_t frames = 0;    ///< frames put on this node's link
+    LinkStats link;
+  };
 
-  NetworkStats stats_;
-  std::vector<NetworkStats> shards_;  ///< non-empty only while partitioned
+  NodeStats& node_stats(int node);
+
+  std::vector<NodeStats> nodes_;
 };
 
 }  // namespace hetscale::net

@@ -27,9 +27,9 @@ class SwitchedNetwork final : public Network {
   TransferResult remote_transfer(int src_node, int dst_node, double bytes,
                                  SimTime depart) override;
 
-  /// Partitioned runs presize the port table: with one rank per node each
-  /// port is touched by exactly one partition thread, but the table itself
-  /// must not grow concurrently.
+  /// Presize the port table: with one rank per node each port is touched
+  /// by exactly one partition thread, but the table itself must not grow
+  /// concurrently.
   void presize_nodes(int node_count) override;
 
   des::Timeline& tx_port(int node);

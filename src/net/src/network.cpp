@@ -4,18 +4,12 @@
 
 namespace hetscale::net {
 
-namespace {
-/// Index of the stats shard the calling simulation thread records into
-/// during a partitioned run; -1 on unbound threads (sequential runs).
-thread_local int t_partition = -1;
-}  // namespace
-
 TransferResult Network::transfer(int src_node, int dst_node, double bytes,
                                  SimTime depart) {
   HETSCALE_REQUIRE(bytes >= 0.0, "message size must be non-negative");
   HETSCALE_REQUIRE(src_node >= 0 && dst_node >= 0, "node ids must be >= 0");
   HETSCALE_REQUIRE(depart >= 0.0, "departure time must be >= 0");
-  record_traffic(bytes);
+  record_traffic(src_node, bytes);
 
   const SimTime ready = depart + params_.per_message_overhead_s;
   if (src_node == dst_node) {
@@ -27,55 +21,49 @@ TransferResult Network::transfer(int src_node, int dst_node, double bytes,
   return remote_transfer(src_node, dst_node, bytes, ready);
 }
 
-void Network::begin_partitioned(int partitions, int node_count) {
-  HETSCALE_REQUIRE(partitions >= 1, "need at least one partition");
-  HETSCALE_REQUIRE(lookahead_s() > 0.0,
-                   "this network model provides no lookahead");
+NetworkStats Network::stats() const {
+  NetworkStats stats;
+  for (std::size_t node = 0; node < nodes_.size(); ++node) {
+    const NodeStats& n = nodes_[node];
+    stats.messages += n.messages;
+    stats.bytes += n.bytes;
+    if (n.frames == 0) continue;
+    stats.wire_seconds += n.link.wire_s;
+    stats.contention_seconds += n.link.stall_s;
+    stats.links.emplace(static_cast<int>(node), n.link);
+  }
+  return stats;
+}
+
+void Network::presize(int node_count) {
+  HETSCALE_REQUIRE(node_count >= 0, "node count must be >= 0");
+  if (static_cast<std::size_t>(node_count) > nodes_.size()) {
+    nodes_.resize(static_cast<std::size_t>(node_count));
+  }
   presize_nodes(node_count);
-  shards_.assign(static_cast<std::size_t>(partitions), NetworkStats{});
 }
 
-void Network::end_partitioned() {
-  for (const NetworkStats& shard : shards_) {
-    stats_.messages += shard.messages;
-    stats_.bytes += shard.bytes;
-    stats_.wire_seconds += shard.wire_seconds;
-    stats_.contention_seconds += shard.contention_seconds;
-    for (const auto& [node, link] : shard.links) {
-      LinkStats& into = stats_.links[node];
-      into.bytes += link.bytes;
-      into.wire_s += link.wire_s;
-      into.stall_s += link.stall_s;
-    }
+Network::NodeStats& Network::node_stats(int node) {
+  HETSCALE_REQUIRE(node >= 0, "node ids must be >= 0");
+  if (static_cast<std::size_t>(node) >= nodes_.size()) {
+    nodes_.resize(static_cast<std::size_t>(node) + 1);
   }
-  shards_.clear();
+  return nodes_[static_cast<std::size_t>(node)];
 }
 
-void Network::set_thread_partition(int partition) { t_partition = partition; }
-
-NetworkStats& Network::sink() {
-  if (!shards_.empty() && t_partition >= 0 &&
-      static_cast<std::size_t>(t_partition) < shards_.size()) {
-    return shards_[static_cast<std::size_t>(t_partition)];
-  }
-  return stats_;
-}
-
-void Network::record_traffic(double bytes) {
-  NetworkStats& stats = sink();
-  ++stats.messages;
-  stats.bytes += bytes;
+void Network::record_traffic(int src_node, double bytes) {
+  NodeStats& node = node_stats(src_node);
+  ++node.messages;
+  node.bytes += bytes;
 }
 
 void Network::record_wire(int src_node, double bytes, double wire_s,
                           double stall_s) {
-  NetworkStats& stats = sink();
-  stats.wire_seconds += wire_s;
-  stats.contention_seconds += stall_s;
-  LinkStats& link = stats.links[src_node];
-  link.bytes += bytes;
-  link.wire_s += wire_s;
-  link.stall_s += stall_s;
+  NodeStats& node = node_stats(src_node);
+  ++node.frames;
+  node.link.bytes += bytes;
+  node.link.wire_s += wire_s;
+  node.link.stall_s += stall_s;
 }
 
 }  // namespace hetscale::net

@@ -11,8 +11,8 @@
 // Determinism: cells live in a std::map keyed by (src, dst, phase), so
 // cells() returns them in one canonical order regardless of the recording
 // interleaving; all values are virtual-time or counts. The matrix has no
-// locks — each vmpi::Machine owns one and records from its single
-// simulation thread.
+// locks: a vmpi::TraceRecorder keeps one per lane, written only by that
+// lane's rank, and sums them for readers.
 #pragma once
 
 #include <compare>

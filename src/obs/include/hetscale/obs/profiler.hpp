@@ -105,7 +105,9 @@ struct RunProfile {
   std::uint64_t retries = 0;
   double backoff_s = 0.0;
 
-  // des
+  // des. The engine telemetry — des_queue_depth_max, frame_live_peak and
+  // des_queue below — sums one block per partition scheduler, so it is the
+  // only content that depends on the machine's partition count.
   std::uint64_t des_events = 0;
   std::uint64_t des_queue_depth_max = 0;
   std::uint64_t frame_live_peak = 0;  ///< coroutine-frame high-water mark

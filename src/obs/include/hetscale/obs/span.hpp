@@ -7,14 +7,18 @@
 // the exporters classify by. Lanes are ranks; depth records nesting (a
 // send.wait inside a barrier has depth 1).
 //
+// Every span and open-span depth belongs to its lane and is written only by
+// that lane's producer, so ranks simulated on different threads record
+// without sharing a sink once presize_lanes() has created their lanes and
+// the names are interned. Readers walk lanes in index order.
+//
 // Times are plain doubles: the obs layer sits below the DES in the build,
 // so it cannot name des::SimTime — but a SimTime *is* a double, and every
-// producer records scheduler time directly. ScopedSpan needs a clock for
-// its RAII close; bind one with bind_clock().
+// producer records scheduler time directly.
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,14 +30,14 @@ enum class SpanCategory { kCompute, kComm, kFault, kOther };
 /// Returned by open() when tracing is off; close() ignores it.
 inline constexpr std::size_t kNoSpan = static_cast<std::size_t>(-1);
 
+/// One interval on a lane (the lane is where the store keeps it).
 struct Span {
-  int lane = 0;  ///< rank (or any stable integer lane id)
   int name_id = 0;
+  int depth = 0;  ///< how many spans were open on the lane at begin
+  int peer = -1;  ///< other endpoint for comm spans, -1 otherwise
+  int tag = 0;
   double begin = 0.0;
   double end = 0.0;
-  int depth = 0;       ///< how many spans were open on the lane at begin
-  int peer = -1;       ///< other endpoint for comm spans, -1 otherwise
-  int tag = 0;
   double bytes = 0.0;  ///< modeled payload size for comm spans
 };
 
@@ -48,6 +52,10 @@ class SpanStore {
   const std::string& name(int id) const;
   SpanCategory category(int id) const;
 
+  /// Create lanes [0, lanes) now. Recording into a lane past the last one
+  /// grows the store, which only a single-threaded producer may do.
+  void presize_lanes(int lanes);
+
   /// Record a completed (leaf) span at the lane's current nesting depth.
   void record(int lane, int name_id, double begin, double end, int peer = -1,
               int tag = 0, double bytes = 0.0);
@@ -58,47 +66,32 @@ class SpanStore {
   std::size_t open(int lane, int name_id, double begin);
   void close(std::size_t handle, double end);
 
-  /// All spans, in recording order. Spans opened but never closed keep
-  /// end < begin and are skipped by consumers.
-  const std::vector<Span>& spans() const { return spans_; }
+  /// Number of lanes (one past the highest lane recorded or presized).
+  int lanes() const { return static_cast<int>(lanes_.size()); }
+
+  /// Lane `lane`'s spans (lane < lanes()) in recording order. Spans opened
+  /// but never closed keep end < begin and are skipped by consumers.
+  const std::deque<Span>& lane(int lane) const;
+
+  /// Total spans over all lanes.
+  std::size_t size() const;
+  bool empty() const { return size() == 0; }
 
   /// Spans currently open (for leak checks in tests).
-  std::size_t open_count() const { return open_count_; }
-
-  bool empty() const { return spans_.empty(); }
-
-  /// Bind the virtual clock ScopedSpan reads at construction/destruction.
-  void bind_clock(std::function<double()> clock) {
-    clock_ = std::move(clock);
-  }
-  double clock_now() const;
+  std::size_t open_count() const;
 
  private:
-  int depth_of(int lane) const;
+  struct Lane {
+    std::deque<Span> spans;
+    int open = 0;  ///< currently open span count
+  };
+
+  Lane& lane_for_write(int lane);
 
   std::map<std::string, int> ids_;
   std::vector<std::string> names_;
   std::vector<SpanCategory> categories_;
-  std::vector<Span> spans_;
-  std::map<int, int> open_depth_;  ///< lane -> currently open span count
-  std::size_t open_count_ = 0;
-  std::function<double()> clock_;
-};
-
-/// RAII span over the store's bound clock: opens at construction, closes
-/// at destruction. For straight-line (non-coroutine) code; coroutines use
-/// explicit open()/close() because frame destruction may happen after the
-/// virtual instant the span logically ends at.
-class ScopedSpan {
- public:
-  ScopedSpan(SpanStore& store, int lane, int name_id);
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan();
-
- private:
-  SpanStore* store_;
-  std::size_t handle_;
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace hetscale::obs

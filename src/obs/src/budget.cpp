@@ -60,16 +60,18 @@ TimeBudget compute_time_budget(const SpanStore& store, double elapsed) {
   budget.elapsed_s = elapsed;
 
   std::vector<Edge> edges;
-  edges.reserve(store.spans().size() * 2);
-  for (const Span& span : store.spans()) {
-    if (span.end < span.begin) continue;  // never closed
-    const SpanCategory category = store.category(span.name_id);
-    if (category == SpanCategory::kOther) continue;
-    const double begin = std::max(span.begin, 0.0);
-    const double end = std::min(span.end, elapsed);
-    if (end <= begin) continue;
-    edges.push_back(Edge{begin, span.lane, category, +1});
-    edges.push_back(Edge{end, span.lane, category, -1});
+  edges.reserve(store.size() * 2);
+  for (int lane = 0; lane < store.lanes(); ++lane) {
+    for (const Span& span : store.lane(lane)) {
+      if (span.end < span.begin) continue;  // never closed
+      const SpanCategory category = store.category(span.name_id);
+      if (category == SpanCategory::kOther) continue;
+      const double begin = std::max(span.begin, 0.0);
+      const double end = std::min(span.end, elapsed);
+      if (end <= begin) continue;
+      edges.push_back(Edge{begin, lane, category, +1});
+      edges.push_back(Edge{end, lane, category, -1});
+    }
   }
   std::sort(edges.begin(), edges.end(),
             [](const Edge& a, const Edge& b) { return a.time < b.time; });

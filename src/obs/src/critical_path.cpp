@@ -56,14 +56,17 @@ CriticalPath critical_path(const SpanStore& store,
   // cursor".
   std::map<int, SpanClass> classes;
   std::map<int, std::vector<const Span*>> lanes;
-  for (const Span& span : store.spans()) {
-    if (span.end < span.begin) continue;  // left open (deadlocked run)
-    auto it = classes.find(span.name_id);
-    if (it == classes.end()) {
-      it = classes.emplace(span.name_id, classify(store, span.name_id)).first;
+  for (int lane = 0; lane < store.lanes(); ++lane) {
+    for (const Span& span : store.lane(lane)) {
+      if (span.end < span.begin) continue;  // left open (deadlocked run)
+      auto it = classes.find(span.name_id);
+      if (it == classes.end()) {
+        it = classes.emplace(span.name_id, classify(store, span.name_id))
+                 .first;
+      }
+      if (it->second == SpanClass::kSkip) continue;
+      lanes[lane].push_back(&span);
     }
-    if (it->second == SpanClass::kSkip) continue;
-    lanes[span.lane].push_back(&span);
   }
   for (auto& [lane, spans] : lanes) {
     std::sort(spans.begin(), spans.end(), [](const Span* a, const Span* b) {
@@ -114,7 +117,7 @@ CriticalPath critical_path(const SpanStore& store,
   double cursor = elapsed;
   // Every step strictly decreases the cursor past a span begin or a message
   // departure, so this bound is generous; it is a backstop, not a budget.
-  const std::size_t max_steps = store.spans().size() + messages.size() + 64;
+  const std::size_t max_steps = store.size() + messages.size() + 64;
   std::size_t steps = 0;
   while (cursor > 0.0 && lane >= 0) {
     if (++steps > max_steps) break;

@@ -1,7 +1,5 @@
 #include "hetscale/obs/span.hpp"
 
-#include <utility>
-
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::obs {
@@ -48,50 +46,69 @@ SpanCategory SpanStore::category(int id) const {
   return categories_[static_cast<std::size_t>(id)];
 }
 
-int SpanStore::depth_of(int lane) const {
-  const auto it = open_depth_.find(lane);
-  return it != open_depth_.end() ? it->second : 0;
+void SpanStore::presize_lanes(int lanes) {
+  if (lanes > this->lanes()) lanes_.resize(static_cast<std::size_t>(lanes));
+}
+
+SpanStore::Lane& SpanStore::lane_for_write(int lane) {
+  HETSCALE_REQUIRE(lane >= 0, "span lane must be >= 0");
+  presize_lanes(lane + 1);
+  return lanes_[static_cast<std::size_t>(lane)];
+}
+
+const std::deque<Span>& SpanStore::lane(int lane) const {
+  HETSCALE_REQUIRE(lane >= 0 && lane < lanes(), "span lane out of range");
+  return lanes_[static_cast<std::size_t>(lane)].spans;
+}
+
+std::size_t SpanStore::size() const {
+  std::size_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.spans.size();
+  return total;
+}
+
+std::size_t SpanStore::open_count() const {
+  std::size_t total = 0;
+  for (const Lane& lane : lanes_) total += static_cast<std::size_t>(lane.open);
+  return total;
 }
 
 void SpanStore::record(int lane, int name_id, double begin, double end,
                        int peer, int tag, double bytes) {
   HETSCALE_REQUIRE(end >= begin, "span must not end before it begins");
   name(name_id);  // bounds check
-  spans_.push_back(Span{lane, name_id, begin, end, depth_of(lane), peer, tag,
-                        bytes});
+  Lane& into = lane_for_write(lane);
+  into.spans.push_back(Span{name_id, into.open, peer, tag, begin, end, bytes});
 }
 
+// A handle packs the lane into the high 32 bits and the span's index within
+// the lane into the low 32.
 std::size_t SpanStore::open(int lane, int name_id, double begin) {
   name(name_id);  // bounds check
-  const std::size_t handle = spans_.size();
+  Lane& into = lane_for_write(lane);
+  HETSCALE_REQUIRE(into.spans.size() < (std::size_t{1} << 32),
+                   "too many spans on one lane");
+  const std::size_t handle =
+      (static_cast<std::size_t>(lane) << 32) | into.spans.size();
   // end < begin marks the span as open; close() fills the real end.
-  spans_.push_back(Span{lane, name_id, begin, begin - 1.0, depth_of(lane),
-                        -1, 0, 0.0});
-  ++open_depth_[lane];
-  ++open_count_;
+  const Span span{name_id, into.open, -1, 0, begin, begin - 1.0, 0.0};
+  into.spans.push_back(span);
+  ++into.open;
   return handle;
 }
 
 void SpanStore::close(std::size_t handle, double end) {
   if (handle == kNoSpan) return;
-  HETSCALE_REQUIRE(handle < spans_.size(), "span handle out of range");
-  Span& span = spans_[handle];
+  const std::size_t lane = handle >> 32;
+  const std::size_t index = handle & 0xffffffffu;
+  HETSCALE_REQUIRE(lane < lanes_.size() && index < lanes_[lane].spans.size(),
+                   "span handle out of range");
+  Lane& owner = lanes_[lane];
+  Span& span = owner.spans[index];
   HETSCALE_REQUIRE(span.end < span.begin, "span is already closed");
   HETSCALE_REQUIRE(end >= span.begin, "span must not end before it begins");
   span.end = end;
-  --open_depth_[span.lane];
-  --open_count_;
+  --owner.open;
 }
-
-double SpanStore::clock_now() const {
-  HETSCALE_REQUIRE(clock_ != nullptr,
-                   "no clock bound (SpanStore::bind_clock)");
-  return clock_();
-}
-
-ScopedSpan::ScopedSpan(SpanStore& store, int lane, int name_id)
-    : store_(&store), handle_(store.open(lane, name_id, store.clock_now())) {}
-
-ScopedSpan::~ScopedSpan() { store_->close(handle_, store_->clock_now()); }
 
 }  // namespace hetscale::obs

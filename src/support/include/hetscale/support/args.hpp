@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hetscale {
@@ -37,7 +39,12 @@ class ArgParser {
   std::string get(const std::string& name) const;           ///< throws if absent
   std::string get_or(const std::string& name, const std::string& def) const;
   double get_double(const std::string& name, double def) const;
-  std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// The flag's whole value as an integer in [min, max] (see parse_int),
+  /// or `def` when the flag was not given.
+  std::int64_t get_int(
+      const std::string& name, std::int64_t def,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 
@@ -56,14 +63,22 @@ class ArgParser {
   std::vector<std::string> positional_;
 };
 
+/// Parse all of `text` as a base-10 integer in [min, max]. Throws
+/// PreconditionError naming `what` and the reason — empty, not a whole
+/// integer, or out of range — otherwise; nothing wraps or saturates.
+std::int64_t parse_int(
+    std::string_view text, const std::string& what,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max = std::numeric_limits<std::int64_t>::max());
+
 /// Split "a,b,c" into trimmed pieces (empty pieces dropped).
 std::vector<std::string> split(const std::string& text, char sep);
 
 /// Map a requested worker count to an effective one: 0 means "use the
-/// hardware concurrency" (at least 1), positive values pass through, and
-/// negative values throw. This is the single definition of what `0` means —
-/// --jobs, HETSCALE_JOBS, and Runner(0) all funnel through it, so the three
-/// spellings can never drift apart.
+/// hardware concurrency" (at least 1), positive values up to INT_MAX pass
+/// through, and anything else throws. This is the single definition of what
+/// `0` means — --jobs, HETSCALE_JOBS, and Runner(0) all funnel through it,
+/// so the three spellings can never drift apart.
 int normalize_jobs(std::int64_t jobs);
 
 /// The process-wide default worker count: the HETSCALE_JOBS environment
@@ -79,9 +94,10 @@ ArgParser& add_jobs_flag(ArgParser& args);
 int resolve_jobs(const ArgParser& args);
 
 /// Map a requested simulation-thread count to an effective one: 0 means
-/// "use the hardware concurrency" (at least 1), positive values pass
-/// through, negative values throw. Mirrors normalize_jobs() so --sim-threads,
-/// HETSCALE_SIM_THREADS, and set_global_sim_threads() agree on what 0 means.
+/// "use the hardware concurrency" (at least 1), positive values up to
+/// INT_MAX pass through, anything else throws. Mirrors normalize_jobs() so
+/// --sim-threads, HETSCALE_SIM_THREADS, and set_global_sim_threads() agree
+/// on what 0 means.
 int normalize_sim_threads(std::int64_t threads);
 
 /// The process-wide default simulation-thread count per machine: the

@@ -1,8 +1,11 @@
 #include "hetscale/support/args.hpp"
 
 #include <atomic>
+#include <charconv>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
+#include <system_error>
 #include <thread>
 
 #include "hetscale/support/error.hpp"
@@ -122,16 +125,11 @@ double ArgParser::get_double(const std::string& name, double def) const {
   return value;
 }
 
-std::int64_t ArgParser::get_int(const std::string& name,
-                                std::int64_t def) const {
+std::int64_t ArgParser::get_int(const std::string& name, std::int64_t def,
+                                std::int64_t min, std::int64_t max) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  char* end = nullptr;
-  const auto value =
-      static_cast<std::int64_t>(std::strtoll(it->second.c_str(), &end, 10));
-  HETSCALE_REQUIRE(end != nullptr && *end == '\0',
-                   "flag --" + name + " is not an integer: " + it->second);
-  return value;
+  return parse_int(it->second, "flag --" + name, min, max);
 }
 
 std::string ArgParser::help(const std::string& program) const {
@@ -147,9 +145,28 @@ std::string ArgParser::help(const std::string& program) const {
   return os.str();
 }
 
+std::int64_t parse_int(std::string_view text, const std::string& what,
+                       std::int64_t min, std::int64_t max) {
+  const std::string quoted = "'" + std::string(text) + "'";
+  std::int64_t value = 0;
+  const char* const last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  HETSCALE_REQUIRE(!text.empty(), what + " needs an integer, got ''");
+  HETSCALE_REQUIRE(error != std::errc::result_out_of_range,
+                   what + " is out of range: " + quoted);
+  HETSCALE_REQUIRE(error == std::errc{} && end == last,
+                   what + " is not an integer: " + quoted);
+  HETSCALE_REQUIRE(value >= min && value <= max,
+                   what + " must be in [" + std::to_string(min) + ", " +
+                       std::to_string(max) + "], got " + quoted);
+  return value;
+}
+
 int normalize_jobs(std::int64_t jobs) {
   HETSCALE_REQUIRE(jobs >= 0,
                    "jobs must be >= 0 (0 means hardware concurrency)");
+  HETSCALE_REQUIRE(jobs <= INT_MAX, "jobs must be <= " +
+                                        std::to_string(INT_MAX));
   if (jobs > 0) return static_cast<int>(jobs);
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware >= 1 ? static_cast<int>(hardware) : 1;
@@ -185,6 +202,8 @@ int resolve_jobs(const ArgParser& args) {
 int normalize_sim_threads(std::int64_t threads) {
   HETSCALE_REQUIRE(threads >= 0,
                    "sim-threads must be >= 0 (0 means hardware concurrency)");
+  HETSCALE_REQUIRE(threads <= INT_MAX, "sim-threads must be <= " +
+                                           std::to_string(INT_MAX));
   if (threads > 0) return static_cast<int>(threads);
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware >= 1 ? static_cast<int>(hardware) : 1;

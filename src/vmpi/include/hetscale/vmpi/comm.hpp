@@ -32,9 +32,8 @@ class Comm {
   Comm(Machine& machine, int rank, int size)
       : machine_(&machine), rank_(rank), size_(size) {}
 
-  /// Rebind the scheduler this rank's time flows through. The Machine wires
-  /// this: the shared scheduler at construction, the rank's partition
-  /// scheduler for a partitioned (--sim-threads > 1) run.
+  /// Bind the scheduler this rank's time flows through: Machine::run wires
+  /// each rank to its partition's scheduler.
   void bind_scheduler(des::Scheduler* scheduler) { sched_ = scheduler; }
 
   int rank() const { return rank_; }

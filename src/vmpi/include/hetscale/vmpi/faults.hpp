@@ -10,9 +10,10 @@
 // Determinism contract: an implementation may keep per-rank state (message
 // counters, checkpoint schedules), because within one simulation each
 // rank's coroutine runs single-threaded and issues its compute/send calls
-// in a deterministic order. It must not share mutable state across
-// Machine instances — concurrent simulations on a Runner each attach their
-// own hooks.
+// in a deterministic order. It must not share mutable state across ranks
+// — a partitioned machine calls the hooks for different ranks from
+// different threads — nor across Machine instances: concurrent
+// simulations on a Runner each attach their own hooks.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +67,9 @@ class FaultHooks {
   virtual void record_retry_wait(int rank, double seconds) = 0;
 
   /// A profiling Machine offers its span store so the hooks can record
-  /// `checkpoint` / `fault.rework` spans at the instants they charge time.
-  /// Optional: the default keeps fault models span-free.
+  /// `checkpoint` / `fault.rework` spans at the instants they charge time,
+  /// each under the lane of the rank charged. Names must be interned here,
+  /// before the run. Optional: the default keeps fault models span-free.
   virtual void bind_span_sink(obs::SpanStore* /*spans*/) {}
 
   /// Summed charges for the profiling report. Optional.

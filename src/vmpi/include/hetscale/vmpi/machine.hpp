@@ -1,5 +1,6 @@
-// Machine — binds a Cluster, a Network, and a Scheduler into a runnable
-// virtual parallel computer, and launches SPMD programs on it.
+// Machine — binds a Cluster and a Network into a runnable virtual parallel
+// computer, and launches SPMD programs on it through the conservative
+// window engine (des/parallel.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,9 +40,6 @@ struct RunResult {
   /// decomposition, taken on the critical path: elapsed minus the largest
   /// per-rank compute time.
   double overhead_s() const;
-
-  /// Aggregate compute seconds across ranks.
-  double total_compute_s() const;
 };
 
 /// Short-message broadcast algorithm.
@@ -148,39 +146,30 @@ class Machine {
   const machine::Cluster& cluster() const { return cluster_; }
   const machine::Processor& processor(int rank) const;
   net::Network& network() { return *network_; }
-  des::Scheduler& scheduler() { return scheduler_; }
 
-  /// Host events processed by the finished run: the sequential scheduler's
-  /// count, plus every partition scheduler's when the run was partitioned.
+  /// Host events processed by the finished run, summed over its partition
+  /// schedulers.
   std::uint64_t events_processed() const;
 
   Mailbox& mailbox(int rank);
   RankStats& rank_stats(int rank);
 
   /// OS threads this machine's simulation may use (--sim-threads). New
-  /// machines inherit global_sim_threads(); 1 runs the classic sequential
-  /// scheduler. With more, run() partitions the ranks across threads and
-  /// advances each partition in conservative windows bounded by the
-  /// network's lookahead — results are bit-identical to sequential runs.
-  /// Runs that are not eligible (zero-lookahead network, tracing/profiling/
-  /// fault hooks attached, or several ranks sharing a node) silently fall
-  /// back to the sequential path.
+  /// machines inherit global_sim_threads().
   int sim_threads() const { return sim_threads_; }
   void set_sim_threads(int threads);
 
-  /// True while run() is inside the partitioned path (Comm consults this to
-  /// reject wildcard receives, whose matching order would depend on how
-  /// cross-partition deliveries batch).
-  bool partitioned() const { return partitioned_; }
+  /// How many partitions run() splits the ranks into, each advanced by its
+  /// own scheduler and thread: min(sim_threads(), world_size()) when the
+  /// network has a positive lookahead (a shared bus has none) and no node
+  /// hosts two ranks (they would share an injection port), otherwise 1.
+  /// Results are bit-identical at any count; with several, wildcard
+  /// receives are rejected, since their match would depend on batching.
+  int partitions() const;
 
-  /// The scheduler driving `rank`: the shared one, or the rank's partition
-  /// scheduler inside a partitioned run.
-  des::Scheduler& scheduler_for(int rank);
-
-  /// Deliver a message from `src` into `dst`'s mailbox. Sequential runs
-  /// post directly. A partitioned run posts same-partition messages
-  /// directly too, but parks cross-partition ones in an outbox; they are
-  /// drained into the destination at the next window boundary in a
+  /// Deliver a message from `src` into `dst`'s mailbox. Messages within a
+  /// partition post directly; cross-partition ones park in an outbox and
+  /// are drained into the destination at the next window boundary in a
   /// canonical (post-time, source, sequence) order, so delivery order —
   /// and hence every golden artifact — is independent of the thread count.
   void post_message(int src, int dst, Message message);
@@ -189,7 +178,7 @@ class Machine {
   void set_tuning(const CollectiveTuning& tuning) { tuning_ = tuning; }
 
   /// Turn on execution tracing (before run()); the recorder lives as long
-  /// as the machine. Null when tracing is off.
+  /// as the machine. Null when tracing is off. Traced runs partition too.
   TraceRecorder& enable_tracing();
   TraceRecorder* tracer() { return tracer_.get(); }
 
@@ -208,8 +197,9 @@ class Machine {
   /// An SPMD program: called once per rank to create that rank's coroutine.
   using Program = std::function<des::Task<void>(Comm&)>;
 
-  /// Launch `program` on every rank and run the simulation to completion.
-  /// A Machine is single-shot: construct a fresh one per run.
+  /// Launch `program` on every rank and run the simulation to completion
+  /// through des::run_conservative on partitions() schedulers. A Machine
+  /// is single-shot: construct a fresh one per run.
   RunResult run(const Program& program);
 
  private:
@@ -222,34 +212,35 @@ class Machine {
     Message message;
   };
 
-  bool partition_eligible() const;
-  RunResult run_partitioned(const Program& program, int partitions);
   void deliver_inboxes(int partition);
+  void publish_profile(const RunResult& result);
   [[noreturn]] void rethrow_with_deadlock_diagnosis(
       const des::DeadlockError& deadlock) const;
 
   machine::Cluster cluster_;
   std::unique_ptr<net::Network> network_;
-  des::Scheduler scheduler_;
   std::vector<machine::Processor> processors_;
-  std::vector<Mailbox> mailboxes_;
+  bool partitionable_ = false;  ///< positive lookahead, one rank per node
+  std::vector<Mailbox> mailboxes_;  ///< built by run(), one per rank
   std::vector<RankStats> stats_;
   std::vector<Comm> comms_;
   CollectiveTuning tuning_;
   std::unique_ptr<TraceRecorder> tracer_;
   FaultHooks* fault_hooks_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
-  des::QueueTelemetry queue_telemetry_;  ///< bound only when profiled
   bool ran_ = false;
 
   int sim_threads_ = 1;
-  bool partitioned_ = false;
-  int partition_count_ = 0;
   std::vector<int> partition_of_;  ///< rank -> partition (contiguous blocks)
-  std::vector<std::unique_ptr<des::Scheduler>> partition_schedulers_;
-  std::vector<des::Scheduler*> rank_scheduler_;  ///< rank -> its scheduler
-  /// outboxes_[src_partition * partition_count_ + dst_partition]: messages
-  /// parked between window boundaries. Only the source partition's thread
+  std::vector<std::unique_ptr<des::Scheduler>> schedulers_;  ///< per partition
+  /// Engine telemetry of one partition.
+  struct PartitionTelemetry {
+    des::QueueTelemetry queue;
+    std::uint64_t frame_live_peak = 0;
+  };
+  std::vector<PartitionTelemetry> telemetry_;  ///< per partition if profiled
+  /// outboxes_[src_partition * partitions + dst_partition]: messages parked
+  /// between window boundaries. Only the source partition's thread
   /// appends; only the destination's drains — and never concurrently (the
   /// drain happens inside the barrier-fenced delivery phase).
   std::vector<std::vector<Handoff>> outboxes_;

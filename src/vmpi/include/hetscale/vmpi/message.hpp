@@ -44,12 +44,8 @@ struct Message {
 /// ever receives from a mailbox, so at most one waiter is registered.
 class Mailbox {
  public:
+  /// Wakes go to `scheduler`: the one advancing the owning rank.
   explicit Mailbox(des::Scheduler& scheduler) : scheduler_(&scheduler) {}
-
-  /// Point wakes at a different scheduler. The partitioned Machine rebinds
-  /// each mailbox to its owning rank's partition scheduler before the run;
-  /// must not be called while a receiver is suspended on this mailbox.
-  void rebind(des::Scheduler& scheduler) { scheduler_ = &scheduler; }
 
   /// Deposit a message (called from the sender's coroutine). If the rank is
   /// blocked in recv, its resumption is scheduled at the message's arrival.

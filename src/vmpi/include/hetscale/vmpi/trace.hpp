@@ -12,8 +12,8 @@
 //     profiler reports.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -48,14 +48,24 @@ class TraceRecorder {
  public:
   TraceRecorder();
 
+  /// Create lanes [0, lanes) in every per-lane store. Each lane is written
+  /// only by its own rank, so ranks simulated on different threads record
+  /// without sharing a sink. Messages and lane phases need their lane.
+  void presize_lanes(int lanes);
+
   void record_interval(TraceInterval interval);
+
+  /// Record a delivered message under its sender's lane.
   void record_message(TraceMessage message);
 
   /// The point-to-point and compute intervals, materialized from the span
-  /// store (structural spans — barriers, fault charges — are not leaf
-  /// intervals and are excluded; their constituent sends/recvs are listed).
+  /// store lane by lane (structural spans — barriers, fault charges — are
+  /// not leaf intervals and are excluded; their constituent sends/recvs are
+  /// listed).
   std::vector<TraceInterval> intervals() const;
-  const std::vector<TraceMessage>& messages() const { return messages_; }
+
+  /// Messages recorded so far, over all lanes.
+  std::size_t message_count() const;
 
   /// The underlying span store (all spans, including barrier/fault ones).
   obs::SpanStore& spans() { return spans_; }
@@ -65,10 +75,18 @@ class TraceRecorder {
   /// from coroutine code.
   int barrier_name_id() const { return barrier_id_; }
 
-  /// The per-rank x per-rank communication matrix (obs/comm_matrix.hpp).
-  /// Comm's send/recv hooks record into it whenever tracing is on.
-  obs::CommMatrix& comm() { return comm_; }
-  const obs::CommMatrix& comm() const { return comm_; }
+  /// Charge one message src -> dst to the communication matrix under the
+  /// sender's lane, and `wait_s` of receiver blocking to the src -> dst
+  /// cell under the receiver's lane; Comm's send/recv hooks call these
+  /// whenever tracing is on. `phase` is the tag-derived phase, overridden
+  /// by the recording lane's group phase when one is set.
+  void record_send(int src, int dst, obs::CommPhase phase, double bytes);
+  void record_wait(int src, int dst, obs::CommPhase phase, double wait_s);
+
+  /// The per-rank x per-rank communication matrix (obs/comm_matrix.hpp):
+  /// the lanes' matrices summed. Each cell field has one writing lane, so
+  /// the sum is exact.
+  obs::CommMatrix comm() const;
 
   /// Group collectives run over plain tagged point-to-point sends, so the
   /// world tags cannot name them; a group marks its own lane for the span
@@ -77,15 +95,16 @@ class TraceRecorder {
   /// independent, so interleaved coroutines cannot clobber each other.
   void set_lane_phase(int lane, obs::CommPhase phase);
   void clear_lane_phase(int lane);
-  obs::CommPhase lane_phase_or(int lane, obs::CommPhase fallback) const;
 
-  /// The messages converted to the critical-path walker's shape.
+  /// The messages converted to the critical-path walker's shape, sender
+  /// lane by sender lane, each in its send order.
   std::vector<obs::PathMessage> path_messages() const;
 
   /// Chrome trace-event JSON ("X" duration events per rank lane, "s"/"f"
   /// flow pairs per message, plus one "C" counter row per CommMatrix cell
-  /// when the matrix is non-empty). Times in microseconds of virtual time.
-  /// All span names are JSON-escaped; an empty trace renders as "[]".
+  /// when the matrix is non-empty), listed lane by lane. Times in
+  /// microseconds of virtual time. All span names are JSON-escaped; an
+  /// empty trace renders as "[]".
   std::string chrome_trace_json() const;
 
   /// Per-rank utilization over [0, horizon]: compute, blocked-communicating
@@ -93,10 +112,16 @@ class TraceRecorder {
   std::string utilization_table(des::SimTime horizon) const;
 
  private:
+  struct Lane {
+    std::deque<TraceMessage> messages;  ///< sent by this lane, in order
+    obs::CommMatrix comm;  ///< its sends, and its waits as receiver
+    int phase = -1;  ///< CommPhase as int; -1 outside group collectives
+  };
+
+  Lane& lane(int lane);
+
   obs::SpanStore spans_;
-  std::vector<TraceMessage> messages_;
-  obs::CommMatrix comm_;
-  std::map<int, obs::CommPhase> lane_phase_;
+  std::vector<Lane> lanes_;
   int compute_id_;
   int send_id_;
   int recv_id_;

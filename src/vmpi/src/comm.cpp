@@ -103,8 +103,7 @@ des::Task<void> Comm::send(int dst, int tag, double bytes, Payload payload) {
     tracer->record_interval(
         {rank_, TraceInterval::Kind::kSend, start, now(), dst, tag, bytes});
     tracer->record_message({rank_, dst, tag, bytes, start, result.arrival});
-    tracer->comm().record_send(
-        rank_, dst, tracer->lane_phase_or(rank_, phase_for_tag(tag)), bytes);
+    tracer->record_send(rank_, dst, phase_for_tag(tag), bytes);
   }
 }
 
@@ -125,8 +124,7 @@ Comm::SendRequest Comm::isend(int dst, int tag, double bytes,
     tracer->record_interval(
         {rank_, TraceInterval::Kind::kSend, start, start, dst, tag, bytes});
     tracer->record_message({rank_, dst, tag, bytes, start, result.arrival});
-    tracer->comm().record_send(
-        rank_, dst, tracer->lane_phase_or(rank_, phase_for_tag(tag)), bytes);
+    tracer->record_send(rank_, dst, phase_for_tag(tag), bytes);
   }
   return SendRequest{result.sender_free};
 }
@@ -147,7 +145,7 @@ des::Task<Message> Comm::recv(int source, int tag) {
   // so a wildcard's post-order matching would depend on the thread count;
   // source- and tag-specific receives (every collective and algorithm in
   // the tree) match per-sender program order, which is mode-independent.
-  HETSCALE_REQUIRE(!machine_->partitioned() ||
+  HETSCALE_REQUIRE(machine_->partitions() == 1 ||
                        (source != kAnySource && tag != kAnyTag),
                    "wildcard receives are not supported when --sim-threads "
                    "> 1; receive from a specific (source, tag) instead");
@@ -173,10 +171,8 @@ des::Task<Message> Comm::recv(int source, int tag) {
                                  message->bytes});
         // Receiver-side wait: the whole blocked interval, charged to the
         // cell of the message that released it.
-        tracer->comm().record_wait(
-            message->source, rank_,
-            tracer->lane_phase_or(rank_, phase_for_tag(message->tag)),
-            now() - start);
+        tracer->record_wait(message->source, rank_,
+                            phase_for_tag(message->tag), now() - start);
       }
       co_return std::move(*message);
     }

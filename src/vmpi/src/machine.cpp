@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "hetscale/des/frame_pool.hpp"
@@ -24,12 +24,6 @@ double RunResult::overhead_s() const {
   return std::max(0.0, elapsed - max_compute);
 }
 
-double RunResult::total_compute_s() const {
-  double total = 0.0;
-  for (const auto& r : ranks) total += r.compute_s;
-  return total;
-}
-
 Machine::Machine(machine::Cluster cluster,
                  std::unique_ptr<net::Network> network,
                  const CollectiveTuning& tuning)
@@ -40,25 +34,20 @@ Machine::Machine(machine::Cluster cluster,
   processors_ = cluster_.processors();
   HETSCALE_REQUIRE(!processors_.empty(),
                    "cluster has no participating processors");
-  mailboxes_.reserve(processors_.size());
   comms_.reserve(processors_.size());
   stats_.resize(processors_.size());
   const int size = static_cast<int>(processors_.size());
-  for (int r = 0; r < size; ++r) {
-    mailboxes_.emplace_back(scheduler_);
-    comms_.emplace_back(*this, r, size);
-    comms_.back().bind_scheduler(&scheduler_);
-  }
+  for (int r = 0; r < size; ++r) comms_.emplace_back(*this, r, size);
+  // Every node contributes at least one processor, so one rank per node
+  // means as many processors as nodes.
+  partitionable_ = processors_.size() == cluster_.node_count() &&
+                   network_->lookahead_s() > 0.0;
   sim_threads_ = global_sim_threads();
   // Profiling is ambient: a machine built inside a ProfilerScope traces
   // itself and publishes a RunProfile when run() completes, so every
   // scenario is profileable without plumbing.
   profiler_ = obs::current();
-  if (profiler_ != nullptr) {
-    enable_tracing().spans().bind_clock(
-        [scheduler = &scheduler_] { return scheduler->now(); });
-    scheduler_.bind_telemetry(&queue_telemetry_);
-  }
+  if (profiler_ != nullptr) enable_tracing();
 }
 
 Machine Machine::shared_bus(machine::Cluster cluster,
@@ -80,7 +69,8 @@ const machine::Processor& Machine::processor(int rank) const {
 }
 
 Mailbox& Machine::mailbox(int rank) {
-  HETSCALE_REQUIRE(rank >= 0 && rank < world_size(), "rank out of range");
+  HETSCALE_REQUIRE(rank >= 0 && rank < static_cast<int>(mailboxes_.size()),
+                   "rank out of range (mailboxes exist once run() starts)");
   return mailboxes_[static_cast<std::size_t>(rank)];
 }
 
@@ -96,24 +86,18 @@ void Machine::set_sim_threads(int threads) {
 }
 
 std::uint64_t Machine::events_processed() const {
-  std::uint64_t events = scheduler_.events_processed();
-  for (const auto& scheduler : partition_schedulers_) {
+  std::uint64_t events = 0;
+  for (const auto& scheduler : schedulers_) {
     events += scheduler->events_processed();
   }
   return events;
 }
 
-des::Scheduler& Machine::scheduler_for(int rank) {
-  HETSCALE_REQUIRE(rank >= 0 && rank < world_size(), "rank out of range");
-  if (!partitioned_) return scheduler_;
-  return *rank_scheduler_[static_cast<std::size_t>(rank)];
+int Machine::partitions() const {
+  return partitionable_ ? std::min(sim_threads_, world_size()) : 1;
 }
 
 void Machine::post_message(int src, int dst, Message message) {
-  if (!partitioned_) {
-    mailbox(dst).post(std::move(message));
-    return;
-  }
   const int src_part = partition_of_[static_cast<std::size_t>(src)];
   const int dst_part = partition_of_[static_cast<std::size_t>(dst)];
   if (src_part == dst_part) {
@@ -124,39 +108,21 @@ void Machine::post_message(int src, int dst, Message message) {
   // uniquely owned first, so its non-atomic refcounts never straddle a
   // partition boundary.
   message.payload.detach_for_transfer();
-  auto& outbox = outboxes_[static_cast<std::size_t>(
-      src_part * partition_count_ + dst_part)];
+  const auto partitions = static_cast<int>(schedulers_.size());
+  auto& outbox =
+      outboxes_[static_cast<std::size_t>(src_part * partitions + dst_part)];
   outbox.push_back(Handoff{
-      rank_scheduler_[static_cast<std::size_t>(src)]->now(), src, dst,
+      schedulers_[static_cast<std::size_t>(src_part)]->now(), src, dst,
       handoff_seq_[static_cast<std::size_t>(src)]++, std::move(message)});
-}
-
-bool Machine::partition_eligible() const {
-  // A zero-lookahead network (the shared bus) serializes every sender
-  // globally: no window can safely advance past the next global event.
-  if (network_->lookahead_s() <= 0.0) return false;
-  // Tracing, profiling, and fault hooks all funnel per-event records into
-  // shared sinks; keep those runs on the sequential path rather than
-  // locking the hot paths.
-  if (tracer_ != nullptr || profiler_ != nullptr || fault_hooks_ != nullptr) {
-    return false;
-  }
-  // The per-node network state (injection ports, intra-node fast path) is
-  // only partition-exclusive when no two ranks share a node.
-  std::unordered_set<int> nodes;
-  nodes.reserve(processors_.size());
-  for (const machine::Processor& proc : processors_) {
-    if (!nodes.insert(proc.node).second) return false;
-  }
-  return true;
 }
 
 void Machine::deliver_inboxes(int partition) {
   auto& scratch = inbox_scratch_[static_cast<std::size_t>(partition)];
   scratch.clear();
-  for (int src_part = 0; src_part < partition_count_; ++src_part) {
+  const auto partitions = static_cast<int>(schedulers_.size());
+  for (int src_part = 0; src_part < partitions; ++src_part) {
     auto& inbox = outboxes_[static_cast<std::size_t>(
-        src_part * partition_count_ + partition)];
+        src_part * partitions + partition)];
     for (Handoff& handoff : inbox) scratch.push_back(std::move(handoff));
     inbox.clear();
   }
@@ -238,94 +204,14 @@ void Machine::rethrow_with_deadlock_diagnosis(
 
 RunResult Machine::run(const Program& program) {
   HETSCALE_REQUIRE(!ran_, "a Machine is single-shot; construct a fresh one");
-  const int partitions = std::min(sim_threads_, world_size());
-  if (partitions > 1 && partition_eligible()) {
-    return run_partitioned(program, partitions);
-  }
-  ran_ = true;
-  // Start the coroutine-frame high-water mark at this run's baseline; the
-  // whole simulation runs on this thread, so the peak read after the run is
-  // this machine's own.
-  des::detail::frame_pool_reset_live_peak();
-  for (int r = 0; r < world_size(); ++r) {
-    scheduler_.spawn(rank_main(*this, comms_[static_cast<std::size_t>(r)],
-                               program));
-  }
-  try {
-    scheduler_.run();
-  } catch (const des::DeadlockError& deadlock) {
-    rethrow_with_deadlock_diagnosis(deadlock);
-  }
-
-  RunResult result;
-  result.ranks = stats_;
-  result.network = network_->stats();
-  for (const auto& r : stats_) result.elapsed = std::max(result.elapsed, r.finish);
-
-  if (profiler_ != nullptr) {
-    obs::RunProfile profile;
-    profile.elapsed_s = result.elapsed;
-    profile.budget =
-        obs::compute_time_budget(tracer_->spans(), result.elapsed);
-    for (const auto& r : stats_) {
-      profile.compute_s += r.compute_s;
-      profile.comm_s += r.comm_s;
-    }
-    // Traffic (messages, nominal bytes) comes from the outermost model;
-    // link occupancy comes from the wire model, where degraded (inflated)
-    // frames actually held the medium.
-    profile.messages = result.network.messages;
-    profile.bytes = result.network.bytes;
-    const net::NetworkStats& wire = network_->wire_model().stats();
-    profile.wire_s = wire.wire_seconds;
-    profile.contention_s = wire.contention_seconds;
-    for (const auto& [node, link] : wire.links) {
-      profile.links.push_back(
-          obs::LinkProfile{node, link.bytes, link.wire_s, link.stall_s});
-    }
-    profile.des_events = scheduler_.events_processed();
-    profile.des_queue_depth_max = scheduler_.max_queue_depth();
-    profile.frame_live_peak = des::detail::frame_pool_live_peak();
-    profile.comm_cells = tracer_->comm().cells();
-    const obs::CriticalPath path = obs::critical_path(
-        tracer_->spans(), tracer_->path_messages(), result.elapsed);
-    profile.critical_path = obs::CriticalPathSummary{
-        path.compute_s, path.comm_s, path.wait_s, path.fault_s};
-    profile.des_queue.pushes = queue_telemetry_.pushes;
-    profile.des_queue.pops = queue_telemetry_.pops;
-    profile.des_queue.far_inserts = queue_telemetry_.far_inserts;
-    profile.des_queue.rebuilds = queue_telemetry_.rebuilds;
-    profile.des_queue.samples_dropped = queue_telemetry_.samples_dropped;
-    profile.des_queue.occupancy.reserve(queue_telemetry_.occupancy.size());
-    for (const des::QueueTelemetry::Sample& s : queue_telemetry_.occupancy) {
-      profile.des_queue.occupancy.push_back(
-          obs::DesQueueStats::Sample{s.time, s.depth});
-    }
-    if (fault_hooks_ != nullptr) {
-      const FaultProfile faults = fault_hooks_->fault_profile();
-      profile.retries = faults.retries;
-      profile.backoff_s = faults.retry_s;
-      profile.fault = obs::FaultProfileTotals{
-          faults.slowdown_s, faults.checkpoint_s, faults.rework_s,
-          faults.retry_s,    faults.checkpoints,  faults.crashes,
-          faults.retries};
-    }
-    profiler_->add_run(std::move(profile));
-  }
-  return result;
-}
-
-RunResult Machine::run_partitioned(const Program& program, int partitions) {
   ran_ = true;
   const int world = world_size();
-  partition_count_ = partitions;
-  partition_of_.resize(static_cast<std::size_t>(world));
-  rank_scheduler_.assign(static_cast<std::size_t>(world), nullptr);
-  partition_schedulers_.clear();
-  partition_schedulers_.reserve(static_cast<std::size_t>(partitions));
+  const int partitions = this->partitions();
   for (int p = 0; p < partitions; ++p) {
-    partition_schedulers_.push_back(std::make_unique<des::Scheduler>());
+    schedulers_.push_back(std::make_unique<des::Scheduler>());
   }
+  partition_of_.resize(static_cast<std::size_t>(world));
+  mailboxes_.reserve(static_cast<std::size_t>(world));
   for (int r = 0; r < world; ++r) {
     // Contiguous blocks, balanced to within one rank. Contiguity keeps the
     // tree collectives' heaviest edges (rank r <-> r +/- small powers of
@@ -333,75 +219,66 @@ RunResult Machine::run_partitioned(const Program& program, int partitions) {
     const int p = static_cast<int>(
         (static_cast<long long>(r) * partitions) / world);
     partition_of_[static_cast<std::size_t>(r)] = p;
-    rank_scheduler_[static_cast<std::size_t>(r)] =
-        partition_schedulers_[static_cast<std::size_t>(p)].get();
+    des::Scheduler& scheduler = *schedulers_[static_cast<std::size_t>(p)];
+    mailboxes_.emplace_back(scheduler);
+    comms_[static_cast<std::size_t>(r)].bind_scheduler(&scheduler);
   }
-  for (int r = 0; r < world; ++r) {
-    mailboxes_[static_cast<std::size_t>(r)].rebind(
-        *rank_scheduler_[static_cast<std::size_t>(r)]);
-    comms_[static_cast<std::size_t>(r)].bind_scheduler(
-        rank_scheduler_[static_cast<std::size_t>(r)]);
+  if (partitions > 1) {
+    outboxes_.resize(static_cast<std::size_t>(partitions) *
+                     static_cast<std::size_t>(partitions));
+    inbox_scratch_.resize(static_cast<std::size_t>(partitions));
+    handoff_seq_.assign(static_cast<std::size_t>(world), 0);
   }
-  outboxes_.assign(static_cast<std::size_t>(partitions) *
-                       static_cast<std::size_t>(partitions),
-                   {});
-  inbox_scratch_.assign(static_cast<std::size_t>(partitions), {});
-  handoff_seq_.assign(static_cast<std::size_t>(world), 0);
-  int max_node = 0;
-  for (const machine::Processor& proc : processors_) {
-    max_node = std::max(max_node, proc.node);
+  if (profiler_ != nullptr) {
+    telemetry_.resize(static_cast<std::size_t>(partitions));
+    for (int p = 0; p < partitions; ++p) {
+      schedulers_[static_cast<std::size_t>(p)]->bind_telemetry(
+          &telemetry_[static_cast<std::size_t>(p)].queue);
+    }
   }
-  network_->begin_partitioned(partitions, max_node + 1);
-  partitioned_ = true;
+  // Every per-node and per-rank sink exists before any partition records.
+  network_->presize(static_cast<int>(cluster_.node_count()));
+  if (tracer_) tracer_->presize_lanes(world);
 
   des::PartitionHooks hooks;
-  hooks.bootstrap = [&](int p) {
-    // Bind this thread's network-stats shard, then spawn the partition's
-    // ranks HERE so their coroutine frames come from (and return to) this
-    // thread's frame pool.
-    net::Network::set_thread_partition(p);
-    for (int r = 0; r < world; ++r) {
+  hooks.bootstrap = [this, &program](int p) {
+    // Spawn the partition's ranks HERE so their coroutine frames come from
+    // (and return to) this thread's frame pool, and start the pool's
+    // high-water mark at this run's baseline.
+    des::detail::frame_pool_reset_live_peak();
+    for (int r = 0; r < world_size(); ++r) {
       if (partition_of_[static_cast<std::size_t>(r)] != p) continue;
-      rank_scheduler_[static_cast<std::size_t>(r)]->spawn(
+      schedulers_[static_cast<std::size_t>(p)]->spawn(
           rank_main(*this, comms_[static_cast<std::size_t>(r)], program));
     }
   };
-  hooks.deliver = [&](int p) { deliver_inboxes(p); };
-
+  hooks.deliver = [this](int p) { deliver_inboxes(p); };
+  hooks.finish = [this](int p) {
+    if (telemetry_.empty()) return;
+    telemetry_[static_cast<std::size_t>(p)].frame_live_peak =
+        des::detail::frame_pool_live_peak();
+  };
   std::vector<des::Scheduler*> schedulers;
-  schedulers.reserve(partition_schedulers_.size());
-  for (const auto& scheduler : partition_schedulers_) {
+  schedulers.reserve(schedulers_.size());
+  for (const auto& scheduler : schedulers_) {
     schedulers.push_back(scheduler.get());
   }
   const std::vector<std::exception_ptr> errors =
       des::run_conservative(schedulers, network_->lookahead_s(), hooks);
-  partitioned_ = false;
-  network_->end_partitioned();
 
-  // Surface errors the way the sequential path would: a real exception from
-  // a rank program wins (lowest partition first — partitions are rank-
-  // ordered, so this matches sequential root order); otherwise any
-  // partition-local deadlock gets the machine-wide diagnosis.
-  std::exception_ptr first_error;
-  bool deadlocked = false;
-  std::string deadlock_what;
+  // A real exception from a rank program propagates first (lowest partition
+  // first — partitions are rank-ordered, as roots are in sequential order);
+  // otherwise any partition-local deadlock gets the machine-wide diagnosis.
+  std::optional<std::string> deadlock;
   for (const std::exception_ptr& error : errors) {
     if (!error) continue;
     try {
       std::rethrow_exception(error);
-    } catch (const des::DeadlockError& deadlock) {
-      if (!deadlocked) {
-        deadlocked = true;
-        deadlock_what = deadlock.what();
-      }
-    } catch (...) {
-      if (!first_error) first_error = error;
+    } catch (const des::DeadlockError& stuck) {
+      if (!deadlock) deadlock = stuck.what();
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
-  if (deadlocked) {
-    rethrow_with_deadlock_diagnosis(des::DeadlockError(deadlock_what));
-  }
+  if (deadlock) rethrow_with_deadlock_diagnosis(des::DeadlockError(*deadlock));
 
   RunResult result;
   result.ranks = stats_;
@@ -409,7 +286,63 @@ RunResult Machine::run_partitioned(const Program& program, int partitions) {
   for (const auto& r : stats_) {
     result.elapsed = std::max(result.elapsed, r.finish);
   }
+  if (profiler_ != nullptr) publish_profile(result);
   return result;
+}
+
+void Machine::publish_profile(const RunResult& result) {
+  obs::RunProfile profile;
+  profile.elapsed_s = result.elapsed;
+  profile.budget = obs::compute_time_budget(tracer_->spans(), result.elapsed);
+  for (const auto& r : stats_) {
+    profile.compute_s += r.compute_s;
+    profile.comm_s += r.comm_s;
+  }
+  // Traffic (messages, nominal bytes) comes from the outermost model;
+  // link occupancy comes from the wire model, where degraded (inflated)
+  // frames actually held the medium.
+  profile.messages = result.network.messages;
+  profile.bytes = result.network.bytes;
+  const net::NetworkStats wire = network_->wire_model().stats();
+  profile.wire_s = wire.wire_seconds;
+  profile.contention_s = wire.contention_seconds;
+  for (const auto& [node, link] : wire.links) {
+    profile.links.push_back(
+        obs::LinkProfile{node, link.bytes, link.wire_s, link.stall_s});
+  }
+  profile.des_events = events_processed();
+  profile.comm_cells = tracer_->comm().cells();
+  const obs::CriticalPath path = obs::critical_path(
+      tracer_->spans(), tracer_->path_messages(), result.elapsed);
+  profile.critical_path = obs::CriticalPathSummary{
+      path.compute_s, path.comm_s, path.wait_s, path.fault_s};
+  // Engine telemetry, the one part of a profile that depends on the
+  // partition count: counters and peaks (then an upper bound) add up over
+  // the partition schedulers, occupancy samples concatenate in order.
+  for (std::size_t p = 0; p < schedulers_.size(); ++p) {
+    const des::QueueTelemetry& queue = telemetry_[p].queue;
+    profile.des_queue_depth_max += schedulers_[p]->max_queue_depth();
+    profile.frame_live_peak += telemetry_[p].frame_live_peak;
+    profile.des_queue.pushes += queue.pushes;
+    profile.des_queue.pops += queue.pops;
+    profile.des_queue.far_inserts += queue.far_inserts;
+    profile.des_queue.rebuilds += queue.rebuilds;
+    profile.des_queue.samples_dropped += queue.samples_dropped;
+    for (const des::QueueTelemetry::Sample& s : queue.occupancy) {
+      profile.des_queue.occupancy.push_back(
+          obs::DesQueueStats::Sample{s.time, s.depth});
+    }
+  }
+  if (fault_hooks_ != nullptr) {
+    const FaultProfile faults = fault_hooks_->fault_profile();
+    profile.retries = faults.retries;
+    profile.backoff_s = faults.retry_s;
+    profile.fault = obs::FaultProfileTotals{
+        faults.slowdown_s, faults.checkpoint_s, faults.rework_s,
+        faults.retry_s,    faults.checkpoints,  faults.crashes,
+        faults.retries};
+  }
+  profiler_->add_run(std::move(profile));
 }
 
 }  // namespace hetscale::vmpi

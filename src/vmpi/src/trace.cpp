@@ -36,51 +36,88 @@ void TraceRecorder::record_interval(TraceInterval interval) {
                 interval.peer, interval.tag, interval.bytes);
 }
 
+void TraceRecorder::presize_lanes(int lanes) {
+  spans_.presize_lanes(lanes);
+  if (static_cast<std::size_t>(lanes) > lanes_.size()) {
+    lanes_.resize(static_cast<std::size_t>(lanes));
+  }
+}
+
+TraceRecorder::Lane& TraceRecorder::lane(int lane) {
+  HETSCALE_REQUIRE(lane >= 0 && static_cast<std::size_t>(lane) < lanes_.size(),
+                   "trace lane out of range (presize_lanes first)");
+  return lanes_[static_cast<std::size_t>(lane)];
+}
+
 void TraceRecorder::record_message(TraceMessage message) {
   HETSCALE_REQUIRE(message.arrive >= message.depart,
                    "message must not arrive before departing");
-  messages_.push_back(message);
+  lane(message.source).messages.push_back(message);
+}
+
+std::size_t TraceRecorder::message_count() const {
+  std::size_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.messages.size();
+  return total;
 }
 
 void TraceRecorder::set_lane_phase(int lane, obs::CommPhase phase) {
-  lane_phase_[lane] = phase;
+  this->lane(lane).phase = static_cast<int>(phase);
 }
 
-void TraceRecorder::clear_lane_phase(int lane) { lane_phase_.erase(lane); }
+void TraceRecorder::clear_lane_phase(int lane) { this->lane(lane).phase = -1; }
 
-obs::CommPhase TraceRecorder::lane_phase_or(int lane,
-                                            obs::CommPhase fallback) const {
-  const auto it = lane_phase_.find(lane);
-  return it == lane_phase_.end() ? fallback : it->second;
+void TraceRecorder::record_send(int src, int dst, obs::CommPhase phase,
+                                double bytes) {
+  Lane& owner = lane(src);
+  if (owner.phase >= 0) phase = static_cast<obs::CommPhase>(owner.phase);
+  owner.comm.record_send(src, dst, phase, bytes);
+}
+
+void TraceRecorder::record_wait(int src, int dst, obs::CommPhase phase,
+                                double wait_s) {
+  Lane& owner = lane(dst);
+  if (owner.phase >= 0) phase = static_cast<obs::CommPhase>(owner.phase);
+  owner.comm.record_wait(src, dst, phase, wait_s);
+}
+
+obs::CommMatrix TraceRecorder::comm() const {
+  obs::CommMatrix all;
+  for (const Lane& lane : lanes_) all += lane.comm;
+  return all;
 }
 
 std::vector<obs::PathMessage> TraceRecorder::path_messages() const {
   std::vector<obs::PathMessage> out;
-  out.reserve(messages_.size());
-  for (const TraceMessage& m : messages_) {
-    out.push_back(obs::PathMessage{m.source, m.destination, m.tag, m.bytes,
-                                   m.depart, m.arrive});
+  out.reserve(message_count());
+  for (const Lane& lane : lanes_) {
+    for (const TraceMessage& m : lane.messages) {
+      out.push_back(obs::PathMessage{m.source, m.destination, m.tag, m.bytes,
+                                     m.depart, m.arrive});
+    }
   }
   return out;
 }
 
 std::vector<TraceInterval> TraceRecorder::intervals() const {
   std::vector<TraceInterval> out;
-  out.reserve(spans_.spans().size());
-  for (const obs::Span& span : spans_.spans()) {
-    if (span.end < span.begin) continue;  // left open (deadlocked run)
-    TraceInterval::Kind kind;
-    if (span.name_id == compute_id_) {
-      kind = TraceInterval::Kind::kCompute;
-    } else if (span.name_id == send_id_) {
-      kind = TraceInterval::Kind::kSend;
-    } else if (span.name_id == recv_id_) {
-      kind = TraceInterval::Kind::kRecv;
-    } else {
-      continue;  // structural span (barrier) or fault charge
+  out.reserve(spans_.size());
+  for (int lane = 0; lane < spans_.lanes(); ++lane) {
+    for (const obs::Span& span : spans_.lane(lane)) {
+      if (span.end < span.begin) continue;  // left open (deadlocked run)
+      TraceInterval::Kind kind;
+      if (span.name_id == compute_id_) {
+        kind = TraceInterval::Kind::kCompute;
+      } else if (span.name_id == send_id_) {
+        kind = TraceInterval::Kind::kSend;
+      } else if (span.name_id == recv_id_) {
+        kind = TraceInterval::Kind::kRecv;
+      } else {
+        continue;  // structural span (barrier) or fault charge
+      }
+      out.push_back(TraceInterval{lane, kind, span.begin, span.end, span.peer,
+                                  span.tag, span.bytes});
     }
-    out.push_back(TraceInterval{span.lane, kind, span.begin, span.end,
-                                span.peer, span.tag, span.bytes});
   }
   return out;
 }
@@ -95,37 +132,43 @@ std::string TraceRecorder::chrome_trace_json() const {
     first = false;
     os << "\n";
   };
-  for (const obs::Span& span : spans_.spans()) {
-    if (span.end < span.begin) continue;  // left open (deadlocked run)
-    sep();
-    os << R"({"name":")" << obs::json_escape(spans_.name(span.name_id))
-       << R"(","ph":"X","pid":0,"tid":)" << span.lane
-       << R"(,"ts":)" << to_us(span.begin)
-       << R"(,"dur":)" << to_us(span.end - span.begin);
-    if (span.peer >= 0) {
-      os << R"(,"args":{"peer":)" << span.peer << R"(,"tag":)" << span.tag
-         << R"(,"bytes":)" << span.bytes << "}";
+  for (int lane = 0; lane < spans_.lanes(); ++lane) {
+    for (const obs::Span& span : spans_.lane(lane)) {
+      if (span.end < span.begin) continue;  // left open (deadlocked run)
+      sep();
+      os << R"({"name":")" << obs::json_escape(spans_.name(span.name_id))
+         << R"(","ph":"X","pid":0,"tid":)" << lane
+         << R"(,"ts":)" << to_us(span.begin)
+         << R"(,"dur":)" << to_us(span.end - span.begin);
+      if (span.peer >= 0) {
+        os << R"(,"args":{"peer":)" << span.peer << R"(,"tag":)" << span.tag
+           << R"(,"bytes":)" << span.bytes << "}";
+      }
+      os << "}";
     }
-    os << "}";
   }
   // Flow arrows: an "s" event at the sender's depart, an "f" event at the
-  // receiver's arrival, joined by a unique id.
-  for (std::size_t i = 0; i < messages_.size(); ++i) {
-    const auto& m = messages_[i];
-    sep();
-    os << R"({"name":"msg","ph":"s","id":)" << i
-       << R"(,"pid":0,"tid":)" << m.source << R"(,"ts":)" << to_us(m.depart)
-       << "}";
-    sep();
-    os << R"({"name":"msg","ph":"f","bp":"e","id":)" << i
-       << R"(,"pid":0,"tid":)" << m.destination << R"(,"ts":)"
-       << to_us(m.arrive) << "}";
+  // receiver's arrival, joined by an id numbering the messages sender lane
+  // by sender lane.
+  std::size_t id = 0;
+  for (const Lane& lane : lanes_) {
+    for (const TraceMessage& m : lane.messages) {
+      sep();
+      os << R"({"name":"msg","ph":"s","id":)" << id
+         << R"(,"pid":0,"tid":)" << m.source << R"(,"ts":)"
+         << to_us(m.depart) << "}";
+      sep();
+      os << R"({"name":"msg","ph":"f","bp":"e","id":)" << id
+         << R"(,"pid":0,"tid":)" << m.destination << R"(,"ts":)"
+         << to_us(m.arrive) << "}";
+      ++id;
+    }
   }
   // CommMatrix heat rows: one counter track per sending rank, one series
   // per (dst, phase) cell, in canonical cell order. Only emitted when the
   // matrix has cells, so a bare recorder still renders "[]".
-  if (!comm_.empty()) {
-    for (const obs::CommCell& cell : comm_.cells()) {
+  if (const obs::CommMatrix matrix = comm(); !matrix.empty()) {
+    for (const obs::CommCell& cell : matrix.cells()) {
       sep();
       os << R"({"name":"comm.bytes","ph":"C","pid":0,"tid":)" << cell.src
          << R"(,"ts":0,"args":{"to )" << cell.dst << ' '

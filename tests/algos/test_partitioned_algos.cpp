@@ -33,8 +33,8 @@ constexpr int kThreads = 4;
 /// without running the marked benchmark suite on the synthetic nodes.
 std::vector<double> test_speeds() { return {30.0, 40.0, 50.0, 40.0}; }
 
-/// One rank per node, unequal speeds, switched network: the eligible
-/// partitioned configuration with a heterogeneous distribution. Machines
+/// One rank per node, unequal speeds, switched network: a configuration
+/// that partitions, with a heterogeneous distribution. Machines
 /// are single-shot and non-movable, so each run builds one in place and
 /// hands it straight to the algorithm.
 machine::Cluster test_cluster() {

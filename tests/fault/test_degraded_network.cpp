@@ -7,9 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "hetscale/algos/mm.hpp"
+#include "hetscale/fault/injector.hpp"
+#include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/net/switched.hpp"
 #include "hetscale/support/error.hpp"
+#include "hetscale/vmpi/machine.hpp"
 
 namespace hetscale::fault {
 namespace {
@@ -79,6 +84,56 @@ TEST(DegradedNetwork, StatisticsCountNominalBytes) {
   degraded->transfer(0, 1, 1000.0, 30.0);  // healthy
   EXPECT_EQ(degraded->stats().messages, 2u);
   EXPECT_DOUBLE_EQ(degraded->stats().bytes, 2000.0);
+}
+
+TEST(DegradedNetwork, ForwardsTheInnerLookahead) {
+  // Inflated frames and extra latency only make arrivals later, so the
+  // inner model's lookahead still bounds the decorated one.
+  const FaultPlan plan = window_plan();
+  net::SwitchedNetwork switched;
+  EXPECT_GT(switched.lookahead_s(), 0.0);
+  EXPECT_EQ(wrap(plan)->lookahead_s(), switched.lookahead_s());
+}
+
+TEST(DegradedNetwork, InjectedMmRunPartitions) {
+  // A fault-injected machine on a degraded switch splits its ranks across
+  // partitions and still reproduces the one-partition run exactly.
+  PlanSpec spec;
+  spec.slowdown_probability = 1.0;
+  spec.slowdown_period_s = 0.01;
+  spec.link_period_s = 0.01;
+  spec.crash_rate_per_s = 20.0;
+  spec.loss.drop_probability = 0.1;
+  spec.checkpoint.interval_s = 0.02;
+  spec.horizon_s = 2.0;
+  const machine::Cluster cluster = machine::sunwulf::mm_ensemble(4);
+  const FaultPlan plan = FaultPlan::generate(3, spec, 4);
+  std::vector<double> rates;
+  for (const machine::Processor& proc : cluster.processors()) {
+    rates.push_back(proc.rate_flops);
+  }
+  const auto run_at = [&](int sim_threads, int* partitions) {
+    vmpi::Machine machine(
+        cluster,
+        std::make_unique<DegradedNetwork>(
+            std::make_unique<net::SwitchedNetwork>(), plan));
+    Injector injector(plan, rates);
+    machine.attach_fault_hooks(&injector);
+    machine.set_sim_threads(sim_threads);
+    *partitions = machine.partitions();
+    algos::MmOptions options;
+    options.n = 64;
+    options.with_data = false;
+    options.speeds = {30.0, 45.0, 20.0, 20.0};
+    return algos::run_parallel_mm(machine, options).run.elapsed;
+  };
+  int one = 0;
+  int many = 0;
+  const double sequential = run_at(1, &one);
+  const double partitioned = run_at(4, &many);
+  EXPECT_EQ(one, 1);
+  EXPECT_EQ(many, 4);
+  EXPECT_EQ(partitioned, sequential);
 }
 
 TEST(DegradedNetwork, ValidatesItsInputs) {

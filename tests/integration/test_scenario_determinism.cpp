@@ -118,9 +118,9 @@ INSTANTIATE_TEST_SUITE_P(PaperArtifacts, ScenarioDeterminism,
 
 // Sim-thread invariance: the partitioned conservative scheduler
 // (--sim-threads > 1) must render every golden artifact byte-identically.
-// Scenarios whose machines are ineligible for partitioning (shared bus, no
-// lookahead) fall back to the sequential schedule and pass trivially —
-// that fallback staying silent and exact is part of the contract too.
+// Machines that run as one partition whatever the thread count (shared
+// bus: no lookahead; two ranks on a node) pass trivially; profiled and
+// fault-injected machines partition like the rest.
 class SimThreadInvariance : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SimThreadInvariance, PartitionedRenderMatchesGolden) {
@@ -169,9 +169,8 @@ TEST(SchedulerDeterminism, ReplayRepeatsEventCountAndFinalTime) {
     algos::GeOptions options;
     options.n = 96;
     options.with_data = false;
-    (void)algos::run_parallel_ge(machine, options);
-    return std::pair{machine.scheduler().events_processed(),
-                     machine.scheduler().now()};
+    const auto result = algos::run_parallel_ge(machine, options);
+    return std::pair{machine.events_processed(), result.run.elapsed};
   };
   const auto [events_a, now_a] = run_once();
   const auto [events_b, now_b] = run_once();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/support/error.hpp"
 
@@ -65,6 +67,30 @@ TEST(ParseCluster, RejectsGarbage) {
   EXPECT_THROW(parse_cluster("sunblade:0"), PreconditionError);
   EXPECT_THROW(parse_cluster("sunblade:abc"), PreconditionError);
   EXPECT_THROW(parse_cluster("server:5"), PreconditionError);  // only 4 CPUs
+}
+
+TEST(ParseCluster, RejectsCountsThatWouldWrap) {
+  // Both once wrapped through a cast to int: a cpu count of -1 meant "all
+  // CPUs", and a node count of 1 built one node.
+  const struct {
+    const char* description;
+    const char* reason;
+  } rows[] = {
+      {"server:4294967295", "cpu count must be in [1, 2147483647]"},
+      {"sunbladex4294967297", "node count must be in [1, 2147483647]"},
+      {"sunbladex2:", "cpu count needs an integer"},
+      {"server:99999999999999999999", "cpu count is out of range"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.description);
+    try {
+      (void)parse_cluster(row.description);
+      ADD_FAILURE() << "accepted";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find(row.reason), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 }  // namespace

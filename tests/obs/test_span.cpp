@@ -31,9 +31,9 @@ TEST(Span, RecordKeepsOrderAndPayload) {
   const int send = store.intern("send.wait");
   store.record(/*lane=*/1, send, 0.5, 2.0, /*peer=*/0, /*tag=*/7,
                /*bytes=*/64.0);
-  ASSERT_EQ(store.spans().size(), 1u);
-  const Span& span = store.spans().front();
-  EXPECT_EQ(span.lane, 1);
+  ASSERT_EQ(store.size(), 1u);
+  ASSERT_EQ(store.lane(1).size(), 1u);
+  const Span& span = store.lane(1).front();
   EXPECT_DOUBLE_EQ(span.begin, 0.5);
   EXPECT_DOUBLE_EQ(span.end, 2.0);
   EXPECT_EQ(span.peer, 0);
@@ -60,11 +60,13 @@ TEST(Span, OpenCloseNestsDepthPerLane) {
   store.close(outer, 3.0);
   EXPECT_EQ(store.open_count(), 0u);
 
-  ASSERT_EQ(store.spans().size(), 3u);
-  EXPECT_EQ(store.spans()[1].depth, 1);  // lane 0, inside the barrier
-  EXPECT_EQ(store.spans()[2].depth, 0);  // lane 3
-  EXPECT_EQ(store.spans()[0].depth, 0);  // the barrier itself
-  EXPECT_DOUBLE_EQ(store.spans()[0].end, 3.0);
+  ASSERT_EQ(store.size(), 3u);
+  ASSERT_EQ(store.lane(0).size(), 2u);
+  ASSERT_EQ(store.lane(3).size(), 1u);
+  EXPECT_EQ(store.lane(0)[1].depth, 1);  // lane 0, inside the barrier
+  EXPECT_EQ(store.lane(3)[0].depth, 0);  // lane 3
+  EXPECT_EQ(store.lane(0)[0].depth, 0);  // the barrier itself
+  EXPECT_DOUBLE_EQ(store.lane(0)[0].end, 3.0);
 }
 
 TEST(Span, UnclosedSpanIsMarkedAndCountable) {
@@ -72,8 +74,8 @@ TEST(Span, UnclosedSpanIsMarkedAndCountable) {
   const int barrier = store.intern("barrier");
   store.open(0, barrier, 5.0);
   EXPECT_EQ(store.open_count(), 1u);
-  ASSERT_EQ(store.spans().size(), 1u);
-  EXPECT_LT(store.spans().front().end, store.spans().front().begin);
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_LT(store.lane(0).front().end, store.lane(0).front().begin);
 }
 
 TEST(Span, CloseIgnoresNoSpanHandle) {
@@ -87,20 +89,6 @@ TEST(Span, DoubleCloseThrows) {
   const std::size_t handle = store.open(0, store.intern("barrier"), 0.0);
   store.close(handle, 1.0);
   EXPECT_THROW(store.close(handle, 2.0), PreconditionError);
-}
-
-TEST(Span, ScopedSpanUsesBoundClock) {
-  SpanStore store;
-  double now = 10.0;
-  store.bind_clock([&now] { return now; });
-  {
-    ScopedSpan span(store, /*lane=*/2, store.intern("compute"));
-    now = 12.5;
-  }
-  ASSERT_EQ(store.spans().size(), 1u);
-  EXPECT_DOUBLE_EQ(store.spans().front().begin, 10.0);
-  EXPECT_DOUBLE_EQ(store.spans().front().end, 12.5);
-  EXPECT_EQ(store.open_count(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "hetscale/support/error.hpp"
 
@@ -75,6 +79,78 @@ TEST(Args, NumericValidation) {
   args.parse({"--x", "12abc"});
   EXPECT_THROW(args.get_int("x", 0), PreconditionError);
   EXPECT_THROW(args.get_double("x", 0), PreconditionError);
+}
+
+TEST(Args, ParseIntTakesWholeFieldsInRange) {
+  struct Row {
+    const char* text;
+    std::int64_t min;
+    std::int64_t max;
+    std::int64_t value;  ///< expected when `reason` is null
+    const char* reason;  ///< expected message fragment on rejection
+  };
+  constexpr std::int64_t kLow = INT64_MIN;
+  constexpr std::int64_t kHigh = INT64_MAX;
+  const Row rows[] = {
+      {"42", kLow, kHigh, 42, nullptr},
+      {"-7", kLow, kHigh, -7, nullptr},
+      {"9223372036854775807", kLow, kHigh, kHigh, nullptr},
+      {"", kLow, kHigh, 0, "needs an integer"},
+      {"12abc", kLow, kHigh, 0, "not an integer"},
+      {" 3", kLow, kHigh, 0, "not an integer"},
+      {"+3", kLow, kHigh, 0, "not an integer"},
+      {"9223372036854775808", kLow, kHigh, 0, "out of range"},
+      {"4294967297", 1, 2147483647, 0, "must be in [1, 2147483647]"},
+      {"0", 1, 10, 0, "must be in [1, 10]"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string("text '") + row.text + "'");
+    if (row.reason == nullptr) {
+      EXPECT_EQ(parse_int(row.text, "x", row.min, row.max), row.value);
+      continue;
+    }
+    try {
+      (void)parse_int(row.text, "x", row.min, row.max);
+      ADD_FAILURE() << "accepted";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find(row.reason), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(Args, IntegerFlagsRejectWrapsAndEmptyValues) {
+  // Each row was silently accepted (and wrapped, or read as 0) before.
+  struct Row {
+    std::vector<std::string> argv;
+    std::function<int(const ArgParser&)> resolve;
+    const char* reason;
+  };
+  const auto declare = [](ArgParser& args) {
+    add_jobs_flag(args);
+    add_sim_threads_flag(args);
+  };
+  const Row rows[] = {
+      {{"--sim-threads", "4294967297"}, resolve_sim_threads, "<= 2147483647"},
+      {{"--sim-threads", "2147483648"}, resolve_sim_threads, "<= 2147483647"},
+      {{"--sim-threads="}, resolve_sim_threads, "needs an integer"},
+      {{"--jobs="}, resolve_jobs, "needs an integer"},
+      {{"--jobs", "4294967297"}, resolve_jobs, "<= 2147483647"},
+      {{"-j", "99999999999999999999"}, resolve_jobs, "out of range"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.argv.front() + " " + row.argv.back());
+    ArgParser args;
+    declare(args);
+    args.parse(row.argv);
+    try {
+      (void)row.resolve(args);
+      ADD_FAILURE() << "accepted";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find(row.reason), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(Args, HelpListsFlags) {

@@ -1,6 +1,6 @@
 // The partitioned simulation core (--sim-threads > 1): bit-identity with
-// the sequential scheduler, eligibility fallbacks, and the partitioned
-// failure paths.
+// the one-partition schedule, the partition-count rule, and the
+// partitioned failure paths.
 //
 // Every comparison here is exact (EXPECT_EQ on doubles, not EXPECT_NEAR):
 // the conservative window protocol's whole contract is that partitioning
@@ -11,9 +11,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "hetscale/obs/profiler.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/machine.hpp"
@@ -52,18 +52,8 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
   }
   EXPECT_EQ(a.network.messages, b.network.messages);
   EXPECT_EQ(a.network.bytes, b.network.bytes);
-  // The machine-wide wire/contention totals are the one observability-only
-  // quantity folded across partitions (partition order) instead of in
-  // global temporal order, so they can differ from the sequential sum by
-  // float-summation rounding — a few ulps. They feed no simulated
-  // behavior, no golden artifact, and no profile (profiled runs never
-  // partition). Everything else is exact, including per-link stats: a
-  // link belongs to one sending rank, hence one partition, so its
-  // accumulation order matches the sequential schedule.
-  EXPECT_NEAR(a.network.wire_seconds, b.network.wire_seconds,
-              1e-12 * std::abs(a.network.wire_seconds));
-  EXPECT_NEAR(a.network.contention_seconds, b.network.contention_seconds,
-              1e-12 * std::abs(a.network.contention_seconds) + 1e-300);
+  EXPECT_EQ(a.network.wire_seconds, b.network.wire_seconds);
+  EXPECT_EQ(a.network.contention_seconds, b.network.contention_seconds);
   ASSERT_EQ(a.network.links.size(), b.network.links.size());
   auto ita = a.network.links.begin();
   auto itb = b.network.links.begin();
@@ -129,12 +119,17 @@ TEST(Partitioned, ThreadCountBeyondWorldSizeClamps) {
 }
 
 TEST(Partitioned, EventsProcessedSumsThePartitionSchedulers) {
-  auto machine = Machine::switched(node_per_rank(8), fast_params());
-  machine.set_sim_threads(4);
-  (void)machine.run(mixed_program());
-  // The sequential scheduler saw nothing; the partitions did all the work.
-  EXPECT_EQ(machine.scheduler().events_processed(), 0u);
-  EXPECT_GT(machine.events_processed(), 0u);
+  const auto events_at = [](int sim_threads) {
+    auto machine = Machine::switched(node_per_rank(8), fast_params());
+    machine.set_sim_threads(sim_threads);
+    (void)machine.run(mixed_program());
+    EXPECT_EQ(machine.partitions(), sim_threads);
+    return machine.events_processed();
+  };
+  // Partitioning splits the event stream; it neither adds nor drops events.
+  const std::uint64_t sequential = events_at(1);
+  EXPECT_GT(sequential, 0u);
+  EXPECT_EQ(events_at(4), sequential);
 }
 
 TEST(Partitioned, TreeCollectivesBitIdenticalAtScale) {
@@ -155,6 +150,33 @@ TEST(Partitioned, TreeCollectivesBitIdenticalAtScale) {
   };
   const RunResult sequential = run_tree(1);
   expect_same_result(sequential, run_tree(8));
+}
+
+TEST(Partitioned, RoundedArrivalStaysOutOfItsSendWindow) {
+  // 97161 flops at 50 Mflop/s end at t = 0.00194322, where the rounded
+  // arrival (t + overhead) + latency of a zero-byte message falls one ulp
+  // short of t + lookahead. Rank 2 (partition 1) is woken by rank 3's
+  // token at exactly that arrival and then receives rank 0's token, sent
+  // from partition 0 at the same instant: the window must already have
+  // delivered it, as the sequential schedule has.
+  const auto run_tokens = [](int sim_threads) {
+    auto machine = Machine::switched(node_per_rank(4), fast_params());
+    machine.set_sim_threads(sim_threads);
+    const RunResult result = machine.run([](Comm& comm) -> Task<void> {
+      if (comm.rank() == 0 || comm.rank() == 3) {
+        co_await comm.compute(97161.0);
+        co_await comm.send(2, comm.rank(), 0.0, {});
+      } else if (comm.rank() == 2) {
+        (void)co_await comm.recv(3, 3);
+        (void)co_await comm.recv(0, 0);
+      }
+    });
+    return std::pair{result, machine.events_processed()};
+  };
+  const auto [sequential, sequential_events] = run_tokens(1);
+  const auto [partitioned, partitioned_events] = run_tokens(2);
+  expect_same_result(sequential, partitioned);
+  EXPECT_EQ(partitioned_events, sequential_events);
 }
 
 TEST(Partitioned, WildcardRecvRejected) {
@@ -207,30 +229,35 @@ TEST(Partitioned, DeadlockDiagnosisNamesTheBlockedRank) {
   }
 }
 
-TEST(Partitioned, SharedBusFallsBackToSequential) {
+TEST(Partitioned, SharedBusRunsOnePartition) {
   // A shared bus has no per-link latency floor (lookahead 0), so the
-  // machine must quietly run the classic sequential schedule — and match
+  // machine runs one partition whatever --sim-threads says — and matches
   // a sim-threads=1 shared-bus run exactly.
   const auto run_bus = [](int sim_threads) {
     auto machine = Machine::shared_bus(node_per_rank(4), fast_params());
     machine.set_sim_threads(sim_threads);
+    EXPECT_EQ(machine.partitions(), 1);
     return machine.run(mixed_program());
   };
   const RunResult sequential = run_bus(1);
   expect_same_result(sequential, run_bus(8));
 }
 
-TEST(Partitioned, ProfiledRunFallsBackToSequentialAndStillProfiles) {
-  obs::Profiler profiler;
-  {
-    obs::ProfilerScope scope(profiler);
-    auto machine = Machine::switched(node_per_rank(4), fast_params());
-    machine.set_sim_threads(4);
-    (void)machine.run(mixed_program());
-  }
-  ASSERT_EQ(profiler.runs(), 1u);
-  const auto runs = profiler.sorted_runs();
-  EXPECT_GT(runs[0].des_events, 0u);
+TEST(Partitioned, RanksSharingANodeRunOnePartition) {
+  // Two ranks on one node share its injection port, so the machine keeps
+  // every rank on one partition.
+  const auto run_duo = [](int sim_threads) {
+    machine::Cluster cluster;
+    cluster.add_node("duo", machine::NodeSpec{"Test", 2, units::mflops(50.0),
+                                              1e9, 4e8, {1.0}});
+    cluster.add_node("solo", machine::NodeSpec{"Test", 1, units::mflops(50.0),
+                                               1e9, 4e8, {1.0}});
+    auto machine = Machine::switched(cluster, fast_params());
+    machine.set_sim_threads(sim_threads);
+    EXPECT_EQ(machine.partitions(), 1);
+    return machine.run(mixed_program());
+  };
+  expect_same_result(run_duo(1), run_duo(3));
 }
 
 TEST(Partitioned, SetSimThreadsValidates) {

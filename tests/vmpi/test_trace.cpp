@@ -43,7 +43,7 @@ TEST(Trace, RecordsComputeAndCommIntervals) {
   traced_pingpong(machine);
   // 2 computes + 2 sends + 2 recvs.
   EXPECT_EQ(tracer.intervals().size(), 6u);
-  EXPECT_EQ(tracer.messages().size(), 2u);
+  EXPECT_EQ(tracer.message_count(), 2u);
   int computes = 0;
   int sends = 0;
   int recvs = 0;
@@ -84,7 +84,7 @@ TEST(Trace, MessagesCarryEndpointsAndTimes) {
   auto machine = Machine::switched(pair_cluster());
   auto& tracer = machine.enable_tracing();
   traced_pingpong(machine);
-  const auto& first = tracer.messages().front();
+  const auto first = tracer.path_messages().front();
   EXPECT_EQ(first.source, 0);
   EXPECT_EQ(first.destination, 1);
   EXPECT_EQ(first.tag, 7);
@@ -178,13 +178,15 @@ TEST(Trace, BarrierSpansNestWaitsBeneathThem) {
   EXPECT_EQ(spans.open_count(), 0u);  // every barrier span closed
   int barriers = 0;
   int nested = 0;
-  for (const auto& span : spans.spans()) {
-    if (span.name_id == tracer.barrier_name_id()) {
-      ++barriers;
-      EXPECT_GE(span.end, span.begin);
-      EXPECT_EQ(span.depth, 0);
-    } else if (span.depth > 0) {
-      ++nested;  // a send/recv wait inside the barrier
+  for (int lane = 0; lane < spans.lanes(); ++lane) {
+    for (const auto& span : spans.lane(lane)) {
+      if (span.name_id == tracer.barrier_name_id()) {
+        ++barriers;
+        EXPECT_GE(span.end, span.begin);
+        EXPECT_EQ(span.depth, 0);
+      } else if (span.depth > 0) {
+        ++nested;  // a send/recv wait inside the barrier
+      }
     }
   }
   EXPECT_EQ(barriers, 2);  // one per rank

@@ -33,6 +33,7 @@
 // ranked communication matrix, and event-queue telemetry, in --format
 // json | csv | table. Its output is byte-stable across --jobs and kernel
 // pins.
+#include <climits>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -231,7 +232,8 @@ int cmd_series(const ArgParser& args) {
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::Combination*> ptrs;
   for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
-    const int nodes = static_cast<int>(std::stol(piece));
+    const int nodes =
+        static_cast<int>(parse_int(piece, "--ladder entry", 1, INT_MAX));
     owned.push_back(make_combination(algo, entry.ensemble(nodes)));
     ptrs.push_back(owned.back().get());
   }
@@ -266,7 +268,8 @@ int cmd_predict(const ArgParser& args) {
               " operating points (probed parameters, paper §4.5)");
   table.set_header({"nodes", "predicted N"});
   for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
-    const int nodes = static_cast<int>(std::stol(piece));
+    const int nodes =
+        static_cast<int>(parse_int(piece, "--ladder entry", 1, INT_MAX));
     const auto system = predict::system_model_for(entry.ensemble(nodes), comm);
     table.add_row({piece, std::to_string(predict::predicted_required_size(
                               *model, system, target))});
@@ -499,8 +502,7 @@ void write_analysis(const ArgParser& args, const obs::Analysis& analysis) {
 /// hotspots, and ladder-queue telemetry for an instrumented run.
 int cmd_analyze(const ArgParser& args) {
   obs::AnalysisOptions options;
-  options.top = static_cast<int>(args.get_int("top", options.top));
-  HETSCALE_REQUIRE(options.top >= 0, "--top must be >= 0");
+  options.top = static_cast<int>(args.get_int("top", options.top, 0, INT_MAX));
   const auto& positional = args.positional();
   obs::Profiler profiler;
   if (positional.size() > 1) {
