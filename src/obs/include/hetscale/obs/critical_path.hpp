@@ -17,6 +17,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 namespace hetscale::obs {
@@ -24,8 +25,8 @@ namespace hetscale::obs {
 class SpanStore;
 
 /// One delivered message, as the path walker needs it (obs sits below
-/// vmpi in the build, so vmpi::TraceRecorder converts its messages into
-/// this shape).
+/// vmpi in the build; vmpi::TraceRecorder records its messages in this
+/// shape).
 struct PathMessage {
   int source = 0;
   int destination = 0;
@@ -34,6 +35,10 @@ struct PathMessage {
   double depart = 0.0;
   double arrive = 0.0;
 };
+
+/// Delivered messages in lanes of any grouping; vmpi::TraceRecorder keeps
+/// one deque per sending rank, which the walk reads in place.
+using MessageLanes = std::vector<std::deque<PathMessage>>;
 
 enum class PathSegmentKind : int { kCompute = 0, kComm, kWait, kFault };
 
@@ -70,9 +75,10 @@ struct CriticalPath {
 
 /// Walk the longest dependency chain ending at `elapsed` and attribute it.
 /// `messages` must hold the run's delivered messages (may be empty: the
-/// walk then attributes blocking locally as wait time).
+/// walk then attributes blocking locally as wait time). Lanes recorded in
+/// order are searched in place; the walk sorts only the out-of-order lanes
+/// it visits and the destinations it looks messages up for.
 CriticalPath critical_path(const SpanStore& store,
-                           const std::vector<PathMessage>& messages,
-                           double elapsed);
+                           const MessageLanes& messages, double elapsed);
 
 }  // namespace hetscale::obs

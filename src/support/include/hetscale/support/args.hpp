@@ -38,6 +38,9 @@ class ArgParser {
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;           ///< throws if absent
   std::string get_or(const std::string& name, const std::string& def) const;
+  /// The flag's whole value as a finite decimal number (no leading space
+  /// or '+', no hex, nan or inf, no overflow or underflow to zero), or
+  /// `def` when the flag was not given.
   double get_double(const std::string& name, double def) const;
   /// The flag's whole value as an integer in [min, max] (see parse_int),
   /// or `def` when the flag was not given.
@@ -82,8 +85,9 @@ std::vector<std::string> split(const std::string& text, char sep);
 int normalize_jobs(std::int64_t jobs);
 
 /// The process-wide default worker count: the HETSCALE_JOBS environment
-/// variable when set to a non-negative integer (0 = hardware concurrency),
-/// otherwise the hardware concurrency (at least 1).
+/// variable when set (a whole integer in [0, INT_MAX]; 0 = hardware
+/// concurrency), otherwise the hardware concurrency (at least 1). A
+/// malformed value throws PreconditionError naming the variable.
 int default_jobs();
 
 /// Declare the conventional `--jobs N` flag with its `-j` alias.
@@ -101,9 +105,10 @@ int resolve_jobs(const ArgParser& args);
 int normalize_sim_threads(std::int64_t threads);
 
 /// The process-wide default simulation-thread count per machine: the
-/// HETSCALE_SIM_THREADS environment variable when set to a non-negative
-/// integer (0 = hardware concurrency), otherwise 1 — the classic sequential
-/// scheduler, which every golden artifact was recorded with.
+/// HETSCALE_SIM_THREADS environment variable when set (a whole integer in
+/// [0, INT_MAX]; 0 = hardware concurrency), otherwise 1 — the classic
+/// sequential scheduler, which every golden artifact was recorded with. A
+/// malformed value throws PreconditionError naming the variable.
 int default_sim_threads();
 
 /// Declare the conventional `--sim-threads N` flag.
@@ -122,7 +127,9 @@ int global_sim_threads();
 void set_global_sim_threads(int threads);
 
 /// The process-wide default fault/experiment seed: the HETSCALE_SEED
-/// environment variable when set to a non-negative integer, otherwise 0.
+/// environment variable when set (a whole integer in [0, INT64_MAX], the
+/// range --seed takes), otherwise 0. A malformed value throws
+/// PreconditionError naming the variable.
 std::uint64_t default_seed();
 
 /// Declare the conventional `--seed N` flag shared by the CLI and the

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <charconv>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <system_error>
@@ -115,14 +116,31 @@ std::string ArgParser::get_or(const std::string& name,
   return it != values_.end() ? it->second : def;
 }
 
+namespace {
+
+/// All of `text` as a finite decimal number, or a PreconditionError naming
+/// `what` and the reason.
+double parse_double(std::string_view text, const std::string& what) {
+  const std::string quoted = "'" + std::string(text) + "'";
+  double value = 0.0;
+  const char* const last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, value);
+  HETSCALE_REQUIRE(!text.empty(), what + " needs a number, got ''");
+  HETSCALE_REQUIRE(error != std::errc::result_out_of_range,
+                   what + " is out of range: " + quoted);
+  HETSCALE_REQUIRE(error == std::errc{} && end == last,
+                   what + " is not a number: " + quoted);
+  HETSCALE_REQUIRE(std::isfinite(value),
+                   what + " must be finite, got " + quoted);
+  return value;
+}
+
+}  // namespace
+
 double ArgParser::get_double(const std::string& name, double def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  char* end = nullptr;
-  const double value = std::strtod(it->second.c_str(), &end);
-  HETSCALE_REQUIRE(end != nullptr && *end == '\0',
-                   "flag --" + name + " is not a number: " + it->second);
-  return value;
+  return parse_double(it->second, "flag --" + name);
 }
 
 std::int64_t ArgParser::get_int(const std::string& name, std::int64_t def,
@@ -173,14 +191,9 @@ int normalize_jobs(std::int64_t jobs) {
 }
 
 int default_jobs() {
-  if (const char* env = std::getenv("HETSCALE_JOBS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 0) {
-      return normalize_jobs(value);
-    }
-  }
-  return normalize_jobs(0);
+  const char* env = std::getenv("HETSCALE_JOBS");
+  if (env == nullptr) return normalize_jobs(0);
+  return normalize_jobs(parse_int(env, "HETSCALE_JOBS", 0, INT_MAX));
 }
 
 ArgParser& add_jobs_flag(ArgParser& args) {
@@ -210,14 +223,10 @@ int normalize_sim_threads(std::int64_t threads) {
 }
 
 int default_sim_threads() {
-  if (const char* env = std::getenv("HETSCALE_SIM_THREADS")) {
-    char* end = nullptr;
-    const long value = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && value >= 0) {
-      return normalize_sim_threads(value);
-    }
-  }
-  return 1;
+  const char* env = std::getenv("HETSCALE_SIM_THREADS");
+  if (env == nullptr) return 1;
+  return normalize_sim_threads(
+      parse_int(env, "HETSCALE_SIM_THREADS", 0, INT_MAX));
 }
 
 ArgParser& add_sim_threads_flag(ArgParser& args) {
@@ -254,14 +263,10 @@ void set_global_sim_threads(int threads) {
 }
 
 std::uint64_t default_seed() {
-  if (const char* env = std::getenv("HETSCALE_SEED")) {
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return static_cast<std::uint64_t>(value);
-    }
-  }
-  return 0;
+  const char* env = std::getenv("HETSCALE_SEED");
+  if (env == nullptr) return 0;
+  // The same range --seed accepts.
+  return static_cast<std::uint64_t>(parse_int(env, "HETSCALE_SEED", 0));
 }
 
 ArgParser& add_seed_flag(ArgParser& args) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "hetscale/des/telemetry.hpp"
 #include "hetscale/machine/cluster.hpp"
 #include "hetscale/net/network.hpp"
+#include "hetscale/obs/budget.hpp"
 #include "hetscale/obs/profiler.hpp"
 #include "hetscale/vmpi/comm.hpp"
 #include "hetscale/vmpi/faults.hpp"
@@ -233,12 +235,16 @@ class Machine {
   int sim_threads_ = 1;
   std::vector<int> partition_of_;  ///< rank -> partition (contiguous blocks)
   std::vector<std::unique_ptr<des::Scheduler>> schedulers_;  ///< per partition
-  /// Engine telemetry of one partition.
-  struct PartitionTelemetry {
+  /// What a profiled partition leaves for publish_profile(): its engine
+  /// telemetry, and the budget timeline of its rank block, built on its
+  /// own thread once its window loop ends.
+  struct PartitionProfile {
     des::QueueTelemetry queue;
     std::uint64_t frame_live_peak = 0;
+    obs::BudgetTimeline budget;
+    std::exception_ptr budget_error;  ///< from building `budget`
   };
-  std::vector<PartitionTelemetry> telemetry_;  ///< per partition if profiled
+  std::vector<PartitionProfile> partition_profiles_;  ///< if profiled
   /// outboxes_[src_partition * partitions + dst_partition]: messages parked
   /// between window boundaries. Only the source partition's thread
   /// appends; only the destination's drains — and never concurrently (the

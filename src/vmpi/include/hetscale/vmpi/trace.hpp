@@ -35,15 +35,6 @@ struct TraceInterval {
   double bytes = 0.0;  ///< modeled size for kSend/kRecv
 };
 
-struct TraceMessage {
-  int source = 0;
-  int destination = 0;
-  int tag = 0;
-  double bytes = 0.0;
-  des::SimTime depart = 0.0;
-  des::SimTime arrive = 0.0;
-};
-
 class TraceRecorder {
  public:
   TraceRecorder();
@@ -56,7 +47,7 @@ class TraceRecorder {
   void record_interval(TraceInterval interval);
 
   /// Record a delivered message under its sender's lane.
-  void record_message(TraceMessage message);
+  void record_message(obs::PathMessage message);
 
   /// The point-to-point and compute intervals, materialized from the span
   /// store lane by lane (structural spans — barriers, fault charges — are
@@ -66,6 +57,10 @@ class TraceRecorder {
 
   /// Messages recorded so far, over all lanes.
   std::size_t message_count() const;
+
+  /// The delivered messages, one deque per sending lane, each in send
+  /// order. obs::critical_path() reads them in place.
+  const obs::MessageLanes& messages() const { return messages_; }
 
   /// The underlying span store (all spans, including barrier/fault ones).
   obs::SpanStore& spans() { return spans_; }
@@ -96,10 +91,6 @@ class TraceRecorder {
   void set_lane_phase(int lane, obs::CommPhase phase);
   void clear_lane_phase(int lane);
 
-  /// The messages converted to the critical-path walker's shape, sender
-  /// lane by sender lane, each in its send order.
-  std::vector<obs::PathMessage> path_messages() const;
-
   /// Chrome trace-event JSON ("X" duration events per rank lane, "s"/"f"
   /// flow pairs per message, plus one "C" counter row per CommMatrix cell
   /// when the matrix is non-empty), listed lane by lane. Times in
@@ -113,15 +104,16 @@ class TraceRecorder {
 
  private:
   struct Lane {
-    std::deque<TraceMessage> messages;  ///< sent by this lane, in order
     obs::CommMatrix comm;  ///< its sends, and its waits as receiver
     int phase = -1;  ///< CommPhase as int; -1 outside group collectives
   };
 
+  std::size_t lane_index(int lane) const;  ///< checked against presizing
   Lane& lane(int lane);
 
   obs::SpanStore spans_;
   std::vector<Lane> lanes_;
+  obs::MessageLanes messages_;  ///< per sender lane
   int compute_id_;
   int send_id_;
   int recv_id_;

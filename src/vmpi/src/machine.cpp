@@ -230,10 +230,10 @@ RunResult Machine::run(const Program& program) {
     handoff_seq_.assign(static_cast<std::size_t>(world), 0);
   }
   if (profiler_ != nullptr) {
-    telemetry_.resize(static_cast<std::size_t>(partitions));
+    partition_profiles_.resize(static_cast<std::size_t>(partitions));
     for (int p = 0; p < partitions; ++p) {
       schedulers_[static_cast<std::size_t>(p)]->bind_telemetry(
-          &telemetry_[static_cast<std::size_t>(p)].queue);
+          &partition_profiles_[static_cast<std::size_t>(p)].queue);
     }
   }
   // Every per-node and per-rank sink exists before any partition records.
@@ -254,9 +254,21 @@ RunResult Machine::run(const Program& program) {
   };
   hooks.deliver = [this](int p) { deliver_inboxes(p); };
   hooks.finish = [this](int p) {
-    if (telemetry_.empty()) return;
-    telemetry_[static_cast<std::size_t>(p)].frame_live_peak =
-        des::detail::frame_pool_live_peak();
+    if (partition_profiles_.empty()) return;
+    PartitionProfile& mine = partition_profiles_[static_cast<std::size_t>(p)];
+    mine.frame_live_peak = des::detail::frame_pool_live_peak();
+    // Summarize this partition's ranks for the time budget here, on its own
+    // thread: their lanes are final, and publish_profile() then only merges
+    // the partitions' timelines and sweeps them.
+    try {
+      const auto [first, last] = std::equal_range(partition_of_.begin(),
+                                                  partition_of_.end(), p);
+      mine.budget = obs::BudgetTimeline::of_lanes(
+          tracer_->spans(), static_cast<int>(first - partition_of_.begin()),
+          static_cast<int>(last - partition_of_.begin()));
+    } catch (...) {
+      mine.budget_error = std::current_exception();
+    }
   };
   std::vector<des::Scheduler*> schedulers;
   schedulers.reserve(schedulers_.size());
@@ -293,7 +305,16 @@ RunResult Machine::run(const Program& program) {
 void Machine::publish_profile(const RunResult& result) {
   obs::RunProfile profile;
   profile.elapsed_s = result.elapsed;
-  profile.budget = obs::compute_time_budget(tracer_->spans(), result.elapsed);
+  {
+    // Merge and sweep the partitions' timelines, freeing them before the
+    // critical-path walk.
+    std::vector<obs::BudgetTimeline> timelines;
+    for (PartitionProfile& part : partition_profiles_) {
+      if (part.budget_error) std::rethrow_exception(part.budget_error);
+      timelines.push_back(std::move(part.budget));
+    }
+    profile.budget = obs::sweep_time_budget(timelines, result.elapsed);
+  }
   for (const auto& r : stats_) {
     profile.compute_s += r.compute_s;
     profile.comm_s += r.comm_s;
@@ -313,16 +334,16 @@ void Machine::publish_profile(const RunResult& result) {
   profile.des_events = events_processed();
   profile.comm_cells = tracer_->comm().cells();
   const obs::CriticalPath path = obs::critical_path(
-      tracer_->spans(), tracer_->path_messages(), result.elapsed);
+      tracer_->spans(), tracer_->messages(), result.elapsed);
   profile.critical_path = obs::CriticalPathSummary{
       path.compute_s, path.comm_s, path.wait_s, path.fault_s};
   // Engine telemetry, the one part of a profile that depends on the
   // partition count: counters and peaks (then an upper bound) add up over
   // the partition schedulers, occupancy samples concatenate in order.
   for (std::size_t p = 0; p < schedulers_.size(); ++p) {
-    const des::QueueTelemetry& queue = telemetry_[p].queue;
+    const des::QueueTelemetry& queue = partition_profiles_[p].queue;
     profile.des_queue_depth_max += schedulers_[p]->max_queue_depth();
-    profile.frame_live_peak += telemetry_[p].frame_live_peak;
+    profile.frame_live_peak += partition_profiles_[p].frame_live_peak;
     profile.des_queue.pushes += queue.pushes;
     profile.des_queue.pops += queue.pops;
     profile.des_queue.far_inserts += queue.far_inserts;

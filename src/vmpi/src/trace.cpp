@@ -40,24 +40,29 @@ void TraceRecorder::presize_lanes(int lanes) {
   spans_.presize_lanes(lanes);
   if (static_cast<std::size_t>(lanes) > lanes_.size()) {
     lanes_.resize(static_cast<std::size_t>(lanes));
+    messages_.resize(static_cast<std::size_t>(lanes));
   }
 }
 
-TraceRecorder::Lane& TraceRecorder::lane(int lane) {
+std::size_t TraceRecorder::lane_index(int lane) const {
   HETSCALE_REQUIRE(lane >= 0 && static_cast<std::size_t>(lane) < lanes_.size(),
                    "trace lane out of range (presize_lanes first)");
-  return lanes_[static_cast<std::size_t>(lane)];
+  return static_cast<std::size_t>(lane);
 }
 
-void TraceRecorder::record_message(TraceMessage message) {
+TraceRecorder::Lane& TraceRecorder::lane(int lane) {
+  return lanes_[lane_index(lane)];
+}
+
+void TraceRecorder::record_message(obs::PathMessage message) {
   HETSCALE_REQUIRE(message.arrive >= message.depart,
                    "message must not arrive before departing");
-  lane(message.source).messages.push_back(message);
+  messages_[lane_index(message.source)].push_back(message);
 }
 
 std::size_t TraceRecorder::message_count() const {
   std::size_t total = 0;
-  for (const Lane& lane : lanes_) total += lane.messages.size();
+  for (const auto& sent : messages_) total += sent.size();
   return total;
 }
 
@@ -85,18 +90,6 @@ obs::CommMatrix TraceRecorder::comm() const {
   obs::CommMatrix all;
   for (const Lane& lane : lanes_) all += lane.comm;
   return all;
-}
-
-std::vector<obs::PathMessage> TraceRecorder::path_messages() const {
-  std::vector<obs::PathMessage> out;
-  out.reserve(message_count());
-  for (const Lane& lane : lanes_) {
-    for (const TraceMessage& m : lane.messages) {
-      out.push_back(obs::PathMessage{m.source, m.destination, m.tag, m.bytes,
-                                     m.depart, m.arrive});
-    }
-  }
-  return out;
 }
 
 std::vector<TraceInterval> TraceRecorder::intervals() const {
@@ -151,8 +144,8 @@ std::string TraceRecorder::chrome_trace_json() const {
   // receiver's arrival, joined by an id numbering the messages sender lane
   // by sender lane.
   std::size_t id = 0;
-  for (const Lane& lane : lanes_) {
-    for (const TraceMessage& m : lane.messages) {
+  for (const auto& sent : messages_) {
+    for (const obs::PathMessage& m : sent) {
       sep();
       os << R"({"name":"msg","ph":"s","id":)" << id
          << R"(,"pid":0,"tid":)" << m.source << R"(,"ts":)"

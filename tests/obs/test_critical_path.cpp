@@ -82,8 +82,7 @@ TEST(CriticalPath, RecvHopsToTheSendingLane) {
   store.record(1, recv, 0.2, 1.0, /*peer=*/0, /*tag=*/7);
   store.record(1, compute, 1.0, 1.4);
   store.record(0, compute, 0.0, 0.9);
-  const std::vector<PathMessage> messages = {
-      PathMessage{0, 1, 7, 64.0, 0.9, 1.0}};
+  const MessageLanes messages = {{PathMessage{0, 1, 7, 64.0, 0.9, 1.0}}};
   const CriticalPath path = critical_path(store, messages, 1.4);
   EXPECT_NEAR(path.compute_s, 0.9 + 0.4, 1e-12);
   EXPECT_NEAR(path.comm_s, 0.1, 1e-12);
@@ -111,8 +110,7 @@ TEST(CriticalPath, EarlyMessageMakesRecvPureWait) {
   store.record(1, recv, 0.2, 0.5, /*peer=*/0, /*tag=*/3);
   store.record(1, compute, 0.5, 1.0);
   store.record(0, compute, 0.0, 0.05);
-  const std::vector<PathMessage> messages = {
-      PathMessage{0, 1, 3, 8.0, 0.05, 0.1}};
+  const MessageLanes messages = {{PathMessage{0, 1, 3, 8.0, 0.05, 0.1}}};
   const CriticalPath path = critical_path(store, messages, 1.0);
   EXPECT_DOUBLE_EQ(path.compute_s, 0.7);
   EXPECT_DOUBLE_EQ(path.comm_s, 0.0);
@@ -165,14 +163,15 @@ TEST(CriticalPath, SendChainTerminates) {
   SpanStore store;
   const int compute = store.intern("compute");
   const int recv = store.intern("recv.wait");
-  std::vector<PathMessage> messages;
+  MessageLanes messages(2);
   double t = 0.0;
   for (int round = 0; round < 8; ++round) {
     const int src = round % 2;
     const int dst = 1 - src;
     store.record(src, compute, t, t + 0.1);
     store.record(dst, recv, t, t + 0.2, /*peer=*/src, /*tag=*/1);
-    messages.push_back(PathMessage{src, dst, 1, 8.0, t + 0.1, t + 0.2});
+    messages[static_cast<std::size_t>(src)].push_back(
+        PathMessage{src, dst, 1, 8.0, t + 0.1, t + 0.2});
     t += 0.2;
   }
   const CriticalPath path = critical_path(store, messages, t);

@@ -244,11 +244,12 @@ TEST(Args, JobsEnvFallback) {
   EXPECT_EQ(default_jobs(), 5);
   EXPECT_EQ(resolve_jobs(args), 5);
 
+  // A malformed value is rejected, not silently replaced by every core.
   ::setenv("HETSCALE_JOBS", "not-a-number", 1);
-  EXPECT_GE(default_jobs(), 1);  // falls back to hardware concurrency
+  EXPECT_THROW(default_jobs(), PreconditionError);
 
   ::setenv("HETSCALE_JOBS", "-2", 1);
-  EXPECT_GE(default_jobs(), 1);
+  EXPECT_THROW(default_jobs(), PreconditionError);
 
   ::unsetenv("HETSCALE_JOBS");
   EXPECT_GE(default_jobs(), 1);
@@ -293,7 +294,7 @@ TEST(Args, SeedEnvFallback) {
   EXPECT_EQ(resolve_seed(args), 12345u);
 
   ::setenv("HETSCALE_SEED", "not-a-number", 1);
-  EXPECT_EQ(default_seed(), 0u);  // unparsable env falls back to 0
+  EXPECT_THROW(default_seed(), PreconditionError);  // not silently 0
 
   // An explicit flag beats the environment.
   ::setenv("HETSCALE_SEED", "9", 1);
@@ -302,6 +303,94 @@ TEST(Args, SeedEnvFallback) {
   explicit_flag.parse({"--seed", "2"});
   EXPECT_EQ(resolve_seed(explicit_flag), 2u);
   ::unsetenv("HETSCALE_SEED");
+}
+
+TEST(Args, EnvFallbacksRejectMalformedValues) {
+  // Each row was silently wrapped or replaced by a default before.
+  struct Row {
+    const char* variable;
+    const char* value;
+    std::function<std::int64_t()> resolve;
+    const char* reason;
+  };
+  const Row rows[] = {
+      {"HETSCALE_SEED", "-1", [] { return std::int64_t(default_seed()); },
+       "must be in [0, 9223372036854775807]"},
+      {"HETSCALE_SEED", "18446744073709551616",
+       [] { return std::int64_t(default_seed()); }, "out of range"},
+      {"HETSCALE_SEED", "", [] { return std::int64_t(default_seed()); },
+       "needs an integer"},
+      {"HETSCALE_SIM_THREADS", "4x", [] { return default_sim_threads(); },
+       "not an integer"},
+      {"HETSCALE_SIM_THREADS", "-3", [] { return default_sim_threads(); },
+       "must be in [0, 2147483647]"},
+      {"HETSCALE_SIM_THREADS", "4294967297",
+       [] { return default_sim_threads(); }, "must be in [0, 2147483647]"},
+      {"HETSCALE_JOBS", "not-a-number", [] { return default_jobs(); },
+       "not an integer"},
+      {"HETSCALE_JOBS", " 4", [] { return default_jobs(); },
+       "not an integer"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.variable) + "='" + row.value + "'");
+    ::setenv(row.variable, row.value, 1);
+    try {
+      (void)row.resolve();
+      ADD_FAILURE() << "accepted";
+    } catch (const PreconditionError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(row.variable), std::string::npos) << what;
+      EXPECT_NE(what.find(row.reason), std::string::npos) << what;
+    }
+    ::unsetenv(row.variable);
+  }
+  ::setenv("HETSCALE_SIM_THREADS", "3", 1);
+  EXPECT_EQ(default_sim_threads(), 3);
+  ::unsetenv("HETSCALE_SIM_THREADS");
+  EXPECT_EQ(default_sim_threads(), 1);
+}
+
+TEST(Args, GetDoubleTakesWholeFiniteFields) {
+  struct Row {
+    const char* text;
+    double value;        ///< expected when `reason` is null
+    const char* reason;  ///< expected message fragment on rejection
+  };
+  const Row rows[] = {
+      {"0.5", 0.5, nullptr},
+      {"-2", -2.0, nullptr},
+      {"1e-3", 1e-3, nullptr},
+      {"1.7976931348623157e308", 1.7976931348623157e308, nullptr},
+      {"", 0.0, "needs a number"},
+      {"nan", 0.0, "must be finite"},
+      {"inf", 0.0, "must be finite"},
+      {"-infinity", 0.0, "must be finite"},
+      {"1e999", 0.0, "out of range"},
+      {"1e-400", 0.0, "out of range"},
+      {" 0.5", 0.0, "not a number"},
+      {"+0.5", 0.0, "not a number"},
+      {"0x1p-1", 0.0, "not a number"},
+      {"0.5 ", 0.0, "not a number"},
+      {"12abc", 0.0, "not a number"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string("text '") + row.text + "'");
+    ArgParser args;
+    args.add_flag("rate", "a rate");
+    args.parse({"--rate", row.text});
+    if (row.reason == nullptr) {
+      EXPECT_EQ(args.get_double("rate", 0.0), row.value);
+      continue;
+    }
+    try {
+      (void)args.get_double("rate", 0.0);
+      ADD_FAILURE() << "accepted";
+    } catch (const PreconditionError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("--rate"), std::string::npos) << what;
+      EXPECT_NE(what.find(row.reason), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Split, SplitsAndTrims) {

@@ -199,7 +199,7 @@ TEST(CommObservatory, CriticalPathCoversElapsedOnRealRuns) {
     }
   });
   const obs::CriticalPath path = obs::critical_path(
-      tracer.spans(), tracer.path_messages(), result.elapsed);
+      tracer.spans(), tracer.messages(), result.elapsed);
   EXPECT_GE(path.compute_s, 0.0);
   EXPECT_GE(path.comm_s, 0.0);
   EXPECT_GE(path.wait_s, 0.0);

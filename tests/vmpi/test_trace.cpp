@@ -84,7 +84,7 @@ TEST(Trace, MessagesCarryEndpointsAndTimes) {
   auto machine = Machine::switched(pair_cluster());
   auto& tracer = machine.enable_tracing();
   traced_pingpong(machine);
-  const auto first = tracer.path_messages().front();
+  const auto first = tracer.messages().at(0).front();
   EXPECT_EQ(first.source, 0);
   EXPECT_EQ(first.destination, 1);
   EXPECT_EQ(first.tag, 7);
