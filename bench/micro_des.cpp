@@ -15,6 +15,7 @@
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/machine.hpp"
+#include "hetscale/vmpi/message.hpp"
 #if __has_include("hetscale/scal/measure_store.hpp")
 #include "hetscale/scal/measure_store.hpp"
 #define HETSCALE_HAS_MEASURE_STORE 1
@@ -130,6 +131,47 @@ void BM_PingPong(benchmark::State& state) {
       static_cast<double>(state.iterations() * rounds * 2));
 }
 BENCHMARK(BM_PingPong)->Arg(1000);
+
+// args: {sources, backlog}. Mailbox matching alone: each item posts one
+// message and takes it back by (source, tag), the sender rotating over
+// `sources` — a rank's binomial-tree parent as the broadcast root moves
+// every step. With backlog 0 every take drains the mailbox; with backlog
+// b, b messages that no take matches stay pending through a round of 4096
+// items, so every key of the round lives in one epoch of the key table.
+void BM_MailboxRotatingSender(benchmark::State& state) {
+  const int sources = static_cast<int>(state.range(0));
+  const int backlog = static_cast<int>(state.range(1));
+  constexpr int kRound = 4096;
+  constexpr int kTag = 7;
+  des::Scheduler scheduler;
+  vmpi::Mailbox box(scheduler);
+  int sender = 0;
+  std::uint64_t allocs = 0;
+  for (auto _ : state) {
+    const std::uint64_t before = allocations();
+    for (int b = 0; b < backlog; ++b) {
+      box.post(vmpi::Message{sources + b, kTag, 8.0, {}, 0.0});
+    }
+    for (int i = 0; i < kRound; ++i) {
+      box.post(vmpi::Message{sender, kTag, 8.0, {}, 0.0});
+      benchmark::DoNotOptimize(box.take_match(sender, kTag));
+      sender = (sender + 1) % sources;
+    }
+    for (int b = 0; b < backlog; ++b) {
+      benchmark::DoNotOptimize(box.take_match(sources + b, kTag));
+    }
+    allocs += allocations() - before;
+  }
+  state.SetItemsProcessed(state.iterations() * kRound);
+  state.counters["allocs_per_msg"] = benchmark::Counter(
+      static_cast<double>(allocs) /
+      static_cast<double>(state.iterations() * kRound));
+}
+BENCHMARK(BM_MailboxRotatingSender)
+    ->Args({64, 0})
+    ->Args({4096, 0})
+    ->Args({64, 4})
+    ->Args({4096, 4});
 
 void BM_Barrier(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));

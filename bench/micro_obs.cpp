@@ -1,8 +1,9 @@
 // Micro-benchmarks of the communication observatory's hot paths.
 //
 // BM_CommMatrixRecord times the per-message cost the vmpi send/recv hooks
-// pay when tracing is ON — one map-backed cell update per record — over a
-// realistic working set (an 8-rank all-pairs matrix across three phases).
+// pay when tracing is ON — one cell lookup and update per record — over an
+// all-pairs matrix across three phases: 8 ranks (every cell in L1) and 256
+// (65280 cells, a working set well past L1).
 // BM_CriticalPath times the full backward walk over a synthetic ping-pong
 // span DAG of the shape the analyzer sees per run: two lanes, alternating
 // compute and recv.wait, one message hop per round.
@@ -48,7 +49,7 @@ void BM_CommMatrixRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(ranks) * (ranks - 1));
 }
-BENCHMARK(BM_CommMatrixRecord)->Arg(8);
+BENCHMARK(BM_CommMatrixRecord)->Arg(8)->Arg(256);
 
 void BM_CriticalPath(benchmark::State& state) {
   const int rounds = static_cast<int>(state.range(0));

@@ -8,19 +8,22 @@
 // scatter/ring legs, group collectives, ...) so a hotspot can be tied to
 // the algorithm step that produced it, not just the rank pair.
 //
-// Determinism: cells live in a std::map keyed by (src, dst, phase), so
-// cells() returns them in one canonical order regardless of the recording
-// interleaving; all values are virtual-time or counts. The matrix has no
-// locks: a vmpi::TraceRecorder keeps one per lane, written only by that
-// lane's rank, and sums them for readers.
+// Storage: cells live in an open-addressed table keyed by (src, dst, phase)
+// (support/flat_table.hpp), so a record costs one probe and, once the cell
+// exists, no allocation. Determinism: cells() sorts a copy into the canonical
+// (src, dst, phase) order, and the floating-point totals sum in that order,
+// so neither depends on the recording interleaving; all values are
+// virtual-time or counts. The matrix has no locks: a vmpi::TraceRecorder
+// keeps one per lane, written only by that lane's rank, and sums them for
+// readers.
 #pragma once
 
 #include <compare>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <tuple>
 #include <vector>
+
+#include "hetscale/support/flat_table.hpp"
 
 namespace hetscale::obs {
 
@@ -62,6 +65,8 @@ struct CommCell {
   auto operator<=>(const CommCell&) const = default;
 };
 
+/// Ranks must lie in [0, 2^28): a cell's key packs (src, dst, phase) into
+/// 64 bits. Every simulated machine is orders of magnitude smaller.
 class CommMatrix {
  public:
   /// Record one message sent src -> dst in `phase` (sender side).
@@ -71,7 +76,7 @@ class CommMatrix {
   /// (receiver side; dst is the waiting rank).
   void record_wait(int src, int dst, CommPhase phase, double wait_s);
 
-  bool empty() const { return cells_.empty(); }
+  bool empty() const { return cells_.size() == 0; }
   std::size_t cell_count() const { return cells_.size(); }
 
   std::uint64_t total_messages() const;
@@ -87,7 +92,8 @@ class CommMatrix {
  private:
   CommCell& cell(int src, int dst, CommPhase phase);
 
-  std::map<std::tuple<int, int, int>, CommCell> cells_;
+  /// (src, dst, phase) -> its cell; cells() sorts a copy.
+  FlatTable<CommCell> cells_;
 };
 
 }  // namespace hetscale::obs

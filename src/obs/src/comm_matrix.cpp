@@ -1,6 +1,8 @@
 #include "hetscale/obs/comm_matrix.hpp"
 
+#include <algorithm>
 #include <iterator>
+#include <tuple>
 
 #include "hetscale/support/error.hpp"
 
@@ -20,15 +22,32 @@ const std::string& comm_phase_name(CommPhase phase) {
   return kNames[index];
 }
 
+namespace {
+
+constexpr int kRankLimit = 1 << 28;
+constexpr int kPhaseLimit = 1 << 8;
+
+bool in_rank_range(int rank) { return rank >= 0 && rank < kRankLimit; }
+
+/// Canonical cell order: (src, dst, phase); keys are unique per matrix.
+bool key_less(const CommCell& a, const CommCell& b) {
+  return std::tie(a.src, a.dst, a.phase) < std::tie(b.src, b.dst, b.phase);
+}
+
+}  // namespace
+
 CommCell& CommMatrix::cell(int src, int dst, CommPhase phase) {
-  const auto key = std::make_tuple(src, dst, static_cast<int>(phase));
-  auto [it, inserted] = cells_.try_emplace(key);
-  if (inserted) {
-    it->second.src = src;
-    it->second.dst = dst;
-    it->second.phase = static_cast<int>(phase);
-  }
-  return it->second;
+  const int p = static_cast<int>(phase);
+  HETSCALE_REQUIRE(in_rank_range(src) && in_rank_range(dst),
+                   "comm matrix rank out of range");
+  HETSCALE_REQUIRE(p >= 0 && p < kPhaseLimit, "unknown comm phase");
+  // 28 + 28 + 8 bits: an exact key, so distinct cells never alias.
+  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 36) |
+                            (static_cast<std::uint64_t>(dst) << 8) |
+                            static_cast<std::uint64_t>(p);
+  const auto [c, inserted] = cells_.try_emplace(key);
+  if (inserted) *c = CommCell{src, dst, p};
+  return *c;
 }
 
 void CommMatrix::record_send(int src, int dst, CommPhase phase,
@@ -47,36 +66,39 @@ void CommMatrix::record_wait(int src, int dst, CommPhase phase,
 
 std::uint64_t CommMatrix::total_messages() const {
   std::uint64_t total = 0;
-  for (const auto& [key, c] : cells_) total += c.messages;
+  cells_.for_each([&total](const CommCell& c) { total += c.messages; });
   return total;
 }
 
 double CommMatrix::total_bytes() const {
   double total = 0.0;
-  for (const auto& [key, c] : cells_) total += c.bytes;
+  for (const CommCell& c : cells()) total += c.bytes;
   return total;
 }
 
 double CommMatrix::total_wait_s() const {
   double total = 0.0;
-  for (const auto& [key, c] : cells_) total += c.wait_s;
+  for (const CommCell& c : cells()) total += c.wait_s;
   return total;
 }
 
 std::vector<CommCell> CommMatrix::cells() const {
   std::vector<CommCell> out;
   out.reserve(cells_.size());
-  for (const auto& [key, c] : cells_) out.push_back(c);
+  cells_.for_each([&out](const CommCell& c) { out.push_back(c); });
+  std::sort(out.begin(), out.end(), key_less);
   return out;
 }
 
 CommMatrix& CommMatrix::operator+=(const CommMatrix& other) {
-  for (const auto& [key, c] : other.cells_) {
+  // Each cell of `other` lands in a distinct cell here, so the visiting
+  // order cannot change any sum.
+  other.cells_.for_each([this](const CommCell& c) {
     CommCell& mine = cell(c.src, c.dst, static_cast<CommPhase>(c.phase));
     mine.messages += c.messages;
     mine.bytes += c.bytes;
     mine.wait_s += c.wait_s;
-  }
+  });
   return *this;
 }
 

@@ -52,6 +52,7 @@ class Comm {
   des::Task<void> compute(double flops, double efficiency = 1.0);
 
   /// Blocking send of a message of modeled size `bytes` carrying `payload`.
+  /// Tags are non-negative (negative values are the receive wildcards).
   des::Task<void> send(int dst, int tag, double bytes, Payload payload);
 
   /// Handle of a nonblocking send.
@@ -63,13 +64,14 @@ class Comm {
   /// link as usual, so later sends queue behind it) but the caller
   /// continues immediately — computation/communication overlap. Optionally
   /// await wait_send() to synchronize with the link drain (MPI_Wait-like);
-  /// fire-and-forget is also valid.
+  /// fire-and-forget is also valid. Tags as for send().
   SendRequest isend(int dst, int tag, double bytes, Payload payload);
 
   /// Suspend until the nonblocking send's link time has passed.
   des::Task<void> wait_send(const SendRequest& request);
 
   /// Blocking receive matching (source, tag); wildcards kAnySource/kAnyTag.
+  /// Any other negative tag is rejected: no send can carry one.
   des::Task<Message> recv(int source, int tag);
 
   // ---- Collectives (see file comment) ----

@@ -3,18 +3,19 @@
 // A Message carries both a *modeled* size in bytes (what the network model
 // times) and a *real* payload (what the algorithm computes with) — virtual
 // time and real data are deliberately decoupled (DESIGN.md §6.1). Payloads
-// are pooled (payload.hpp), and the pending queue is a vector drained by
-// index rather than a deque, so steady-state delivery performs no heap
-// traffic at all.
+// are pooled (payload.hpp), the pending queue is a vector drained by index
+// rather than a deque, and the (source, tag) index is a flat table that is
+// reset, not freed, on every drain — so once a mailbox is warm, delivery
+// performs no heap traffic at all.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "hetscale/des/scheduler.hpp"
+#include "hetscale/support/flat_table.hpp"
 #include "hetscale/vmpi/payload.hpp"
 
 namespace hetscale::vmpi {
@@ -55,9 +56,10 @@ class Mailbox {
   /// honouring wildcards; messages are matched in post order (MPI's
   /// non-overtaking rule). Arrival times are NOT consulted here — the caller
   /// waits out a future arrival itself. Wildcard-free matches (every
-  /// collective and algorithm in the tree) hit a per-(source, tag) FIFO
-  /// index — O(1) regardless of how many unrelated messages are pending, so
-  /// a flat-collective root at p=4096 no longer pays an O(p) scan per take.
+  /// collective and algorithm in the tree) pop the head of a per-(source,
+  /// tag) chain — O(1) regardless of how many unrelated messages are
+  /// pending, so a flat-collective root at p=4096 does not pay an O(p) scan
+  /// per take. Wildcard matches scan the pending slots in post order.
   std::optional<Message> take_match(int source, int tag);
 
   /// Awaitable: suspend until the next post. Only one waiter may exist.
@@ -88,20 +90,27 @@ class Mailbox {
   };
 
   /// Sentinel for a slot whose message was taken: slots tombstone in place
-  /// (the index holds positions into pending_, so mid-erase would shift
-  /// them) and the whole slab resets when it fully drains — the
-  /// overwhelmingly common case between collective phases.
+  /// (chains link positions in pending_, so mid-erase would shift them) and
+  /// the whole slab resets when it fully drains — the overwhelmingly common
+  /// case between collective phases.
   static constexpr int kConsumedSource = -2;
+  /// End of a chain.
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-  /// FIFO of slot positions for one (source, tag) key. `epoch` lazily
-  /// invalidates the queue after a full drain without touching the map.
-  struct SlotQueue {
-    std::vector<std::size_t> slots;
-    std::size_t head = 0;
-    std::uint64_t epoch = 0;
+  /// One pending message, linked to the next slot with its (source, tag).
+  struct Slot {
+    Message message;
+    std::uint32_t next = kNoSlot;
   };
 
-  static std::uint64_t index_key(int source, int tag) {
+  /// The slots of one (source, tag) in post order. Slots a wildcard take
+  /// consumed stay linked and are skipped when they reach the head.
+  struct Chain {
+    std::uint32_t head = kNoSlot;  ///< kNoSlot: empty
+    std::uint32_t tail = kNoSlot;
+  };
+
+  static std::uint64_t chain_key(int source, int tag) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(source))
             << 32) |
            static_cast<std::uint32_t>(tag);
@@ -114,11 +123,12 @@ class Mailbox {
   /// Pending messages live in [head_, pending_.size()); popping the front
   /// advances head_ past tombstones, and the vector (its capacity is the
   /// slab) resets to index 0 whenever it fully drains.
-  std::vector<Message> pending_;
+  std::vector<Slot> pending_;
   std::size_t head_ = 0;
   std::size_t live_count_ = 0;
-  std::unordered_map<std::uint64_t, SlotQueue> index_;
-  std::uint64_t drain_epoch_ = 0;
+  /// (source, tag) -> chain. Cleared in O(1) on every full drain, which is
+  /// what keeps the keys of a moving broadcast root from piling up.
+  FlatTable<Chain> chains_;
   std::coroutine_handle<> waiter_;
   std::optional<WaitingRecv> waiting_;
 };

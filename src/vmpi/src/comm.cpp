@@ -88,6 +88,8 @@ net::TransferResult Comm::transmit(int dst, double bytes, des::SimTime start) {
 des::Task<void> Comm::send(int dst, int tag, double bytes, Payload payload) {
   HETSCALE_REQUIRE(dst >= 0 && dst < size_, "destination rank out of range");
   HETSCALE_REQUIRE(dst != rank_, "send-to-self is not supported");
+  // A negative tag could only ever be matched by a wildcard: kAnyTag is -1.
+  HETSCALE_REQUIRE(tag >= 0, "send tags must be non-negative");
   auto& stats = machine_->rank_stats(rank_);
   const des::SimTime start = now();
   const auto result = transmit(dst, bytes, start);
@@ -111,6 +113,7 @@ Comm::SendRequest Comm::isend(int dst, int tag, double bytes,
                               Payload payload) {
   HETSCALE_REQUIRE(dst >= 0 && dst < size_, "destination rank out of range");
   HETSCALE_REQUIRE(dst != rank_, "send-to-self is not supported");
+  HETSCALE_REQUIRE(tag >= 0, "send tags must be non-negative");
   auto& stats = machine_->rank_stats(rank_);
   const des::SimTime start = now();
   const auto result = transmit(dst, bytes, start);
@@ -141,6 +144,8 @@ des::Task<void> Comm::wait_send(const SendRequest& request) {
 des::Task<Message> Comm::recv(int source, int tag) {
   HETSCALE_REQUIRE(source == kAnySource || (source >= 0 && source < size_),
                    "source rank out of range");
+  HETSCALE_REQUIRE(tag == kAnyTag || tag >= 0,
+                   "receive tags must be non-negative or kAnyTag");
   // Partitioned runs batch cross-partition deliveries at window boundaries,
   // so a wildcard's post-order matching would depend on the thread count;
   // source- and tag-specific receives (every collective and algorithm in

@@ -7,27 +7,21 @@
 
 namespace hetscale::vmpi {
 
-namespace {
-// A mailbox whose (source, tag) key set outgrows this after a full drain
-// frees the map outright instead of epoch-recycling it: workloads that mint
-// a fresh tag per step (pipelined GE) would otherwise grow the index without
-// bound, p mailboxes deep.
-constexpr std::size_t kIndexKeyCap = 64;
-}  // namespace
-
 void Mailbox::post(Message message) {
   const des::SimTime wake_at =
       std::max(scheduler_->now(), message.arrival);
   const int source = message.source;
   const int tag = message.tag;
-  SlotQueue& queue = index_[index_key(source, tag)];
-  if (queue.epoch != drain_epoch_) {
-    queue.slots.clear();
-    queue.head = 0;
-    queue.epoch = drain_epoch_;
+  HETSCALE_CHECK(pending_.size() < kNoSlot, "mailbox slot index overflow");
+  const auto slot = static_cast<std::uint32_t>(pending_.size());
+  Chain& chain = *chains_.try_emplace(chain_key(source, tag)).first;
+  if (chain.head == kNoSlot) {
+    chain.head = slot;
+  } else {
+    pending_[chain.tail].next = slot;
   }
-  queue.slots.push_back(pending_.size());
-  pending_.push_back(std::move(message));
+  chain.tail = slot;
+  pending_.push_back(Slot{std::move(message)});
   ++live_count_;
   if (waiter_) {
     // Wake the waiting recv only if THIS message matches what it asked for.
@@ -50,30 +44,24 @@ void Mailbox::post(Message message) {
 
 std::optional<Message> Mailbox::take_match(int source, int tag) {
   if (source != kAnySource && tag != kAnyTag) {
-    // Hot path: straight to this (source, tag)'s FIFO. Slots consumed by a
+    // Hot path: pop this (source, tag)'s chain. Slots consumed by a
     // wildcard take in the meantime are skipped lazily.
-    const auto it = index_.find(index_key(source, tag));
-    if (it == index_.end()) return std::nullopt;
-    SlotQueue& queue = it->second;
-    if (queue.epoch != drain_epoch_) return std::nullopt;
-    while (queue.head < queue.slots.size() &&
-           pending_[queue.slots[queue.head]].source == kConsumedSource) {
-      ++queue.head;
+    Chain* chain = chains_.find(chain_key(source, tag));
+    if (chain == nullptr) return std::nullopt;
+    std::uint32_t slot = chain->head;
+    while (slot != kNoSlot &&
+           pending_[slot].message.source == kConsumedSource) {
+      slot = pending_[slot].next;
     }
-    if (queue.head == queue.slots.size()) {
-      queue.slots.clear();
-      queue.head = 0;
+    if (slot == kNoSlot) {
+      chain->head = kNoSlot;
       return std::nullopt;
     }
-    const std::size_t slot = queue.slots[queue.head++];
-    if (queue.head == queue.slots.size()) {
-      queue.slots.clear();
-      queue.head = 0;
-    }
+    chain->head = pending_[slot].next;
     return consume(slot);
   }
   for (std::size_t i = head_; i < pending_.size(); ++i) {
-    const Message& candidate = pending_[i];
+    const Message& candidate = pending_[i].message;
     if (candidate.source == kConsumedSource) continue;
     const bool source_ok = source == kAnySource || candidate.source == source;
     const bool tag_ok = tag == kAnyTag || candidate.tag == tag;
@@ -83,13 +71,14 @@ std::optional<Message> Mailbox::take_match(int source, int tag) {
 }
 
 std::optional<Message> Mailbox::consume(std::size_t slot) {
-  Message found = std::move(pending_[slot]);
-  pending_[slot].source = kConsumedSource;
-  pending_[slot].payload = Payload{};
+  Message& pending = pending_[slot].message;
+  Message found = std::move(pending);
+  pending.source = kConsumedSource;
+  pending.payload = Payload{};
   --live_count_;
   if (slot == head_) {
     while (head_ < pending_.size() &&
-           pending_[head_].source == kConsumedSource) {
+           pending_[head_].message.source == kConsumedSource) {
       ++head_;
     }
   }
@@ -100,8 +89,7 @@ std::optional<Message> Mailbox::consume(std::size_t slot) {
 void Mailbox::reset_slab() {
   pending_.clear();  // keeps capacity — the slab is reused
   head_ = 0;
-  ++drain_epoch_;  // lazily empties every slot queue
-  if (index_.size() > kIndexKeyCap) index_.clear();
+  chains_.clear();  // O(1), keeps capacity: every chain reads as empty
 }
 
 void Mailbox::WaitAwaiter::await_suspend(std::coroutine_handle<> handle) {

@@ -43,6 +43,31 @@ TEST(Contracts, RecvSourceOutOfRange) {
   expect_rejected([](Comm& comm) { return comm.recv(17, 1); });
 }
 
+// A negative tag could only be matched by a wildcard receive (kAnyTag is
+// -1), which would take it in place of the message a specific receive
+// expects; sends reject it outright.
+TEST(Contracts, SendRejectsNegativeTag) {
+  expect_rejected([](Comm& comm) { return comm.send(1, kAnyTag, 8.0, {}); });
+  expect_rejected([](Comm& comm) { return comm.send(1, -7, 8.0, {}); });
+  expect_rejected([](Comm& comm) -> Task<void> {
+    (void)comm.isend(1, -1, 8.0, {});
+    co_return;
+  });
+}
+
+TEST(Contracts, RecvTagIsNonNegativeOrAnyTag) {
+  expect_rejected([](Comm& comm) { return comm.recv(1, -2); });
+  // kAnyTag stays a valid wildcard.
+  auto machine = Machine::switched(trio());
+  machine.run([](Comm& comm) -> Task<void> {
+    if (comm.rank() == 1) co_await comm.send(0, 5, 8.0, Payload(2.5));
+    if (comm.rank() == 0) {
+      const Message message = co_await comm.recv(1, kAnyTag);
+      EXPECT_EQ(message.tag, 5);
+    }
+  });
+}
+
 TEST(Contracts, BcastRootOutOfRange) {
   expect_rejected([](Comm& comm) { return comm.bcast(5, 8.0, {}); });
 }

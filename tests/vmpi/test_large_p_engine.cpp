@@ -223,9 +223,9 @@ TEST(LargePEngine, MailboxWildcardAndIndexInterleave) {
   EXPECT_FALSE(box.take_match(kAnySource, kAnyTag).has_value());
 }
 
-// Tag churn past the index's key cap (fresh tag per step, as pipelined GE
-// mints) with a full drain between steps: the index must recycle without
-// ever matching a stale slot.
+// Tag churn (a fresh tag per step, as pipelined GE mints) with a full
+// drain between steps: the key table must recycle without ever matching a
+// stale slot.
 TEST(LargePEngine, MailboxIndexSurvivesKeyChurnAndDrains) {
   des::Scheduler scheduler;
   Mailbox box(scheduler);
