@@ -1,85 +1,57 @@
 // Ablation — what if Sunwulf had a modern MPI?
 //
 // The paper measured flat, Θ(p) collectives (T_bcast ≈ 0.23·p ms). This
-// ablation re-runs the GE ladder with binomial-tree short broadcasts
-// (Θ(log p), what today's MPIs do) and compares required problem sizes and
-// ψ: how much of GE's limited scalability was the collective algorithm?
+// ablation re-runs the GE ladder under the logarithmic tree family
+// (binomial bcast, combining-tree barrier, ...: what today's MPIs do) and
+// compares required problem sizes and ψ: how much of GE's limited
+// scalability was the collective algorithm?
 #include <iostream>
+#include <string>
+#include <utility>
 
 #include "common.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 
-namespace {
-
-using namespace hetscale;
-
-/// GE under an overridden collective tuning. The tuning changes timing, so
-/// it is part of the key — otherwise flat and binomial runs would alias in
-/// the measurement store.
-scal::AlgoSpec tuned_ge_algo(vmpi::CollectiveTuning tuning) {
-  return {"ge:bcast=" + std::to_string(static_cast<int>(tuning.small_bcast)) +
-              ",large>=" + std::to_string(tuning.large_bcast_threshold_bytes),
-          scal::ge_algo().work,
-          [tuning, ge = scal::ge_algo().run](
-              vmpi::Machine& machine, std::int64_t n,
-              const std::vector<double>& speeds, bool with_data) {
-            machine.set_tuning(tuning);
-            return ge(machine, n, speeds, with_data);
-          }};
-}
-
-}  // namespace
-
 int main() {
+  using namespace hetscale;
   bench::print_header(
-      "Ablation  Collective algorithms (flat vs binomial bcast)",
+      "Ablation  Collective algorithms (paper-era flat family vs tree "
+      "family)",
       "GE ladder at E_s = 0.3 under the paper's flat-tree MPI vs a "
-      "binomial-tree one.");
+      "tree-collective one.");
 
-  vmpi::CollectiveTuning flat;  // defaults: flat, matches the paper's MPICH
-  vmpi::CollectiveTuning tree;
-  tree.small_bcast = vmpi::BcastAlgorithm::kBinomialTree;
-
+  const vmpi::CollectiveTuning families[2] = {
+      vmpi::CollectiveTuning::legacy_flat(), vmpi::CollectiveTuning::tree()};
   Table table;
-  table.set_header({"Nodes", "N (flat)", "N (binomial)", "psi step (flat)",
-                    "psi step (binomial)"});
-  double prev_flat_c = 0;
-  double prev_flat_w = 0;
-  double prev_tree_c = 0;
-  double prev_tree_w = 0;
+  table.set_header({"Nodes", "N (flat)", "N (tree)", "psi step (flat)",
+                    "psi step (tree)"});
+  double prev_c[2] = {0, 0};
+  double prev_w[2] = {0, 0};
   for (int nodes : {2, 4, 8, 16}) {
-    scal::ClusterCombination with_flat("flat", bench::ge_config(nodes),
-                                       tuned_ge_algo(flat));
-    scal::ClusterCombination with_tree("tree", bench::ge_config(nodes),
-                                       tuned_ge_algo(tree));
-    const auto flat_point =
-        scal::required_problem_size(with_flat, bench::kGeTargetEs);
-    const auto tree_point =
-        scal::required_problem_size(with_tree, bench::kGeTargetEs);
-    std::string flat_psi = "-";
-    std::string tree_psi = "-";
-    if (prev_flat_c > 0) {
-      flat_psi = Table::fixed(
-          scal::isospeed_efficiency_scalability(
-              prev_flat_c, prev_flat_w, with_flat.marked_speed(),
-              with_flat.work(flat_point.n)),
-          3);
-      tree_psi = Table::fixed(
-          scal::isospeed_efficiency_scalability(
-              prev_tree_c, prev_tree_w, with_tree.marked_speed(),
-              with_tree.work(tree_point.n)),
-          3);
+    std::string n[2];
+    std::string psi[2] = {"-", "-"};
+    for (int v = 0; v < 2; ++v) {
+      auto config = bench::ge_config(nodes);
+      config.tuning = families[v];
+      scal::ClusterCombination ge(v == 0 ? "flat" : "tree", std::move(config),
+                                  scal::ge_algo());
+      const auto point = scal::required_problem_size(ge, bench::kGeTargetEs);
+      const double c = ge.marked_speed();
+      const double w = ge.work(point.n);
+      n[v] = std::to_string(point.n);
+      if (prev_c[v] > 0) {
+        psi[v] = Table::fixed(
+            scal::isospeed_efficiency_scalability(prev_c[v], prev_w[v], c, w),
+            3);
+      }
+      prev_c[v] = c;
+      prev_w[v] = w;
     }
-    table.add_row({std::to_string(nodes), std::to_string(flat_point.n),
-                   std::to_string(tree_point.n), flat_psi, tree_psi});
-    prev_flat_c = with_flat.marked_speed();
-    prev_flat_w = with_flat.work(flat_point.n);
-    prev_tree_c = with_tree.marked_speed();
-    prev_tree_w = with_tree.work(tree_point.n);
+    table.add_row({std::to_string(nodes), n[0], n[1], psi[0], psi[1]});
   }
   std::cout << table;
-  std::cout << "(binomial collectives shrink the required problem sizes and "
+  std::cout << "(tree collectives shrink the required problem sizes and "
                "lift psi — a large share of GE's 2005 scalability ceiling "
                "was the flat MPI, not the algorithm)\n";
   return 0;

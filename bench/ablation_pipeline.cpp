@@ -71,7 +71,7 @@ int main() {
   }
   std::cout << table;
   std::cout << "(overlap + no barrier shrink the iso-efficiency problem "
-               "sizes; combined with binomial collectives — see "
+               "sizes; combined with tree collectives — see "
                "ablation_collectives — most of GE's scalability gap to MM "
                "was implementation, not algorithm)\n";
   return 0;

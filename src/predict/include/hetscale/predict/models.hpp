@@ -45,9 +45,6 @@ struct SystemModel {
   double marked_speed = 0.0;        ///< C (flop/s)
   double root_speed = 0.0;          ///< rank 0's speed — runs the seq. part
   CommModel comm;
-  /// The runtime's broadcast-algorithm switchover (vmpi::CollectiveTuning);
-  /// the overhead models pick the short- or long-message law per call.
-  double large_bcast_threshold_bytes = 12288.0;
 };
 
 /// An algorithm's analytic cost decomposition T = (W - W_seq)/C + t0 + To.

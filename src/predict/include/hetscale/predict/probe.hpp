@@ -20,11 +20,11 @@ struct ProbeConfig {
   scal::NetworkKind network = scal::NetworkKind::kSwitched;
   net::NetworkParams params{};
   int collective_ranks = 8;    ///< p used for bcast/barrier probes
-  /// Short-message fit abscissae (must stay below the runtime's large-
-  /// broadcast threshold so one algorithm is fitted).
+  /// Short-message fit abscissae (must stay below
+  /// vmpi::kLargeBcastThresholdBytes so one algorithm is fitted).
   double bytes_small = 1.0e3;
   double bytes_large = 8.0e3;
-  /// Long-message fit abscissae (at/above the threshold).
+  /// Long-message fit abscissae (at/above vmpi::kLargeBcastThresholdBytes).
   double bytes_xl_small = 1.0e5;
   double bytes_xl_large = 1.0e6;
 };

@@ -7,6 +7,7 @@
 #include "hetscale/numeric/roots.hpp"
 #include "hetscale/predict/theory.hpp"
 #include "hetscale/support/error.hpp"
+#include "hetscale/vmpi/comm.hpp"
 
 namespace hetscale::predict {
 
@@ -70,7 +71,7 @@ double GeOverheadModel::overhead(double n, const SystemModel& system) const {
   // one. Σ of k over (a, b] is (b(b+1) - a(a+1)) / 2.
   const double pm1 = static_cast<double>(p - 1);
   const double thr_rows = std::min(
-      n, std::floor(system.large_bcast_threshold_bytes / kBytesPerDouble));
+      n, std::floor(vmpi::kLargeBcastThresholdBytes / kBytesPerDouble));
   const double n_small = thr_rows;           // steps with k in [1, thr]
   const double n_large = n - thr_rows;       // steps with k in (thr, N]
   const double sum_small_bytes =
@@ -112,7 +113,7 @@ double MmOverheadModel::overhead(double n, const SystemModel& system) const {
   // affine fit whose constants can extrapolate slightly negative at very
   // small p·m, hence the clamp.
   const double b_bytes = n * n * kBytesPerDouble;
-  if (b_bytes >= system.large_bcast_threshold_bytes) {
+  if (b_bytes >= vmpi::kLargeBcastThresholdBytes) {
     to += std::max(0.0, comm.t_bcast_large(p, b_bytes));
   } else {
     to += comm.t_bcast(p, b_bytes);
@@ -197,7 +198,7 @@ double SpmvOverheadModel::overhead(double n,
   to += static_cast<double>(p - 1) * comm.t_send(block_bytes);
   // Initial x to everyone.
   const double x_bytes = n * kBytesPerDouble;
-  if (x_bytes >= system.large_bcast_threshold_bytes) {
+  if (x_bytes >= vmpi::kLargeBcastThresholdBytes) {
     to += std::max(0.0, comm.t_bcast_large(p, x_bytes));
   } else {
     to += comm.t_bcast(p, x_bytes);

@@ -72,10 +72,11 @@ class MeasurementStore {
 /// The canonical fingerprint of a measurable configuration. Every field
 /// that influences a simulated run is folded in (node specs with full
 /// precision, network kind and parameters, data mode, the collective
-/// tuning, and the algorithm's own key); scenario/display names are
-/// deliberately excluded. The paper-era legacy_flat tuning contributes no
+/// family, and the algorithm's own key); scenario/display names are
+/// deliberately excluded. The paper-era legacy_flat family contributes no
 /// component, so keys written before collective tuning existed keep
-/// resolving to the same measurements.
+/// resolving to the same measurements; the tree family appends
+/// `|coll=1,1,12288,1,1,1,1,1`.
 std::string config_fingerprint(
     std::string_view algo_key, const machine::Cluster& cluster,
     NetworkKind network, const net::NetworkParams& params, bool with_data,

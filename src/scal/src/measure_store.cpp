@@ -235,24 +235,11 @@ std::string config_fingerprint(std::string_view algo_key,
     }
   }
   // Legacy-flat adds nothing, so fingerprints minted before collective
-  // tuning existed still resolve; any other family is spelled out.
-  if (!(tuning == vmpi::CollectiveTuning::legacy_flat())) {
-    key += "|coll=";
-    key += std::to_string(static_cast<int>(tuning.small_bcast));
-    key += ',';
-    key += std::to_string(static_cast<int>(tuning.large_bcast));
-    key += ',';
-    append_exact(key, tuning.large_bcast_threshold_bytes);
-    key += ',';
-    key += std::to_string(static_cast<int>(tuning.barrier));
-    key += ',';
-    key += std::to_string(static_cast<int>(tuning.gather));
-    key += ',';
-    key += std::to_string(static_cast<int>(tuning.scatter));
-    key += ',';
-    key += std::to_string(static_cast<int>(tuning.reduce));
-    key += ',';
-    key += std::to_string(static_cast<int>(tuning.allreduce));
+  // tuning existed still resolve. The tree family keeps the spelling it had
+  // when the tuning was eight fields (an algorithm id per collective, the
+  // long-broadcast threshold third), so persisted tree-family caches do too.
+  if (tuning == vmpi::CollectiveTuning::tree()) {
+    key += "|coll=1,1,12288,1,1,1,1,1";
   }
   return key;
 }

@@ -4,7 +4,9 @@
 //   * one rank per processor (HoHe: process count == processor count),
 //   * blocking send / recv with tags and source wildcards,
 //   * collectives (bcast, barrier, gather, scatter, reduce) built from
-//     point-to-point messages, so their cost comes from the network model.
+//     point-to-point messages, so their cost comes from the network model;
+//     the machine's CollectiveTuning picks the paper-era flat family or
+//     the logarithmic tree family for all of them at once.
 //
 // Timing semantics:
 //   * compute(flops) advances this rank's virtual time by flops / rate;
@@ -26,6 +28,12 @@ namespace hetscale::vmpi {
 
 class Machine;
 class TraceRecorder;
+
+/// Broadcasts of at least this many bytes take a scatter + allgather
+/// long-message algorithm in either collective family. 12288 bytes is
+/// MPICH's historical long-message broadcast threshold; predict's overhead
+/// models switch laws at the same size.
+inline constexpr double kLargeBcastThresholdBytes = 12288.0;
 
 class Comm {
  public:
@@ -77,31 +85,29 @@ class Comm {
   // ---- Collectives (see file comment) ----
 
   /// Root's payload of modeled size `bytes` is delivered to every rank.
-  /// The algorithm is the machine's CollectiveTuning choice: short messages
-  /// use a binomial tree by default (Θ(log p)) or the paper-era flat tree
-  /// under the legacy pin (linear in p, like the measured T_bcast ≈
-  /// const·p); messages at or above the machine's large_bcast_threshold use
-  /// a scatter+allgather long-message algorithm (van de Geijn scatter+ring
-  /// under the legacy pin, binomial scatter + doubling allgather by
-  /// default), whose cost is ~2·bytes/B — essential to reproduce MM's
-  /// behaviour (DESIGN.md §6).
+  /// Short messages take a flat tree (legacy_flat: linear in p, like the
+  /// measured T_bcast ≈ const·p) or a binomial tree (tree: Θ(log p)).
+  /// Messages of at least kLargeBcastThresholdBytes take a scatter +
+  /// allgather long-message algorithm (legacy_flat: van de Geijn scatter +
+  /// ring; tree: binomial scatter + doubling allgather), whose cost is
+  /// ~2·bytes/B — essential to reproduce MM's behaviour (DESIGN.md §6).
   des::Task<Payload> bcast(int root, double bytes, Payload payload);
 
-  /// All ranks synchronize. Tuning-selected: flat all-to-root tokens plus a
-  /// root release (legacy), a binomial combining tree with binomial release
-  /// (default), or a dissemination barrier.
+  /// All ranks synchronize: all-to-root tokens plus a root release
+  /// (legacy_flat), or a binomial combining tree with a binomial release
+  /// (tree). Both send 2(p-1) tokens.
   des::Task<void> barrier();
 
   /// Every rank contributes (`bytes`, `payload`); the root returns the
-  /// vector indexed by rank, other ranks return an empty vector.
-  /// Tuning-selected: direct sends to the root (legacy) or subtree bundles
-  /// up a binomial tree (default, Θ(log p) rounds).
+  /// vector indexed by rank, other ranks return an empty vector. Direct
+  /// sends to the root (legacy_flat) or subtree bundles up a binomial tree
+  /// (tree, Θ(log p) rounds).
   des::Task<std::vector<Payload>> gather(int root, double bytes,
                                           Payload payload);
 
   /// The root distributes parts[r] (modeled size parts_bytes[r]) to rank r;
-  /// every rank returns its own part. Tuning-selected: direct sends from
-  /// the root (legacy) or subtree bundles down a binomial tree (default).
+  /// every rank returns its own part. Direct sends from the root
+  /// (legacy_flat) or subtree bundles down a binomial tree (tree).
   des::Task<Payload> scatter(int root, const std::vector<double>& parts_bytes,
                               std::vector<Payload> parts);
 
@@ -120,19 +126,19 @@ class Comm {
   /// Reduction operators over doubles.
   enum class ReduceOp { kSum, kMin, kMax, kProd };
 
-  /// Reduction of a double to the root (others get 0.0). Tuning-selected:
-  /// gather p scalars to the root and fold there (legacy — the root
-  /// materializes a vector of p payloads), or fold partial results up a
-  /// binomial combining tree (default — Θ(log p), O(1) state per rank).
+  /// Reduction of a double to the root (others get 0.0). Gather p scalars
+  /// to the root and fold there (legacy_flat — the root materializes a
+  /// vector of p payloads), or fold partial results up a binomial
+  /// combining tree (tree — Θ(log p), O(1) state per rank).
   des::Task<double> reduce(int root, double value, ReduceOp op);
 
   /// Sum-reduction of a double to the root (others get 0.0).
   des::Task<double> reduce_sum(int root, double value);
 
-  /// Reduction delivered to every rank. Tuning-selected: reduce to rank 0
-  /// then broadcast (legacy — two full trips), or a recursive-doubling
-  /// butterfly (default — the value lands everywhere in Θ(log p) rounds,
-  /// bit-identical across ranks by fixed combine association).
+  /// Reduction delivered to every rank. Reduce to rank 0 then broadcast
+  /// (legacy_flat — two full trips), or a recursive-doubling butterfly
+  /// (tree — the value lands everywhere in Θ(log p) rounds, bit-identical
+  /// across ranks by fixed combine association).
   des::Task<double> allreduce(double value, ReduceOp op);
 
   /// Sum-reduction delivered to every rank.
@@ -157,7 +163,6 @@ class Comm {
   static constexpr int kTagBcastRing = (1 << 28) + 6;
   static constexpr int kTagAllgather = (1 << 28) + 7;
   static constexpr int kTagAlltoall = (1 << 28) + 8;
-  static constexpr int kTagBarrierDissem = (1 << 28) + 9;
   static constexpr int kTagReduce = (1 << 28) + 10;
   static constexpr int kTagAllreduce = (1 << 28) + 11;
   static constexpr int kTagBcastDoubling = (1 << 28) + 12;
@@ -168,6 +173,9 @@ class Comm {
   /// returns the *final* attempt's result. Hook-free, it is one transfer.
   net::TransferResult transmit(int dst, double bytes, des::SimTime start);
 
+  /// Whether the machine runs the tree collective family (else legacy_flat).
+  bool tree_family() const;
+
   des::Task<Payload> bcast_flat(int root, double bytes, Payload payload);
   des::Task<Payload> bcast_binomial(int root, double bytes,
                                      Payload payload);
@@ -177,7 +185,6 @@ class Comm {
                                            Payload payload);
   des::Task<void> barrier_flat();
   des::Task<void> barrier_combining();
-  des::Task<void> barrier_dissemination();
   des::Task<std::vector<Payload>> gather_flat(int root, double bytes,
                                                Payload payload);
   des::Task<std::vector<Payload>> gather_binomial(int root, double bytes,

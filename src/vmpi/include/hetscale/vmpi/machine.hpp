@@ -44,84 +44,28 @@ struct RunResult {
   double overhead_s() const;
 };
 
-/// Short-message broadcast algorithm.
-enum class BcastAlgorithm {
-  kFlatTree,  ///< root sends to each rank in turn — Θ(p), the behaviour the
-              ///< paper measured on Sunwulf (T_bcast ≈ const·p)
-  kBinomialTree,  ///< Θ(log p) rounds — what modern MPIs do
-};
-
-/// Long-message broadcast algorithm (at/above the size threshold).
-enum class LargeBcastAlgorithm {
-  kScatterRing,      ///< van de Geijn scatter + ring allgather — Θ(p) rounds
-  kScatterDoubling,  ///< binomial scatter + Bruck allgather — Θ(log p) rounds
-};
-
-/// Barrier algorithm.
-enum class BarrierAlgorithm {
-  kFlatTree,       ///< all-to-root tokens, then a root release — Θ(p)
-  kCombiningTree,  ///< binomial combine to rank 0, binomial release — Θ(log p)
-  kDissemination,  ///< ceil(log2 p) rounds of shifted pairwise tokens
-};
-
-/// Gather/scatter algorithm (the two are mirror images).
-enum class GatherAlgorithm {
-  kFlatTree,      ///< every rank exchanges directly with the root — Θ(p)
-  kBinomialTree,  ///< subtree bundles up/down a binomial tree — Θ(log p)
-};
-
-/// Rooted-reduction algorithm.
-enum class ReduceAlgorithm {
-  kFlatGather,     ///< gather p scalars to the root, fold there — Θ(p) time
-                   ///< and a root-side vector of p payloads
-  kCombiningTree,  ///< fold partial results up a binomial tree — Θ(log p),
-                   ///< O(1) state per rank
-};
-
-/// Allreduce algorithm.
-enum class AllreduceAlgorithm {
-  kReduceBcast,        ///< reduce to rank 0, then broadcast (two full trips)
-  kRecursiveDoubling,  ///< butterfly exchange — Θ(log p), value lands
-                       ///< everywhere in one pass
-};
-
-/// Tuning knobs of the message-passing runtime itself (not the wire).
+/// The collective algorithm family a machine's Comms run. Every
+/// collective that has two implementations (bcast, barrier, gather,
+/// scatter, reduce, allreduce) picks one by this single choice; see Comm's
+/// per-collective docs for what each family runs.
 ///
-/// The defaults are the logarithmic tree family — what a modern MPI would
-/// run, and what keeps 1k-4k-rank machines affordable. `legacy_flat()` is
-/// the paper-era flat family that every golden scenario pins so its
-/// artifacts stay byte-identical to the original Sunwulf-calibrated runs.
+/// `tree()` is the logarithmic family — what a modern MPI would run, and
+/// what keeps 1k-4k-rank machines affordable; it is vmpi::Machine's
+/// default. `legacy_flat()` is the paper-era Θ(p) family, matching the
+/// measured Sunwulf T_bcast ≈ 0.23·p ms; scal::ClusterCombination::Config
+/// and scal::make_machine default to it, so every golden scenario's
+/// artifacts stay byte-identical to the original runs.
 struct CollectiveTuning {
-  BcastAlgorithm small_bcast = BcastAlgorithm::kBinomialTree;
-  LargeBcastAlgorithm large_bcast = LargeBcastAlgorithm::kScatterDoubling;
-  /// Broadcasts of at least this many bytes switch to the scatter+allgather
-  /// long-message path regardless of `small_bcast`. 12288 bytes is MPICH's
-  /// historical long-message broadcast threshold.
-  double large_bcast_threshold_bytes = 12288.0;
-  BarrierAlgorithm barrier = BarrierAlgorithm::kCombiningTree;
-  GatherAlgorithm gather = GatherAlgorithm::kBinomialTree;
-  GatherAlgorithm scatter = GatherAlgorithm::kBinomialTree;
-  ReduceAlgorithm reduce = ReduceAlgorithm::kCombiningTree;
-  AllreduceAlgorithm allreduce = AllreduceAlgorithm::kRecursiveDoubling;
+  enum class Family { kLegacyFlat, kTree };
+  Family family = Family::kTree;
 
   friend bool operator==(const CollectiveTuning&,
                          const CollectiveTuning&) = default;
 
-  /// The paper's measured behaviour: every collective flat/linear.
   static constexpr CollectiveTuning legacy_flat() {
-    return {BcastAlgorithm::kFlatTree,
-            LargeBcastAlgorithm::kScatterRing,
-            12288.0,
-            BarrierAlgorithm::kFlatTree,
-            GatherAlgorithm::kFlatTree,
-            GatherAlgorithm::kFlatTree,
-            ReduceAlgorithm::kFlatGather,
-            AllreduceAlgorithm::kReduceBcast};
+    return {Family::kLegacyFlat};
   }
-
-  /// The logarithmic family (the defaults), spelled out for call sites that
-  /// want to be explicit.
-  static constexpr CollectiveTuning tree() { return {}; }
+  static constexpr CollectiveTuning tree() { return {Family::kTree}; }
 };
 
 class Machine {
@@ -177,7 +121,6 @@ class Machine {
   void post_message(int src, int dst, Message message);
 
   const CollectiveTuning& tuning() const { return tuning_; }
-  void set_tuning(const CollectiveTuning& tuning) { tuning_ = tuning; }
 
   /// Turn on execution tracing (before run()); the recorder lives as long
   /// as the machine. Null when tracing is off. Traced runs partition too.

@@ -20,8 +20,7 @@ obs::CommPhase Comm::phase_for_tag(int tag) {
   switch (tag) {
     case kTagBcast: return obs::CommPhase::kBcast;
     case kTagBarrierIn:
-    case kTagBarrierOut:
-    case kTagBarrierDissem: return obs::CommPhase::kBarrier;
+    case kTagBarrierOut: return obs::CommPhase::kBarrier;
     case kTagGather: return obs::CommPhase::kGather;
     case kTagScatter: return obs::CommPhase::kScatter;
     case kTagBcastScatter: return obs::CommPhase::kBcastScatter;
@@ -33,6 +32,10 @@ obs::CommPhase Comm::phase_for_tag(int tag) {
     case kTagAllreduce: return obs::CommPhase::kAllreduce;
     default: return obs::CommPhase::kP2p;
   }
+}
+
+bool Comm::tree_family() const {
+  return machine_->tuning() == CollectiveTuning::tree();
 }
 
 des::Task<void> Comm::compute(double flops, double efficiency) {
@@ -187,17 +190,13 @@ des::Task<Message> Comm::recv(int source, int tag) {
 
 des::Task<Payload> Comm::bcast(int root, double bytes, Payload payload) {
   HETSCALE_REQUIRE(root >= 0 && root < size_, "root rank out of range");
-  if (size_ > 1 &&
-      bytes >= machine_->tuning().large_bcast_threshold_bytes) {
-    if (machine_->tuning().large_bcast ==
-        LargeBcastAlgorithm::kScatterDoubling) {
+  if (size_ > 1 && bytes >= kLargeBcastThresholdBytes) {
+    if (tree_family()) {
       return bcast_large_doubling(root, bytes, std::move(payload));
     }
     return bcast_large_ring(root, bytes, std::move(payload));
   }
-  if (machine_->tuning().small_bcast == BcastAlgorithm::kBinomialTree) {
-    return bcast_binomial(root, bytes, std::move(payload));
-  }
+  if (tree_family()) return bcast_binomial(root, bytes, std::move(payload));
   return bcast_flat(root, bytes, std::move(payload));
 }
 
@@ -327,16 +326,10 @@ des::Task<void> Comm::barrier() {
   const std::size_t span =
       tracer ? tracer->spans().open(rank_, tracer->barrier_name_id(), now())
              : obs::kNoSpan;
-  switch (machine_->tuning().barrier) {
-    case BarrierAlgorithm::kFlatTree:
-      co_await barrier_flat();
-      break;
-    case BarrierAlgorithm::kCombiningTree:
-      co_await barrier_combining();
-      break;
-    case BarrierAlgorithm::kDissemination:
-      co_await barrier_dissemination();
-      break;
+  if (tree_family()) {
+    co_await barrier_combining();
+  } else {
+    co_await barrier_flat();
   }
   if (tracer) tracer->spans().close(span, now());
 }
@@ -384,26 +377,10 @@ des::Task<void> Comm::barrier_combining() {
   }
 }
 
-des::Task<void> Comm::barrier_dissemination() {
-  // Dissemination barrier: in round k every rank sends a token to the rank
-  // 2^k ahead and waits on the rank 2^k behind — ceil(log2 p) fully
-  // concurrent rounds, no root at all. Distances are distinct powers of two
-  // below p, so every (source, round) pair a rank waits on is unique and
-  // source-specific receives cannot mismatch across rounds.
-  for (int dist = 1; dist < size_; dist <<= 1) {
-    const int dst = (rank_ + dist) % size_;
-    const int src = (rank_ - dist + size_) % size_;
-    co_await send(dst, kTagBarrierDissem, kTokenBytes, {});
-    co_await recv(src, kTagBarrierDissem);
-  }
-}
-
 des::Task<std::vector<Payload>> Comm::gather(int root, double bytes,
                                               Payload payload) {
   HETSCALE_REQUIRE(root >= 0 && root < size_, "root rank out of range");
-  if (machine_->tuning().gather == GatherAlgorithm::kBinomialTree) {
-    return gather_binomial(root, bytes, std::move(payload));
-  }
+  if (tree_family()) return gather_binomial(root, bytes, std::move(payload));
   return gather_flat(root, bytes, std::move(payload));
 }
 
@@ -467,7 +444,7 @@ des::Task<Payload> Comm::scatter(int root,
                          parts_bytes.size() == parts.size(),
                      "scatter needs one part per rank at the root");
   }
-  if (machine_->tuning().scatter == GatherAlgorithm::kBinomialTree) {
+  if (tree_family()) {
     return scatter_binomial(root, parts_bytes, std::move(parts));
   }
   return scatter_flat(root, parts_bytes, std::move(parts));
@@ -597,9 +574,7 @@ double apply_reduce(Comm::ReduceOp op, double a, double b) {
 
 des::Task<double> Comm::reduce(int root, double value, ReduceOp op) {
   HETSCALE_REQUIRE(root >= 0 && root < size_, "root rank out of range");
-  if (machine_->tuning().reduce == ReduceAlgorithm::kCombiningTree) {
-    return reduce_combining(root, value, op);
-  }
+  if (tree_family()) return reduce_combining(root, value, op);
   return reduce_flat(root, value, op);
 }
 
@@ -646,9 +621,7 @@ des::Task<double> Comm::reduce_sum(int root, double value) {
 }
 
 des::Task<double> Comm::allreduce(double value, ReduceOp op) {
-  if (machine_->tuning().allreduce == AllreduceAlgorithm::kRecursiveDoubling) {
-    return allreduce_doubling(value, op);
-  }
+  if (tree_family()) return allreduce_doubling(value, op);
   return allreduce_reduce_bcast(value, op);
 }
 

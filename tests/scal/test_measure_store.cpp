@@ -240,6 +240,39 @@ TEST_F(MeasureStoreTest, FingerprintSeparatesDifferentConfigs) {
   EXPECT_NE(k1, k5) << "a 1-ulp parameter change must split the key";
 }
 
+TEST_F(MeasureStoreTest, CollectiveFamilyReachesMachineAndKey) {
+  // Two combinations that differ only in Config::tuning. The keys are part
+  // of the on-disk cache format: legacy_flat adds nothing, and the tree
+  // family's suffix is pinned.
+  auto flat_config = ge2_config();
+  flat_config.cluster = machine::sunwulf::ge_ensemble(4);
+  flat_config.tuning = vmpi::CollectiveTuning::legacy_flat();
+  auto tree_config = flat_config;
+  tree_config.tuning = vmpi::CollectiveTuning::tree();
+  const auto key = [](const ClusterCombination::Config& config) {
+    return config_fingerprint(ge_algo().key, config.cluster, config.network,
+                              config.net_params, config.with_data,
+                              config.tuning);
+  };
+  const std::string flat_key = key(flat_config);
+  const std::string tree_key = key(tree_config);
+  EXPECT_NE(flat_key, tree_key);
+  EXPECT_EQ(flat_key.find("|coll="), std::string::npos) << flat_key;
+  EXPECT_TRUE(tree_key.ends_with("|coll=1,1,12288,1,1,1,1,1")) << tree_key;
+
+  // The family reaches the simulated machine: with the store on, aliased
+  // keys would hand the tree run the flat run's seconds.
+  ClusterCombination flat("GE-4 flat", flat_config, ge_algo());
+  ClusterCombination tree("GE-4 tree", tree_config, ge_algo());
+  auto& store = MeasurementStore::global();
+  const double flat_seconds = flat.measure(64).seconds;
+  const std::uint64_t misses_after_flat = store.misses();
+  const double tree_seconds = tree.measure(64).seconds;
+  EXPECT_EQ(store.misses(), misses_after_flat + 1)
+      << "the tree run must not hit the flat run's store entry";
+  EXPECT_NE(flat_seconds, tree_seconds);
+}
+
 TEST_F(MeasureStoreTest, DisabledStoreDoesNotShare) {
   auto& store = MeasurementStore::global();
   store.set_enabled(false);

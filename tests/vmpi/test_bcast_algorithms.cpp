@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "hetscale/support/units.hpp"
+#include "hetscale/vmpi/group.hpp"
 #include "hetscale/vmpi/machine.hpp"
 
 namespace hetscale::vmpi {
@@ -22,12 +25,11 @@ machine::Cluster test_cluster(int nodes) {
   return cluster;
 }
 
-/// Runs one bcast of `bytes` from `root` under the given tuning and checks
+/// Runs one bcast of `bytes` from `root` under the given family and checks
 /// every rank got the payload; returns completion time (max over ranks).
 double run_bcast(int p, int root, double bytes,
                  const CollectiveTuning& tuning) {
-  auto machine = Machine::switched(test_cluster(p));
-  machine.set_tuning(tuning);
+  auto machine = Machine::switched(test_cluster(p), {}, tuning);
   auto latest = std::make_shared<double>(0.0);
   auto sum = std::make_shared<int>(0);
   machine.run([root, bytes, latest, sum](Comm& comm) -> Task<void> {
@@ -38,6 +40,23 @@ double run_bcast(int p, int root, double bytes,
     *latest = std::max(*latest, comm.now());
   });
   EXPECT_EQ(*sum, 777 * p);
+  return *latest;
+}
+
+/// The same broadcast through a world-sized Group, whose bcast is a flat
+/// tree at every message size.
+double run_group_bcast(int p, double bytes) {
+  auto machine = Machine::switched(test_cluster(p));
+  auto latest = std::make_shared<double>(0.0);
+  machine.run([p, bytes, latest](Comm& comm) -> Task<void> {
+    std::vector<int> members(static_cast<std::size_t>(p));
+    std::iota(members.begin(), members.end(), 0);
+    Group world(comm, std::move(members));
+    Payload payload;
+    if (world.rank() == 0) payload = Payload(777);
+    (void)co_await world.bcast(0, /*tag=*/5, bytes, std::move(payload));
+    *latest = std::max(*latest, comm.now());
+  });
   return *latest;
 }
 
@@ -53,68 +72,68 @@ INSTANTIATE_TEST_SUITE_P(
                       BcastCase{8, 5}, BcastCase{16, 0}, BcastCase{17, 16}));
 
 TEST_P(BcastAlgorithms, FlatTreeDeliversFromAnyRoot) {
-  CollectiveTuning tuning;
-  tuning.small_bcast = BcastAlgorithm::kFlatTree;
-  run_bcast(GetParam().p, GetParam().root, 1e3, tuning);
+  run_bcast(GetParam().p, GetParam().root, 1e3,
+            CollectiveTuning::legacy_flat());
 }
 
 TEST_P(BcastAlgorithms, BinomialTreeDeliversFromAnyRoot) {
-  CollectiveTuning tuning;
-  tuning.small_bcast = BcastAlgorithm::kBinomialTree;
-  run_bcast(GetParam().p, GetParam().root, 1e3, tuning);
+  run_bcast(GetParam().p, GetParam().root, 1e3, CollectiveTuning::tree());
+}
+
+TEST_P(BcastAlgorithms, FlatLargeMessagePathDeliversFromAnyRoot) {
+  // Van de Geijn scatter + ring.
+  run_bcast(GetParam().p, GetParam().root, kLargeBcastThresholdBytes,
+            CollectiveTuning::legacy_flat());
 }
 
 TEST_P(BcastAlgorithms, LargeMessagePathDeliversFromAnyRoot) {
-  CollectiveTuning tuning;
-  tuning.large_bcast_threshold_bytes = 100.0;  // force the vdG path
-  run_bcast(GetParam().p, GetParam().root, 1e3, tuning);
+  // Binomial scatter + doubling allgather.
+  run_bcast(GetParam().p, GetParam().root, kLargeBcastThresholdBytes,
+            CollectiveTuning::tree());
 }
 
 TEST(BcastAlgorithms, BinomialBeatsFlatAtScaleOnSwitch) {
-  CollectiveTuning flat;
-  flat.small_bcast = BcastAlgorithm::kFlatTree;
-  CollectiveTuning binomial;
-  binomial.small_bcast = BcastAlgorithm::kBinomialTree;
-  const double t_flat = run_bcast(32, 0, 4e3, flat);
-  const double t_binomial = run_bcast(32, 0, 4e3, binomial);
+  const double t_flat = run_bcast(32, 0, 4e3, CollectiveTuning::legacy_flat());
+  const double t_binomial = run_bcast(32, 0, 4e3, CollectiveTuning::tree());
   EXPECT_LT(t_binomial, 0.5 * t_flat);  // log p vs p rounds
 }
 
 TEST(BcastAlgorithms, BinomialScalesLogarithmically) {
-  CollectiveTuning binomial;
-  binomial.small_bcast = BcastAlgorithm::kBinomialTree;
-  const double t8 = run_bcast(8, 0, 2e3, binomial);
-  const double t64 = run_bcast(64, 0, 2e3, binomial);
+  const double t8 = run_bcast(8, 0, 2e3, CollectiveTuning::tree());
+  const double t64 = run_bcast(64, 0, 2e3, CollectiveTuning::tree());
   // 3 rounds -> 6 rounds: time should roughly double, nowhere near 8x.
   EXPECT_LT(t64, 3.0 * t8);
   EXPECT_GT(t64, 1.5 * t8);
 }
 
 TEST(BcastAlgorithms, VdGBeatsFlatForLargeMessages) {
-  // Compare within the paper-era family: flat small-message tree vs the
-  // vdG scatter+ring, so the ratio is ~2m/B against (p-1)m/B.
-  CollectiveTuning flat_only = CollectiveTuning::legacy_flat();
-  flat_only.large_bcast_threshold_bytes = 1e18;  // never switch
-  CollectiveTuning with_vdg = CollectiveTuning::legacy_flat();
+  // Within the paper-era family: the vdG scatter + ring against a flat tree
+  // of the same message, so the ratio is ~2m/B against (p-1)m/B.
   const double bytes = 1e6;
-  const double t_flat = run_bcast(16, 0, bytes, flat_only);
-  const double t_vdg = run_bcast(16, 0, bytes, with_vdg);
+  const double t_flat = run_group_bcast(16, bytes);
+  const double t_vdg =
+      run_bcast(16, 0, bytes, CollectiveTuning::legacy_flat());
   EXPECT_LT(t_vdg, 0.4 * t_flat);  // ~2m/B vs (p-1)m/B
 }
 
 TEST(BcastAlgorithms, ThresholdBoundaryIsRespected) {
-  // Just below the threshold: flat (root-serialized, slower at p=16);
-  // at the threshold: vdG.
-  CollectiveTuning tuning;  // default 12288
-  const double below = run_bcast(16, 0, 12287.0, tuning);
-  const double at = run_bcast(16, 0, 12288.0, tuning);
-  EXPECT_LT(at, below);  // larger message, yet faster: algorithm switched
+  // Just below the threshold: the short-message tree (root-serialized or
+  // log p full-size rounds, slower at p=16); at it: scatter + allgather.
+  for (const auto& tuning :
+       {CollectiveTuning::legacy_flat(), CollectiveTuning::tree()}) {
+    SCOPED_TRACE(tuning == CollectiveTuning::tree() ? "tree" : "legacy_flat");
+    const double below =
+        run_bcast(16, 0, kLargeBcastThresholdBytes - 1.0, tuning);
+    const double at = run_bcast(16, 0, kLargeBcastThresholdBytes, tuning);
+    EXPECT_LT(at, below);  // larger message, yet faster: algorithm switched
+  }
 }
 
 TEST(BcastAlgorithms, SingleRankBcastIsFree) {
-  CollectiveTuning tuning;
-  tuning.large_bcast_threshold_bytes = 100.0;
-  EXPECT_DOUBLE_EQ(run_bcast(1, 0, 1e6, tuning), 0.0);
+  for (const auto& tuning :
+       {CollectiveTuning::legacy_flat(), CollectiveTuning::tree()}) {
+    EXPECT_DOUBLE_EQ(run_bcast(1, 0, 1e6, tuning), 0.0);
+  }
 }
 
 }  // namespace

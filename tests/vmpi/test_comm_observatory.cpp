@@ -143,26 +143,27 @@ TEST(CommObservatory, LargeBcastDefaultSplitsIntoScatterAndDoubling) {
 }
 
 TEST(CommObservatory, BarrierRoundsAttributeToBarrierPhaseNotP2p) {
-  // Satellite (f): dissemination-round sends must land in the `barrier`
-  // CommMatrix phase, never as anonymous p2p traffic.
-  CollectiveTuning tuning;
-  tuning.barrier = BarrierAlgorithm::kDissemination;
-  auto machine = Machine::shared_bus(test_cluster(5), fast_params(), tuning);
-  auto& tracer = machine.enable_tracing();
-  machine.run([](Comm& comm) -> Task<void> { co_await comm.barrier(); });
-  std::uint64_t barrier_msgs = 0;
-  std::uint64_t p2p_msgs = 0;
-  for (const obs::CommCell& cell : tracer.comm().cells()) {
-    if (cell.phase == static_cast<int>(obs::CommPhase::kBarrier)) {
-      barrier_msgs += cell.messages;
+  // Barrier token rounds must land in the `barrier` CommMatrix phase, never
+  // as anonymous p2p traffic, in either collective family.
+  for (const auto& tuning :
+       {CollectiveTuning::legacy_flat(), CollectiveTuning::tree()}) {
+    auto machine = Machine::shared_bus(test_cluster(5), fast_params(), tuning);
+    auto& tracer = machine.enable_tracing();
+    machine.run([](Comm& comm) -> Task<void> { co_await comm.barrier(); });
+    std::uint64_t barrier_msgs = 0;
+    std::uint64_t p2p_msgs = 0;
+    for (const obs::CommCell& cell : tracer.comm().cells()) {
+      if (cell.phase == static_cast<int>(obs::CommPhase::kBarrier)) {
+        barrier_msgs += cell.messages;
+      }
+      if (cell.phase == static_cast<int>(obs::CommPhase::kP2p)) {
+        p2p_msgs += cell.messages;
+      }
     }
-    if (cell.phase == static_cast<int>(obs::CommPhase::kP2p)) {
-      p2p_msgs += cell.messages;
-    }
+    // Both families gather p-1 tokens and release p-1: 2(p-1) at p=5.
+    EXPECT_EQ(barrier_msgs, 8u);
+    EXPECT_EQ(p2p_msgs, 0u);
   }
-  // Dissemination at p=5: ceil(log2 5) = 3 rounds, one send per rank each.
-  EXPECT_EQ(barrier_msgs, 15u);
-  EXPECT_EQ(p2p_msgs, 0u);
 }
 
 TEST(CommObservatory, GroupCollectivesGetTheirOwnPhase) {

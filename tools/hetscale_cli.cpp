@@ -16,8 +16,8 @@
 //   hetscale_cli profile --algo sort --cluster "sunbladex4" --n 4096
 //                        --format table --trace-out sort.trace.json
 //   hetscale_cli trace   --algo ge --cluster "sunbladex4" --n 64 --out ge.trace.json
-//   hetscale_cli inject  --algo ge --cluster "sunbladex4" --n 256 --seed 7 \
-//                        --slowdown 0.6 --loss 0.05 --crash-rate 0.5 \
+//   hetscale_cli inject  --algo ge --cluster "sunbladex4" --n 256 --seed 7
+//                        --slowdown 0.6 --loss 0.05 --crash-rate 0.5
 //                        --checkpoint-interval 0.25
 //
 // Cluster grammar: comma-separated "<type>[xCOUNT][:CPUS]" with types
