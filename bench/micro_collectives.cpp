@@ -21,7 +21,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <string>
 
 #include "hetscale/machine/cluster.hpp"
 #include "hetscale/machine/sunwulf.hpp"
@@ -33,15 +32,6 @@ namespace {
 
 using namespace hetscale;
 using des::Task;
-
-machine::Cluster blades(int n) {
-  machine::Cluster cluster;
-  for (int i = 0; i < n; ++i) {
-    cluster.add_node("n" + std::to_string(i),
-                     machine::sunwulf::sunblade_spec());
-  }
-  return cluster;
-}
 
 constexpr int kRounds = 10;
 
@@ -75,7 +65,8 @@ void set_counters(benchmark::State& state, const CollectiveRun& run,
 
 void bcast_rounds(benchmark::State& state,
                   const vmpi::CollectiveTuning& tuning) {
-  const auto cluster = blades(static_cast<int>(state.range(0)));
+  const auto cluster = machine::sunwulf::homogeneous_ensemble(
+      static_cast<int>(state.range(0)));
   CollectiveRun run;
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -95,7 +86,8 @@ void bcast_rounds(benchmark::State& state,
 
 void barrier_rounds(benchmark::State& state,
                     const vmpi::CollectiveTuning& tuning) {
-  const auto cluster = blades(static_cast<int>(state.range(0)));
+  const auto cluster = machine::sunwulf::homogeneous_ensemble(
+      static_cast<int>(state.range(0)));
   CollectiveRun run;
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -111,7 +103,8 @@ void barrier_rounds(benchmark::State& state,
 
 void reduce_rounds(benchmark::State& state,
                    const vmpi::CollectiveTuning& tuning) {
-  const auto cluster = blades(static_cast<int>(state.range(0)));
+  const auto cluster = machine::sunwulf::homogeneous_ensemble(
+      static_cast<int>(state.range(0)));
   CollectiveRun run;
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -132,7 +125,8 @@ void gather_rounds(benchmark::State& state,
   // Exercises the pooled-bundle hot path: the binomial gather ships whole
   // subtrees as native bundle payloads (Payload::make_bundle), so a warm
   // tree edge moves parts without touching the heap.
-  const auto cluster = blades(static_cast<int>(state.range(0)));
+  const auto cluster = machine::sunwulf::homogeneous_ensemble(
+      static_cast<int>(state.range(0)));
   CollectiveRun run;
   std::uint64_t events = 0;
   for (auto _ : state) {

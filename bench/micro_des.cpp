@@ -3,11 +3,7 @@
 // harness can drive per wall-clock second.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
-#include <string>
 
 #include "hetscale/algos/ge.hpp"
 #include "hetscale/des/scheduler.hpp"
@@ -23,35 +19,12 @@
 #include "hetscale/run/runner.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scenarios/paper.hpp"
-
-// ---- Counting allocator hook ------------------------------------------------
-// Global operator new is replaced binary-wide so the benchmarks can report
-// allocations per simulated event/message — the quantity the slab queue and
-// payload arena exist to eliminate. The count is relaxed-atomic: workers
-// allocate concurrently in the ladder benchmark, and ordering is irrelevant.
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "counting_allocator.hpp"
 
 namespace {
 
 using namespace hetscale;
 using des::Task;
-
-std::uint64_t allocations() {
-  return g_alloc_count.load(std::memory_order_relaxed);
-}
 
 // args: {total events, concurrent delay loops}. One loop is the ubiquitous
 // schedule-one/pop-one rhythm (the scheduler's front-slot fast path); many
@@ -64,7 +37,7 @@ void BM_SchedulerDelayEvents(benchmark::State& state) {
   const int per_loop = events / loops;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    const std::uint64_t before = allocations();
+    const std::uint64_t before = bench::allocations();
     des::Scheduler sched;
     for (int c = 0; c < loops; ++c) {
       sched.spawn([](des::Scheduler& s, int n, double dt) -> Task<void> {
@@ -73,7 +46,7 @@ void BM_SchedulerDelayEvents(benchmark::State& state) {
     }
     sched.run();
     benchmark::DoNotOptimize(sched.now());
-    allocs += allocations() - before;
+    allocs += bench::allocations() - before;
   }
   const auto total = state.iterations() *
                      static_cast<std::uint64_t>(per_loop) * loops;
@@ -97,21 +70,13 @@ void BM_TimelineReserve(benchmark::State& state) {
 }
 BENCHMARK(BM_TimelineReserve);
 
-machine::Cluster blades(int n) {
-  machine::Cluster cluster;
-  for (int i = 0; i < n; ++i) {
-    cluster.add_node("n" + std::to_string(i),
-                     machine::sunwulf::sunblade_spec());
-  }
-  return cluster;
-}
-
 void BM_PingPong(benchmark::State& state) {
   const int rounds = static_cast<int>(state.range(0));
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    auto machine = vmpi::Machine::switched(blades(2));
-    const std::uint64_t before = allocations();
+    auto machine = vmpi::Machine::switched(
+        machine::sunwulf::homogeneous_ensemble(2));
+    const std::uint64_t before = bench::allocations();
     machine.run([rounds](vmpi::Comm& comm) -> Task<void> {
       for (int i = 0; i < rounds; ++i) {
         if (comm.rank() == 0) {
@@ -123,7 +88,7 @@ void BM_PingPong(benchmark::State& state) {
         }
       }
     });
-    allocs += allocations() - before;
+    allocs += bench::allocations() - before;
   }
   state.SetItemsProcessed(state.iterations() * rounds * 2);
   state.counters["allocs_per_msg"] = benchmark::Counter(
@@ -148,7 +113,7 @@ void BM_MailboxRotatingSender(benchmark::State& state) {
   int sender = 0;
   std::uint64_t allocs = 0;
   for (auto _ : state) {
-    const std::uint64_t before = allocations();
+    const std::uint64_t before = bench::allocations();
     for (int b = 0; b < backlog; ++b) {
       box.post(vmpi::Message{sources + b, kTag, 8.0, {}, 0.0});
     }
@@ -160,7 +125,7 @@ void BM_MailboxRotatingSender(benchmark::State& state) {
     for (int b = 0; b < backlog; ++b) {
       benchmark::DoNotOptimize(box.take_match(sources + b, kTag));
     }
-    allocs += allocations() - before;
+    allocs += bench::allocations() - before;
   }
   state.SetItemsProcessed(state.iterations() * kRound);
   state.counters["allocs_per_msg"] = benchmark::Counter(
@@ -176,7 +141,8 @@ BENCHMARK(BM_MailboxRotatingSender)
 void BM_Barrier(benchmark::State& state) {
   const int ranks = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto machine = vmpi::Machine::switched(blades(ranks));
+    auto machine = vmpi::Machine::switched(
+        machine::sunwulf::homogeneous_ensemble(ranks));
     machine.run([](vmpi::Comm& comm) -> Task<void> {
       for (int i = 0; i < 100; ++i) co_await comm.barrier();
     });

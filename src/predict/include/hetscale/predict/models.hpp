@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "hetscale/machine/cluster.hpp"
@@ -92,7 +90,7 @@ class MmOverheadModel final : public OverheadModel {
 /// row down plus one row up.
 class JacobiOverheadModel final : public OverheadModel {
  public:
-  explicit JacobiOverheadModel(std::int64_t sweeps = 50);
+  explicit JacobiOverheadModel(std::int64_t sweeps);
   double work(double n) const override;
   double sequential_flops(double n) const override;
   double overhead(double n, const SystemModel& system) const override;
@@ -109,7 +107,7 @@ class JacobiOverheadModel final : public OverheadModel {
 /// The workload uses the synthetic matrix's expected 10 nonzeros per row.
 class SpmvOverheadModel final : public OverheadModel {
  public:
-  explicit SpmvOverheadModel(std::int64_t sweeps = 50);
+  explicit SpmvOverheadModel(std::int64_t sweeps);
   double work(double n) const override;
   double sequential_flops(double n) const override;
   double overhead(double n, const SystemModel& system) const override;
@@ -117,12 +115,6 @@ class SpmvOverheadModel final : public OverheadModel {
  private:
   std::int64_t sweeps_;
 };
-
-/// The analytic model for a CLI algorithm name ("ge", "mm", "jacobi",
-/// "spmv"). Throws PreconditionError naming the supported algorithms for
-/// anything else — unsupported algos fail loudly, never silently fall back
-/// to GE.
-std::unique_ptr<OverheadModel> overhead_model_for(const std::string& algo);
 
 /// Predicted execution time T(N) = (W - W_seq)/C + t0 + To.
 double predicted_time(const OverheadModel& model, const SystemModel& system,

@@ -14,9 +14,8 @@ namespace {
 /// In-sample error of the analytic Theorem-1 pipeline on the dataset. The
 /// SystemModel is rebuilt per point from the point's own measured
 /// configuration, so a ladder mixing processor counts scores correctly.
-void score_analytic(const scal::FitDataset& data, const CommModel& comm,
-                    AlgoFitStudy& study) {
-  const auto model = overhead_model_for(data.algo);
+void score_analytic(const scal::FitDataset& data, const OverheadModel& model,
+                    const CommModel& comm, AlgoFitStudy& study) {
   double sum_sq = 0.0;
   for (const auto& point : data.points) {
     SystemModel system;
@@ -25,7 +24,7 @@ void score_analytic(const scal::FitDataset& data, const CommModel& comm,
     system.root_speed = point.root_speed;
     system.comm = comm;
     const double predicted = predicted_speed_efficiency(
-        *model, system, static_cast<double>(point.n));
+        model, system, static_cast<double>(point.n));
     const double error =
         (std::isfinite(predicted) ? predicted : 0.0) -
         point.speed_efficiency;
@@ -49,6 +48,7 @@ std::string join_params(const ModelFitRow& row) {
 }  // namespace
 
 AlgoFitStudy build_algo_fit_study(const scal::FitDataset& data,
+                                  const OverheadModel& model,
                                   const CommModel& comm,
                                   const LmOptions& options) {
   HETSCALE_REQUIRE(!data.points.empty(),
@@ -58,17 +58,16 @@ AlgoFitStudy build_algo_fit_study(const scal::FitDataset& data,
   study.point_count = data.points.size();
   study.processor_counts = data.processor_counts();
   study.sizes = data.sizes();
-  score_analytic(data, comm, study);
+  score_analytic(data, model, comm, study);
 
-  for (const ScalabilityModel* model : model_zoo()) {
+  for (const ScalabilityModel* law : model_zoo()) {
     ModelFitRow row;
-    row.model = model->name();
-    row.param_names = model->parameter_names();
-    const ModelFitResult fit =
-        fit_scalability_model(*model, data, options);
+    row.model = law->name();
+    row.param_names = law->parameter_names();
+    const ModelFitResult fit = fit_scalability_model(*law, data, options);
     row.params = fit.params;
     row.fit_rmse = fit.rmse;
-    row.cv = leave_one_out_cv(*model, data, options);
+    row.cv = leave_one_out_cv(*law, data, options);
     row.beats_analytic = row.cv.rmse < study.analytic_rmse;
     study.models.push_back(std::move(row));
   }

@@ -209,16 +209,6 @@ double SpmvOverheadModel::overhead(double n,
   return to;
 }
 
-std::unique_ptr<OverheadModel> overhead_model_for(const std::string& algo) {
-  if (algo == "ge") return std::make_unique<GeOverheadModel>();
-  if (algo == "mm") return std::make_unique<MmOverheadModel>();
-  if (algo == "jacobi") return std::make_unique<JacobiOverheadModel>();
-  if (algo == "spmv") return std::make_unique<SpmvOverheadModel>();
-  HETSCALE_REQUIRE(false, "no analytic overhead model for algorithm '" +
-                              algo + "' (supported: ge, mm, jacobi, spmv)");
-  return nullptr;  // unreachable
-}
-
 // ---- Prediction pipeline ----
 
 double predicted_time(const OverheadModel& model, const SystemModel& system,

@@ -47,24 +47,22 @@ double measure_bcast_time(const ProbeConfig& config, int ranks,
   HETSCALE_REQUIRE(ranks >= 2, "bcast probe needs at least 2 ranks");
   auto machine = scal::make_machine(probe_cluster(config.node, ranks),
                                     config.network, config.params);
-  auto latest = std::make_shared<double>(0.0);
-  machine.run([bytes, latest](Comm& comm) -> Task<void> {
-    co_await comm.bcast(0, bytes, {});
-    *latest = std::max(*latest, comm.now());
-  });
-  return *latest;
+  // Every rank finishes when its part of the broadcast completes, so the
+  // run's elapsed time is the completion time, max over ranks.
+  return machine
+      .run([bytes](Comm& comm) -> Task<void> {
+        co_await comm.bcast(0, bytes, {});
+      })
+      .elapsed;
 }
 
 double measure_barrier_time(const ProbeConfig& config, int ranks) {
   HETSCALE_REQUIRE(ranks >= 2, "barrier probe needs at least 2 ranks");
   auto machine = scal::make_machine(probe_cluster(config.node, ranks),
                                     config.network, config.params);
-  auto latest = std::make_shared<double>(0.0);
-  machine.run([latest](Comm& comm) -> Task<void> {
-    co_await comm.barrier();
-    *latest = std::max(*latest, comm.now());
-  });
-  return *latest;
+  return machine
+      .run([](Comm& comm) -> Task<void> { co_await comm.barrier(); })
+      .elapsed;
 }
 
 CommModel probe_comm_model(const ProbeConfig& config) {

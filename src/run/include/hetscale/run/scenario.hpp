@@ -16,10 +16,6 @@
 #include "hetscale/run/result.hpp"
 #include "hetscale/run/runner.hpp"
 
-namespace hetscale::obs {
-class Profiler;
-}  // namespace hetscale::obs
-
 namespace hetscale::run {
 
 enum class OutputFormat { kText, kCsv, kJson };
@@ -30,11 +26,6 @@ struct RunContext {
   /// Experiment seed (--seed / HETSCALE_SEED). Fault scenarios expand it
   /// into a FaultPlan; healthy scenarios are free to ignore it.
   std::uint64_t seed = 0;
-  /// Profiler collecting this run's instrumentation, or null when
-  /// profiling is off. Scenarios normally need not touch it — machines
-  /// publish to the ambient obs::current() automatically — but it is here
-  /// so a scenario can attach extra context if it wants to.
-  obs::Profiler* profiler = nullptr;
 };
 
 struct Scenario {

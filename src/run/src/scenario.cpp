@@ -96,8 +96,7 @@ int scenario_main(const std::string& name, int argc,
       profiler_scope.emplace(*profiler);
     }
     const RunContext context{runner, parse_format(args.get("format")),
-                             resolve_seed(args),
-                             profiler ? &*profiler : nullptr};
+                             resolve_seed(args)};
     const RunResult result = scenario->run(context);
     profiler_scope.reset();
     std::string storage;

@@ -5,21 +5,17 @@
 // AlgoSpec says what it is called in the measurement store, how much work
 // it does at size N, and how to run it once on a simulated machine.
 //
-// The registry names every built-in algorithm with its default parameters,
-// the paper ensemble ladder it runs on, and its default isospeed target.
-// It is the CLI's `--algo` vocabulary; adding an algorithm means one
-// registry entry plus its kernel under algos/.
+// scenarios/algo_registry.hpp names every built-in algorithm by its
+// default-parameter spec.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "hetscale/algos/sort.hpp"
 #include "hetscale/algos/spmv.hpp"
-#include "hetscale/machine/cluster.hpp"
 #include "hetscale/vmpi/machine.hpp"
 
 namespace hetscale::scal {
@@ -60,28 +56,8 @@ AlgoSpec summa_algo(std::int64_t tile = 64);
 /// reconstruction are charged overhead, so E_s sits below pivot-free GE.
 AlgoSpec ge_pivot_algo(std::int64_t panel = 32);
 /// W = sweeps * 2 * nnz(N).
-AlgoSpec spmv_algo(std::int64_t sweeps = 50,
+AlgoSpec spmv_algo(std::int64_t sweeps,
                    algos::SpmvDistribution distribution =
                        algos::SpmvDistribution::kHeterogeneousBlock);
-
-/// One named algorithm of the registry.
-struct AlgoEntry {
-  std::string name;  ///< the CLI's --algo spelling
-  AlgoSpec spec;     ///< with the default parameters
-  /// The paper ensemble ladder (machine::sunwulf::ge_ensemble or
-  /// mm_ensemble) that `series` and `predict` put the algorithm on.
-  machine::Cluster (*ensemble)(int nodes);
-  double target_es;  ///< default isospeed-efficiency target
-};
-
-/// Every built-in algorithm, in --algo listing order.
-const std::vector<AlgoEntry>& algo_registry();
-
-/// The entry named `name`; throws PreconditionError listing the registered
-/// names when there is none.
-const AlgoEntry& find_algo(std::string_view name);
-
-/// The registered names, comma-separated.
-std::string algo_names();
 
 }  // namespace hetscale::scal

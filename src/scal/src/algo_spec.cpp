@@ -5,7 +5,6 @@
 #include "hetscale/algos/jacobi.hpp"
 #include "hetscale/algos/mm.hpp"
 #include "hetscale/algos/summa.hpp"
-#include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/support/error.hpp"
 
@@ -124,44 +123,6 @@ AlgoSpec spmv_algo(std::int64_t sweeps,
                           .distribution = distribution,
                           .speeds = speeds}));
           }};
-}
-
-const std::vector<AlgoEntry>& algo_registry() {
-  using machine::sunwulf::ge_ensemble;
-  using machine::sunwulf::mm_ensemble;
-  // Targets: the paper's for GE and MM (Tables 3-5), GE's for the other
-  // compute-bound kernels, and a low bar for SpMV, whose CSR streaming
-  // stall caps E_s well below the dense targets.
-  static const std::vector<AlgoEntry> registry{
-      {"ge", ge_algo(), ge_ensemble, 0.3},
-      {"mm", mm_algo(), mm_ensemble, 0.2},
-      {"sort", sort_algo(), ge_ensemble, 0.3},
-      {"jacobi", jacobi_algo(50), ge_ensemble, 0.3},
-      {"summa", summa_algo(), mm_ensemble, 0.2},
-      {"ge_pivot", ge_pivot_algo(), ge_ensemble, 0.3},
-      {"spmv", spmv_algo(), mm_ensemble, 0.05},
-      {"spmv-hom",
-       spmv_algo(50, algos::SpmvDistribution::kHomogeneousBlock),
-       mm_ensemble, 0.05},
-  };
-  return registry;
-}
-
-const AlgoEntry& find_algo(std::string_view name) {
-  for (const auto& entry : algo_registry()) {
-    if (entry.name == name) return entry;
-  }
-  throw PreconditionError("unknown algorithm '" + std::string(name) +
-                          "' (expected one of: " + algo_names() + ")");
-}
-
-std::string algo_names() {
-  std::string names;
-  for (const auto& entry : algo_registry()) {
-    if (!names.empty()) names += ", ";
-    names += entry.name;
-  }
-  return names;
 }
 
 }  // namespace hetscale::scal

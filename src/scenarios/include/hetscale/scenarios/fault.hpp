@@ -25,8 +25,9 @@
 namespace hetscale::scenarios {
 
 /// The degradation plan spec shared by the GE fault scenarios and the CLI
-/// `inject` command's --degrade preset: every rank alternates healthy and
-/// 0.6x phases, the network periodically loses half its bandwidth.
+/// `inject` command, whose --slowdown takes its duty cycle and period:
+/// every rank alternates healthy and 0.6x phases, the network periodically
+/// loses half its bandwidth.
 fault::PlanSpec degraded_plan_spec();
 
 /// Register the fault scenarios with the global registry. Idempotent.

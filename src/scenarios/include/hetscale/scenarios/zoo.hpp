@@ -9,27 +9,26 @@
 // jobs-invariant, memoized through the MeasurementStore).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "hetscale/predict/fit_report.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/scal/fit_study.hpp"
+#include "hetscale/scenarios/algo_registry.hpp"
 
 namespace hetscale::scenarios {
 
-/// The algorithms the fit study covers, in report order.
-const std::vector<std::string>& zoo_algos();
-
-/// Measure the fit dataset for one of zoo_algos() (throws
-/// PreconditionError for anything else). A null runner measures
-/// sequentially — same points, same bytes.
-scal::FitDataset gather_zoo_dataset(const std::string& algo,
+/// Measure the fit dataset of one of zoo_algos(): its fit_sizes on each
+/// rung (an entry without a model has none, and throws
+/// PreconditionError). A null runner measures sequentially — same points,
+/// same bytes.
+scal::FitDataset gather_zoo_dataset(const AlgoEntry& entry,
                                     run::Runner* runner);
 
-/// Gather + fit + rank for each requested algorithm, in the given order.
+/// Gather + fit + rank for each requested algorithm, in the given order;
+/// each is scored against its entry's analytic model.
 predict::FitStudyReport build_fit_report(
-    const std::vector<std::string>& algos, run::Runner* runner);
+    const std::vector<const AlgoEntry*>& algos, run::Runner* runner);
 
 /// Register the `model_zoo_ranking` scenario. Idempotent.
 void register_zoo_scenarios();

@@ -21,9 +21,6 @@ using run::RunContext;
 using run::RunResult;
 using run::Value;
 
-/// MM's isospeed target, from the paper (Table 5).
-constexpr double kLargePMmTargetEs = 0.2;
-
 /// GE rungs share one simulated-communication budget: n(p) = kGeVolume / p,
 /// so every rung costs roughly the same number of simulated messages
 /// (n steps x Θ(p) collective messages each) and the ladder's wall-clock
@@ -95,7 +92,7 @@ RunResult large_p(const RunContext& context) {
   scal::IsoSolveOptions solve;
   solve.runner = &context.runner;
   const auto mm_series = scal::scalability_series(
-      mm_ptrs, kLargePMmTargetEs, solve, &context.runner);
+      mm_ptrs, kMmTargetEs, solve, &context.runner);
 
   // ---- Render: one unified ladder table ---------------------------------
   Table table("Operating points (MM rows at the isospeed target)");

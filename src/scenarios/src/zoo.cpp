@@ -7,9 +7,7 @@
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/predict/probe.hpp"
 #include "hetscale/run/scenario.hpp"
-#include "hetscale/scal/algo_spec.hpp"
 #include "hetscale/scenarios/paper.hpp"
-#include "hetscale/support/error.hpp"
 #include "hetscale/support/table.hpp"
 
 namespace hetscale::scenarios {
@@ -25,26 +23,15 @@ using run::Value;
 /// cost to a golden artifact.
 const std::vector<int> kZooLadder{2, 4, 8};
 
-std::vector<std::int64_t> zoo_sizes(const std::string& algo) {
-  if (algo == "ge") return {64, 128, 256, 384, 512};
-  if (algo == "mm") return {32, 64, 128, 192, 256};
-  if (algo == "jacobi") return {64, 128, 256, 384, 512};
-  if (algo == "spmv") return {128, 256, 512, 768, 1024};
-  HETSCALE_REQUIRE(false, "no zoo dataset for algorithm '" + algo +
-                              "' (supported: ge, mm, jacobi, spmv)");
-  return {};
-}
-
-/// The algorithm's registry entry (its default parameters match the
-/// analytic overhead model's) on its ensemble ladder.
+/// The algorithm's registry entry (its spec and analytic model share their
+/// parameters) on its ensemble ladder.
 std::unique_ptr<scal::ClusterCombination> make_zoo_combination(
-    const std::string& algo, int nodes) {
-  const scal::AlgoEntry& entry = scal::find_algo(algo);
+    const AlgoEntry& entry, int nodes) {
   scal::ClusterCombination::Config config;
   config.cluster = entry.ensemble(nodes);
   config.with_data = false;
   return std::make_unique<scal::ClusterCombination>(
-      std::to_string(nodes) + " Nodes, zoo-" + algo, std::move(config),
+      std::to_string(nodes) + " Nodes, zoo-" + entry.name, std::move(config),
       entry.spec);
 }
 
@@ -98,31 +85,26 @@ RunResult model_zoo_ranking(const RunContext& context) {
 
 }  // namespace
 
-const std::vector<std::string>& zoo_algos() {
-  static const std::vector<std::string> kAlgos{"ge", "mm", "jacobi", "spmv"};
-  return kAlgos;
-}
-
-scal::FitDataset gather_zoo_dataset(const std::string& algo,
+scal::FitDataset gather_zoo_dataset(const AlgoEntry& entry,
                                     run::Runner* runner) {
-  const auto sizes = zoo_sizes(algo);
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::ClusterCombination*> ladder;
   for (int nodes : kZooLadder) {
-    owned.push_back(make_zoo_combination(algo, nodes));
+    owned.push_back(make_zoo_combination(entry, nodes));
     ladder.push_back(owned.back().get());
   }
-  return scal::gather_fit_points(algo, ladder, sizes, runner);
+  return scal::gather_fit_points(entry.name, ladder, entry.fit_sizes, runner);
 }
 
 predict::FitStudyReport build_fit_report(
-    const std::vector<std::string>& algos, run::Runner* runner) {
+    const std::vector<const AlgoEntry*>& algos, run::Runner* runner) {
   const auto comm = predict::probe_comm_model(
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
   predict::FitStudyReport report;
-  for (const auto& algo : algos) {
+  for (const AlgoEntry* entry : algos) {
+    const auto data = gather_zoo_dataset(*entry, runner);
     report.algos.push_back(
-        predict::build_algo_fit_study(gather_zoo_dataset(algo, runner), comm));
+        predict::build_algo_fit_study(data, *entry->model, comm));
   }
   return report;
 }

@@ -40,10 +40,11 @@ std::vector<double> test_speeds() { return {30.0, 40.0, 50.0, 40.0}; }
 machine::Cluster test_cluster() {
   machine::Cluster cluster;
   for (int i = 0; i < kRanks; ++i) {
+    std::string name = "n";  // not "n" + ...: GCC 12's false -Wrestrict
+    name += std::to_string(i);
     cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(40.0 + 10.0 * (i % 3)),
-                          1e9, 4e8, {1.0}});
+        name, machine::NodeSpec{"Test", 1, units::mflops(40.0 + 10.0 * (i % 3)),
+                                1e9, 4e8, {1.0}});
   }
   return cluster;
 }

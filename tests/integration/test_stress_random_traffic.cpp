@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hetscale/support/rng.hpp"
@@ -21,7 +22,9 @@ machine::Cluster random_cluster(Rng& rng, int nodes) {
   machine::Cluster cluster;
   for (int i = 0; i < nodes; ++i) {
     machine::NodeSpec spec;
-    spec.model = "S" + std::to_string(i);
+    std::string model = "S";  // not "S" + ...: GCC 12's false -Wrestrict
+    model += std::to_string(i);
+    spec.model = std::move(model);
     spec.cpus = 1;
     spec.cpu_rate_flops = units::mflops(rng.uniform(5.0, 200.0));
     spec.memory_bytes = 1e9;

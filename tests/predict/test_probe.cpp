@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/support/args.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::predict {
@@ -18,7 +19,8 @@ TEST(Probe, SendTimeMatchesNetworkClosedForm) {
   const auto config = default_probe();
   const double bytes = 5e4;
   const double measured = measure_send_time(config, bytes);
-  // Shared bus, idle medium: overhead + wire + latency.
+  // Switched fabric (ProbeConfig's default), idle links: overhead + wire +
+  // latency.
   const double expected = config.params.per_message_overhead_s +
                           bytes / config.params.remote.bandwidth_Bps +
                           config.params.remote.latency_s;
@@ -37,7 +39,7 @@ TEST(Probe, BcastTimeLinearInRanks) {
   const auto config = default_probe();
   const double t5 = measure_bcast_time(config, 5, 1e4);
   const double t9 = measure_bcast_time(config, 9, 1e4);
-  // Flat tree over a shared bus: ~(p-1) scaling.
+  // Flat tree: the root's (p-1) sends serialize on its injection port.
   EXPECT_NEAR(t9 / t5, 8.0 / 4.0, 0.1);
 }
 
@@ -97,6 +99,38 @@ TEST(Probe, SystemModelForClusterSumsMarkedSpeeds) {
   EXPECT_GT(system.marked_speed, 0.0);
   EXPECT_GT(system.root_speed, 0.0);
   EXPECT_LT(system.root_speed, system.marked_speed);
+}
+
+/// Sets the thread count new machines inherit, restoring it on exit.
+class ScopedSimThreads {
+ public:
+  explicit ScopedSimThreads(int threads) : previous_(global_sim_threads()) {
+    set_global_sim_threads(threads);
+  }
+  ~ScopedSimThreads() { set_global_sim_threads(previous_); }
+  ScopedSimThreads(const ScopedSimThreads&) = delete;
+  ScopedSimThreads& operator=(const ScopedSimThreads&) = delete;
+
+ private:
+  int previous_;
+};
+
+TEST(Probe, CollectiveProbesAreSimThreadInvariant) {
+  // At 8 sim-threads the probe's 8 ranks run on 8 partition threads; each
+  // call must still report the one-thread completion time bit for bit.
+  const auto config = default_probe();
+  double bcast = 0.0;
+  double barrier = 0.0;
+  {
+    ScopedSimThreads one(1);
+    bcast = measure_bcast_time(config, 8, 1e3);
+    barrier = measure_barrier_time(config, 8);
+  }
+  ScopedSimThreads eight(8);
+  for (int call = 0; call < 300; ++call) {
+    ASSERT_EQ(measure_bcast_time(config, 8, 1e3), bcast) << "call " << call;
+    ASSERT_EQ(measure_barrier_time(config, 8), barrier) << "call " << call;
+  }
 }
 
 TEST(Probe, InvalidConfigRejected) {

@@ -35,8 +35,9 @@ TEST(Capacity, MaxFeasibleSizeRespectsSmallestNode) {
   const auto blades = machine::sunwulf::homogeneous_ensemble(4);
   machine::Cluster v210s;
   for (int i = 0; i < 4; ++i) {
-    v210s.add_node("v" + std::to_string(i), machine::sunwulf::v210_spec(),
-                   1);
+    std::string name = "v";  // not "v" + ...: GCC 12's false -Wrestrict
+    name += std::to_string(i);
+    v210s.add_node(name, machine::sunwulf::v210_spec(), 1);
   }
   const auto footprint = ge_footprint();
   const auto blade_max = max_feasible_size(blades, footprint);

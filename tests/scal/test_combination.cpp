@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/marked/suite.hpp"
 #include "hetscale/numeric/linsolve.hpp"
@@ -106,50 +104,6 @@ TEST(Combination, SwitchedNetworkIsAtLeastAsFast) {
 TEST(Combination, InvalidMeasureSizeRejected) {
   ClusterCombination combo("GE-2", ge2_config(), ge_algo());
   EXPECT_THROW(combo.measure(0), PreconditionError);
-}
-
-TEST(AlgoRegistry, LaddersAndTargetsAgreeAcrossCommands) {
-  // series and predict both read these: dense GE-like kernels on the GE
-  // ladder at 0.3, MM-like on the MM ladder at 0.2, SpMV at 0.05.
-  const auto ge_ladder = &machine::sunwulf::ge_ensemble;
-  const auto mm_ladder = &machine::sunwulf::mm_ensemble;
-  for (const char* name : {"ge", "jacobi", "ge_pivot", "sort"}) {
-    EXPECT_EQ(find_algo(name).ensemble, ge_ladder) << name;
-    EXPECT_EQ(find_algo(name).target_es, 0.3) << name;
-  }
-  for (const char* name : {"mm", "summa"}) {
-    EXPECT_EQ(find_algo(name).ensemble, mm_ladder) << name;
-    EXPECT_EQ(find_algo(name).target_es, 0.2) << name;
-  }
-  for (const char* name : {"spmv", "spmv-hom"}) {
-    EXPECT_EQ(find_algo(name).ensemble, mm_ladder) << name;
-    EXPECT_EQ(find_algo(name).target_es, 0.05) << name;
-  }
-}
-
-TEST(AlgoRegistry, UnknownNameListsTheRegistry) {
-  try {
-    (void)find_algo("quicksort");
-    FAIL() << "an unknown algorithm must throw";
-  } catch (const PreconditionError& error) {
-    EXPECT_NE(std::string(error.what()).find(algo_names()),
-              std::string::npos);
-  }
-  EXPECT_EQ(algo_names(),
-            "ge, mm, sort, jacobi, summa, ge_pivot, spmv, spmv-hom");
-}
-
-TEST(AlgoRegistry, RunOnMatchesMeasure) {
-  // The single measurement path: run_on a fresh machine is measure().
-  ClusterCombination combo("GE-2", ge2_config(), find_algo("ge").spec);
-  const auto& config = combo.config();
-  auto machine = make_machine(config.cluster, config.network,
-                              config.net_params, config.tuning);
-  const Measurement direct = combo.run_on(machine, 96);
-  const Measurement& cached = combo.measure(96);
-  EXPECT_EQ(direct.seconds, cached.seconds);
-  EXPECT_EQ(direct.speed_efficiency, cached.speed_efficiency);
-  EXPECT_EQ(direct.overhead_s, cached.overhead_s);
 }
 
 }  // namespace

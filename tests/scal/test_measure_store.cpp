@@ -18,6 +18,7 @@
 #include "hetscale/predict/zoo.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/scal/fit_study.hpp"
+#include "hetscale/scenarios/algo_registry.hpp"
 
 namespace hetscale::scal {
 namespace {
@@ -184,6 +185,8 @@ TEST_F(MeasureStoreTest, RegistryKeysArePinned) {
       {"spmv", "spmv:sweeps=50,dist=het"},
       {"spmv-hom", "spmv:sweeps=50,dist=hom"},
   };
+  using scenarios::algo_registry;
+  using scenarios::find_algo;
   ASSERT_EQ(algo_registry().size(), std::size(pinned));
   const auto config = ge2_config();
   for (const auto& [name, key] : pinned) {

@@ -3,27 +3,16 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
-#include <string>
 #include <vector>
 
-#include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/group.hpp"
 #include "hetscale/vmpi/machine.hpp"
+#include "test_cluster.hpp"
 
 namespace hetscale::vmpi {
 namespace {
 
 using des::Task;
-
-machine::Cluster test_cluster(int nodes) {
-  machine::Cluster cluster;
-  for (int i = 0; i < nodes; ++i) {
-    cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(50.0), 1e9, 4e8, {1.0}});
-  }
-  return cluster;
-}
 
 /// Runs one bcast of `bytes` from `root` under the given family and checks
 /// every rank got the payload; returns completion time (max over ranks).

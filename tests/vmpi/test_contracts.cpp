@@ -6,27 +6,17 @@
 #include <string>
 
 #include "hetscale/support/error.hpp"
-#include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/machine.hpp"
+#include "test_cluster.hpp"
 
 namespace hetscale::vmpi {
 namespace {
 
 using des::Task;
 
-machine::Cluster trio() {
-  machine::Cluster cluster;
-  for (int i = 0; i < 3; ++i) {
-    cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(50.0), 1e9, 4e8, {1.0}});
-  }
-  return cluster;
-}
-
 template <class Body>
 void expect_rejected(Body&& body) {
-  auto machine = Machine::switched(trio());
+  auto machine = Machine::switched(test_cluster(3));
   EXPECT_THROW(
       machine.run([&body](Comm& comm) -> Task<void> {
         if (comm.rank() == 0) co_await body(comm);
@@ -58,7 +48,7 @@ TEST(Contracts, SendRejectsNegativeTag) {
 TEST(Contracts, RecvTagIsNonNegativeOrAnyTag) {
   expect_rejected([](Comm& comm) { return comm.recv(1, -2); });
   // kAnyTag stays a valid wildcard.
-  auto machine = Machine::switched(trio());
+  auto machine = Machine::switched(test_cluster(3));
   machine.run([](Comm& comm) -> Task<void> {
     if (comm.rank() == 1) co_await comm.send(0, 5, 8.0, Payload(2.5));
     if (comm.rank() == 0) {
@@ -94,7 +84,7 @@ TEST(Contracts, NegativeBytesRejectedByNetwork) {
 }
 
 TEST(Contracts, MachineRejectsNullNetwork) {
-  EXPECT_THROW(Machine(trio(), nullptr), PreconditionError);
+  EXPECT_THROW(Machine(test_cluster(3), nullptr), PreconditionError);
 }
 
 TEST(Contracts, MachineRejectsEmptyCluster) {
@@ -102,14 +92,14 @@ TEST(Contracts, MachineRejectsEmptyCluster) {
 }
 
 TEST(Contracts, RankAccessorsValidateRange) {
-  auto machine = Machine::switched(trio());
+  auto machine = Machine::switched(test_cluster(3));
   EXPECT_THROW(machine.processor(3), PreconditionError);
   EXPECT_THROW(machine.mailbox(-1), PreconditionError);
   EXPECT_THROW(machine.rank_stats(99), PreconditionError);
 }
 
 TEST(Contracts, QuiescenceWithPendingReceiverDiagnosesTheWait) {
-  auto machine = Machine::switched(trio());
+  auto machine = Machine::switched(test_cluster(3));
   try {
     machine.run([](Comm& comm) -> Task<void> {
       // Rank 0 waits on a tag nobody ever sends: mailbox exhaustion.
@@ -128,7 +118,7 @@ TEST(Contracts, QuiescenceWithPendingReceiverDiagnosesTheWait) {
 }
 
 TEST(Contracts, TagMismatchDiagnosisNamesThePendingMessage) {
-  auto machine = Machine::switched(trio());
+  auto machine = Machine::switched(test_cluster(3));
   try {
     machine.run([](Comm& comm) -> Task<void> {
       // Rank 1 posts tag 3; rank 0 waits for tag 7 — the message sits
@@ -148,7 +138,7 @@ TEST(Contracts, TagMismatchDiagnosisNamesThePendingMessage) {
 }
 
 TEST(Contracts, FailureInOneRankSurfacesWithoutHangingOthers) {
-  auto machine = Machine::switched(trio());
+  auto machine = Machine::switched(test_cluster(3));
   EXPECT_THROW(machine.run([](Comm& comm) -> Task<void> {
                  if (comm.rank() == 1) {
                    co_await comm.compute(-1.0);  // violates the contract

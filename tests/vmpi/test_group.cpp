@@ -7,27 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "hetscale/support/error.hpp"
-#include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/machine.hpp"
+#include "test_cluster.hpp"
 
 namespace hetscale::vmpi {
 namespace {
 
 using des::Task;
-
-machine::Cluster test_cluster(int nodes) {
-  machine::Cluster cluster;
-  for (int i = 0; i < nodes; ++i) {
-    cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(50.0), 1e9, 4e8, {1.0}});
-  }
-  return cluster;
-}
 
 net::NetworkParams fast_params() {
   net::NetworkParams p;
@@ -109,7 +98,9 @@ TEST(Group, SingletonCollectivesAreLocal) {
     EXPECT_EQ(out.as<int>(), comm.rank());
     auto parts = co_await solo.gather(0, kTag, 1e9, Payload(7));
     EXPECT_EQ(parts.size(), 1u);  // ASSERT_* cannot `return` in a coroutine
-    if (parts.size() == 1u) EXPECT_EQ(parts[0].as<int>(), 7);
+    if (parts.size() == 1u) {
+      EXPECT_EQ(parts[0].as<int>(), 7);
+    }
   });
   // Payload-size 1e9 over the slow bus would dominate the clock if a
   // singleton collective actually touched the network.

@@ -1,25 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 
-#include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/machine.hpp"
+#include "test_cluster.hpp"
 
 namespace hetscale::vmpi {
 namespace {
 
 using des::Task;
-
-machine::Cluster pair_cluster() {
-  machine::Cluster cluster;
-  for (int i = 0; i < 2; ++i) {
-    cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(50.0), 1e9, 4e8, {1.0}});
-  }
-  return cluster;
-}
 
 net::NetworkParams slow_params() {
   net::NetworkParams p;
@@ -29,7 +18,7 @@ net::NetworkParams slow_params() {
 }
 
 TEST(Isend, DoesNotBlockTheSender) {
-  auto machine = Machine::switched(pair_cluster(), slow_params());
+  auto machine = Machine::switched(test_cluster(2), slow_params());
   auto sender_time = std::make_shared<double>(-1.0);
   machine.run([sender_time](Comm& comm) -> Task<void> {
     if (comm.rank() == 0) {
@@ -44,7 +33,7 @@ TEST(Isend, DoesNotBlockTheSender) {
 }
 
 TEST(Isend, PayloadStillDelivered) {
-  auto machine = Machine::switched(pair_cluster(), slow_params());
+  auto machine = Machine::switched(test_cluster(2), slow_params());
   auto got = std::make_shared<int>(0);
   machine.run([got](Comm& comm) -> Task<void> {
     if (comm.rank() == 0) {
@@ -59,7 +48,7 @@ TEST(Isend, PayloadStillDelivered) {
 }
 
 TEST(Isend, WaitSendSynchronizesWithLinkDrain) {
-  auto machine = Machine::switched(pair_cluster(), slow_params());
+  auto machine = Machine::switched(test_cluster(2), slow_params());
   auto waited_until = std::make_shared<double>(0.0);
   machine.run([waited_until](Comm& comm) -> Task<void> {
     if (comm.rank() == 0) {
@@ -75,7 +64,7 @@ TEST(Isend, WaitSendSynchronizesWithLinkDrain) {
 }
 
 TEST(Isend, BackToBackIsendsQueueOnTheLink) {
-  auto machine = Machine::switched(pair_cluster(), slow_params());
+  auto machine = Machine::switched(test_cluster(2), slow_params());
   auto arrivals = std::make_shared<std::vector<double>>();
   machine.run([arrivals](Comm& comm) -> Task<void> {
     if (comm.rank() == 0) {
@@ -93,7 +82,7 @@ TEST(Isend, BackToBackIsendsQueueOnTheLink) {
 
 TEST(Isend, OverlapBeatsBlockingSend) {
   auto run = [&](bool overlap) {
-    auto machine = Machine::switched(pair_cluster(), slow_params());
+    auto machine = Machine::switched(test_cluster(2), slow_params());
     return machine
         .run([overlap](Comm& comm) -> Task<void> {
           if (comm.rank() == 0) {
@@ -117,7 +106,7 @@ TEST(Isend, OverlapBeatsBlockingSend) {
 }
 
 TEST(Isend, ContractsEnforced) {
-  auto machine = Machine::switched(pair_cluster(), slow_params());
+  auto machine = Machine::switched(test_cluster(2), slow_params());
   EXPECT_THROW(machine.run([](Comm& comm) -> Task<void> {
                  if (comm.rank() == 0) comm.isend(0, 1, 8.0, {});
                  co_return;

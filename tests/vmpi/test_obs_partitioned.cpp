@@ -98,10 +98,11 @@ net::NetworkParams fast_params() {
 machine::Cluster eight_nodes() {
   machine::Cluster cluster;
   for (int i = 0; i < 8; ++i) {
+    std::string name = "n";  // not "n" + ...: GCC 12's false -Wrestrict
+    name += std::to_string(i);
     cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(30.0 + 10.0 * (i % 3)),
-                          1e9, 4e8, {1.0}});
+        name, machine::NodeSpec{"Test", 1, units::mflops(30.0 + 10.0 * (i % 3)),
+                                1e9, 4e8, {1.0}});
   }
   return cluster;
 }

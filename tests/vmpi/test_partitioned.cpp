@@ -17,21 +17,12 @@
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/machine.hpp"
+#include "test_cluster.hpp"
 
 namespace hetscale::vmpi {
 namespace {
 
 using des::Task;
-
-machine::Cluster node_per_rank(int nodes, double mflops = 50.0) {
-  machine::Cluster cluster;
-  for (int i = 0; i < nodes; ++i) {
-    cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(mflops), 1e9, 4e8, {1.0}});
-  }
-  return cluster;
-}
 
 net::NetworkParams fast_params() {
   net::NetworkParams p;
@@ -101,7 +92,7 @@ Machine::Program mixed_program() {
 }
 
 RunResult run_mixed(int ranks, int sim_threads) {
-  auto machine = Machine::switched(node_per_rank(ranks), fast_params());
+  auto machine = Machine::switched(test_cluster(ranks), fast_params());
   machine.set_sim_threads(sim_threads);
   return machine.run(mixed_program());
 }
@@ -120,7 +111,7 @@ TEST(Partitioned, ThreadCountBeyondWorldSizeClamps) {
 
 TEST(Partitioned, EventsProcessedSumsThePartitionSchedulers) {
   const auto events_at = [](int sim_threads) {
-    auto machine = Machine::switched(node_per_rank(8), fast_params());
+    auto machine = Machine::switched(test_cluster(8), fast_params());
     machine.set_sim_threads(sim_threads);
     (void)machine.run(mixed_program());
     EXPECT_EQ(machine.partitions(), sim_threads);
@@ -134,7 +125,7 @@ TEST(Partitioned, EventsProcessedSumsThePartitionSchedulers) {
 
 TEST(Partitioned, TreeCollectivesBitIdenticalAtScale) {
   const auto run_tree = [](int sim_threads) {
-    auto machine = Machine::switched(node_per_rank(32), fast_params(),
+    auto machine = Machine::switched(test_cluster(32), fast_params(),
                                      CollectiveTuning::tree());
     machine.set_sim_threads(sim_threads);
     return machine.run([](Comm& comm) -> Task<void> {
@@ -160,7 +151,7 @@ TEST(Partitioned, RoundedArrivalStaysOutOfItsSendWindow) {
   // from partition 0 at the same instant: the window must already have
   // delivered it, as the sequential schedule has.
   const auto run_tokens = [](int sim_threads) {
-    auto machine = Machine::switched(node_per_rank(4), fast_params());
+    auto machine = Machine::switched(test_cluster(4), fast_params());
     machine.set_sim_threads(sim_threads);
     const RunResult result = machine.run([](Comm& comm) -> Task<void> {
       if (comm.rank() == 0 || comm.rank() == 3) {
@@ -180,7 +171,7 @@ TEST(Partitioned, RoundedArrivalStaysOutOfItsSendWindow) {
 }
 
 TEST(Partitioned, WildcardRecvRejected) {
-  auto machine = Machine::switched(node_per_rank(2), fast_params());
+  auto machine = Machine::switched(test_cluster(2), fast_params());
   machine.set_sim_threads(2);
   try {
     machine.run([](Comm& comm) -> Task<void> {
@@ -198,7 +189,7 @@ TEST(Partitioned, WildcardRecvRejected) {
 
 TEST(Partitioned, SpecificSourceRecvStillWorks) {
   // The same exchange with the source named is fine under partitioning.
-  auto machine = Machine::switched(node_per_rank(2), fast_params());
+  auto machine = Machine::switched(test_cluster(2), fast_params());
   machine.set_sim_threads(2);
   auto value = std::make_shared<double>(0.0);
   machine.run([value](Comm& comm) -> Task<void> {
@@ -213,7 +204,7 @@ TEST(Partitioned, SpecificSourceRecvStillWorks) {
 }
 
 TEST(Partitioned, DeadlockDiagnosisNamesTheBlockedRank) {
-  auto machine = Machine::switched(node_per_rank(4), fast_params());
+  auto machine = Machine::switched(test_cluster(4), fast_params());
   machine.set_sim_threads(2);
   try {
     machine.run([](Comm& comm) -> Task<void> {
@@ -234,7 +225,7 @@ TEST(Partitioned, SharedBusRunsOnePartition) {
   // machine runs one partition whatever --sim-threads says — and matches
   // a sim-threads=1 shared-bus run exactly.
   const auto run_bus = [](int sim_threads) {
-    auto machine = Machine::shared_bus(node_per_rank(4), fast_params());
+    auto machine = Machine::shared_bus(test_cluster(4), fast_params());
     machine.set_sim_threads(sim_threads);
     EXPECT_EQ(machine.partitions(), 1);
     return machine.run(mixed_program());
@@ -261,7 +252,7 @@ TEST(Partitioned, RanksSharingANodeRunOnePartition) {
 }
 
 TEST(Partitioned, SetSimThreadsValidates) {
-  auto machine = Machine::switched(node_per_rank(2), fast_params());
+  auto machine = Machine::switched(test_cluster(2), fast_params());
   EXPECT_THROW(machine.set_sim_threads(0), Error);
   machine.set_sim_threads(2);
   (void)machine.run([](Comm&) -> Task<void> { co_return; });

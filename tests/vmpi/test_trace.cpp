@@ -8,21 +8,12 @@
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/machine.hpp"
+#include "test_cluster.hpp"
 
 namespace hetscale::vmpi {
 namespace {
 
 using des::Task;
-
-machine::Cluster pair_cluster() {
-  machine::Cluster cluster;
-  for (int i = 0; i < 2; ++i) {
-    cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(50.0), 1e9, 4e8, {1.0}});
-  }
-  return cluster;
-}
 
 RunResult traced_pingpong(Machine& machine) {
   return machine.run([](Comm& comm) -> Task<void> {
@@ -38,7 +29,7 @@ RunResult traced_pingpong(Machine& machine) {
 }
 
 TEST(Trace, RecordsComputeAndCommIntervals) {
-  auto machine = Machine::switched(pair_cluster());
+  auto machine = Machine::switched(test_cluster(2));
   auto& tracer = machine.enable_tracing();
   traced_pingpong(machine);
   // 2 computes + 2 sends + 2 recvs.
@@ -61,7 +52,7 @@ TEST(Trace, RecordsComputeAndCommIntervals) {
 }
 
 TEST(Trace, IntervalsAgreeWithRankStats) {
-  auto machine = Machine::switched(pair_cluster());
+  auto machine = Machine::switched(test_cluster(2));
   auto& tracer = machine.enable_tracing();
   const auto result = traced_pingpong(machine);
   double traced_compute[2] = {0, 0};
@@ -81,7 +72,7 @@ TEST(Trace, IntervalsAgreeWithRankStats) {
 }
 
 TEST(Trace, MessagesCarryEndpointsAndTimes) {
-  auto machine = Machine::switched(pair_cluster());
+  auto machine = Machine::switched(test_cluster(2));
   auto& tracer = machine.enable_tracing();
   traced_pingpong(machine);
   const auto first = tracer.messages().at(0).front();
@@ -93,7 +84,7 @@ TEST(Trace, MessagesCarryEndpointsAndTimes) {
 }
 
 TEST(Trace, ChromeJsonHasEventPerIntervalAndFlowPairPerMessage) {
-  auto machine = Machine::switched(pair_cluster());
+  auto machine = Machine::switched(test_cluster(2));
   auto& tracer = machine.enable_tracing();
   traced_pingpong(machine);
   const std::string json = tracer.chrome_trace_json();
@@ -113,7 +104,7 @@ TEST(Trace, ChromeJsonHasEventPerIntervalAndFlowPairPerMessage) {
 }
 
 TEST(Trace, UtilizationTableFractionsAreSane) {
-  auto machine = Machine::switched(pair_cluster());
+  auto machine = Machine::switched(test_cluster(2));
   auto& tracer = machine.enable_tracing();
   const auto result = traced_pingpong(machine);
   const std::string table = tracer.utilization_table(result.elapsed);
@@ -122,21 +113,21 @@ TEST(Trace, UtilizationTableFractionsAreSane) {
 }
 
 TEST(Trace, DisabledByDefault) {
-  auto machine = Machine::switched(pair_cluster());
+  auto machine = Machine::switched(test_cluster(2));
   EXPECT_EQ(machine.tracer(), nullptr);
   traced_pingpong(machine);
 }
 
 TEST(Trace, CannotEnableAfterRun) {
-  auto machine = Machine::switched(pair_cluster());
+  auto machine = Machine::switched(test_cluster(2));
   traced_pingpong(machine);
   EXPECT_THROW(machine.enable_tracing(), PreconditionError);
 }
 
 TEST(Trace, TracingDoesNotPerturbTiming) {
-  auto plain = Machine::switched(pair_cluster());
+  auto plain = Machine::switched(test_cluster(2));
   const auto a = traced_pingpong(plain);
-  auto traced = Machine::switched(pair_cluster());
+  auto traced = Machine::switched(test_cluster(2));
   traced.enable_tracing();
   const auto b = traced_pingpong(traced);
   EXPECT_EQ(a.elapsed, b.elapsed);
@@ -168,7 +159,7 @@ TEST(Trace, ChromeJsonEscapesSpanNames) {
 }
 
 TEST(Trace, BarrierSpansNestWaitsBeneathThem) {
-  auto machine = Machine::switched(pair_cluster());
+  auto machine = Machine::switched(test_cluster(2));
   auto& tracer = machine.enable_tracing();
   machine.run([](Comm& comm) -> Task<void> {
     co_await comm.compute(units::mflop(1.0));

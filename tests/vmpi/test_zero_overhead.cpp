@@ -6,28 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 
 #include "hetscale/des/scheduler.hpp"
 #include "hetscale/des/telemetry.hpp"
 #include "hetscale/obs/profiler.hpp"
-#include "hetscale/support/units.hpp"
 #include "hetscale/vmpi/machine.hpp"
+#include "test_cluster.hpp"
 
 namespace hetscale::vmpi {
 namespace {
 
 using des::Task;
-
-machine::Cluster pair_cluster() {
-  machine::Cluster cluster;
-  for (int i = 0; i < 2; ++i) {
-    cluster.add_node(
-        "n" + std::to_string(i),
-        machine::NodeSpec{"Test", 1, units::mflops(50.0), 1e9, 4e8, {1.0}});
-  }
-  return cluster;
-}
 
 net::NetworkParams fast_params() {
   net::NetworkParams p;
@@ -54,7 +43,7 @@ TEST(ZeroOverhead, NoRecorderExistsWithoutProfiler) {
   // Outside a ProfilerScope nothing is wired up: every observatory hook
   // sits behind a tracer null check, so there is no per-message work at
   // all — the CommMatrix recorder does not even exist.
-  auto machine = Machine::shared_bus(pair_cluster(), fast_params());
+  auto machine = Machine::shared_bus(test_cluster(2), fast_params());
   EXPECT_EQ(machine.profiler(), nullptr);
   EXPECT_EQ(machine.tracer(), nullptr);
   machine.run(ping_pong(50));
@@ -64,12 +53,12 @@ TEST(ZeroOverhead, NoRecorderExistsWithoutProfiler) {
 TEST(ZeroOverhead, VirtualResultsIdenticalWithAndWithoutProfiling) {
   // The hooks only *observe*: enabling the full observatory must not move
   // the virtual clock or the network accounting by a single bit.
-  auto plain = Machine::shared_bus(pair_cluster(), fast_params());
+  auto plain = Machine::shared_bus(test_cluster(2), fast_params());
   const auto without = plain.run(ping_pong(100));
 
   obs::Profiler profiler;
   obs::ProfilerScope scope(profiler);
-  auto traced = Machine::shared_bus(pair_cluster(), fast_params());
+  auto traced = Machine::shared_bus(test_cluster(2), fast_params());
   ASSERT_NE(traced.tracer(), nullptr);
   const auto with = traced.run(ping_pong(100));
 

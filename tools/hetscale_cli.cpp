@@ -51,12 +51,12 @@
 #include "hetscale/fault/plan.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/run/scenario.hpp"
-#include "hetscale/scal/algo_spec.hpp"
 #include "hetscale/scal/fault_study.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/measure_store.hpp"
 #include "hetscale/scal/profile.hpp"
 #include "hetscale/scal/series.hpp"
+#include "hetscale/scenarios/algo_registry.hpp"
 #include "hetscale/scenarios/dist2d.hpp"
 #include "hetscale/scenarios/fault.hpp"
 #include "hetscale/scenarios/large_p.hpp"
@@ -73,7 +73,7 @@ using namespace hetscale;
 
 std::unique_ptr<scal::ClusterCombination> make_combination(
     const std::string& algo, machine::Cluster cluster) {
-  const scal::AlgoEntry& entry = scal::find_algo(algo);
+  const scenarios::AlgoEntry& entry = scenarios::find_algo(algo);
   scal::ClusterCombination::Config config;
   config.cluster = std::move(cluster);
   config.with_data = false;
@@ -142,16 +142,14 @@ int cmd_run(const ArgParser& args) {
     return 2;
   }
   run::Runner runner(resolve_jobs(args));
-  obs::Profiler profiler;
-  const bool profile = args.has("profile");
-  run::RunContext context{runner,
-                          run::parse_format(args.get_or("format", "text")),
-                          resolve_seed(args)};
+  const run::RunContext context{
+      runner, run::parse_format(args.get_or("format", "text")),
+      resolve_seed(args)};
   std::string storage;
-  if (profile) {
+  if (args.has("profile")) {
     // The artifact keeps stdout; the instrumentation report rides along
     // on stderr as a time-budget table.
-    context.profiler = &profiler;
+    obs::Profiler profiler;
     obs::ProfilerScope scope(profiler);
     const run::RunResult result = scenario->run(context);
     std::cout << run::render(result, context.format, storage);
@@ -227,7 +225,7 @@ int cmd_curve(const ArgParser& args) {
 
 int cmd_series(const ArgParser& args) {
   const std::string algo = args.get_or("algo", "ge");
-  const scal::AlgoEntry& entry = scal::find_algo(algo);
+  const scenarios::AlgoEntry& entry = scenarios::find_algo(algo);
   const double target = args.get_double("target", entry.target_es);
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::Combination*> ptrs;
@@ -257,10 +255,9 @@ int cmd_predict(const ArgParser& args) {
   const std::string algo = args.get_or("algo", "ge");
   // Throws a loud PreconditionError for algorithms without an analytic
   // model (sort, summa, ...) — predict never silently falls back to GE.
-  const auto model = predict::overhead_model_for(algo);
-  // The registry's defaults: the same target and ensemble ladder `series`
-  // measures, and the pairing the fit study uses.
-  const scal::AlgoEntry& entry = scal::find_algo(algo);
+  // The entry's model is the one the fit study scores; its target and
+  // ensemble ladder are the ones `series` measures.
+  const scenarios::AlgoEntry& entry = scenarios::find_zoo_algo(algo);
   const double target = args.get_double("target", entry.target_es);
   const auto comm = predict::probe_comm_model(
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
@@ -272,7 +269,7 @@ int cmd_predict(const ArgParser& args) {
         static_cast<int>(parse_int(piece, "--ladder entry", 1, INT_MAX));
     const auto system = predict::system_model_for(entry.ensemble(nodes), comm);
     table.add_row({piece, std::to_string(predict::predicted_required_size(
-                              *model, system, target))});
+                              *entry.model, system, target))});
   }
   std::cout << table;
   return 0;
@@ -282,13 +279,11 @@ int cmd_predict(const ArgParser& args) {
 /// measured efficiency points, ranked against the analytic prediction.
 int cmd_fit(const ArgParser& args) {
   const auto& positional = args.positional();
-  std::vector<std::string> algos;
+  std::vector<const scenarios::AlgoEntry*> algos = scenarios::zoo_algos();
   if (positional.size() > 1) {
-    algos.push_back(positional[1]);
+    algos = {&scenarios::find_zoo_algo(positional[1])};
   } else if (args.has("algo")) {
-    algos.push_back(args.get("algo"));
-  } else {
-    algos = scenarios::zoo_algos();
+    algos = {&scenarios::find_zoo_algo(args.get("algo"))};
   }
   run::Runner runner(resolve_jobs(args));
   const auto report = scenarios::build_fit_report(algos, &runner);
@@ -462,7 +457,7 @@ int cmd_profile(const ArgParser& args) {
       obs::ProfilerScope scope(profiler);
       run::Runner runner(resolve_jobs(args));
       const run::RunContext context{runner, run::OutputFormat::kText,
-                                    resolve_seed(args), &profiler};
+                                    resolve_seed(args)};
       (void)scenario->run(context);
     }
     obs::ReportOptions options;
@@ -521,7 +516,7 @@ int cmd_analyze(const ArgParser& args) {
       obs::ProfilerScope scope(profiler);
       run::Runner runner(resolve_jobs(args));
       const run::RunContext context{runner, run::OutputFormat::kText,
-                                    resolve_seed(args), &profiler};
+                                    resolve_seed(args)};
       (void)scenario->run(context);
     }
     options.subject = name;
@@ -566,7 +561,7 @@ int dispatch(const std::string& command, const ArgParser& args) {
 int main(int argc, char** argv) {
   ArgParser args;
   args.add_flag("cluster", "cluster description, e.g. \"server:2,sunbladex3\"")
-      .add_flag("algo", "algorithm: " + scal::algo_names(), "ge")
+      .add_flag("algo", "algorithm: " + scenarios::algo_names(), "ge")
       .add_flag("target", "target speed-efficiency", "0.3")
       .add_flag("ladder", "comma-separated ensemble node counts", "2,4,8")
       .add_flag("from", "curve: first N", "32")
