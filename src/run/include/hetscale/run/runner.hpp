@@ -16,6 +16,21 @@
 // iso-efficiency ladder, where one probe dominates the level. Stealing
 // reorders *execution*, never *results*: slot i still holds task i.
 //
+// Nested batches share the pool. A batch submitted from inside a task of
+// this Runner is published like a top-level one: the submitting lane drains
+// it first, and idle lanes claim the rest — pool threads whose outer work
+// has run out, and the external caller while it waits for its own batch.
+// This is what lets every iso-solve of a series bisect in parallel waves
+// although the solves themselves already run as one batch.
+//
+// No deadlock: a thread blocks only on a batch it submitted, and only once
+// it has drained its own lane and no index of that batch is left unclaimed;
+// whichever thread claims an index runs it to completion. A blocked thread
+// therefore waits on running tasks, each of which can block only on a batch
+// nested inside it — the chain of waits follows the finite nesting tree and
+// cannot close into a cycle. A nested submitter takes no unrelated work
+// while it waits, so a long outer task never delays its wave.
+//
 // Determinism contract: task i must depend only on its own inputs (no
 // shared mutable state between tasks); the Runner guarantees result slot i
 // holds task i's value and that the caller observes all writes after the
@@ -25,7 +40,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -38,7 +52,8 @@ class Runner {
  public:
   /// jobs <= 0 picks the process default (HETSCALE_JOBS or hardware
   /// concurrency). jobs == 1 is the sequential fallback: no worker threads
-  /// at all, batches run inline on the caller.
+  /// at all, batches run inline on the caller. jobs above kMaxJobs (see
+  /// support/args.hpp) throws PreconditionError before any thread starts.
   explicit Runner(int jobs = 0);
   ~Runner();
 
@@ -51,12 +66,15 @@ class Runner {
   /// Tasks may execute concurrently and in any order when jobs() > 1; they
   /// must be safe to call from different threads at once. If tasks throw,
   /// the batch drains (remaining unstarted tasks are skipped) and the
-  /// failure with the smallest task index is rethrown on the caller —
-  /// including failures in stolen tasks.
+  /// failure with the smallest task index is rethrown on the thread that
+  /// submitted the batch — including failures in stolen tasks.
   ///
-  /// A batch submitted from inside a task runs inline on that worker —
-  /// nested batches cannot deadlock the pool, at the price of no extra
-  /// parallelism.
+  /// A batch submitted from inside a task of this Runner runs on the
+  /// shared pool: the submitting lane drains it, idle lanes help, and the
+  /// submitter then waits for the helpers without taking other work (see
+  /// the header comment for why this cannot deadlock). Single-task batches
+  /// and batches submitted from a task of a *different* Runner run inline,
+  /// since lane indices belong to one Runner.
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& task);
 
@@ -74,29 +92,38 @@ class Runner {
   /// True on a thread currently executing a Runner task (any Runner).
   static bool on_worker_thread();
 
-  /// How many tasks of the most recent pooled batch ran on a lane other
-  /// than the one they were dealt to. Inline batches (jobs() == 1, single
-  /// task, or nested) report 0. Observability for tests and tuning only —
-  /// stealing never affects results.
+  /// How many tasks of the most recent top-level batch — one submitted
+  /// from outside any Runner task — ran on a lane other than the one they
+  /// were dealt to. Inline batches (jobs() == 1 or a single task) report 0;
+  /// nested batches leave it alone, and a profiled batch records its own
+  /// count. Observability for tests and tuning only — stealing never
+  /// affects results.
   std::size_t last_batch_steals() const { return last_batch_steals_; }
 
  private:
   struct Batch;
 
   void worker_loop(std::size_t lane);
+  void help(std::unique_lock<std::mutex>& lock, std::size_t lane);
   void drain(Batch& batch, std::size_t lane);
-  void run_batch(std::size_t count,
-                 const std::function<void(std::size_t)>& task);
+  void retire(Batch& batch);
+  void shut_down();
+  std::size_t run_batch(std::size_t count,
+                        const std::function<void(std::size_t)>& task);
 
   int jobs_ = 1;
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< wakes workers for a new batch
-  std::condition_variable done_cv_;  ///< wakes the caller when drained
-  Batch* batch_ = nullptr;           ///< in-flight batch; guarded by mutex_
-  std::uint64_t next_batch_id_ = 0;
   std::size_t last_batch_steals_ = 0;
+  std::mutex mutex_;
+  /// Wakes idle lanes when a batch is published and submitters when their
+  /// last helper leaves.
+  std::condition_variable cv_;
+  /// Published batches that may still hold unclaimed indices, oldest
+  /// first; guarded by mutex_.
+  std::vector<Batch*> open_;
+  /// Set once, on destruction; guarded by mutex_.
   bool stop_ = false;
+  /// Declared last: the pool threads use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace hetscale::run

@@ -1,5 +1,6 @@
 #include "hetscale/run/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -14,17 +15,26 @@ namespace hetscale::run {
 
 namespace {
 
-thread_local bool t_on_worker = false;
+// The lane this thread drains, and for which Runner: set for a pool
+// thread's whole life and for the external caller while its batch runs.
+// runner == nullptr means "not executing any Runner's task".
+struct Seat {
+  const Runner* runner = nullptr;
+  std::size_t lane = 0;
+};
+
+thread_local Seat t_seat;
 
 // One lane's deque of task indices — a Chase-Lev deque specialized to this
 // Runner's lifecycle: the buffer is filled once *before* the batch is
-// published (the mutex handshake in run_batch gives every worker a
+// published (the mutex handshake in run_batch gives every helper a
 // happens-before edge to those writes) and nothing pushes mid-batch. With
 // the buffer immutable, the classic hazards (growth, a steal reading a slot
 // the owner is overwriting) vanish, and what remains is the owner/thief
 // race on the *indices*: the owner pops at `bottom` with only a seq_cst
 // fence on its fast path, thieves CAS `top` forward. They contend only on
-// the deque's last element.
+// the deque's last element. Once every deque of a batch is empty it stays
+// empty, so a drain that finds no index proves the batch fully claimed.
 struct alignas(64) Lane {
   std::atomic<std::ptrdiff_t> top{0};
   std::atomic<std::ptrdiff_t> bottom{0};
@@ -33,19 +43,17 @@ struct alignas(64) Lane {
 
 }  // namespace
 
-// One submitted batch. The deques hand out task indices; the finish/attach
-// counters and the error slot are guarded by the owning Runner's mutex.
+// One submitted batch, owned by the submitting thread's stack. The deques
+// hand out task indices; the helper count and the error slot are guarded by
+// the owning Runner's mutex.
 struct Runner::Batch {
-  std::uint64_t id = 0;
-  std::size_t count = 0;
   const std::function<void(std::size_t)>* task = nullptr;
   std::vector<std::size_t> items;    ///< indices grouped by owning lane
   std::unique_ptr<Lane[]> lanes;     ///< one deque per lane
   std::size_t lane_count = 0;
   std::atomic<std::size_t> steals{0};
   std::atomic<bool> failed{false};
-  std::size_t finished = 0;  ///< claimed indices fully processed
-  int attached = 0;          ///< workers currently draining this batch
+  int helpers = 0;  ///< threads other than the submitter draining it
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
   std::exception_ptr error;
 };
@@ -116,26 +124,35 @@ bool steal_any(Lane* lanes, std::size_t lane_count, std::size_t self,
 
 }  // namespace
 
-Runner::Runner(int jobs) : jobs_(jobs > 0 ? jobs : default_jobs()) {
+Runner::Runner(int jobs)
+    : jobs_(jobs > 0 ? normalize_jobs(jobs) : default_jobs()) {
   // The caller participates in draining (lane 0), so jobs_ - 1 pool threads
-  // give jobs_ concurrent lanes.
+  // give jobs_ concurrent lanes. A thread that fails to start must not
+  // leave the ones already running pointing at a half-built Runner.
   workers_.reserve(static_cast<std::size_t>(jobs_ - 1));
-  for (int i = 0; i + 1 < jobs_; ++i) {
-    const std::size_t lane = static_cast<std::size_t>(i) + 1;
-    workers_.emplace_back([this, lane] { worker_loop(lane); });
+  try {
+    for (std::size_t lane = 1; lane < static_cast<std::size_t>(jobs_);
+         ++lane) {
+      workers_.emplace_back([this, lane] { worker_loop(lane); });
+    }
+  } catch (...) {
+    shut_down();
+    throw;
   }
 }
 
-Runner::~Runner() {
+Runner::~Runner() { shut_down(); }
+
+void Runner::shut_down() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-bool Runner::on_worker_thread() { return t_on_worker; }
+bool Runner::on_worker_thread() { return t_seat.runner != nullptr; }
 
 void Runner::drain(Batch& batch, std::size_t lane) {
   for (;;) {
@@ -143,44 +160,45 @@ void Runner::drain(Batch& batch, std::size_t lane) {
     if (!pop_bottom(batch.lanes[lane], i) &&
         !steal_any(batch.lanes.get(), batch.lane_count, lane, batch.steals,
                    i)) {
-      break;
+      return;
     }
-    std::exception_ptr error;
-    if (!batch.failed.load(std::memory_order_relaxed)) {
-      try {
-        (*batch.task)(i);
-      } catch (...) {
-        error = std::current_exception();
-        batch.failed.store(true, std::memory_order_relaxed);
+    if (batch.failed.load(std::memory_order_relaxed)) continue;
+    try {
+      (*batch.task)(i);
+    } catch (...) {
+      batch.failed.store(true, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (i < batch.error_index) {
+        batch.error_index = i;
+        batch.error = std::current_exception();
       }
     }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (error && i < batch.error_index) {
-      batch.error_index = i;
-      batch.error = error;
-    }
-    if (++batch.finished == batch.count) done_cv_.notify_all();
   }
 }
 
+void Runner::retire(Batch& batch) {
+  const auto it = std::find(open_.begin(), open_.end(), &batch);
+  if (it != open_.end()) open_.erase(it);
+}
+
+void Runner::help(std::unique_lock<std::mutex>& lock, std::size_t lane) {
+  Batch& batch = *open_.front();
+  ++batch.helpers;
+  lock.unlock();
+  drain(batch, lane);
+  lock.lock();
+  retire(batch);
+  // The submitter frees the batch once its last helper has left.
+  if (--batch.helpers == 0) cv_.notify_all();
+}
+
 void Runner::worker_loop(std::size_t lane) {
-  t_on_worker = true;
-  std::uint64_t seen = 0;
+  t_seat = {this, lane};
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    work_cv_.wait(lock,
-                  [&] { return stop_ || (batch_ && batch_->id != seen); });
+    cv_.wait(lock, [&] { return stop_ || !open_.empty(); });
     if (stop_) return;
-    Batch& batch = *batch_;
-    seen = batch.id;
-    ++batch.attached;
-    lock.unlock();
-    drain(batch, lane);
-    lock.lock();
-    // The caller frees the batch only once finished == count and no worker
-    // is still attached; always notify so it can re-check both.
-    --batch.attached;
-    done_cv_.notify_all();
+    help(lock, lane);
   }
 }
 
@@ -207,27 +225,26 @@ void Runner::run_indexed(std::size_t count,
                       std::memory_order_relaxed);
   };
   const Clock::time_point begin = Clock::now();
-  run_batch(count, timed);
+  const std::size_t steals = run_batch(count, timed);
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - begin).count();
   profiler->record_batch(jobs_, count, wall_s,
-                         1e-9 * static_cast<double>(busy_ns.load()),
-                         last_batch_steals_);
+                         1e-9 * static_cast<double>(busy_ns.load()), steals);
 }
 
-void Runner::run_batch(std::size_t count,
-                       const std::function<void(std::size_t)>& task) {
-  if (jobs_ == 1 || count == 1 || t_on_worker) {
-    // Inline execution steals nothing. Only the submitting thread may
-    // write the member: a nested batch runs on a worker lane, where a
-    // write would race the owner's read-back.
-    if (!t_on_worker) last_batch_steals_ = 0;
+std::size_t Runner::run_batch(std::size_t count,
+                              const std::function<void(std::size_t)>& task) {
+  // Only a thread outside every Runner's tasks may write last_batch_steals_:
+  // anywhere else the write would race the owner's read-back.
+  const bool top_level = t_seat.runner == nullptr;
+  const bool other_runner = !top_level && t_seat.runner != this;
+  if (jobs_ == 1 || count == 1 || other_runner) {
+    if (top_level) last_batch_steals_ = 0;
     for (std::size_t i = 0; i < count; ++i) task(i);
-    return;
+    return 0;
   }
 
   Batch batch;
-  batch.count = count;
   batch.task = &task;
   batch.lane_count = static_cast<std::size_t>(jobs_);
   batch.lanes = std::make_unique<Lane[]>(batch.lane_count);
@@ -252,25 +269,36 @@ void Runner::run_batch(std::size_t count,
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    batch.id = ++next_batch_id_;
-    batch_ = &batch;
+    open_.push_back(&batch);
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
 
-  // Participate as lane 0. Mark this thread as a worker so a nested batch
-  // submitted by a task runs inline instead of deadlocking.
-  t_on_worker = true;
-  drain(batch, 0);
-  t_on_worker = false;
+  // A top-level caller takes lane 0 for the batch's lifetime, so its tasks
+  // count as worker tasks and the batches they submit join this pool.
+  if (top_level) t_seat = {this, 0};
+  drain(batch, t_seat.lane);
 
+  // Every index is claimed now; wait for the helpers still running theirs.
+  // The top-level caller is idle until then, so it helps with the nested
+  // batches of those tasks; a nested submitter waits without taking
+  // unrelated work, so its wave never waits behind a long outer task.
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] {
-    return batch.finished == batch.count && batch.attached == 0;
-  });
-  batch_ = nullptr;
+  retire(batch);
+  const auto can_help = [&] { return top_level && !open_.empty(); };
+  while (batch.helpers != 0) {
+    if (can_help()) {
+      help(lock, 0);
+    } else {
+      cv_.wait(lock, [&] { return batch.helpers == 0 || can_help(); });
+    }
+  }
   lock.unlock();
-  last_batch_steals_ = batch.steals.load(std::memory_order_relaxed);
+  if (top_level) t_seat = {};
+
+  const std::size_t steals = batch.steals.load(std::memory_order_relaxed);
+  if (top_level) last_batch_steals_ = steals;
   if (batch.error) std::rethrow_exception(batch.error);
+  return steals;
 }
 
 }  // namespace hetscale::run

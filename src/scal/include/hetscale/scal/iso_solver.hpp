@@ -39,7 +39,9 @@ struct IsoSolveOptions {
   /// the found N and measured E_s are identical to the sequential solve on
   /// any E_s(n). The doubling bracket itself stays sequential — simulation
   /// cost grows superlinearly with N, so speculating doublings ahead would
-  /// cost more than it hides.
+  /// cost more than it hides. scalability_series fills this in with its own
+  /// runner when left null, so each solve of a ladder bisects in waves on
+  /// the series' pool.
   run::Runner* runner = nullptr;
 };
 

@@ -49,8 +49,11 @@ struct SeriesReport {
 /// With a runner (jobs > 1), the per-system iso-solves run as one batch —
 /// they are independent simulations — and the report is assembled from the
 /// batch in ladder order, so it is bit-identical to the sequential build.
-/// An iso-solve submitted from a batch worker runs inline, so any runner in
-/// `solve` only adds parallelism when this outer batch is sequential.
+/// Unless `solve.runner` is already set, each solve also gets `runner`: its
+/// speculative-bisection waves are nested batches on the same pool, claimed
+/// by lanes whose own system is done, and the found N and E_s stay those of
+/// the sequential solve. At jobs >= 3 the waves probe sizes a sequential
+/// solve never visits, so a measurement store sees more simulations.
 SeriesReport scalability_series(std::span<Combination* const> combinations,
                                 double target_es,
                                 const IsoSolveOptions& solve = {},

@@ -27,16 +27,20 @@ SeriesReport scalability_series(std::span<Combination* const> combinations,
 
   // One iso-solve per system. Each solve only touches its own combination,
   // so the ladder is an independent batch; the report below is assembled
-  // in ladder order either way.
+  // in ladder order either way. Each solve's own waves are nested batches
+  // on the same pool, so lanes whose system is done help the slower ones.
+  IsoSolveOptions options = solve;
+  if (options.runner == nullptr) options.runner = runner;
   std::vector<IsoSolveResult> solved;
   if (runner != nullptr && runner->jobs() > 1) {
     solved = runner->map(combinations.size(), [&](std::size_t i) {
-      return required_problem_size(*combinations[i], target_es, solve);
+      return required_problem_size(*combinations[i], target_es, options);
     });
   } else {
     solved.reserve(combinations.size());
     for (Combination* combination : combinations) {
-      solved.push_back(required_problem_size(*combination, target_es, solve));
+      solved.push_back(
+          required_problem_size(*combination, target_es, options));
     }
   }
 

@@ -77,15 +77,19 @@ std::int64_t parse_int(
 /// Split "a,b,c" into trimmed pieces (empty pieces dropped).
 std::vector<std::string> split(const std::string& text, char sep);
 
+/// The most worker lanes a run::Runner accepts. Each lane is an OS thread
+/// started up front, so a larger request is rejected before any starts.
+inline constexpr int kMaxJobs = 1024;
+
 /// Map a requested worker count to an effective one: 0 means "use the
-/// hardware concurrency" (at least 1), positive values up to INT_MAX pass
-/// through, and anything else throws. This is the single definition of what
-/// `0` means — --jobs, HETSCALE_JOBS, and Runner(0) all funnel through it,
-/// so the three spellings can never drift apart.
+/// hardware concurrency" (at least 1, at most kMaxJobs), positive values up
+/// to kMaxJobs pass through, and anything else throws. This is the single
+/// definition of what `0` means — --jobs, HETSCALE_JOBS, and Runner(0) all
+/// funnel through it, so the three spellings can never drift apart.
 int normalize_jobs(std::int64_t jobs);
 
 /// The process-wide default worker count: the HETSCALE_JOBS environment
-/// variable when set (a whole integer in [0, INT_MAX]; 0 = hardware
+/// variable when set (a whole integer in [0, kMaxJobs]; 0 = hardware
 /// concurrency), otherwise the hardware concurrency (at least 1). A
 /// malformed value throws PreconditionError naming the variable.
 int default_jobs();

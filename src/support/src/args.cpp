@@ -1,5 +1,6 @@
 #include "hetscale/support/args.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <charconv>
 #include <climits>
@@ -194,21 +195,27 @@ int normalize_jobs(std::int64_t jobs) {
                    "jobs must be >= 0 (0 means hardware concurrency)");
   HETSCALE_REQUIRE(jobs <= INT_MAX, "jobs must be <= " +
                                         std::to_string(INT_MAX));
+  HETSCALE_REQUIRE(jobs <= kMaxJobs,
+                   "jobs must be <= " + std::to_string(kMaxJobs) +
+                       " (the worker pool's lane limit)");
   if (jobs > 0) return static_cast<int>(jobs);
   const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware >= 1 ? static_cast<int>(hardware) : 1;
+  return static_cast<int>(
+      std::clamp<unsigned>(hardware, 1, static_cast<unsigned>(kMaxJobs)));
 }
 
 int default_jobs() {
   const char* env = std::getenv("HETSCALE_JOBS");
   if (env == nullptr) return normalize_jobs(0);
-  return normalize_jobs(parse_int(env, "HETSCALE_JOBS", 0, INT_MAX));
+  return normalize_jobs(parse_int(env, "HETSCALE_JOBS", 0, kMaxJobs));
 }
 
 ArgParser& add_jobs_flag(ArgParser& args) {
   args.add_flag("jobs",
-                "worker threads for batch runs; 0 = hardware concurrency "
-                "(default: HETSCALE_JOBS or hardware concurrency)");
+                "worker threads for batch runs, at most " +
+                    std::to_string(kMaxJobs) +
+                    "; 0 = hardware concurrency "
+                    "(default: HETSCALE_JOBS or hardware concurrency)");
   args.add_short('j', "jobs");
   return args;
 }

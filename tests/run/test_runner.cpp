@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "hetscale/obs/profiler.hpp"
 #include "hetscale/scal/combination.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/args.hpp"
+#include "hetscale/support/error.hpp"
 
 namespace hetscale::run {
 namespace {
@@ -102,6 +107,117 @@ TEST(Runner, NestedBatchesRunInlineWithoutDeadlock) {
   }
 }
 
+// The nested batch needs three lanes at once: each task waits for the
+// other two. Lanes 2 and 3 get no outer work and task 1 is trivial, so
+// they are idle and must claim the nested tasks. Were the nested batch run
+// inline, its tasks would run one after another and miss their deadlines.
+TEST(Runner, NestedBatchesShareIdleLanes) {
+  Runner runner(4);
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  runner.run_indexed(2, [&](std::size_t i) {
+    if (i != 0) return;
+    runner.run_indexed(3, [&](std::size_t) {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (arrived.load() < 3 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (arrived.load() == 3) met.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(met.load(), 3);
+}
+
+TEST(Runner, NestedFailureReachesTheSubmittingTask) {
+  Runner runner(4);
+  // Each outer task catches exactly the error its own nested batch threw,
+  // and the outer batch completes.
+  const auto caught = runner.map(4, [&](std::size_t i) {
+    try {
+      runner.run_indexed(3, [&](std::size_t j) {
+        if (j == 1) throw std::runtime_error("nested " + std::to_string(i));
+      });
+    } catch (const std::runtime_error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  });
+  for (std::size_t i = 0; i < caught.size(); ++i) {
+    EXPECT_EQ(caught[i], "nested " + std::to_string(i));
+  }
+
+  // Uncaught, the nested failures of outer tasks 1 and 3 fail both; task 3
+  // holds back until task 1 has started, so both failures are recorded and
+  // the outer batch must rethrow task 1's.
+  std::atomic<bool> one_started{false};
+  try {
+    runner.run_indexed(4, [&](std::size_t i) {
+      if (i == 1) one_started.store(true);
+      if (i == 3) {
+        while (!one_started.load()) std::this_thread::yield();
+      }
+      if (i % 2 == 1) {
+        runner.run_indexed(2, [&](std::size_t j) {
+          if (j == 0) throw std::runtime_error("outer " + std::to_string(i));
+        });
+      }
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "outer 1");
+  }
+
+  // The pool survives both.
+  const auto out =
+      runner.map(8, [](std::size_t i) { return static_cast<int>(i) + 1; });
+  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 36);
+}
+
+TEST(Runner, ThreeLevelNestingKeepsRequestOrder) {
+  for (int jobs : {1, 2, 3, 4, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    Runner runner(jobs);
+    const auto out = runner.map(5, [&](std::size_t i) {
+      return runner.map(4, [&](std::size_t j) {
+        return runner.map(3, [&](std::size_t k) {
+          return static_cast<int>(100 * i + 10 * j + k);
+        });
+      });
+    });
+    ASSERT_EQ(out.size(), 5u);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i].size(), 4u);
+      for (std::size_t j = 0; j < out[i].size(); ++j) {
+        ASSERT_EQ(out[i][j].size(), 3u);
+        for (std::size_t k = 0; k < out[i][j].size(); ++k) {
+          EXPECT_EQ(out[i][j][k], static_cast<int>(100 * i + 10 * j + k));
+        }
+      }
+    }
+  }
+}
+
+TEST(Runner, BatchFromAnotherRunnersTaskRunsInline) {
+  Runner outer(4);
+  Runner inner(4);
+  std::atomic<int> moved{0};
+  const auto out = outer.map(6, [&](std::size_t i) {
+    const auto caller = std::this_thread::get_id();
+    const auto got = inner.map(5, [&](std::size_t j) {
+      if (std::this_thread::get_id() != caller) moved.fetch_add(1);
+      return static_cast<int>(10 * i + j);
+    });
+    return std::accumulate(got.begin(), got.end(), 0);
+  });
+  EXPECT_EQ(moved.load(), 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], static_cast<int>(50 * i + 10));
+  }
+}
+
 TEST(Runner, ManyBatchesBackToBack) {
   Runner runner(3);
   std::int64_t total = 0;
@@ -136,6 +252,33 @@ TEST(Runner, ForcedStealsPreserveOrderedMerge) {
   }
 }
 
+// A profiled batch records the steals of the batch that just ran. Here
+// each task of a profiled batch submits a single-task nested batch, which
+// runs inline and steals nothing; the stale count of the earlier
+// forced-steal batch must not be recorded for them.
+TEST(Runner, ProfiledNestedBatchRecordsItsOwnSteals) {
+  Runner runner(2);
+  std::atomic<int> odd_done{0};
+  runner.run_indexed(8, [&](std::size_t i) {
+    if (i == 1 || i == 3 || i == 5) odd_done.fetch_add(1);
+    if (i == 7) {
+      while (odd_done.load() < 3) std::this_thread::yield();
+    }
+  });
+  ASSERT_GE(runner.last_batch_steals(), 3u);
+
+  obs::Profiler profiler;
+  {
+    obs::ProfilerScope scope(profiler);
+    runner.run_indexed(2, [&](std::size_t) {
+      runner.run_indexed(1, [](std::size_t) {});
+    });
+  }
+  EXPECT_EQ(profiler.wall().batches, 3u);
+  EXPECT_LE(runner.last_batch_steals(), 2u);
+  EXPECT_EQ(profiler.wall().steals, runner.last_batch_steals());
+}
+
 // Same construction, but the guaranteed-stolen task (3 — the worker is
 // pinned on 7 while 3 is pending, so only a caller-side steal can run it)
 // throws: the failure must cross lanes and rethrow on the caller.
@@ -166,6 +309,18 @@ TEST(Runner, ExceptionFromStolenTaskPropagates) {
   const auto out =
       runner.map(8, [](std::size_t i) { return static_cast<int>(i) + 1; });
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 36);
+}
+
+// Above the lane limit the constructor throws before starting any thread.
+TEST(Runner, RejectsJobsAboveTheLaneLimit) {
+  try {
+    Runner runner(kMaxJobs + 1);
+    FAIL() << "accepted " << runner.jobs() << " jobs";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find(std::to_string(kMaxJobs)),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // The engine's core guarantee: a parallel sweep of real simulations equals

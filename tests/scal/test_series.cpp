@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "analytic_combination.hpp"
+#include "hetscale/run/runner.hpp"
+#include "hetscale/scal/measure_store.hpp"
 #include "hetscale/scal/metrics.hpp"
+#include "hetscale/scenarios/paper.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
@@ -86,6 +93,56 @@ TEST(Series, NeedsAtLeastTwoSystems) {
   AnalyticCombination a("solo", 1e8, 100.0);
   std::vector<Combination*> combos{&a};
   EXPECT_THROW(scalability_series(combos, 0.5), PreconditionError);
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+// The series hands its runner to every solve, whose speculative waves then
+// run as nested batches and probe sizes that depend on the jobs count. The
+// report must still be the sequential one, bit for bit. The store is off so
+// every run simulates from scratch.
+TEST(Series, ParallelLadderMatchesSequentialBitwise) {
+  struct StoreOff {
+    bool was = MeasurementStore::global().enabled();
+    StoreOff() { MeasurementStore::global().set_enabled(false); }
+    ~StoreOff() { MeasurementStore::global().set_enabled(was); }
+  } store_off;
+  const auto series_at = [](int jobs) {
+    std::vector<std::unique_ptr<ClusterCombination>> owned;
+    std::vector<Combination*> ptrs;
+    for (int nodes : {2, 4, 8}) {
+      owned.push_back(scenarios::make_ge(nodes));
+      ptrs.push_back(owned.back().get());
+    }
+    run::Runner runner(jobs);
+    return scalability_series(ptrs, scenarios::kGeTargetEs, {}, &runner);
+  };
+  const SeriesReport expected = series_at(1);
+  ASSERT_EQ(expected.points.size(), 3u);
+  for (const auto& point : expected.points) EXPECT_TRUE(point.found);
+
+  for (int jobs : {3, 4, 8}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    const SeriesReport got = series_at(jobs);
+    EXPECT_EQ(bits(got.target_es), bits(expected.target_es));
+    ASSERT_EQ(got.points.size(), expected.points.size());
+    for (std::size_t i = 0; i < got.points.size(); ++i) {
+      const OperatingPoint& a = got.points[i];
+      const OperatingPoint& b = expected.points[i];
+      EXPECT_EQ(a.system, b.system);
+      EXPECT_EQ(bits(a.marked_speed), bits(b.marked_speed));
+      EXPECT_EQ(a.n, b.n);
+      EXPECT_EQ(bits(a.work), bits(b.work));
+      EXPECT_EQ(bits(a.achieved_es), bits(b.achieved_es));
+      EXPECT_EQ(a.found, b.found);
+    }
+    ASSERT_EQ(got.steps.size(), expected.steps.size());
+    for (std::size_t i = 0; i < got.steps.size(); ++i) {
+      EXPECT_EQ(got.steps[i].from, expected.steps[i].from);
+      EXPECT_EQ(got.steps[i].to, expected.steps[i].to);
+      EXPECT_EQ(bits(got.steps[i].psi), bits(expected.steps[i].psi));
+    }
+  }
 }
 
 }  // namespace

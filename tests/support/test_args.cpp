@@ -235,6 +235,32 @@ TEST(Args, NormalizeJobsIsTheSingleZeroDefinition) {
   ::unsetenv("HETSCALE_JOBS");
 }
 
+TEST(Args, JobsAboveTheLaneLimitAreRejected) {
+  const std::string limit = std::to_string(kMaxJobs);
+  const std::string above = std::to_string(kMaxJobs + 1);
+  EXPECT_EQ(normalize_jobs(kMaxJobs), kMaxJobs);
+  EXPECT_LE(normalize_jobs(0), kMaxJobs);
+  const auto expect_rejected = [&](const std::function<int()>& resolve) {
+    try {
+      (void)resolve();
+      ADD_FAILURE() << "accepted";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find(limit), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_rejected([&] { return normalize_jobs(kMaxJobs + 1); });
+
+  ArgParser args;
+  add_jobs_flag(args);
+  args.parse({"--jobs", above});
+  expect_rejected([&] { return resolve_jobs(args); });
+
+  ::setenv("HETSCALE_JOBS", above.c_str(), 1);
+  expect_rejected([] { return default_jobs(); });
+  ::unsetenv("HETSCALE_JOBS");
+}
+
 TEST(Args, JobsEnvFallback) {
   ArgParser args;
   add_jobs_flag(args);
