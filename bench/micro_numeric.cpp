@@ -76,17 +76,27 @@ void BM_MultiplyRowsInto(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiplyRowsInto)->Arg(128)->Arg(512)->Arg(1024);
 
-// GE's hot elimination kernel: a blocked rank-1 update of 16 rows against
-// a shared pivot, as eliminate_rows batches it.
-void BM_Rank1Update(benchmark::State& state) {
+// GE's hot elimination kernel: m pivots applied to 16 rows, four rows per
+// tile. m = 1 is one step's update (the pipelined GE and pivoted GE's panel
+// step); m = 8 is the paper GE's block of eight deferred steps, which loads
+// and stores each row once for all eight pivots. The flops rate counts the
+// 2 * rows * m * n multiplies and subtracts (G/s = Gflop/s); bytes count
+// the target rows.
+void rank1_update_pivots(benchmark::State& state, std::size_t m) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kRows = 16;
   Rng rng(6);
   const Matrix block = Matrix::random(kRows, n, rng);
-  std::vector<double> x(n);
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  std::vector<double> factors(kRows);
+  std::vector<std::vector<double>> x(m, std::vector<double>(n));
+  for (auto& pivot : x) {
+    for (auto& v : pivot) v = rng.uniform(-1.0, 1.0);
+  }
+  std::vector<double> factors(kRows * m);
   for (auto& f : factors) f = rng.uniform(-1.0, 1.0);
+  std::vector<const double*> xs;
+  for (const auto& pivot : x) xs.push_back(pivot.data());
+  std::vector<const double*> fs;
+  for (std::size_t r = 0; r < kRows; ++r) fs.push_back(&factors[r * m]);
   Matrix work = block;
   std::vector<double*> rows(kRows);
   for (std::size_t r = 0; r < kRows; ++r) rows[r] = work.row(r).data();
@@ -94,14 +104,25 @@ void BM_Rank1Update(benchmark::State& state) {
   // linearly (no subnormals, no overflow at benchmark scales), and the
   // timed region stays pure kernel.
   for (auto _ : state) {
-    kernels::rank1_update(x, std::span<double* const>(rows.data(), kRows),
-                          factors);
+    kernels::rank1_update(xs, n, rows, fs);
     benchmark::DoNotOptimize(work.data().data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(kRows * n) * 8);
+  state.counters["flops"] = benchmark::Counter(
+      2.0 * static_cast<double>(kRows * m * n) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
 }
+
+void BM_Rank1Update(benchmark::State& state) { rank1_update_pivots(state, 1); }
 BENCHMARK(BM_Rank1Update)->Arg(256)->Arg(2048);
+
+void BM_Rank1UpdateBlock8(benchmark::State& state) {
+  rank1_update_pivots(state, 8);
+}
+BENCHMARK(BM_Rank1UpdateBlock8)->Arg(256)->Arg(2048);
 
 // The CSR row kernel the SpMV workload charges for — irregular gathers
 // through the column index, so it stresses a different path than the dense

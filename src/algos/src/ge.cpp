@@ -4,7 +4,9 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "hetscale/dist/distribution.hpp"
 #include "hetscale/kernels/blas1.hpp"
@@ -28,6 +30,8 @@ constexpr int kTagRows = 100;
 constexpr int kTagCollect = 101;
 /// Pipelined variant: pivot of step i travels with tag kTagPivotBase + i.
 constexpr int kTagPivotBase = 2000;
+/// Paper variant with data: pivots applied per block of this many steps.
+constexpr std::size_t kDefer = 8;
 constexpr double kMetadataBytes = 16.0;
 
 struct RankData {
@@ -38,6 +42,7 @@ struct RankData {
   /// same memory — no per-step pack/unpack copies.
   std::vector<double> slab;
   std::size_t next = 0;  ///< first local index with global row >= step i
+  std::vector<double*> targets;  ///< scratch: rows handed to the kernel
 };
 
 struct GeShared {
@@ -205,38 +210,44 @@ Payload normalize_pivot(GeShared& sh, RankData& mine, std::int64_t i,
   return pivot;
 }
 
-/// Eliminate owned local rows [first, end) at step i against the pivot
-/// (trailing columns + folded rhs). Batches target rows through the blocked
-/// rank-1 kernel — which routes to the runtime-dispatched SIMD path
-/// (kernels/dispatch.hpp) with bit-identical results — and rows whose
-/// factor is already zero are skipped, exactly as kernels::eliminate_row
-/// does.
-void eliminate_rows(GeShared& sh, RankData& mine, std::int64_t i,
-                    std::size_t first, const Payload& pivot) {
-  if (!sh.with_data) return;
-  const auto piv = pivot.doubles();
-  constexpr std::size_t kBatch = 16;
-  std::array<double*, kBatch> ptrs;
-  std::array<double, kBatch> factors;
-  std::size_t pending = 0;
-  auto flush = [&] {
-    kernels::rank1_update(piv, std::span<double* const>(ptrs.data(), pending),
-                          std::span<const double>(factors.data(), pending));
-    pending = 0;
-  };
-  for (std::size_t k = first; k < mine.rows.size(); ++k) {
-    double* row = local_row(sh, mine, k) + i;
-    const double factor = row[0];
-    if (factor == 0.0) continue;
-    ptrs[pending] = row;
-    factors[pending] = factor;
-    if (++pending == kBatch) flush();
+/// Apply `pivots` — the normalized pivot buffers of steps lead, lead + 1,
+/// ... (trailing columns + folded rhs) — in order to owned local rows
+/// [first, last), through the block elimination kernel: a row whose factor
+/// for a pivot is zero skips that pivot, exactly as kernels::eliminate_row
+/// does, and the runtime-dispatched SIMD tile (kernels/dispatch.hpp) keeps
+/// the results bit-identical to applying each pivot at its own step.
+void apply_pivots(GeShared& sh, RankData& mine, std::int64_t lead,
+                  std::span<const Payload> pivots, std::size_t first,
+                  std::size_t last) {
+  if (!sh.with_data || pivots.empty() || first >= last) return;
+  HETSCALE_CHECK(pivots.size() <= kDefer, "too many pivots for one block");
+  std::array<const double*, kDefer> heads{};
+  for (std::size_t j = 0; j < pivots.size(); ++j) {
+    heads[j] = pivots[j].doubles().data();
   }
-  if (pending > 0) flush();
+  mine.targets.clear();
+  for (std::size_t k = first; k < last; ++k) {
+    mine.targets.push_back(local_row(sh, mine, k) + lead);
+  }
+  kernels::eliminate_block({heads.data(), pivots.size()}, mine.targets,
+                           static_cast<std::size_t>(sh.n + 1 - lead));
 }
 
 /// Stage 1, as the paper specifies it: per step, two broadcasts (pivot row
 /// + rhs) and a barrier.
+///
+/// With data, each rank defers its elimination updates on the host: it
+/// keeps the pivots it received but has not applied (Payload references,
+/// no copies) and applies them in blocks of kDefer. Before the owner of row
+/// i normalizes it, that row takes every pending pivot (owner flush); every
+/// kDefer steps every remaining row takes them all in one pass (block
+/// flush), so each row streams through memory once per block instead of
+/// once per step. A row already normalized as a pivot was finished at its
+/// own step. The result is bit-identical to eliminating at every step:
+/// each element still takes the same multiplies and subtracts in the same
+/// pivot order, and a row's factor for pivot j is its column j after
+/// pivots < j, as before (kernels::eliminate_block). Virtual time is
+/// charged per step exactly as before; only host memory traffic changes.
 Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
   const int rank = comm.rank();
   const std::int64_t n = sh.n;
@@ -245,6 +256,11 @@ Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
     sh.charged.add(rank, flops);
     return comm.compute(flops);
   };
+
+  // with_data: pivots of steps i - pending.size() .. i - 1, not yet applied
+  // to the rows below them.
+  std::vector<Payload> pending;
+  if (sh.with_data) pending.reserve(kDefer);
 
   for (std::int64_t i = 0; i < n; ++i) {
     const int owner = sh.owners[static_cast<std::size_t>(i)];
@@ -260,6 +276,8 @@ Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
                          (mine.next < mine.rows.size() &&
                           mine.rows[mine.next] == i),
                      "owner does not hold the pivot row");
+      const auto held = static_cast<std::int64_t>(pending.size());
+      apply_pivots(sh, mine, i - held, pending, mine.next, mine.next + 1);
       pivot = normalize_pivot(sh, mine, i, mine.next);
     }
 
@@ -282,6 +300,7 @@ Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
         co_await comm.bcast(owner, 8.0, std::move(rhs_payload));
     (void)rhs_bcast;  // the rhs already arrived folded into the row buffer
     if (sh.with_data && rank != owner) pivot = std::move(row_bcast);
+    if (sh.with_data) pending.push_back(std::move(pivot));
 
     std::size_t first = mine.next;
     if (first < mine.rows.size() && mine.rows[first] == i) ++first;
@@ -289,7 +308,11 @@ Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
     if (count > 0) {
       co_await charge(static_cast<double>(count) *
                       kernels::ge_eliminate_row_flops(n, i));
-      eliminate_rows(sh, mine, i, first, pivot);
+    }
+    if (pending.size() == kDefer) {
+      apply_pivots(sh, mine, i + 1 - static_cast<std::int64_t>(kDefer),
+                   pending, first, mine.rows.size());
+      pending.clear();
     }
     if (sh.barrier_each_step) co_await comm.barrier();
   }
@@ -362,8 +385,8 @@ Task<void> ge_eliminate_pipelined(Comm& comm, GeShared& sh, RankData& mine) {
                           mine.rows[first] == i + 1),
                      "lookahead owner does not hold row i+1");
       co_await charge(kernels::ge_eliminate_row_flops(n, i));
-      eliminate_rows(sh, mine, i, first, pivot);
-      // eliminate_rows updated [first, end); re-do bookkeeping: we only
+      apply_pivots(sh, mine, i, {&pivot, 1}, first, mine.rows.size());
+      // apply_pivots updated [first, end); re-do bookkeeping: we only
       // wanted row i+1 now, so do it precisely instead:
       remaining_first = first + 1;
       co_await charge(kernels::ge_normalize_flops(n, i + 1));
@@ -376,9 +399,9 @@ Task<void> ge_eliminate_pipelined(Comm& comm, GeShared& sh, RankData& mine) {
       co_await charge(static_cast<double>(count) *
                       kernels::ge_eliminate_row_flops(n, i));
       if (remaining_first == first) {
-        eliminate_rows(sh, mine, i, remaining_first, pivot);
+        apply_pivots(sh, mine, i, {&pivot, 1}, first, mine.rows.size());
       }
-      // (when the lookahead ran, eliminate_rows above already covered the
+      // (when the lookahead ran, apply_pivots above already covered the
       // whole [first, end) range with identical arithmetic)
     }
   }

@@ -2,7 +2,6 @@
 #include "hetscale/algos/ge_pivot.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -200,35 +199,6 @@ Task<void> collect(Comm& comm, Shared& sh, RankData& mine) {
   }
 }
 
-/// Batched `row -= factor * pivot` over a list of (pointer, factor) pairs,
-/// skipping exact-zero factors like the unblocked reference does.
-class Rank1Batch {
- public:
-  explicit Rank1Batch(std::span<const double> pivot) : pivot_(pivot) {}
-
-  void add(double* row, double factor) {
-    if (factor == 0.0) return;
-    ptrs_[pending_] = row;
-    factors_[pending_] = factor;
-    if (++pending_ == kBatch) flush();
-  }
-
-  void flush() {
-    if (pending_ == 0) return;
-    kernels::rank1_update(
-        pivot_, std::span<double* const>(ptrs_.data(), pending_),
-        std::span<const double>(factors_.data(), pending_));
-    pending_ = 0;
-  }
-
- private:
-  static constexpr std::size_t kBatch = 16;
-  std::span<const double> pivot_;
-  std::array<double*, kBatch> ptrs_;
-  std::array<double, kBatch> factors_;
-  std::size_t pending_ = 0;
-};
-
 Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
   const int rank = comm.rank();
   const int p = comm.size();
@@ -239,6 +209,9 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
     sh.charged.add(rank, flops);
     return comm.compute(flops);
   };
+  // Scratch lists handed to the kernels (reused across steps).
+  std::vector<double*> row_ptrs;
+  std::vector<const double*> factor_rows;
 
   for (std::int64_t p0 = 0; p0 < n; p0 += sh.panel) {
     const std::int64_t p1 = std::min(p0 + sh.panel, n);
@@ -372,14 +345,15 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
         co_await charge(static_cast<double>(targets) * 2.0 *
                         static_cast<double>(seg_len));
         if (sh.with_data) {
-          Rank1Batch batch(seg.doubles());
+          row_ptrs.clear();
           for (std::size_t k = target_first; k < mine.rows.size(); ++k) {
             double* row = local_row(sh, mine, k) + i;
-            const double factor = row[0];
-            mine.factors[k].push_back(factor);
-            batch.add(row, factor);
+            mine.factors[k].push_back(row[0]);
+            row_ptrs.push_back(row);
           }
-          batch.flush();
+          const double* pivot = seg.doubles().data();
+          kernels::eliminate_block({&pivot, 1}, row_ptrs,
+                                   static_cast<std::size_t>(seg_len));
         }
       }
     }
@@ -389,6 +363,7 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
     // normalized trailing rows, then applies the deferred updates ----
     const std::int64_t nb = p1 - p0;
     std::vector<std::vector<double>> t_norm(static_cast<std::size_t>(nb));
+    std::vector<const double*> t_rows;  // t_norm[jj].data(), jj ascending
     double recon_flops = 0.0;
     for (std::int64_t ii = p0; ii < p1; ++ii) {
       const int owner = sh.owners[static_cast<std::size_t>(ii)];
@@ -421,18 +396,15 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
                  buf.end());
         // Apply the pivot row's own deferred updates (ascending, exactly the
         // unblocked order), then normalize with the recorded 1/diag.
-        for (std::size_t jj = 0; jj < flen; ++jj) {
-          const double f = buf[jj];
-          if (f == 0.0) continue;
-          const auto& prev = t_norm[jj];
-          for (std::int64_t c = 0; c < t_len; ++c) {
-            t[static_cast<std::size_t>(c)] -=
-                f * prev[static_cast<std::size_t>(c)];
-          }
-        }
+        double* target = t.data();
+        const double* history = buf.data();
+        kernels::rank1_update({t_rows.data(), flen},
+                              static_cast<std::size_t>(t_len), {&target, 1},
+                              {&history, 1});
         for (std::int64_t c = 0; c < t_len; ++c) {
           t[static_cast<std::size_t>(c)] *= inv;
         }
+        t_rows.push_back(t.data());
         if (rank == owner) {
           const std::size_t ki = local_lower_bound(mine, ii);
           std::copy(t.begin(), t.end(), local_row(sh, mine, ki) + p1);
@@ -449,14 +421,16 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
                                 static_cast<double>(t_len);
     co_await charge(recon_flops + update_flops);
     if (sh.with_data) {
-      for (std::int64_t jj = 0; jj < nb; ++jj) {
-        Rank1Batch batch(t_norm[static_cast<std::size_t>(jj)]);
-        for (std::size_t k = own_first; k < mine.rows.size(); ++k) {
-          batch.add(local_row(sh, mine, k) + p1,
-                    mine.factors[k][static_cast<std::size_t>(jj)]);
-        }
-        batch.flush();
+      // All nb pivots in one pass over the trailing rows; per element the
+      // order is still jj ascending.
+      row_ptrs.clear();
+      factor_rows.clear();
+      for (std::size_t k = own_first; k < mine.rows.size(); ++k) {
+        row_ptrs.push_back(local_row(sh, mine, k) + p1);
+        factor_rows.push_back(mine.factors[k].data());
       }
+      kernels::rank1_update(t_rows, static_cast<std::size_t>(t_len), row_ptrs,
+                            factor_rows);
       for (auto& f : mine.factors) f.clear();
     }
   }

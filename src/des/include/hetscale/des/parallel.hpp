@@ -80,7 +80,10 @@ struct PartitionHooks {
 /// bounded by `lookahead_s > 0` past the global next-event time. Returns one
 /// slot per partition holding the exception that stopped it (from the
 /// window loop or from Scheduler::check_roots() at quiescence), or null.
-/// Any partition failure stops every partition at the next round.
+/// Any partition failure stops every partition at the next round. If a
+/// partition thread cannot be started, no partition runs (no hook is
+/// called): the threads already started are joined and the start error
+/// (e.g. std::system_error) is rethrown.
 std::vector<std::exception_ptr> run_conservative(
     const std::vector<Scheduler*>& partitions, double lookahead_s,
     const PartitionHooks& hooks);

@@ -1,6 +1,7 @@
 #include "hetscale/des/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <thread>
 
@@ -106,11 +107,32 @@ std::vector<std::exception_ptr> run_conservative(
     return errors;
   }
   next_time.assign(partitions.size(), 0.0);
+  // Every thread waits at this gate before its bootstrap. If a thread fails
+  // to start, the gate turns the started ones away before any of them
+  // reaches a window barrier (where they would wait forever for the missing
+  // one); they are joined, then the start error propagates. The wait spins
+  // like the barrier's: it lasts only while the remaining threads start,
+  // and sleeping in the kernel instead would add a wake-up to every run.
+  enum : int { kWait, kGo, kAbort };
+  std::atomic<int> gate{kWait};
   std::vector<std::thread> threads;
   threads.reserve(partitions.size());
-  for (int p = 0; p < count; ++p) {
-    threads.emplace_back(partition_loop, p);
+  try {
+    for (int p = 0; p < count; ++p) {
+      threads.emplace_back([&gate, &partition_loop, p] {
+        int state = kWait;
+        while ((state = gate.load(std::memory_order_acquire)) == kWait) {
+          std::this_thread::yield();
+        }
+        if (state == kGo) partition_loop(p);
+      });
+    }
+  } catch (...) {
+    gate.store(kAbort, std::memory_order_release);
+    for (std::thread& thread : threads) thread.join();
+    throw;
   }
+  gate.store(kGo, std::memory_order_release);
   for (std::thread& thread : threads) thread.join();
   return errors;
 }

@@ -6,9 +6,11 @@
 // element-wise lanes, explicit multiply then add/subtract, no FMA
 // contraction, no reassociated reductions. Under that contract an AVX2 lane
 // computes bit-for-bit what the scalar loop computes for the same element,
-// and artifacts stay identical whichever table is selected. Kernels that
-// cannot be vectorized without reassociating (dot's horizontal sum) stay
-// scalar on purpose.
+// and artifacts stay identical whichever table is selected. The same holds
+// for fusing work across passes: the rank-1 tile applies m pivots in one
+// pass over its rows, but every element still takes them in pivot order,
+// exactly as m separate passes would. Kernels that cannot be vectorized
+// without reassociating (dot's horizontal sum) stay scalar on purpose.
 //
 // The table is resolved once per process: HETSCALE_KERNEL=scalar|avx2
 // forces an implementation (avx2 requires hardware support and fails loudly
@@ -42,10 +44,17 @@ struct KernelOps {
   /// y[i] += a * x[i] for i in [0, n).
   void (*axpy)(double a, const double* x, double* y, std::size_t n);
 
-  /// rows[r][i] -= factors[r] * x[i] for r in [0, 4), i in [0, n) — the
-  /// four-row elimination block of GE.
-  void (*rank1_update4)(const double* x, double* const* rows,
-                        const double* factors, std::size_t n);
+  /// rows[r][i] -= factors[r][j] * xs[j][i] for r in [0, 4), i in [0, n),
+  /// applied for j ascending in [0, m): m rank-1 updates of a four-row
+  /// block — the elimination tile of GE. Each element takes the same
+  /// multiplies and subtracts, in the same order, as m separate one-pivot
+  /// passes; a vector path may keep the rows in registers across j, so a
+  /// row is loaded and stored once per call rather than once per pivot.
+  /// With m = 1 it is one pivot's update. Every factor is applied, zeros
+  /// included. factors[r] points at m doubles.
+  void (*rank1_update4)(const double* const* xs, std::size_t m,
+                        double* const* rows, const double* const* factors,
+                        std::size_t n);
 
   /// Four-row matmul tile over a packed B panel (row stride nc):
   ///   c_rows[r][j] += a_rows[r][k] * panel[k * nc + j]

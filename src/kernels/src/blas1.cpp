@@ -1,5 +1,9 @@
 #include "hetscale/kernels/blas1.hpp"
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "hetscale/kernels/dispatch.hpp"
 #include "hetscale/support/error.hpp"
 
@@ -10,19 +14,75 @@ void axpy(double a, std::span<const double> x, std::span<double> y) {
   ops().axpy(a, x.data(), y.data(), x.size());
 }
 
-void rank1_update(std::span<const double> x, std::span<double* const> rows,
-                  std::span<const double> factors) {
-  HETSCALE_REQUIRE(rows.size() == factors.size(),
-                   "rank1_update needs one factor per row");
-  const KernelOps& k = ops();
-  const std::size_t m = x.size();
-  std::size_t r = 0;
-  for (; r + 4 <= rows.size(); r += 4) {
-    k.rank1_update4(x.data(), rows.data() + r, factors.data() + r, m);
+namespace {
+
+/// One target row, pivot by pivot: y += (-f) * x is the same per-element
+/// arithmetic as y -= f * x (sign flip and subtraction are both exact).
+void update_row(const KernelOps& k, std::span<const double* const> xs,
+                std::size_t n, double* row, const double* factors) {
+  for (std::size_t j = 0; j < xs.size(); ++j) {
+    if (factors[j] != 0.0) k.axpy(-factors[j], xs[j], row, n);
   }
-  // Leftover rows: y += (-f) * x is the same per-element arithmetic as
-  // y -= f * x (sign flip and subtraction are both exact).
-  for (; r < rows.size(); ++r) k.axpy(-factors[r], x.data(), rows[r], m);
+}
+
+}  // namespace
+
+void rank1_update(std::span<const double* const> xs, std::size_t n,
+                  std::span<double* const> rows,
+                  std::span<const double* const> factors) {
+  HETSCALE_REQUIRE(rows.size() == factors.size(),
+                   "rank1_update needs one factor list per row");
+  const KernelOps& k = ops();
+  const std::size_t m = xs.size();
+  std::array<double*, 4> tile_rows{};
+  std::array<const double*, 4> tile_factors{};
+  std::size_t tiled = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const double* f = factors[r];
+    if (std::find(f, f + m, 0.0) != f + m) {  // also matches -0.0
+      update_row(k, xs, n, rows[r], f);
+      continue;
+    }
+    tile_rows[tiled] = rows[r];
+    tile_factors[tiled] = f;
+    if (++tiled == tile_rows.size()) {
+      k.rank1_update4(xs.data(), m, tile_rows.data(), tile_factors.data(), n);
+      tiled = 0;
+    }
+  }
+  for (std::size_t r = 0; r < tiled; ++r) {
+    update_row(k, xs, n, tile_rows[r], tile_factors[r]);
+  }
+}
+
+void eliminate_block(std::span<const double* const> pivots,
+                     std::span<double* const> rows, std::size_t width) {
+  const std::size_t m = pivots.size();
+  HETSCALE_REQUIRE(m <= width, "eliminate_block needs m <= width");
+  if (m == 0 || rows.empty()) return;
+  // Head: pivot j's factor is column j after pivots [0, j) touched it, so
+  // the head columns [0, m) go one pivot at a time, each factor recorded
+  // for the tail.
+  std::vector<double> factors(rows.size() * m);
+  std::vector<const double*> factor_rows(rows.size());
+  std::vector<double*> tails(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    double* row = rows[r];
+    double* f = factors.data() + r * m;
+    for (std::size_t j = 0; j < m; ++j) {
+      f[j] = row[j];
+      if (f[j] == 0.0) continue;
+      const double* pivot = pivots[j];
+      for (std::size_t c = j; c < m; ++c) row[c] -= f[j] * pivot[c - j];
+    }
+    factor_rows[r] = f;
+    tails[r] = row + m;
+  }
+  // Tail: no column in [m, width) feeds a factor, so every pivot's update
+  // there can run in one fused pass.
+  std::vector<const double*> pivot_tails(m);
+  for (std::size_t j = 0; j < m; ++j) pivot_tails[j] = pivots[j] + (m - j);
+  rank1_update(pivot_tails, width - m, tails, factor_rows);
 }
 
 double dot(std::span<const double> x, std::span<const double> y) {

@@ -12,8 +12,9 @@
 //     with -ffp-contract=off and without -mfma, so `a*b + c` cannot fuse
 //     into one differently-rounded FMA;
 //   * the matmul tile keeps its C accumulators in registers across the
-//     k-loop, which is associatively identical to the scalar loop's
-//     store-per-k — the same adds hit the same element in the same order.
+//     k-loop, and the rank-1 tile its rows across the pivot loop, which is
+//     associatively identical to the scalar loops' store per k or per
+//     pivot — the same operations hit the same element in the same order.
 #include "kernels_internal.hpp"
 
 #if defined(__AVX2__)
@@ -40,34 +41,88 @@ void axpy_avx2(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-void rank1_update4_avx2(const double* x, double* const* rows,
-                        const double* factors, std::size_t n) {
+void rank1_update4_avx2(const double* const* xs, std::size_t m,
+                        double* const* rows, const double* const* factors,
+                        std::size_t n) {
   double* y0 = rows[0];
   double* y1 = rows[1];
   double* y2 = rows[2];
   double* y3 = rows[3];
-  const __m256d f0 = _mm256_set1_pd(factors[0]);
-  const __m256d f1 = _mm256_set1_pd(factors[1]);
-  const __m256d f2 = _mm256_set1_pd(factors[2]);
-  const __m256d f3 = _mm256_set1_pd(factors[3]);
+  const double* f0 = factors[0];
+  const double* f1 = factors[1];
+  const double* f2 = factors[2];
+  const double* f3 = factors[3];
   std::size_t c = 0;
+  // 4 rows x 8 columns: eight accumulators stay in registers through all m
+  // pivots, so each row segment is loaded and stored once per call.
+  for (; c + 8 <= n; c += 8) {
+    __m256d s00 = _mm256_loadu_pd(y0 + c);
+    __m256d s01 = _mm256_loadu_pd(y0 + c + 4);
+    __m256d s10 = _mm256_loadu_pd(y1 + c);
+    __m256d s11 = _mm256_loadu_pd(y1 + c + 4);
+    __m256d s20 = _mm256_loadu_pd(y2 + c);
+    __m256d s21 = _mm256_loadu_pd(y2 + c + 4);
+    __m256d s30 = _mm256_loadu_pd(y3 + c);
+    __m256d s31 = _mm256_loadu_pd(y3 + c + 4);
+    for (std::size_t j = 0; j < m; ++j) {
+      const double* x = xs[j] + c;
+      const __m256d x0 = _mm256_loadu_pd(x);
+      const __m256d x1 = _mm256_loadu_pd(x + 4);
+      __m256d f = _mm256_broadcast_sd(f0 + j);
+      s00 = _mm256_sub_pd(s00, _mm256_mul_pd(f, x0));
+      s01 = _mm256_sub_pd(s01, _mm256_mul_pd(f, x1));
+      f = _mm256_broadcast_sd(f1 + j);
+      s10 = _mm256_sub_pd(s10, _mm256_mul_pd(f, x0));
+      s11 = _mm256_sub_pd(s11, _mm256_mul_pd(f, x1));
+      f = _mm256_broadcast_sd(f2 + j);
+      s20 = _mm256_sub_pd(s20, _mm256_mul_pd(f, x0));
+      s21 = _mm256_sub_pd(s21, _mm256_mul_pd(f, x1));
+      f = _mm256_broadcast_sd(f3 + j);
+      s30 = _mm256_sub_pd(s30, _mm256_mul_pd(f, x0));
+      s31 = _mm256_sub_pd(s31, _mm256_mul_pd(f, x1));
+    }
+    _mm256_storeu_pd(y0 + c, s00);
+    _mm256_storeu_pd(y0 + c + 4, s01);
+    _mm256_storeu_pd(y1 + c, s10);
+    _mm256_storeu_pd(y1 + c + 4, s11);
+    _mm256_storeu_pd(y2 + c, s20);
+    _mm256_storeu_pd(y2 + c + 4, s21);
+    _mm256_storeu_pd(y3 + c, s30);
+    _mm256_storeu_pd(y3 + c + 4, s31);
+  }
   for (; c + 4 <= n; c += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + c);
-    _mm256_storeu_pd(y0 + c, _mm256_sub_pd(_mm256_loadu_pd(y0 + c),
-                                           _mm256_mul_pd(f0, xv)));
-    _mm256_storeu_pd(y1 + c, _mm256_sub_pd(_mm256_loadu_pd(y1 + c),
-                                           _mm256_mul_pd(f1, xv)));
-    _mm256_storeu_pd(y2 + c, _mm256_sub_pd(_mm256_loadu_pd(y2 + c),
-                                           _mm256_mul_pd(f2, xv)));
-    _mm256_storeu_pd(y3 + c, _mm256_sub_pd(_mm256_loadu_pd(y3 + c),
-                                           _mm256_mul_pd(f3, xv)));
+    __m256d s0 = _mm256_loadu_pd(y0 + c);
+    __m256d s1 = _mm256_loadu_pd(y1 + c);
+    __m256d s2 = _mm256_loadu_pd(y2 + c);
+    __m256d s3 = _mm256_loadu_pd(y3 + c);
+    for (std::size_t j = 0; j < m; ++j) {
+      const __m256d xv = _mm256_loadu_pd(xs[j] + c);
+      s0 = _mm256_sub_pd(s0, _mm256_mul_pd(_mm256_broadcast_sd(f0 + j), xv));
+      s1 = _mm256_sub_pd(s1, _mm256_mul_pd(_mm256_broadcast_sd(f1 + j), xv));
+      s2 = _mm256_sub_pd(s2, _mm256_mul_pd(_mm256_broadcast_sd(f2 + j), xv));
+      s3 = _mm256_sub_pd(s3, _mm256_mul_pd(_mm256_broadcast_sd(f3 + j), xv));
+    }
+    _mm256_storeu_pd(y0 + c, s0);
+    _mm256_storeu_pd(y1 + c, s1);
+    _mm256_storeu_pd(y2 + c, s2);
+    _mm256_storeu_pd(y3 + c, s3);
   }
   for (; c < n; ++c) {
-    const double xc = x[c];
-    y0[c] -= factors[0] * xc;
-    y1[c] -= factors[1] * xc;
-    y2[c] -= factors[2] * xc;
-    y3[c] -= factors[3] * xc;
+    double s0 = y0[c];
+    double s1 = y1[c];
+    double s2 = y2[c];
+    double s3 = y3[c];
+    for (std::size_t j = 0; j < m; ++j) {
+      const double xc = xs[j][c];
+      s0 -= f0[j] * xc;
+      s1 -= f1[j] * xc;
+      s2 -= f2[j] * xc;
+      s3 -= f3[j] * xc;
+    }
+    y0[c] = s0;
+    y1[c] = s1;
+    y2[c] = s2;
+    y3[c] = s3;
   }
 }
 

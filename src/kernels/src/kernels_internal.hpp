@@ -11,8 +11,9 @@ namespace hetscale::kernels::detail {
 // Scalar reference kernels (kernels_scalar.cpp). These define the
 // per-element operation sequence every other ISA must reproduce exactly.
 void axpy_scalar(double a, const double* x, double* y, std::size_t n);
-void rank1_update4_scalar(const double* x, double* const* rows,
-                          const double* factors, std::size_t n);
+void rank1_update4_scalar(const double* const* xs, std::size_t m,
+                          double* const* rows, const double* const* factors,
+                          std::size_t n);
 void mm_tile4_scalar(const double* const* a_rows, const double* panel,
                      std::size_t kc, std::size_t nc, double* const* c_rows);
 

@@ -19,22 +19,26 @@ void axpy_scalar(double a, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += a * x[i];
 }
 
-void rank1_update4_scalar(const double* x, double* const* rows,
-                          const double* factors, std::size_t n) {
+void rank1_update4_scalar(const double* const* xs, std::size_t m,
+                          double* const* rows, const double* const* factors,
+                          std::size_t n) {
   double* y0 = rows[0];
   double* y1 = rows[1];
   double* y2 = rows[2];
   double* y3 = rows[3];
-  const double f0 = factors[0];
-  const double f1 = factors[1];
-  const double f2 = factors[2];
-  const double f3 = factors[3];
-  for (std::size_t c = 0; c < n; ++c) {
-    const double xc = x[c];
-    y0[c] -= f0 * xc;
-    y1[c] -= f1 * xc;
-    y2[c] -= f2 * xc;
-    y3[c] -= f3 * xc;
+  for (std::size_t j = 0; j < m; ++j) {
+    const double* x = xs[j];
+    const double f0 = factors[0][j];
+    const double f1 = factors[1][j];
+    const double f2 = factors[2][j];
+    const double f3 = factors[3][j];
+    for (std::size_t c = 0; c < n; ++c) {
+      const double xc = x[c];
+      y0[c] -= f0 * xc;
+      y1[c] -= f1 * xc;
+      y2[c] -= f2 * xc;
+      y3[c] -= f3 * xc;
+    }
   }
 }
 

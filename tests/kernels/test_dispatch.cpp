@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "hetscale/kernels/blas1.hpp"
+#include "hetscale/support/error.hpp"
 
 namespace hetscale::kernels {
 namespace {
@@ -78,28 +83,43 @@ TEST_F(DispatchBitIdentity, AxpyMatchesScalarForAllTailsAndOffsets) {
 }
 
 TEST_F(DispatchBitIdentity, Rank1Update4MatchesScalarForAllTails) {
-  for (std::size_t n = 0; n <= 129; ++n) {
-    for (std::size_t offset : {std::size_t{0}, std::size_t{1},
-                               std::size_t{3}}) {
-      const auto x = test_values(n + offset, 131 * n + offset);
-      const auto factors = test_values(4, n + 2);
-      std::vector<std::vector<double>> rs;
-      std::vector<std::vector<double>> rv;
-      for (std::size_t r = 0; r < 4; ++r) {
-        rs.push_back(test_values(n + offset, 7 * n + r));
-        rv.push_back(rs.back());
-      }
-      double* ps[4] = {rs[0].data() + offset, rs[1].data() + offset,
-                       rs[2].data() + offset, rs[3].data() + offset};
-      double* pv[4] = {rv[0].data() + offset, rv[1].data() + offset,
-                       rv[2].data() + offset, rv[3].data() + offset};
-      scalar_ops().rank1_update4(x.data() + offset, ps, factors.data(), n);
-      avx2_->rank1_update4(x.data() + offset, pv, factors.data(), n);
-      for (std::size_t r = 0; r < 4; ++r) {
-        for (std::size_t i = 0; i < n + offset; ++i) {
-          ASSERT_EQ(bits(rs[r][i]), bits(rv[r][i]))
-              << "n=" << n << " offset=" << offset << " row=" << r
-              << " i=" << i;
+  for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                        std::size_t{8}}) {
+    for (std::size_t n = 0; n <= 129; ++n) {
+      for (std::size_t offset : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{3}}) {
+        // m pivots, four rows of m factors each (zeros included: the raw
+        // kernel applies every factor).
+        std::vector<std::vector<double>> x;
+        std::vector<std::vector<double>> f;
+        std::vector<const double*> xs;
+        std::vector<const double*> fs;
+        for (std::size_t j = 0; j < m; ++j) {
+          x.push_back(test_values(n + offset, 131 * n + offset + 1000 * j));
+        }
+        for (std::size_t r = 0; r < 4; ++r) {
+          f.push_back(test_values(m, n + 2 + 10 * r));
+        }
+        for (const auto& v : x) xs.push_back(v.data() + offset);
+        for (const auto& v : f) fs.push_back(v.data());
+        std::vector<std::vector<double>> rs;
+        std::vector<std::vector<double>> rv;
+        for (std::size_t r = 0; r < 4; ++r) {
+          rs.push_back(test_values(n + offset, 7 * n + r));
+          rv.push_back(rs.back());
+        }
+        double* ps[4] = {rs[0].data() + offset, rs[1].data() + offset,
+                         rs[2].data() + offset, rs[3].data() + offset};
+        double* pv[4] = {rv[0].data() + offset, rv[1].data() + offset,
+                         rv[2].data() + offset, rv[3].data() + offset};
+        scalar_ops().rank1_update4(xs.data(), m, ps, fs.data(), n);
+        avx2_->rank1_update4(xs.data(), m, pv, fs.data(), n);
+        for (std::size_t r = 0; r < 4; ++r) {
+          for (std::size_t i = 0; i < n + offset; ++i) {
+            ASSERT_EQ(bits(rs[r][i]), bits(rv[r][i]))
+                << "m=" << m << " n=" << n << " offset=" << offset
+                << " row=" << r << " i=" << i;
+          }
         }
       }
     }
@@ -160,29 +180,143 @@ TEST(Dispatch, Avx2TableImpliesHardwareSupport) {
   }
 }
 
-// The span-level public API must hit the dispatched path end to end: a
-// non-multiple-of-four row count exercises both the 4-row blocks and the
-// axpy tail inside rank1_update.
+// The span-level public API must hit the dispatched path end to end. Seven
+// rows cover a four-row tile and a leftover row whose factors are all
+// non-zero (rows 0 and 2-5), and two rows with a zero factor (1 and 6),
+// which must skip exactly their zero (row, pivot) pairs. Row 1 would sit in
+// the first tile if it were not skipped, and applying its +0.0 factor there
+// would turn the row's -0.0 entries into +0.0 where x holds -0.0.
 TEST(Dispatch, PublicRank1UpdateMatchesPerRowAxpy) {
   const std::size_t n = 37;
-  const auto x = test_values(n, 1);
-  const auto factors = test_values(7, 2);
-  std::vector<std::vector<double>> got;
-  std::vector<std::vector<double>> want;
-  for (std::size_t r = 0; r < 7; ++r) {
-    got.push_back(test_values(n, 100 + r));
-    want.push_back(got.back());
-  }
-  std::vector<double*> ptrs;
-  for (auto& row : got) ptrs.push_back(row.data());
-  rank1_update(x, std::span<double* const>(ptrs.data(), ptrs.size()),
-               std::span<const double>(factors.data(), 7));
-  for (std::size_t r = 0; r < 7; ++r) {
-    axpy(-factors[r], x, want[r]);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits(want[r][i]), bits(got[r][i])) << "row=" << r;
+  constexpr std::size_t kRows = 7;
+  for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                        std::size_t{8}}) {
+    std::vector<std::vector<double>> x;
+    std::vector<const double*> xs;
+    for (std::size_t j = 0; j < m; ++j) {
+      x.push_back(test_values(n, 1 + j));
+      xs.push_back(x.back().data());
+    }
+    std::mt19937_64 gen(2 + m);
+    std::uniform_real_distribution<double> dist(0.5, 1.5);
+    std::vector<std::vector<double>> factors(kRows, std::vector<double>(m));
+    for (auto& row : factors) {
+      for (double& v : row) v = dist(gen);
+    }
+    factors[1][0] = 0.0;
+    factors[6][m - 1] = -0.0;
+    std::vector<const double*> fs;
+    for (const auto& row : factors) fs.push_back(row.data());
+    std::vector<std::vector<double>> got;
+    std::vector<std::vector<double>> want;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      got.push_back(test_values(n, 100 + r));
+      want.push_back(got.back());
+    }
+    std::vector<double*> ptrs;
+    for (auto& row : got) ptrs.push_back(row.data());
+    rank1_update(xs, n, ptrs, fs);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t j = 0; j < m; ++j) {
+        if (factors[r][j] != 0.0) axpy(-factors[r][j], x[j], want[r]);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(want[r][i]), bits(got[r][i]))
+            << "m=" << m << " row=" << r << " i=" << i;
+      }
     }
   }
+}
+
+/// Bitwise equality, except that any NaN matches any NaN: IEEE 754 leaves
+/// the payload and sign of an arithmetic NaN unspecified.
+bool same_value(double a, double b) {
+  return bits(a) == bits(b) || (std::isnan(a) && std::isnan(b));
+}
+
+/// Values for the block-elimination sweep: mostly ordinary, with -0.0, inf
+/// and NaN salted in at a low rate so most rows stay finite.
+std::vector<double> block_values(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 gen(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t pick = gen() % 64;
+    if (pick == 0) {
+      out[i] = -0.0;
+    } else if (pick == 1) {
+      out[i] = std::numeric_limits<double>::infinity();
+    } else if (pick == 2) {
+      out[i] = std::numeric_limits<double>::quiet_NaN();
+    } else {
+      out[i] = dist(gen);
+    }
+  }
+  return out;
+}
+
+// eliminate_block must equal m successive eliminate_row steps (leads 0..m-1,
+// the last column playing the rhs) for every row count around the four-row
+// tile, every block size up to 9 and widths with every tail shape. Row 3
+// starts with a zero (+0.0 for even m, -0.0 for odd) in column m / 2, where
+// every earlier pivot holds a zero too, so its factor for pivot m / 2 is an
+// exact zero and that (row, pivot) pair must be skipped; the other rows
+// take the four-row tile (from five rows on) or the leftover path.
+TEST(Dispatch, EliminateBlockMatchesStepwiseEliminateRow) {
+  for (std::size_t rows = 1; rows <= 7; ++rows) {
+    for (std::size_t m = 1; m <= 9; ++m) {
+      for (std::size_t extra : {1, 2, 3, 4, 5, 8, 13, 29}) {
+        const std::size_t width = m + extra;
+        const std::uint64_t seed = 1000 * rows + 50 * m + extra;
+        std::vector<std::vector<double>> pivots;
+        for (std::size_t j = 0; j < m; ++j) {
+          pivots.push_back(block_values(width - j, seed + 7 * j));
+        }
+        const std::size_t zero_col = m / 2;
+        for (std::size_t j = 0; j < zero_col; ++j) {
+          pivots[j][zero_col - j] = 0.0;
+        }
+        std::vector<std::vector<double>> got;
+        for (std::size_t r = 0; r < rows; ++r) {
+          got.push_back(block_values(width, seed + 500 + r));
+          if (r == 3) got.back()[zero_col] = m % 2 == 0 ? 0.0 : -0.0;
+        }
+        auto want = got;
+
+        std::vector<const double*> heads;
+        for (const auto& pivot : pivots) heads.push_back(pivot.data());
+        std::vector<double*> ptrs;
+        for (auto& row : got) ptrs.push_back(row.data());
+        eliminate_block(heads, ptrs, width);
+
+        for (std::size_t j = 0; j < m; ++j) {
+          // The pivot at full width; columns left of its lead are unused.
+          std::vector<double> full(width, 0.0);
+          std::copy(pivots[j].begin(), pivots[j].end(), full.begin() + j);
+          for (auto& row : want) {
+            eliminate_row(std::span(full).first(width - 1), full.back(),
+                          std::span(row).first(width - 1), row.back(), j);
+          }
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t c = 0; c < width; ++c) {
+            ASSERT_TRUE(same_value(want[r][c], got[r][c]))
+                << "rows=" << rows << " m=" << m << " width=" << width
+                << " row=" << r << " col=" << c << " want=" << want[r][c]
+                << " got=" << got[r][c];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Dispatch, EliminateBlockRejectsMorePivotsThanColumns) {
+  std::vector<double> pivot(2, 1.0);
+  std::vector<double> row(2, 1.0);
+  const double* heads[3] = {pivot.data(), pivot.data(), pivot.data()};
+  double* rows[1] = {row.data()};
+  EXPECT_THROW(eliminate_block(heads, rows, 2), PreconditionError);
 }
 
 }  // namespace
