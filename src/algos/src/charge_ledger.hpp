@@ -14,6 +14,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "hetscale/des/task.hpp"
+#include "hetscale/vmpi/comm.hpp"
+
 namespace hetscale::algos {
 
 class ChargeLedger {
@@ -23,9 +26,13 @@ class ChargeLedger {
     slots_.assign(static_cast<std::size_t>(ranks), 0.0);
   }
 
-  /// Charge `flops` to `rank`'s slot. Safe from the rank's own thread only.
-  void add(int rank, double flops) {
-    slots_[static_cast<std::size_t>(rank)] += flops;
+  /// Charge `flops` to `comm`'s rank and return the compute that advances
+  /// its clock by them (Comm::compute at `efficiency`). Safe from the
+  /// rank's own thread only.
+  des::Task<void> charge(vmpi::Comm& comm, double flops,
+                         double efficiency = 1.0) {
+    slots_[static_cast<std::size_t>(comm.rank())] += flops;
+    return comm.compute(flops, efficiency);
   }
 
   /// Fold the slots in rank order. Call after the run.

@@ -1,19 +1,15 @@
-#include "charge_ledger.hpp"
 #include "hetscale/algos/ge.hpp"
 
-#include <algorithm>
 #include <array>
 #include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "hetscale/dist/distribution.hpp"
+#include "ge_rows.hpp"
 #include "hetscale/kernels/blas1.hpp"
 #include "hetscale/kernels/flops.hpp"
-#include "hetscale/marked/suite.hpp"
 #include "hetscale/numeric/linsolve.hpp"
-#include "hetscale/numeric/matrix.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/vmpi/payload.hpp"
 
@@ -25,166 +21,10 @@ using des::Task;
 using vmpi::Comm;
 using vmpi::Payload;
 
-constexpr int kRoot = 0;
-constexpr int kTagRows = 100;
-constexpr int kTagCollect = 101;
 /// Pipelined variant: pivot of step i travels with tag kTagPivotBase + i.
 constexpr int kTagPivotBase = 2000;
 /// Paper variant with data: pivots applied per block of this many steps.
 constexpr std::size_t kDefer = 8;
-constexpr double kMetadataBytes = 16.0;
-
-struct RankData {
-  std::vector<std::int64_t> rows;  ///< owned global row indices, ascending
-  /// with_data: one contiguous slab of rows.size() x (n + 1) doubles, each
-  /// row holding its n coefficients followed by its rhs entry. Keeping the
-  /// rhs in-row means the elimination update and the wire format are the
-  /// same memory — no per-step pack/unpack copies.
-  std::vector<double> slab;
-  std::size_t next = 0;  ///< first local index with global row >= step i
-  std::vector<double*> targets;  ///< scratch: rows handed to the kernel
-};
-
-struct GeShared {
-  std::int64_t n = 0;
-  bool with_data = true;
-  bool barrier_each_step = true;
-  std::vector<int> owners;
-  std::vector<RankData> ranks;
-  numeric::Matrix a0;  ///< original system (kept for the residual)
-  std::vector<double> b0;
-  ChargeLedger charged;
-  std::vector<double> solution;
-  double residual = 0.0;
-};
-
-std::size_t row_stride(const GeShared& sh) {
-  return static_cast<std::size_t>(sh.n + 1);
-}
-
-double* local_row(GeShared& sh, RankData& data, std::size_t local) {
-  return data.slab.data() + local * row_stride(sh);
-}
-
-/// Fill a pooled buffer with `data`'s rows as [row cols..., rhs] per row —
-/// exactly the slab's own layout, so this is one memcpy.
-Payload pack_rows(const GeShared& sh, const RankData& data) {
-  (void)sh;
-  return Payload::copy_of(std::span<const double>(data.slab));
-}
-
-void unpack_rows(const GeShared& sh, RankData& data, const Payload& pack) {
-  const auto doubles = pack.doubles();
-  HETSCALE_CHECK(doubles.size() == data.rows.size() * row_stride(sh),
-                 "row pack size mismatch");
-  data.slab.assign(doubles.begin(), doubles.end());
-}
-
-/// Stage 0: process 0 distributes rows (heterogeneous cyclic), preceded by
-/// the metadata broadcast of the paper's overhead expression.
-Task<void> ge_distribute(Comm& comm, GeShared& sh, RankData& mine) {
-  const int rank = comm.rank();
-  const int p = comm.size();
-  const std::int64_t n = sh.n;
-  const double bytes_per_row = static_cast<double>(n + 1) * 8.0;
-
-  co_await comm.bcast(kRoot, kMetadataBytes, {});
-
-  if (rank == kRoot) {
-    const std::size_t stride = row_stride(sh);
-    for (int dst = 0; dst < p; ++dst) {
-      if (dst == kRoot) continue;
-      auto& theirs = sh.ranks[static_cast<std::size_t>(dst)];
-      Payload payload;
-      if (sh.with_data) {
-        payload = Payload::buffer(theirs.rows.size() * stride);
-        auto out = payload.doubles();
-        std::size_t at = 0;
-        for (auto g : theirs.rows) {
-          auto row = sh.a0.row(static_cast<std::size_t>(g));
-          std::copy(row.begin(), row.end(), out.begin() + at);
-          out[at + static_cast<std::size_t>(n)] =
-              sh.b0[static_cast<std::size_t>(g)];
-          at += stride;
-        }
-      }
-      co_await comm.send(dst, kTagRows,
-                         bytes_per_row * static_cast<double>(theirs.rows.size()),
-                         std::move(payload));
-    }
-    if (sh.with_data) {
-      mine.slab.resize(mine.rows.size() * stride);
-      for (std::size_t k = 0; k < mine.rows.size(); ++k) {
-        const auto g = static_cast<std::size_t>(mine.rows[k]);
-        auto row = sh.a0.row(g);
-        double* dst_row = local_row(sh, mine, k);
-        std::copy(row.begin(), row.end(), dst_row);
-        dst_row[static_cast<std::size_t>(n)] = sh.b0[g];
-      }
-    }
-  } else {
-    auto message = co_await comm.recv(kRoot, kTagRows);
-    if (sh.with_data) unpack_rows(sh, mine, message.payload);
-  }
-}
-
-/// Stage 2: collection + back substitution on process 0 (the sequential
-/// portion, α = O(1/N)).
-Task<void> ge_collect(Comm& comm, GeShared& sh, RankData& mine) {
-  const int rank = comm.rank();
-  const int p = comm.size();
-  const std::int64_t n = sh.n;
-  const double bytes_per_row = static_cast<double>(n + 1) * 8.0;
-
-  if (rank != kRoot) {
-    Payload payload;
-    if (sh.with_data) payload = pack_rows(sh, mine);
-    co_await comm.send(kRoot, kTagCollect,
-                       bytes_per_row * static_cast<double>(mine.rows.size()),
-                       std::move(payload));
-    co_return;
-  }
-
-  numeric::Matrix u;
-  std::vector<double> y;
-  const std::size_t stride = row_stride(sh);
-  if (sh.with_data) {
-    u = numeric::Matrix(static_cast<std::size_t>(n),
-                        static_cast<std::size_t>(n));
-    y.resize(static_cast<std::size_t>(n));
-    for (std::size_t k = 0; k < mine.rows.size(); ++k) {
-      const auto g = static_cast<std::size_t>(mine.rows[k]);
-      const double* base = local_row(sh, mine, k);
-      auto dst = u.row(g);
-      std::copy(base, base + n, dst.begin());
-      y[g] = base[static_cast<std::size_t>(n)];
-    }
-  }
-  for (int src = 0; src < p; ++src) {
-    if (src == kRoot) continue;
-    auto message = co_await comm.recv(src, kTagCollect);
-    if (sh.with_data) {
-      auto& theirs = sh.ranks[static_cast<std::size_t>(src)];
-      const auto pack = message.payload.doubles();
-      HETSCALE_CHECK(pack.size() == theirs.rows.size() * stride,
-                     "collected pack size mismatch");
-      for (std::size_t k = 0; k < theirs.rows.size(); ++k) {
-        const auto g = static_cast<std::size_t>(theirs.rows[k]);
-        const double* base = pack.data() + k * stride;
-        auto dst = u.row(g);
-        std::copy(base, base + n, dst.begin());
-        y[g] = base[static_cast<std::size_t>(n)];
-      }
-    }
-  }
-
-  sh.charged.add(rank, kernels::ge_backsub_flops(n));
-  co_await comm.compute(kernels::ge_backsub_flops(n));
-  if (sh.with_data) {
-    sh.solution = numeric::back_substitute(u, y);
-    sh.residual = numeric::residual_inf_norm(sh.a0, sh.solution, sh.b0);
-  }
-}
 
 /// Normalize local row `local` as pivot row `i` (with_data) and return the
 /// broadcast buffer: the trailing columns [i, n) with the rhs folded in as
@@ -192,11 +32,11 @@ Task<void> ge_collect(Comm& comm, GeShared& sh, RankData& mine) {
 /// a single pooled buffer end to end; the per-element arithmetic of the
 /// elimination is unchanged because the rhs update is the same subtract as
 /// any trailing column.
-Payload normalize_pivot(GeShared& sh, RankData& mine, std::int64_t i,
-                        std::size_t local) {
+Payload normalize_pivot(const GeRowFrame& sh, GeRowBlock& mine,
+                        std::int64_t i, std::size_t local) {
   Payload pivot;
   if (sh.with_data) {
-    double* row = local_row(sh, mine, local);
+    double* row = sh.local_row(mine, local);
     const double diag = row[static_cast<std::size_t>(i)];
     HETSCALE_CHECK(diag != 0.0, "zero pivot in pivot-free parallel GE");
     const double inv = 1.0 / diag;
@@ -216,7 +56,9 @@ Payload normalize_pivot(GeShared& sh, RankData& mine, std::int64_t i,
 /// for a pivot is zero skips that pivot, exactly as kernels::eliminate_row
 /// does, and the runtime-dispatched SIMD tile (kernels/dispatch.hpp) keeps
 /// the results bit-identical to applying each pivot at its own step.
-void apply_pivots(GeShared& sh, RankData& mine, std::int64_t lead,
+/// `targets` is the caller's scratch for the rows handed to the kernel.
+void apply_pivots(const GeRowFrame& sh, GeRowBlock& mine,
+                  std::vector<double*>& targets, std::int64_t lead,
                   std::span<const Payload> pivots, std::size_t first,
                   std::size_t last) {
   if (!sh.with_data || pivots.empty() || first >= last) return;
@@ -225,11 +67,11 @@ void apply_pivots(GeShared& sh, RankData& mine, std::int64_t lead,
   for (std::size_t j = 0; j < pivots.size(); ++j) {
     heads[j] = pivots[j].doubles().data();
   }
-  mine.targets.clear();
+  targets.clear();
   for (std::size_t k = first; k < last; ++k) {
-    mine.targets.push_back(local_row(sh, mine, k) + lead);
+    targets.push_back(sh.local_row(mine, k) + lead);
   }
-  kernels::eliminate_block({heads.data(), pivots.size()}, mine.targets,
+  kernels::eliminate_block({heads.data(), pivots.size()}, targets,
                            static_cast<std::size_t>(sh.n + 1 - lead));
 }
 
@@ -248,14 +90,13 @@ void apply_pivots(GeShared& sh, RankData& mine, std::int64_t lead,
 /// pivot order, and a row's factor for pivot j is its column j after
 /// pivots < j, as before (kernels::eliminate_block). Virtual time is
 /// charged per step exactly as before; only host memory traffic changes.
-Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
+Task<void> ge_eliminate_paper(Comm& comm, GeRowFrame& sh,
+                              bool barrier_each_step) {
   const int rank = comm.rank();
   const std::int64_t n = sh.n;
-
-  auto charge = [&](double flops) {
-    sh.charged.add(rank, flops);
-    return comm.compute(flops);
-  };
+  GeRowBlock& mine = sh.block_of(comm);
+  std::size_t next = 0;  // first local index with global row >= step i
+  std::vector<double*> targets;
 
   // with_data: pivots of steps i - pending.size() .. i - 1, not yet applied
   // to the rows below them.
@@ -264,21 +105,18 @@ Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
 
   for (std::int64_t i = 0; i < n; ++i) {
     const int owner = sh.owners[static_cast<std::size_t>(i)];
-    while (mine.next < mine.rows.size() && mine.rows[mine.next] < i) {
-      ++mine.next;
-    }
+    while (next < mine.rows.size() && mine.rows[next] < i) ++next;
     const std::int64_t trailing = n - i;
 
     Payload pivot;
     if (rank == owner) {
-      co_await charge(kernels::ge_normalize_flops(n, i));
+      co_await sh.charged.charge(comm, kernels::ge_normalize_flops(n, i));
       HETSCALE_CHECK(!sh.with_data ||
-                         (mine.next < mine.rows.size() &&
-                          mine.rows[mine.next] == i),
+                         (next < mine.rows.size() && mine.rows[next] == i),
                      "owner does not hold the pivot row");
       const auto held = static_cast<std::int64_t>(pending.size());
-      apply_pivots(sh, mine, i - held, pending, mine.next, mine.next + 1);
-      pivot = normalize_pivot(sh, mine, i, mine.next);
+      apply_pivots(sh, mine, targets, i - held, pending, next, next + 1);
+      pivot = normalize_pivot(sh, mine, i, next);
     }
 
     // Two broadcasts per step, as in the paper's model N(2 T_bcast + T_bar).
@@ -302,19 +140,21 @@ Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
     if (sh.with_data && rank != owner) pivot = std::move(row_bcast);
     if (sh.with_data) pending.push_back(std::move(pivot));
 
-    std::size_t first = mine.next;
+    std::size_t first = next;
     if (first < mine.rows.size() && mine.rows[first] == i) ++first;
     const auto count = mine.rows.size() - first;
     if (count > 0) {
-      co_await charge(static_cast<double>(count) *
-                      kernels::ge_eliminate_row_flops(n, i));
+      co_await sh.charged.charge(
+          comm, static_cast<double>(count) *
+                    kernels::ge_eliminate_row_flops(n, i));
     }
     if (pending.size() == kDefer) {
-      apply_pivots(sh, mine, i + 1 - static_cast<std::int64_t>(kDefer),
-                   pending, first, mine.rows.size());
+      apply_pivots(sh, mine, targets,
+                   i + 1 - static_cast<std::int64_t>(kDefer), pending, first,
+                   mine.rows.size());
       pending.clear();
     }
-    if (sh.barrier_each_step) co_await comm.barrier();
+    if (barrier_each_step) co_await comm.barrier();
   }
 }
 
@@ -322,15 +162,13 @@ Task<void> ge_eliminate_paper(Comm& comm, GeShared& sh, RankData& mine) {
 /// first and fires the next pivot with isend, overlapping the distribution
 /// with everyone's remaining step-i eliminations. One message per pivot,
 /// no barriers; arithmetic identical per row, only the schedule differs.
-Task<void> ge_eliminate_pipelined(Comm& comm, GeShared& sh, RankData& mine) {
+Task<void> ge_eliminate_pipelined(Comm& comm, GeRowFrame& sh) {
   const int rank = comm.rank();
   const int p = comm.size();
   const std::int64_t n = sh.n;
-
-  auto charge = [&](double flops) {
-    sh.charged.add(rank, flops);
-    return comm.compute(flops);
-  };
+  GeRowBlock& mine = sh.block_of(comm);
+  std::size_t next = 0;  // first local index with global row >= step i
+  std::vector<double*> targets;
 
   auto pivot_bytes = [&](std::int64_t i) {
     return static_cast<double>(n - i + 1) * 8.0;  // trailing row + rhs
@@ -349,19 +187,14 @@ Task<void> ge_eliminate_pipelined(Comm& comm, GeShared& sh, RankData& mine) {
   // Bootstrap: the owner of row 0 prepares and fires pivot 0.
   Payload held_pivot;  // the pivot this rank owns for the *next* step
   if (rank == sh.owners[0]) {
-    co_await charge(kernels::ge_normalize_flops(n, 0));
-    while (mine.next < mine.rows.size() && mine.rows[mine.next] < 0) {
-      ++mine.next;
-    }
+    co_await sh.charged.charge(comm, kernels::ge_normalize_flops(n, 0));
     held_pivot = normalize_pivot(sh, mine, 0, 0);
     send_pivot(0, held_pivot);
   }
 
   for (std::int64_t i = 0; i < n; ++i) {
     const int owner = sh.owners[static_cast<std::size_t>(i)];
-    while (mine.next < mine.rows.size() && mine.rows[mine.next] < i) {
-      ++mine.next;
-    }
+    while (next < mine.rows.size() && mine.rows[next] < i) ++next;
 
     Payload pivot;
     if (rank == owner) {
@@ -372,7 +205,7 @@ Task<void> ge_eliminate_pipelined(Comm& comm, GeShared& sh, RankData& mine) {
       if (sh.with_data) pivot = std::move(message.payload);
     }
 
-    std::size_t first = mine.next;
+    std::size_t first = next;
     if (first < mine.rows.size() && mine.rows[first] == i) ++first;
 
     // Lookahead: if this rank owns row i+1, update it first and fire the
@@ -384,22 +217,25 @@ Task<void> ge_eliminate_pipelined(Comm& comm, GeShared& sh, RankData& mine) {
                          (first < mine.rows.size() &&
                           mine.rows[first] == i + 1),
                      "lookahead owner does not hold row i+1");
-      co_await charge(kernels::ge_eliminate_row_flops(n, i));
-      apply_pivots(sh, mine, i, {&pivot, 1}, first, mine.rows.size());
+      co_await sh.charged.charge(comm, kernels::ge_eliminate_row_flops(n, i));
+      apply_pivots(sh, mine, targets, i, {&pivot, 1}, first,
+                   mine.rows.size());
       // apply_pivots updated [first, end); re-do bookkeeping: we only
       // wanted row i+1 now, so do it precisely instead:
       remaining_first = first + 1;
-      co_await charge(kernels::ge_normalize_flops(n, i + 1));
+      co_await sh.charged.charge(comm, kernels::ge_normalize_flops(n, i + 1));
       held_pivot = normalize_pivot(sh, mine, i + 1, first);
       send_pivot(i + 1, held_pivot);
     }
 
     const auto count = mine.rows.size() - remaining_first;
     if (count > 0) {
-      co_await charge(static_cast<double>(count) *
-                      kernels::ge_eliminate_row_flops(n, i));
+      co_await sh.charged.charge(
+          comm, static_cast<double>(count) *
+                    kernels::ge_eliminate_row_flops(n, i));
       if (remaining_first == first) {
-        apply_pivots(sh, mine, i, {&pivot, 1}, first, mine.rows.size());
+        apply_pivots(sh, mine, targets, i, {&pivot, 1}, first,
+                     mine.rows.size());
       }
       // (when the lookahead ran, apply_pivots above already covered the
       // whole [first, end) range with identical arithmetic)
@@ -407,57 +243,32 @@ Task<void> ge_eliminate_pipelined(Comm& comm, GeShared& sh, RankData& mine) {
   }
 }
 
-Task<void> ge_rank(Comm& comm, GeShared& sh, bool pipelined) {
-  RankData& mine = sh.ranks[static_cast<std::size_t>(comm.rank())];
-  co_await ge_distribute(comm, sh, mine);
+Task<void> ge_rank(Comm& comm, GeRowFrame& sh, bool pipelined,
+                   bool barrier_each_step) {
+  co_await ge_distribute(comm, sh);
   if (pipelined) {
-    co_await ge_eliminate_pipelined(comm, sh, mine);
+    co_await ge_eliminate_pipelined(comm, sh);
   } else {
-    co_await ge_eliminate_paper(comm, sh, mine);
+    co_await ge_eliminate_paper(comm, sh, barrier_each_step);
   }
-  co_await ge_collect(comm, sh, mine);
+  co_await ge_collect(comm, sh);
 }
 
 }  // namespace
 
 GeResult run_parallel_ge(vmpi::Machine& machine, const GeOptions& options) {
   HETSCALE_REQUIRE(options.n >= 1, "GE needs n >= 1");
-  const int p = machine.world_size();
-
-  auto shared = std::make_shared<GeShared>();
-  shared->charged.reset(p);
-  shared->n = options.n;
-  shared->with_data = options.with_data;
-  shared->barrier_each_step = options.barrier_each_step;
-  shared->ranks.resize(static_cast<std::size_t>(p));
-
-  std::vector<double> speeds = options.speeds;
-  if (speeds.empty()) speeds = marked::rank_marked_speeds(machine.cluster());
-  HETSCALE_REQUIRE(static_cast<int>(speeds.size()) == p,
-                   "need one marked speed per rank");
-
-  shared->owners =
-      options.distribution == GeDistribution::kHeterogeneousCyclic
-          ? dist::het_cyclic_owners(speeds, options.n)
-          : dist::cyclic_owners(p, options.n);
-  for (std::int64_t g = 0; g < options.n; ++g) {
-    shared->ranks[static_cast<std::size_t>(
-                      shared->owners[static_cast<std::size_t>(g)])]
-        .rows.push_back(g);
-  }
-
-  if (options.with_data) {
-    Rng rng(options.seed);
-    shared->a0 = numeric::Matrix::random_diagonally_dominant(
-        static_cast<std::size_t>(options.n), rng);
-    shared->b0.resize(static_cast<std::size_t>(options.n));
-    for (auto& v : shared->b0) v = rng.uniform(-1.0, 1.0);
-  }
+  auto shared = std::make_shared<GeRowFrame>(
+      machine, options.n, options.with_data, options.distribution,
+      options.speeds);
+  if (options.with_data) shared->generate_system(options.seed);
 
   const bool pipelined = options.pipelined;
-  auto run = machine.run([shared, pipelined](Comm& comm) -> Task<void> {
-    return ge_rank(comm, *shared, pipelined);
-  });
+  const bool barrier_each_step = options.barrier_each_step;
+  auto run = machine.run(
+      [shared, pipelined, barrier_each_step](Comm& comm) -> Task<void> {
+        return ge_rank(comm, *shared, pipelined, barrier_each_step);
+      });
 
   GeResult result;
   result.run = std::move(run);

@@ -1,4 +1,3 @@
-#include "charge_ledger.hpp"
 #include "hetscale/algos/ge_pivot.hpp"
 
 #include <algorithm>
@@ -6,10 +5,8 @@
 #include <memory>
 #include <utility>
 
-#include "hetscale/dist/distribution.hpp"
+#include "ge_rows.hpp"
 #include "hetscale/kernels/blas1.hpp"
-#include "hetscale/kernels/flops.hpp"
-#include "hetscale/marked/suite.hpp"
 #include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/rng.hpp"
@@ -23,54 +20,26 @@ using des::Task;
 using vmpi::Comm;
 using vmpi::Payload;
 
-constexpr int kRoot = 0;
-constexpr int kTagRows = 120;
-constexpr int kTagCollect = 121;
 /// Row-swap exchange of step i travels with tag kTagSwapBase + i.
 constexpr int kTagSwapBase = 1 << 22;
-constexpr double kMetadataBytes = 16.0;
 /// Pivot-search contribution: (|candidate|, row index) as two doubles.
 constexpr double kSearchBytes = 16.0;
 
-struct RankData {
-  std::vector<std::int64_t> rows;  ///< owned global slot indices, ascending
-  /// with_data: one contiguous slab of rows.size() x (n + 1) doubles (row
-  /// coefficients + in-row rhs), same layout as ge.cpp.
-  std::vector<double> slab;
-  /// Per owned slot, the elimination factors recorded during the current
-  /// panel (factors[k][jj - p0] for panel step jj). Swaps move a row's
-  /// factor history along with its contents.
-  std::vector<std::vector<double>> factors;
-};
+/// The GE row frame, whose blocks here hold global slot indices (a swap
+/// moves a row's contents between slots), plus pivoting's own state.
+struct Shared : GeRowFrame {
+  using GeRowFrame::GeRowFrame;
 
-struct Shared {
-  std::int64_t n = 0;
   std::int64_t panel = 0;
-  bool with_data = true;
   std::uint64_t seed = 0;
-  std::vector<int> owners;
-  std::vector<RankData> ranks;
   /// pivot_inv[i]: 1 / diag recorded by slot i's owner when it normalized
   /// step i (owner-private bookkeeping; slot i never changes after step i).
   std::vector<double> pivot_inv;
-  numeric::Matrix a0;  ///< original system (kept for the residual)
-  std::vector<double> b0;
-  ChargeLedger charged;
   std::int64_t row_swaps = 0;
-  std::vector<double> solution;
-  double residual = 0.0;
 };
 
-std::size_t row_stride(const Shared& sh) {
-  return static_cast<std::size_t>(sh.n + 1);
-}
-
-double* local_row(Shared& sh, RankData& data, std::size_t local) {
-  return data.slab.data() + local * row_stride(sh);
-}
-
 /// First local index whose global slot is >= g.
-std::size_t local_lower_bound(const RankData& data, std::int64_t g) {
+std::size_t local_lower_bound(const GeRowBlock& data, std::int64_t g) {
   return static_cast<std::size_t>(
       std::lower_bound(data.rows.begin(), data.rows.end(), g) -
       data.rows.begin());
@@ -87,128 +56,16 @@ std::int64_t surrogate_pivot(std::uint64_t seed, std::int64_t i,
                  mix.next() % static_cast<std::uint64_t>(n - i));
 }
 
-Task<void> distribute(Comm& comm, Shared& sh, RankData& mine) {
+Task<void> eliminate(Comm& comm, Shared& sh) {
   const int rank = comm.rank();
   const int p = comm.size();
   const std::int64_t n = sh.n;
-  const double bytes_per_row = static_cast<double>(n + 1) * 8.0;
-  const std::size_t stride = row_stride(sh);
-
-  co_await comm.bcast(kRoot, kMetadataBytes, {});
-
-  if (rank == kRoot) {
-    for (int dst = 0; dst < p; ++dst) {
-      if (dst == kRoot) continue;
-      auto& theirs = sh.ranks[static_cast<std::size_t>(dst)];
-      Payload payload;
-      if (sh.with_data) {
-        payload = Payload::buffer(theirs.rows.size() * stride);
-        auto out = payload.doubles();
-        std::size_t at = 0;
-        for (auto g : theirs.rows) {
-          auto row = sh.a0.row(static_cast<std::size_t>(g));
-          std::copy(row.begin(), row.end(),
-                    out.begin() + static_cast<std::ptrdiff_t>(at));
-          out[at + static_cast<std::size_t>(n)] =
-              sh.b0[static_cast<std::size_t>(g)];
-          at += stride;
-        }
-      }
-      co_await comm.send(
-          dst, kTagRows,
-          bytes_per_row * static_cast<double>(theirs.rows.size()),
-          std::move(payload));
-    }
-    if (sh.with_data) {
-      mine.slab.resize(mine.rows.size() * stride);
-      for (std::size_t k = 0; k < mine.rows.size(); ++k) {
-        const auto g = static_cast<std::size_t>(mine.rows[k]);
-        auto row = sh.a0.row(g);
-        double* dst_row = local_row(sh, mine, k);
-        std::copy(row.begin(), row.end(), dst_row);
-        dst_row[static_cast<std::size_t>(n)] = sh.b0[g];
-      }
-    }
-  } else {
-    auto message = co_await comm.recv(kRoot, kTagRows);
-    if (sh.with_data) {
-      const auto doubles = message.payload.doubles();
-      HETSCALE_CHECK(doubles.size() == mine.rows.size() * stride,
-                     "row pack size mismatch");
-      mine.slab.assign(doubles.begin(), doubles.end());
-    }
-  }
-  mine.factors.assign(mine.rows.size(), {});
-}
-
-Task<void> collect(Comm& comm, Shared& sh, RankData& mine) {
-  const int rank = comm.rank();
-  const int p = comm.size();
-  const std::int64_t n = sh.n;
-  const double bytes_per_row = static_cast<double>(n + 1) * 8.0;
-  const std::size_t stride = row_stride(sh);
-
-  if (rank != kRoot) {
-    Payload payload;
-    if (sh.with_data) {
-      payload = Payload::copy_of(std::span<const double>(mine.slab));
-    }
-    co_await comm.send(kRoot, kTagCollect,
-                       bytes_per_row * static_cast<double>(mine.rows.size()),
-                       std::move(payload));
-    co_return;
-  }
-
-  numeric::Matrix u;
-  std::vector<double> y;
-  if (sh.with_data) {
-    u = numeric::Matrix(static_cast<std::size_t>(n),
-                        static_cast<std::size_t>(n));
-    y.resize(static_cast<std::size_t>(n));
-    for (std::size_t k = 0; k < mine.rows.size(); ++k) {
-      const auto g = static_cast<std::size_t>(mine.rows[k]);
-      const double* base = local_row(sh, mine, k);
-      auto dst = u.row(g);
-      std::copy(base, base + n, dst.begin());
-      y[g] = base[static_cast<std::size_t>(n)];
-    }
-  }
-  for (int src = 0; src < p; ++src) {
-    if (src == kRoot) continue;
-    auto message = co_await comm.recv(src, kTagCollect);
-    if (sh.with_data) {
-      auto& theirs = sh.ranks[static_cast<std::size_t>(src)];
-      const auto pack = message.payload.doubles();
-      HETSCALE_CHECK(pack.size() == theirs.rows.size() * stride,
-                     "collected pack size mismatch");
-      for (std::size_t k = 0; k < theirs.rows.size(); ++k) {
-        const auto g = static_cast<std::size_t>(theirs.rows[k]);
-        const double* base = pack.data() + k * stride;
-        auto dst = u.row(g);
-        std::copy(base, base + n, dst.begin());
-        y[g] = base[static_cast<std::size_t>(n)];
-      }
-    }
-  }
-
-  sh.charged.add(rank, kernels::ge_backsub_flops(n));
-  co_await comm.compute(kernels::ge_backsub_flops(n));
-  if (sh.with_data) {
-    sh.solution = numeric::back_substitute(u, y);
-    sh.residual = numeric::residual_inf_norm(sh.a0, sh.solution, sh.b0);
-  }
-}
-
-Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
-  const int rank = comm.rank();
-  const int p = comm.size();
-  const std::int64_t n = sh.n;
-  const std::size_t stride = row_stride(sh);
-
-  auto charge = [&](double flops) {
-    sh.charged.add(rank, flops);
-    return comm.compute(flops);
-  };
+  const std::size_t stride = sh.row_stride();
+  GeRowBlock& mine = sh.block_of(comm);
+  // Per owned slot, the elimination factors recorded during the current
+  // panel (factors[k][jj - p0] for panel step jj). Swaps move a row's
+  // factor history along with its contents.
+  std::vector<std::vector<double>> factors(mine.rows.size());
   // Scratch lists handed to the kernels (reused across steps).
   std::vector<double*> row_ptrs;
   std::vector<const double*> factor_rows;
@@ -224,13 +81,13 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
       // gathered to slot i's owner, winner broadcast back ----
       const std::size_t cand_first = local_lower_bound(mine, i);
       const auto candidates = mine.rows.size() - cand_first;
-      co_await charge(static_cast<double>(candidates));
+      co_await sh.charged.charge(comm, static_cast<double>(candidates));
       double best_abs = -1.0;
       double best_row = -1.0;
       if (sh.with_data) {
         for (std::size_t k = cand_first; k < mine.rows.size(); ++k) {
           const double v =
-              std::abs(local_row(sh, mine, k)[static_cast<std::size_t>(i)]);
+              std::abs(sh.local_row(mine, k)[static_cast<std::size_t>(i)]);
           if (v > best_abs) {  // strict: the lowest row among equals wins
             best_abs = v;
             best_row = static_cast<double>(mine.rows[k]);
@@ -280,10 +137,10 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
           if (rank == owner && sh.with_data) {
             const std::size_t ki = local_lower_bound(mine, i);
             const std::size_t kr = local_lower_bound(mine, r);
-            double* row_i = local_row(sh, mine, ki);
-            double* row_r = local_row(sh, mine, kr);
+            double* row_i = sh.local_row(mine, ki);
+            double* row_r = sh.local_row(mine, kr);
             std::swap_ranges(row_i, row_i + stride, row_r);
-            std::swap(mine.factors[ki], mine.factors[kr]);
+            std::swap(factors[ki], factors[kr]);
           }
         } else if (rank == owner || rank == owner_r) {
           const int peer = rank == owner ? owner_r : owner;
@@ -295,9 +152,9 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
           if (sh.with_data) {
             out = Payload::buffer(stride + flen);
             auto buf = out.doubles();
-            const double* row = local_row(sh, mine, local);
+            const double* row = sh.local_row(mine, local);
             std::copy(row, row + stride, buf.begin());
-            std::copy(mine.factors[local].begin(), mine.factors[local].end(),
+            std::copy(factors[local].begin(), factors[local].end(),
                       buf.begin() + static_cast<std::ptrdiff_t>(stride));
           }
           const int tag = kTagSwapBase + static_cast<int>(i);
@@ -308,8 +165,8 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
             HETSCALE_CHECK(buf.size() == stride + flen, "swap pack mismatch");
             std::copy(buf.begin(),
                       buf.begin() + static_cast<std::ptrdiff_t>(stride),
-                      local_row(sh, mine, local));
-            mine.factors[local].assign(
+                      sh.local_row(mine, local));
+            factors[local].assign(
                 buf.begin() + static_cast<std::ptrdiff_t>(stride), buf.end());
           }
         }
@@ -319,10 +176,10 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
       const std::int64_t seg_len = p1 - i;
       Payload seg_payload;
       if (rank == owner) {
-        co_await charge(static_cast<double>(seg_len));
+        co_await sh.charged.charge(comm, static_cast<double>(seg_len));
         if (sh.with_data) {
           const std::size_t ki = local_lower_bound(mine, i);
-          double* row = local_row(sh, mine, ki);
+          double* row = sh.local_row(mine, ki);
           const double diag = row[static_cast<std::size_t>(i)];
           HETSCALE_CHECK(diag != 0.0, "pivoted GE: zero pivot after search");
           const double inv = 1.0 / diag;
@@ -342,13 +199,13 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
       const std::size_t target_first = local_lower_bound(mine, i + 1);
       const auto targets = mine.rows.size() - target_first;
       if (targets > 0) {
-        co_await charge(static_cast<double>(targets) * 2.0 *
-                        static_cast<double>(seg_len));
+        co_await sh.charged.charge(comm, static_cast<double>(targets) * 2.0 *
+                                             static_cast<double>(seg_len));
         if (sh.with_data) {
           row_ptrs.clear();
           for (std::size_t k = target_first; k < mine.rows.size(); ++k) {
-            double* row = local_row(sh, mine, k) + i;
-            mine.factors[k].push_back(row[0]);
+            double* row = sh.local_row(mine, k) + i;
+            factors[k].push_back(row[0]);
             row_ptrs.push_back(row);
           }
           const double* pivot = seg.doubles().data();
@@ -374,10 +231,10 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
         trail_payload =
             Payload::buffer(flen + 1 + static_cast<std::size_t>(t_len));
         auto buf = trail_payload.doubles();
-        std::copy(mine.factors[ki].begin(), mine.factors[ki].end(),
+        std::copy(factors[ki].begin(), factors[ki].end(),
                   buf.begin());
         buf[flen] = sh.pivot_inv[static_cast<std::size_t>(ii)];
-        const double* row = local_row(sh, mine, ki);
+        const double* row = sh.local_row(mine, ki);
         std::copy(row + p1, row + n + 1,
                   buf.begin() + static_cast<std::ptrdiff_t>(flen + 1));
       }
@@ -407,7 +264,7 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
         t_rows.push_back(t.data());
         if (rank == owner) {
           const std::size_t ki = local_lower_bound(mine, ii);
-          std::copy(t.begin(), t.end(), local_row(sh, mine, ki) + p1);
+          std::copy(t.begin(), t.end(), sh.local_row(mine, ki) + p1);
         }
       }
     }
@@ -419,28 +276,27 @@ Task<void> eliminate(Comm& comm, Shared& sh, RankData& mine) {
     const double update_flops = static_cast<double>(own_rows) *
                                 static_cast<double>(nb) * 2.0 *
                                 static_cast<double>(t_len);
-    co_await charge(recon_flops + update_flops);
+    co_await sh.charged.charge(comm, recon_flops + update_flops);
     if (sh.with_data) {
       // All nb pivots in one pass over the trailing rows; per element the
       // order is still jj ascending.
       row_ptrs.clear();
       factor_rows.clear();
       for (std::size_t k = own_first; k < mine.rows.size(); ++k) {
-        row_ptrs.push_back(local_row(sh, mine, k) + p1);
-        factor_rows.push_back(mine.factors[k].data());
+        row_ptrs.push_back(sh.local_row(mine, k) + p1);
+        factor_rows.push_back(factors[k].data());
       }
       kernels::rank1_update(t_rows, static_cast<std::size_t>(t_len), row_ptrs,
                             factor_rows);
-      for (auto& f : mine.factors) f.clear();
+      for (auto& f : factors) f.clear();
     }
   }
 }
 
 Task<void> pivot_rank(Comm& comm, Shared& sh) {
-  RankData& mine = sh.ranks[static_cast<std::size_t>(comm.rank())];
-  co_await distribute(comm, sh, mine);
-  co_await eliminate(comm, sh, mine);
-  co_await collect(comm, sh, mine);
+  co_await ge_distribute(comm, sh);
+  co_await eliminate(comm, sh);
+  co_await ge_collect(comm, sh);
 }
 
 }  // namespace
@@ -449,31 +305,12 @@ GePivotResult run_parallel_ge_pivot(vmpi::Machine& machine,
                                     const GePivotOptions& options) {
   HETSCALE_REQUIRE(options.n >= 1, "pivoted GE needs n >= 1");
   HETSCALE_REQUIRE(options.panel >= 1, "pivoted GE needs panel >= 1");
-  const int p = machine.world_size();
 
-  auto shared = std::make_shared<Shared>();
-  shared->charged.reset(p);
-  shared->n = options.n;
+  auto shared = std::make_shared<Shared>(machine, options.n, options.with_data,
+                                         options.distribution, options.speeds);
   shared->panel = options.panel;
-  shared->with_data = options.with_data;
   shared->seed = options.seed;
-  shared->ranks.resize(static_cast<std::size_t>(p));
   shared->pivot_inv.assign(static_cast<std::size_t>(options.n), 0.0);
-
-  std::vector<double> speeds = options.speeds;
-  if (speeds.empty()) speeds = marked::rank_marked_speeds(machine.cluster());
-  HETSCALE_REQUIRE(static_cast<int>(speeds.size()) == p,
-                   "need one marked speed per rank");
-
-  shared->owners =
-      options.distribution == GeDistribution::kHeterogeneousCyclic
-          ? dist::het_cyclic_owners(speeds, options.n)
-          : dist::cyclic_owners(p, options.n);
-  for (std::int64_t g = 0; g < options.n; ++g) {
-    shared->ranks[static_cast<std::size_t>(
-                      shared->owners[static_cast<std::size_t>(g)])]
-        .rows.push_back(g);
-  }
 
   if (options.with_data) {
     if (options.system_a.rows() > 0) {
@@ -485,11 +322,7 @@ GePivotResult run_parallel_ge_pivot(vmpi::Machine& machine,
       shared->a0 = options.system_a;
       shared->b0 = options.system_b;
     } else {
-      Rng rng(options.seed);
-      shared->a0 = numeric::Matrix::random_diagonally_dominant(
-          static_cast<std::size_t>(options.n), rng);
-      shared->b0.resize(static_cast<std::size_t>(options.n));
-      for (auto& v : shared->b0) v = rng.uniform(-1.0, 1.0);
+      shared->generate_system(options.seed);
     }
   }
 

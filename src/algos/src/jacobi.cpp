@@ -1,15 +1,16 @@
-#include "charge_ledger.hpp"
 #include "hetscale/algos/jacobi.hpp"
 
 #include <memory>
 #include <utility>
 
+#include "charge_ledger.hpp"
+#include "hetscale/algos/protocol.hpp"
 #include "hetscale/dist/distribution.hpp"
 #include "hetscale/kernels/flops.hpp"
-#include "hetscale/marked/suite.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/rng.hpp"
 #include "hetscale/vmpi/payload.hpp"
+#include "setup.hpp"
 
 namespace hetscale::algos {
 
@@ -19,12 +20,10 @@ using des::Task;
 using vmpi::Comm;
 using vmpi::Payload;
 
-constexpr int kRoot = 0;
 constexpr int kTagBand = 300;
 constexpr int kTagGhostDown = 301;  ///< carries a row travelling to rank+1
 constexpr int kTagGhostUp = 302;    ///< carries a row travelling to rank-1
 constexpr int kTagCollect = 303;
-constexpr double kMetadataBytes = 16.0;
 
 struct JacobiShared {
   std::int64_t n = 0;
@@ -151,8 +150,7 @@ Task<void> jacobi_rank(Comm& comm, JacobiShared& sh) {
       }
     }
 
-    sh.charged.add(rank, kernels::jacobi_sweep_flops(n, count));
-    co_await comm.compute(kernels::jacobi_sweep_flops(n, count));
+    co_await sh.charged.charge(comm, kernels::jacobi_sweep_flops(n, count));
     if (sh.with_data) sweep_band(local, scratch, n, count);
   }
 
@@ -211,12 +209,8 @@ JacobiResult run_parallel_jacobi(vmpi::Machine& machine,
   shared->with_data = options.with_data;
   shared->seed = options.seed;
 
-  std::vector<double> speeds = options.speeds;
-  if (speeds.empty()) speeds = marked::rank_marked_speeds(machine.cluster());
-  HETSCALE_REQUIRE(static_cast<int>(speeds.size()) == p,
-                   "need one marked speed per rank");
-
-  shared->counts = dist::het_block_counts(speeds, options.n - 2);
+  shared->counts = dist::het_block_counts(
+      rank_speeds(machine, options.speeds), options.n - 2);
   shared->offsets.resize(static_cast<std::size_t>(p));
   std::int64_t row = 1;  // interior rows start at grid row 1
   for (int r = 0; r < p; ++r) {

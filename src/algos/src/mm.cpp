@@ -1,17 +1,19 @@
-#include "charge_ledger.hpp"
 #include "hetscale/algos/mm.hpp"
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <utility>
 
+#include "charge_ledger.hpp"
+#include "hetscale/algos/protocol.hpp"
 #include "hetscale/dist/distribution.hpp"
 #include "hetscale/kernels/flops.hpp"
-#include "hetscale/marked/suite.hpp"
 #include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/numeric/matmul.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/vmpi/payload.hpp"
+#include "setup.hpp"
 
 namespace hetscale::algos {
 
@@ -21,10 +23,8 @@ using des::Task;
 using vmpi::Comm;
 using vmpi::Payload;
 
-constexpr int kRoot = 0;
 constexpr int kTagARows = 200;
 constexpr int kTagCollect = 201;
-constexpr double kMetadataBytes = 16.0;
 
 struct MmShared {
   std::int64_t n = 0;
@@ -91,8 +91,7 @@ Task<void> mm_rank(Comm& comm, MmShared& sh) {
   // multiply_rows_into is the blocked, panel-packed product over the
   // dispatched SIMD tile kernel; it multiplies straight out of the pooled
   // payload buffers and its output is bit-identical across kernel paths.
-  sh.charged.add(rank, kernels::mm_rows_flops(n, my_count));
-  co_await comm.compute(kernels::mm_rows_flops(n, my_count));
+  co_await sh.charged.charge(comm, kernels::mm_rows_flops(n, my_count));
   Payload my_c;
   if (sh.with_data && my_count > 0) {
     my_c = Payload::buffer(static_cast<std::size_t>(my_count) * nn);
@@ -149,11 +148,7 @@ MmResult run_parallel_mm(vmpi::Machine& machine, const MmOptions& options) {
   shared->n = options.n;
   shared->with_data = options.with_data;
 
-  std::vector<double> speeds = options.speeds;
-  if (speeds.empty()) speeds = marked::rank_marked_speeds(machine.cluster());
-  HETSCALE_REQUIRE(static_cast<int>(speeds.size()) == p,
-                   "need one marked speed per rank");
-
+  const auto speeds = rank_speeds(machine, options.speeds);
   shared->counts =
       options.distribution == MmDistribution::kHeterogeneousBlock
           ? dist::het_block_counts(speeds, options.n)
@@ -165,13 +160,7 @@ MmResult run_parallel_mm(vmpi::Machine& machine, const MmOptions& options) {
   }
 
   if (options.with_data) {
-    Rng rng(options.seed);
-    shared->a = numeric::Matrix::random(static_cast<std::size_t>(options.n),
-                                        static_cast<std::size_t>(options.n),
-                                        rng);
-    shared->b = numeric::Matrix::random(static_cast<std::size_t>(options.n),
-                                        static_cast<std::size_t>(options.n),
-                                        rng);
+    std::tie(shared->a, shared->b) = mm_inputs(options.n, options.seed);
   }
 
   auto run = machine.run([shared](Comm& comm) -> Task<void> {

@@ -1,4 +1,3 @@
-#include "charge_ledger.hpp"
 #include "hetscale/algos/sort.hpp"
 
 #include <algorithm>
@@ -7,11 +6,13 @@
 #include <span>
 #include <utility>
 
+#include "charge_ledger.hpp"
+#include "hetscale/algos/protocol.hpp"
 #include "hetscale/dist/distribution.hpp"
-#include "hetscale/marked/suite.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/rng.hpp"
 #include "hetscale/vmpi/payload.hpp"
+#include "setup.hpp"
 
 namespace hetscale::algos {
 
@@ -21,10 +22,8 @@ using des::Task;
 using vmpi::Comm;
 using vmpi::Payload;
 
-constexpr int kRoot = 0;
 constexpr int kTagKeys = 400;
 constexpr int kTagCollect = 401;
-constexpr double kMetadataBytes = 16.0;
 constexpr double kBytesPerKey = 8.0;
 
 struct SortShared {
@@ -49,11 +48,6 @@ Task<void> sort_rank(Comm& comm, SortShared& sh) {
   const int p = comm.size();
   const std::int64_t n = sh.n;
   const auto my_count = sh.counts[static_cast<std::size_t>(rank)];
-
-  auto charge = [&](double flops) {
-    sh.charged.add(rank, flops);
-    return comm.compute(flops);
-  };
 
   co_await comm.bcast(kRoot, kMetadataBytes, {});
 
@@ -84,7 +78,7 @@ Task<void> sort_rank(Comm& comm, SortShared& sh) {
   }
 
   // ---- Phase 2: local sort ----
-  co_await charge(sort_pass_flops(my_count, n));
+  co_await sh.charged.charge(comm, sort_pass_flops(my_count, n));
   std::sort(local.begin(), local.end());
 
   // ---- Phase 3: regular sampling (with oversampling) and splitters ----
@@ -170,8 +164,8 @@ Task<void> sort_rank(Comm& comm, SortShared& sh) {
       static_cast<std::int64_t>(received.size());
 
   // ---- Phase 5: final local sort of the bucket ----
-  co_await charge(
-      sort_pass_flops(static_cast<std::int64_t>(received.size()), n));
+  co_await sh.charged.charge(
+      comm, sort_pass_flops(static_cast<std::int64_t>(received.size()), n));
   std::sort(received.begin(), received.end());
 
   // ---- Phase 6: gather — concatenation by rank is globally sorted ----
@@ -210,12 +204,7 @@ SortResult run_parallel_sort(vmpi::Machine& machine,
   shared->splitters = options.splitters;
   shared->bucket_counts.assign(static_cast<std::size_t>(p), 0);
 
-  shared->speeds = options.speeds;
-  if (shared->speeds.empty()) {
-    shared->speeds = marked::rank_marked_speeds(machine.cluster());
-  }
-  HETSCALE_REQUIRE(static_cast<int>(shared->speeds.size()) == p,
-                   "need one marked speed per rank");
+  shared->speeds = rank_speeds(machine, options.speeds);
   shared->counts = dist::het_block_counts(shared->speeds, options.n);
 
   Rng rng(options.seed);

@@ -1,4 +1,3 @@
-#include "charge_ledger.hpp"
 #include "hetscale/algos/spmv.hpp"
 
 #include <algorithm>
@@ -6,11 +5,13 @@
 #include <set>
 #include <utility>
 
+#include "charge_ledger.hpp"
+#include "hetscale/algos/protocol.hpp"
 #include "hetscale/dist/distribution.hpp"
-#include "hetscale/marked/suite.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/rng.hpp"
 #include "hetscale/vmpi/payload.hpp"
+#include "setup.hpp"
 
 namespace hetscale::algos {
 
@@ -20,9 +21,7 @@ using des::Task;
 using vmpi::Comm;
 using vmpi::Payload;
 
-constexpr int kRoot = 0;
 constexpr int kTagRows = 500;
-constexpr double kMetadataBytes = 16.0;
 
 /// Modeled wire size of a CSR row block: a 4-byte column index and an
 /// 8-byte value per nonzero plus an 8-byte extent per row (and one for the
@@ -132,9 +131,8 @@ Task<void> spmv_rank(Comm& comm, SpmvShared& sh) {
   // themselves carry each rank's true block).
   const double ring_bytes = vec_bytes / static_cast<double>(p);
   for (std::int64_t s = 0; s < sh.sweeps; ++s) {
-    const double flops = 2.0 * static_cast<double>(nnzb);
-    sh.charged.add(rank, flops);
-    co_await comm.compute(flops, kSpmvStreamEfficiency);
+    co_await sh.charged.charge(comm, 2.0 * static_cast<double>(nnzb),
+                               kSpmvStreamEfficiency);
     Payload y_block;
     if (sh.with_data && cnt > 0) {
       y_block = Payload::buffer(static_cast<std::size_t>(cnt));
@@ -239,15 +237,11 @@ SpmvResult run_parallel_spmv(vmpi::Machine& machine,
   shared->sweeps = options.sweeps;
   shared->with_data = options.with_data;
 
-  std::vector<double> speeds = options.speeds;
-  if (speeds.empty()) speeds = marked::rank_marked_speeds(machine.cluster());
-  HETSCALE_REQUIRE(static_cast<int>(speeds.size()) == p,
-                   "need one marked speed per rank");
-
   // The structure (not just the values) drives the simulated time, so the
   // matrix is built even for timing-only runs.
   shared->csr = make_synthetic_csr(options.n, options.seed);
-  shared->split = spmv_row_split(shared->csr, speeds, options.distribution);
+  shared->split = spmv_row_split(
+      shared->csr, rank_speeds(machine, options.speeds), options.distribution);
 
   if (options.with_data) {
     Rng rng(options.seed);

@@ -1,19 +1,21 @@
-#include "charge_ledger.hpp"
 #include "hetscale/algos/summa.hpp"
 
 #include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <utility>
 
+#include "charge_ledger.hpp"
+#include "hetscale/algos/protocol.hpp"
 #include "hetscale/dist/grid.hpp"
 #include "hetscale/kernels/dispatch.hpp"
-#include "hetscale/marked/suite.hpp"
 #include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/vmpi/group.hpp"
 #include "hetscale/vmpi/payload.hpp"
+#include "setup.hpp"
 
 namespace hetscale::algos {
 
@@ -23,7 +25,6 @@ using des::Task;
 using vmpi::Comm;
 using vmpi::Payload;
 
-constexpr int kRoot = 0;
 constexpr int kTagTiles = 400;
 constexpr int kTagCollect = 401;
 // One fresh tag per panel step; A (row groups) and B (column groups) use
@@ -31,7 +32,6 @@ constexpr int kTagCollect = 401;
 // never cross-matches.
 constexpr int kTagAPanelBase = 1 << 20;
 constexpr int kTagBPanelBase = 1 << 21;
-constexpr double kMetadataBytes = 16.0;
 
 using TileKey = std::pair<std::int64_t, std::int64_t>;
 
@@ -200,8 +200,7 @@ Task<void> summa_rank(Comm& comm, SummaShared& sh) {
       flops += 2.0 * static_cast<double>(t.rows) *
                static_cast<double>(ek) * static_cast<double>(t.cols);
     }
-    sh.charged.add(rank, flops);
-    co_await comm.compute(flops);
+    co_await sh.charged.charge(comm, flops);
     if (sh.with_data) {
       // Panel offsets of each tile row / tile column index.
       std::map<std::int64_t, std::size_t> a_offset;
@@ -306,10 +305,7 @@ SummaResult run_parallel_summa(vmpi::Machine& machine,
   HETSCALE_REQUIRE(options.tile >= 1, "SUMMA needs tile >= 1");
   const int p = machine.world_size();
 
-  std::vector<double> speeds = options.speeds;
-  if (speeds.empty()) speeds = marked::rank_marked_speeds(machine.cluster());
-  HETSCALE_REQUIRE(static_cast<int>(speeds.size()) == p,
-                   "need one marked speed per rank");
+  const auto speeds = rank_speeds(machine, options.speeds);
 
   auto shared = std::make_shared<SummaShared>();
   shared->charged.reset(p);
@@ -319,13 +315,7 @@ SummaResult run_parallel_summa(vmpi::Machine& machine,
                       options.n, options.tile, options.tile);
 
   if (options.with_data) {
-    Rng rng(options.seed);
-    shared->a = numeric::Matrix::random(static_cast<std::size_t>(options.n),
-                                        static_cast<std::size_t>(options.n),
-                                        rng);
-    shared->b = numeric::Matrix::random(static_cast<std::size_t>(options.n),
-                                        static_cast<std::size_t>(options.n),
-                                        rng);
+    std::tie(shared->a, shared->b) = mm_inputs(options.n, options.seed);
   }
 
   auto run = machine.run([shared](Comm& comm) -> Task<void> {

@@ -1,9 +1,10 @@
 // Small formatting helpers shared by the obs exporters.
 //
-// The obs layer sits below run/ in the build (run links against it), so it
-// cannot reuse run::RunResult's JSON machinery; these helpers keep the two
-// exporters' conventions aligned: strings are JSON-escaped, and non-finite
-// reals never reach a JSON document (callers render them as null).
+// The obs layer sits below run/ in the build (run links against it), so
+// run::RunResult's JSON rendering escapes its strings through json_escape
+// too. These helpers keep every exporter's conventions aligned: strings are
+// JSON-escaped, and non-finite reals never reach a JSON document (callers
+// render them as null).
 #pragma once
 
 #include <string>

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "hetscale/algos/protocol.hpp"
+#include "hetscale/algos/spmv.hpp"
 #include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/numeric/roots.hpp"
 #include "hetscale/predict/theory.hpp"
@@ -12,7 +14,6 @@
 namespace hetscale::predict {
 
 namespace {
-constexpr double kMetadataBytes = 16.0;
 constexpr double kBytesPerDouble = 8.0;
 }  // namespace
 
@@ -58,7 +59,7 @@ double GeOverheadModel::overhead(double n, const SystemModel& system) const {
   const int p = system.p;
   const auto& comm = system.comm;
   // Metadata broadcast.
-  double to = comm.t_bcast(p, kMetadataBytes);
+  double to = comm.t_bcast(p, algos::kMetadataBytes);
   // Distribution + collection: (p-1) sends each way; the messages carry
   // N(N+1) doubles in total, of which each remote rank holds ~1/p.
   const double total_bytes = n * (n + 1.0) * kBytesPerDouble;
@@ -103,7 +104,7 @@ double MmOverheadModel::sequential_flops(double /*n*/) const {
 double MmOverheadModel::overhead(double n, const SystemModel& system) const {
   const int p = system.p;
   const auto& comm = system.comm;
-  double to = comm.t_bcast(p, kMetadataBytes);
+  double to = comm.t_bcast(p, algos::kMetadataBytes);
   // A rows out and C rows back: (p-1) sends each way, ~8N²/p bytes apiece.
   const double avg_bytes =
       n * n * kBytesPerDouble / static_cast<double>(p);
@@ -143,7 +144,7 @@ double JacobiOverheadModel::overhead(double n,
   const int p = system.p;
   if (p <= 1) return 1e-12;
   const auto& comm = system.comm;
-  double to = comm.t_bcast(p, kMetadataBytes);
+  double to = comm.t_bcast(p, algos::kMetadataBytes);
   // Grid bands out and back: (p-1) sends each way, ~8N²/p bytes apiece.
   const double band_bytes =
       n * n * kBytesPerDouble / static_cast<double>(p);
@@ -161,10 +162,6 @@ namespace {
 /// The synthetic CSR matrix carries 4..16 nonzeros per row, uniform in
 /// expectation — 10 on average (algos::make_synthetic_csr).
 constexpr double kSpmvMeanNnzPerRow = 10.0;
-/// Fraction of the dense marked rate sustained streaming CSR
-/// (algos::kSpmvStreamEfficiency, mirrored to keep predict free of an
-/// algos dependency).
-constexpr double kSpmvStreamEfficiency = 0.35;
 /// Bytes shipped per nonzero when distributing a CSR block: an 8-byte
 /// value plus a packed 4-byte column index.
 constexpr double kSpmvBytesPerNnz = 12.0;
@@ -189,9 +186,9 @@ double SpmvOverheadModel::overhead(double n,
   // Memory-bound stall: the sweep flops are charged at the stream
   // efficiency, so beyond the ideal W/C the system loses W/C·(1/η - 1).
   double to = work(n) / system.marked_speed *
-              (1.0 / kSpmvStreamEfficiency - 1.0);
+              (1.0 / algos::kSpmvStreamEfficiency - 1.0);
   if (p <= 1) return std::max(to, 1e-12);
-  to += comm.t_bcast(p, kMetadataBytes);
+  to += comm.t_bcast(p, algos::kMetadataBytes);
   // CSR row blocks to the (p-1) remote ranks, ~nnz/p nonzeros apiece.
   const double block_bytes =
       kSpmvBytesPerNnz * kSpmvMeanNnzPerRow * n / static_cast<double>(p);

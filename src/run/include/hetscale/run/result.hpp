@@ -53,9 +53,6 @@ class Value {
   std::string text_;
 };
 
-/// Append `piece` to `os` as a quoted, escaped JSON string.
-void write_json_string(std::ostream& os, const std::string& piece);
-
 struct RunResult {
   std::string scenario;  ///< registry name
   std::string title;     ///< artifact title, e.g. "Table 3  Required rank..."

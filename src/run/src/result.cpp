@@ -1,15 +1,24 @@
 #include "hetscale/run/result.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
+#include "hetscale/obs/format.hpp"
 #include "hetscale/support/csv.hpp"
 #include "hetscale/support/error.hpp"
 #include "hetscale/support/table.hpp"
 
 namespace hetscale::run {
+
+namespace {
+
+/// Append `piece` to `os` as a quoted, escaped JSON string.
+void write_json_string(std::ostream& os, const std::string& piece) {
+  os << '"' << obs::json_escape(piece) << '"';
+}
+
+}  // namespace
 
 Value::Value(bool value)
     : kind_(Kind::kBool), text_(value ? "true" : "false") {}
@@ -40,39 +49,6 @@ Value Value::real(double value, int digits) {
     v.text_ = Table::num(value, digits);
   }
   return v;
-}
-
-void write_json_string(std::ostream& os, const std::string& piece) {
-  os << '"';
-  for (const char ch : piece) {
-    switch (ch) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          os << buffer;
-        } else {
-          os << ch;
-        }
-    }
-  }
-  os << '"';
 }
 
 void Value::write_json(std::ostream& os) const {

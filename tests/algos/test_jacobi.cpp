@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/numeric/matrix.hpp"
 #include "hetscale/support/error.hpp"
@@ -22,11 +24,16 @@ JacobiResult run_jacobi(machine::Cluster cluster,
   return run_parallel_jacobi(machine, options);
 }
 
+// gtest prints a Case as its raw bytes, and ctest copies that text into the
+// test names. Padding bytes are uninitialized, so a padded Case would give
+// the tests different names in every build; three 8-byte fields leave none.
 struct Case {
   std::int64_t n;
   std::int64_t sweeps;
-  int nodes;
+  std::int64_t nodes;
 };
+static_assert(std::has_unique_object_representations_v<Case>,
+              "Case must have no padding bytes");
 
 class JacobiCases : public ::testing::TestWithParam<Case> {};
 INSTANTIATE_TEST_SUITE_P(Grid, JacobiCases,
@@ -40,7 +47,8 @@ TEST_P(JacobiCases, MatchesSequentialReference) {
   options.n = param.n;
   options.sweeps = param.sweeps;
   const auto result =
-      run_jacobi(machine::sunwulf::mm_ensemble(param.nodes), options);
+      run_jacobi(machine::sunwulf::mm_ensemble(static_cast<int>(param.nodes)),
+                 options);
   const auto reference =
       jacobi_reference(param.n, param.sweeps, options.seed);
   ASSERT_EQ(result.grid.size(), reference.size());
@@ -54,7 +62,8 @@ TEST_P(JacobiCases, ChargedFlopsEqualWorkload) {
   options.sweeps = param.sweeps;
   options.with_data = false;
   const auto result =
-      run_jacobi(machine::sunwulf::mm_ensemble(param.nodes), options);
+      run_jacobi(machine::sunwulf::mm_ensemble(static_cast<int>(param.nodes)),
+                 options);
   EXPECT_DOUBLE_EQ(result.charged_flops, result.work_flops);
 }
 

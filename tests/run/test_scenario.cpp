@@ -44,9 +44,8 @@ TEST(Value, NonFiniteRealsBecomeNull) {
 }
 
 TEST(Value, JsonStringsAreEscaped) {
-  std::ostringstream os;
-  write_json_string(os, "a\"b\\c\nd\te\r\x01");
-  EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\nd\\te\\r\\u0001\"");
+  EXPECT_EQ(json_of(Value("a\"b\\c\nd\te\r\x01")),
+            "\"a\\\"b\\\\c\\nd\\te\\r\\u0001\"");
 }
 
 RunResult sample_result() {
