@@ -1,6 +1,6 @@
 // Micro-benchmarks of the collective algorithm families at large p: the
 // paper-era flat family (CollectiveTuning::legacy_flat()) against the
-// logarithmic tree family (the defaults) for bcast, barrier, and reduce at
+// logarithmic tree family (the defaults) for bcast, barrier, and gather at
 // 64 / 512 / 2048 ranks.
 //
 // Two numbers per run:
@@ -14,10 +14,10 @@
 //
 // Receive-side software overhead is enabled (NetworkParams::recv_overhead_s,
 // off everywhere else): without it, incast is free — the p-1 concurrent
-// child->root sends of a flat gather/reduce all land in parallel and the
-// flat reduce looks constant-time, which no real NIC + MPI stack delivers.
-// With the root charged per matched message, flat reduce shows its true
-// Θ(p) root-processing cost against the combining tree's Θ(log p).
+// child->root sends of a flat gather all land in parallel and the flat
+// gather looks constant-time, which no real NIC + MPI stack delivers. With
+// the root charged per matched message, flat gather shows its true Θ(p)
+// root-processing cost against the binomial tree's Θ(log p) rounds.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -101,25 +101,6 @@ void barrier_rounds(benchmark::State& state,
   set_counters(state, run, events);
 }
 
-void reduce_rounds(benchmark::State& state,
-                   const vmpi::CollectiveTuning& tuning) {
-  const auto cluster = machine::sunwulf::homogeneous_ensemble(
-      static_cast<int>(state.range(0)));
-  CollectiveRun run;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    run = run_collective(cluster, tuning, [](vmpi::Comm& comm) -> Task<void> {
-      for (int i = 0; i < kRounds; ++i) {
-        (void)co_await comm.reduce_sum(0, 1.0);
-      }
-    });
-    events += run.events;
-    benchmark::DoNotOptimize(run.sim_s);
-  }
-  state.SetItemsProcessed(state.iterations() * kRounds * state.range(0));
-  set_counters(state, run, events);
-}
-
 void gather_rounds(benchmark::State& state,
                    const vmpi::CollectiveTuning& tuning) {
   // Exercises the pooled-bundle hot path: the binomial gather ships whole
@@ -154,12 +135,6 @@ void BM_BarrierFlat(benchmark::State& state) {
 void BM_BarrierTree(benchmark::State& state) {
   barrier_rounds(state, vmpi::CollectiveTuning::tree());
 }
-void BM_ReduceFlat(benchmark::State& state) {
-  reduce_rounds(state, vmpi::CollectiveTuning::legacy_flat());
-}
-void BM_ReduceTree(benchmark::State& state) {
-  reduce_rounds(state, vmpi::CollectiveTuning::tree());
-}
 void BM_GatherFlat(benchmark::State& state) {
   gather_rounds(state, vmpi::CollectiveTuning::legacy_flat());
 }
@@ -171,8 +146,6 @@ BENCHMARK(BM_BcastFlat)->Arg(64)->Arg(512)->Arg(2048);
 BENCHMARK(BM_BcastTree)->Arg(64)->Arg(512)->Arg(2048);
 BENCHMARK(BM_BarrierFlat)->Arg(64)->Arg(512)->Arg(2048);
 BENCHMARK(BM_BarrierTree)->Arg(64)->Arg(512)->Arg(2048);
-BENCHMARK(BM_ReduceFlat)->Arg(64)->Arg(512)->Arg(2048);
-BENCHMARK(BM_ReduceTree)->Arg(64)->Arg(512)->Arg(2048);
 BENCHMARK(BM_GatherFlat)->Arg(64)->Arg(512)->Arg(2048);
 BENCHMARK(BM_GatherTree)->Arg(64)->Arg(512)->Arg(2048);
 

@@ -36,12 +36,12 @@ Task<void> ring_reduce(vmpi::Comm& comm, double flops_per_rank) {
   if (comm.rank() == 0) {
     co_await comm.send(next, kTag, 8.0, vmpi::Payload(1.0));
     const auto back = co_await comm.recv(prev, kTag);
-    std::cout << "  ring token accumulated " << back.value<double>()
+    std::cout << "  ring token accumulated " << back.payload.scalar()
               << " over " << comm.size() << " ranks\n";
   } else {
     const auto token = co_await comm.recv(prev, kTag);
     co_await comm.send(next, kTag, 8.0,
-                       vmpi::Payload(token.value<double>() + 1.0));
+                       vmpi::Payload(token.payload.scalar() + 1.0));
   }
 }
 

@@ -23,24 +23,10 @@
 
 namespace hetscale::algos {
 
-/// Which row distribution stage 0 uses (ablation hook; the paper uses the
-/// heterogeneous cyclic one).
-enum class GeDistribution {
-  kHeterogeneousCyclic,  ///< rows dealt ∝ marked speed (paper, ref [6])
-  kHomogeneousCyclic,    ///< plain round-robin (baseline)
-};
-
 struct GeOptions {
   std::int64_t n = 0;        ///< matrix order N (required, >= 1)
   bool with_data = true;     ///< perform real arithmetic alongside timing
   std::uint64_t seed = 42;   ///< seed for the random diagonally dominant A
-  GeDistribution distribution = GeDistribution::kHeterogeneousCyclic;
-  /// The paper's algorithm synchronizes all processes after each
-  /// elimination step ("(2.2) Synchronize all processes due to data
-  /// dependence"). Strictly, the broadcast already orders the computation —
-  /// this flag removes the barrier to measure what the synchronization
-  /// costs (ablation; results are bit-identical either way, tested).
-  bool barrier_each_step = true;
   /// Pipelined (lookahead-1) variant: the owner of row i+1 eliminates that
   /// row first and *asynchronously* sends the next pivot (Comm::isend)
   /// while everyone — itself included — finishes step i's eliminations, so

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "hetscale/algos/ge.hpp"
 #include "hetscale/numeric/matrix.hpp"
 #include "hetscale/vmpi/machine.hpp"
 
@@ -43,7 +42,6 @@ struct GePivotOptions {
   std::int64_t panel = 32;  ///< panel width in columns (>= 1)
   bool with_data = true;    ///< perform real arithmetic alongside timing
   std::uint64_t seed = 42;  ///< same default system as ge.hpp
-  GeDistribution distribution = GeDistribution::kHeterogeneousCyclic;
   std::vector<double> speeds;  ///< per-rank marked speeds; empty = measure
   /// Optional explicit system (both must be set together); empty means
   /// "generate the same random diagonally dominant system as ge.hpp". Lets

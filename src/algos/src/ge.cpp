@@ -90,8 +90,7 @@ void apply_pivots(const GeRowFrame& sh, GeRowBlock& mine,
 /// pivot order, and a row's factor for pivot j is its column j after
 /// pivots < j, as before (kernels::eliminate_block). Virtual time is
 /// charged per step exactly as before; only host memory traffic changes.
-Task<void> ge_eliminate_paper(Comm& comm, GeRowFrame& sh,
-                              bool barrier_each_step) {
+Task<void> ge_eliminate_paper(Comm& comm, GeRowFrame& sh) {
   const int rank = comm.rank();
   const std::int64_t n = sh.n;
   GeRowBlock& mine = sh.block_of(comm);
@@ -154,7 +153,7 @@ Task<void> ge_eliminate_paper(Comm& comm, GeRowFrame& sh,
                    mine.rows.size());
       pending.clear();
     }
-    if (barrier_each_step) co_await comm.barrier();
+    co_await comm.barrier();
   }
 }
 
@@ -243,13 +242,12 @@ Task<void> ge_eliminate_pipelined(Comm& comm, GeRowFrame& sh) {
   }
 }
 
-Task<void> ge_rank(Comm& comm, GeRowFrame& sh, bool pipelined,
-                   bool barrier_each_step) {
+Task<void> ge_rank(Comm& comm, GeRowFrame& sh, bool pipelined) {
   co_await ge_distribute(comm, sh);
   if (pipelined) {
     co_await ge_eliminate_pipelined(comm, sh);
   } else {
-    co_await ge_eliminate_paper(comm, sh, barrier_each_step);
+    co_await ge_eliminate_paper(comm, sh);
   }
   co_await ge_collect(comm, sh);
 }
@@ -258,17 +256,14 @@ Task<void> ge_rank(Comm& comm, GeRowFrame& sh, bool pipelined,
 
 GeResult run_parallel_ge(vmpi::Machine& machine, const GeOptions& options) {
   HETSCALE_REQUIRE(options.n >= 1, "GE needs n >= 1");
-  auto shared = std::make_shared<GeRowFrame>(
-      machine, options.n, options.with_data, options.distribution,
-      options.speeds);
+  auto shared = std::make_shared<GeRowFrame>(machine, options.n,
+                                             options.with_data, options.speeds);
   if (options.with_data) shared->generate_system(options.seed);
 
   const bool pipelined = options.pipelined;
-  const bool barrier_each_step = options.barrier_each_step;
-  auto run = machine.run(
-      [shared, pipelined, barrier_each_step](Comm& comm) -> Task<void> {
-        return ge_rank(comm, *shared, pipelined, barrier_each_step);
-      });
+  auto run = machine.run([shared, pipelined](Comm& comm) -> Task<void> {
+    return ge_rank(comm, *shared, pipelined);
+  });
 
   GeResult result;
   result.run = std::move(run);

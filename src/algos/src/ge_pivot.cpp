@@ -124,7 +124,7 @@ Task<void> eliminate(Comm& comm, Shared& sh) {
       Payload chosen =
           co_await comm.bcast(owner, 8.0, std::move(chosen_payload));
       if (sh.with_data && rank != owner) {
-        r = static_cast<std::int64_t>(chosen.as<double>());
+        r = static_cast<std::int64_t>(chosen.scalar());
       }
       if (rank == owner && r != i) ++sh.row_swaps;
 
@@ -307,7 +307,7 @@ GePivotResult run_parallel_ge_pivot(vmpi::Machine& machine,
   HETSCALE_REQUIRE(options.panel >= 1, "pivoted GE needs panel >= 1");
 
   auto shared = std::make_shared<Shared>(machine, options.n, options.with_data,
-                                         options.distribution, options.speeds);
+                                         options.speeds);
   shared->panel = options.panel;
   shared->seed = options.seed;
   shared->pivot_inv.assign(static_cast<std::size_t>(options.n), 0.0);

@@ -57,14 +57,10 @@ void place_rows(const GeRowFrame& frame, const GeRowBlock& block,
 }  // namespace
 
 GeRowFrame::GeRowFrame(const vmpi::Machine& machine, std::int64_t n,
-                       bool with_data, GeDistribution distribution,
-                       std::vector<double> speeds)
+                       bool with_data, std::vector<double> speeds)
     : n(n), with_data(with_data) {
   const int p = machine.world_size();
-  speeds = rank_speeds(machine, std::move(speeds));
-  owners = distribution == GeDistribution::kHeterogeneousCyclic
-               ? dist::het_cyclic_owners(speeds, n)
-               : dist::cyclic_owners(p, n);
+  owners = dist::het_cyclic_owners(rank_speeds(machine, std::move(speeds)), n);
   blocks.resize(static_cast<std::size_t>(p));
   for (std::int64_t g = 0; g < n; ++g) {
     blocks[static_cast<std::size_t>(owners[static_cast<std::size_t>(g)])]

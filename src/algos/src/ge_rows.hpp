@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "charge_ledger.hpp"
-#include "hetscale/algos/ge.hpp"
 #include "hetscale/des/task.hpp"
 #include "hetscale/numeric/matrix.hpp"
 #include "hetscale/vmpi/comm.hpp"
@@ -38,10 +37,10 @@ struct GeRowBlock {
 /// ChargeLedger slot); the root also reads the system and writes the
 /// result.
 struct GeRowFrame {
-  /// Deal n rows over `machine`'s ranks by `distribution`, in proportion
-  /// to `speeds` (empty = measure them; see rank_speeds).
+  /// Deal n rows over `machine`'s ranks heterogeneous-cyclically, in
+  /// proportion to `speeds` (empty = measure them; see rank_speeds).
   GeRowFrame(const vmpi::Machine& machine, std::int64_t n, bool with_data,
-             GeDistribution distribution, std::vector<double> speeds);
+             std::vector<double> speeds);
 
   /// Set a0 and b0 to the seeded random diagonally dominant system.
   void generate_system(std::uint64_t seed);

@@ -65,7 +65,7 @@ class Injector final : public vmpi::FaultHooks {
   vmpi::SendFaultPlan send_faults(int rank) override;
   void record_retry_wait(int rank, double seconds) override;
   void bind_span_sink(obs::SpanStore* spans) override;
-  vmpi::FaultProfile fault_profile() const override;
+  obs::FaultProfileTotals fault_profile() const override;
 
   const RankFaultStats& rank_stats(int rank) const;
   int ranks() const { return static_cast<int>(states_.size()); }

@@ -195,11 +195,12 @@ void Injector::bind_span_sink(obs::SpanStore* spans) {
   }
 }
 
-vmpi::FaultProfile Injector::fault_profile() const {
+obs::FaultProfileTotals Injector::fault_profile() const {
   const RankFaultStats total = totals();
-  return vmpi::FaultProfile{total.slowdown_s, total.checkpoint_s,
-                            total.rework_s,   total.retry_s,
-                            total.checkpoints, total.crashes, total.retries};
+  return obs::FaultProfileTotals{total.slowdown_s, total.checkpoint_s,
+                                 total.rework_s,   total.retry_s,
+                                 total.checkpoints, total.crashes,
+                                 total.retries};
 }
 
 const RankFaultStats& Injector::rank_stats(int rank) const {

@@ -5,7 +5,7 @@
 // message count, nominal on-wire bytes, and the receiver-side wait time
 // accumulated while blocked for a message from `src`. Phases name the
 // collective a message belonged to (p2p, bcast, barrier, the van de Geijn
-// scatter/ring legs, group collectives, ...) so a hotspot can be tied to
+// scatter/ring legs, group broadcasts, ...) so a hotspot can be tied to
 // the algorithm step that produced it, not just the rank pair.
 //
 // Storage: cells live in an open-addressed table keyed by (src, dst, phase)
@@ -29,7 +29,7 @@ namespace hetscale::obs {
 
 /// The collective phase a message belongs to. kP2p covers algorithm-level
 /// point-to-point traffic; the rest name the vmpi collective (or Group
-/// collective) whose implementation produced the message.
+/// broadcast) whose implementation produced the message.
 enum class CommPhase : int {
   kP2p = 0,
   kBcast,
@@ -37,14 +37,11 @@ enum class CommPhase : int {
   kBcastRing,     ///< van de Geijn long-broadcast ring leg
   kBarrier,
   kGather,
-  kScatter,
   kAllgather,
   kAlltoall,
-  kGroupBcast,   ///< vmpi::Group row/column panel broadcast
-  kGroupGather,  ///< vmpi::Group panel gather
-  // Appended past the seed phases so recorded phase ints stay stable.
-  kReduce,         ///< combining-tree reduce partials
-  kAllreduce,      ///< recursive-doubling allreduce exchanges
+  kGroupBcast,  ///< vmpi::Group row/column panel broadcast
+  // Exports print phase names, never these ints, and cells sort by them:
+  // keep the order when adding or removing a phase.
   kBcastDoubling,  ///< long-broadcast doubling-allgather leg
 };
 

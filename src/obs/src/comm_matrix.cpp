@@ -10,10 +10,8 @@ namespace hetscale::obs {
 
 const std::string& comm_phase_name(CommPhase phase) {
   static const std::string kNames[] = {
-      "p2p",      "bcast",       "bcast.scatter", "bcast.ring",
-      "barrier",  "gather",      "scatter",       "allgather",
-      "alltoall", "group.bcast", "group.gather",  "reduce",
-      "allreduce", "bcast.doubling",
+      "p2p",    "bcast",     "bcast.scatter", "bcast.ring",  "barrier",
+      "gather", "allgather", "alltoall",      "group.bcast", "bcast.doubling",
   };
   const int index = static_cast<int>(phase);
   HETSCALE_REQUIRE(index >= 0 &&

@@ -3,10 +3,10 @@
 // Programming model (mirrors the MPI subset the paper's algorithms use):
 //   * one rank per processor (HoHe: process count == processor count),
 //   * blocking send / recv with tags and source wildcards,
-//   * collectives (bcast, barrier, gather, scatter, reduce) built from
+//   * collectives (bcast, barrier, gather, allgather, alltoall) built from
 //     point-to-point messages, so their cost comes from the network model;
 //     the machine's CollectiveTuning picks the paper-era flat family or
-//     the logarithmic tree family for all of them at once.
+//     the logarithmic tree family for bcast, barrier and gather at once.
 //
 // Timing semantics:
 //   * compute(flops) advances this rank's virtual time by flops / rate;
@@ -63,20 +63,11 @@ class Comm {
   /// Tags are non-negative (negative values are the receive wildcards).
   des::Task<void> send(int dst, int tag, double bytes, Payload payload);
 
-  /// Handle of a nonblocking send.
-  struct SendRequest {
-    des::SimTime sender_free = 0.0;  ///< when the sending link is drained
-  };
-
-  /// Nonblocking send: the message is injected (the network reserves the
-  /// link as usual, so later sends queue behind it) but the caller
-  /// continues immediately — computation/communication overlap. Optionally
-  /// await wait_send() to synchronize with the link drain (MPI_Wait-like);
-  /// fire-and-forget is also valid. Tags as for send().
-  SendRequest isend(int dst, int tag, double bytes, Payload payload);
-
-  /// Suspend until the nonblocking send's link time has passed.
-  des::Task<void> wait_send(const SendRequest& request);
+  /// Nonblocking, fire-and-forget send: the message is injected (the
+  /// network reserves the link as usual, so later sends queue behind it)
+  /// but the caller continues immediately — computation/communication
+  /// overlap. Tags as for send().
+  void isend(int dst, int tag, double bytes, Payload payload);
 
   /// Blocking receive matching (source, tag); wildcards kAnySource/kAnyTag.
   /// Any other negative tag is rejected: no send can carry one.
@@ -105,12 +96,6 @@ class Comm {
   des::Task<std::vector<Payload>> gather(int root, double bytes,
                                           Payload payload);
 
-  /// The root distributes parts[r] (modeled size parts_bytes[r]) to rank r;
-  /// every rank returns its own part. Direct sends from the root
-  /// (legacy_flat) or subtree bundles down a binomial tree (tree).
-  des::Task<Payload> scatter(int root, const std::vector<double>& parts_bytes,
-                              std::vector<Payload> parts);
-
   /// Every rank contributes (`bytes`, `payload`); every rank returns the
   /// full vector indexed by rank. Ring algorithm: p-1 rounds of concurrent
   /// neighbour exchanges.
@@ -123,34 +108,13 @@ class Comm {
   des::Task<std::vector<Payload>> alltoall(
       const std::vector<double>& parts_bytes, std::vector<Payload> parts);
 
-  /// Reduction operators over doubles.
-  enum class ReduceOp { kSum, kMin, kMax, kProd };
-
-  /// Reduction of a double to the root (others get 0.0). Gather p scalars
-  /// to the root and fold there (legacy_flat — the root materializes a
-  /// vector of p payloads), or fold partial results up a binomial
-  /// combining tree (tree — Θ(log p), O(1) state per rank).
-  des::Task<double> reduce(int root, double value, ReduceOp op);
-
-  /// Sum-reduction of a double to the root (others get 0.0).
-  des::Task<double> reduce_sum(int root, double value);
-
-  /// Reduction delivered to every rank. Reduce to rank 0 then broadcast
-  /// (legacy_flat — two full trips), or a recursive-doubling butterfly
-  /// (tree — the value lands everywhere in Θ(log p) rounds, bit-identical
-  /// across ranks by fixed combine association).
-  des::Task<double> allreduce(double value, ReduceOp op);
-
-  /// Sum-reduction delivered to every rank.
-  des::Task<double> allreduce_sum(double value);
-
   /// The machine's trace recorder (null when tracing is off). Group uses
-  /// this to annotate its collectives' lanes on the CommMatrix.
+  /// this to annotate its broadcasts' lanes on the CommMatrix.
   TraceRecorder* tracer() const;
 
   /// The CommMatrix phase a world-communicator tag implies: the fixed
   /// collective tags map to their phase, everything else is p2p. Group
-  /// collectives ride on caller-chosen tags and override per lane instead.
+  /// broadcasts ride on caller-chosen tags and override per lane instead.
   static obs::CommPhase phase_for_tag(int tag);
 
  private:
@@ -158,13 +122,10 @@ class Comm {
   static constexpr int kTagBarrierIn = (1 << 28) + 1;
   static constexpr int kTagBarrierOut = (1 << 28) + 2;
   static constexpr int kTagGather = (1 << 28) + 3;
-  static constexpr int kTagScatter = (1 << 28) + 4;
   static constexpr int kTagBcastScatter = (1 << 28) + 5;
   static constexpr int kTagBcastRing = (1 << 28) + 6;
   static constexpr int kTagAllgather = (1 << 28) + 7;
   static constexpr int kTagAlltoall = (1 << 28) + 8;
-  static constexpr int kTagReduce = (1 << 28) + 10;
-  static constexpr int kTagAllreduce = (1 << 28) + 11;
   static constexpr int kTagBcastDoubling = (1 << 28) + 12;
 
   /// One logical transmission to `dst`, consulting the machine's fault
@@ -189,16 +150,6 @@ class Comm {
                                                Payload payload);
   des::Task<std::vector<Payload>> gather_binomial(int root, double bytes,
                                                    Payload payload);
-  des::Task<Payload> scatter_flat(int root,
-                                   const std::vector<double>& parts_bytes,
-                                   std::vector<Payload> parts);
-  des::Task<Payload> scatter_binomial(int root,
-                                       const std::vector<double>& parts_bytes,
-                                       std::vector<Payload> parts);
-  des::Task<double> reduce_flat(int root, double value, ReduceOp op);
-  des::Task<double> reduce_combining(int root, double value, ReduceOp op);
-  des::Task<double> allreduce_reduce_bcast(double value, ReduceOp op);
-  des::Task<double> allreduce_doubling(double value, ReduceOp op);
   /// Modeled size of a zero-payload control token (MPI header-ish).
   static constexpr double kTokenBytes = 16.0;
 

@@ -16,13 +16,8 @@
 // simulations on a Runner each attach their own hooks.
 #pragma once
 
-#include <cstdint>
-
 #include "hetscale/des/scheduler.hpp"
-
-namespace hetscale::obs {
-class SpanStore;
-}  // namespace hetscale::obs
+#include "hetscale/obs/profiler.hpp"
 
 namespace hetscale::vmpi {
 
@@ -31,19 +26,6 @@ struct SendFaultPlan {
   int attempts = 1;            ///< transmissions until one gets through
   double retry_timeout_s = 0;  ///< wait before the first retransmission
   double backoff = 1.0;        ///< timeout multiplier per further retry
-};
-
-/// Summed fault charges over a whole run, reported by the hooks for the
-/// profiling layer (mirrors obs::FaultProfileTotals without the obs
-/// dependency).
-struct FaultProfile {
-  double slowdown_s = 0.0;
-  double checkpoint_s = 0.0;
-  double rework_s = 0.0;
-  double retry_s = 0.0;
-  std::uint64_t checkpoints = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t retries = 0;
 };
 
 class FaultHooks {
@@ -73,7 +55,7 @@ class FaultHooks {
   virtual void bind_span_sink(obs::SpanStore* /*spans*/) {}
 
   /// Summed charges for the profiling report. Optional.
-  virtual FaultProfile fault_profile() const { return {}; }
+  virtual obs::FaultProfileTotals fault_profile() const { return {}; }
 };
 
 }  // namespace hetscale::vmpi

@@ -2,11 +2,11 @@
 //
 // SUMMA broadcasts A-panels along process-grid rows and B-panels along
 // columns; neither is a world collective. A Group wraps a Comm plus an
-// ordered member list (world ranks) and runs collectives over just those
+// ordered member list (world ranks) and broadcasts over just those
 // members, addressing peers by *group index*.
 //
-// Tag discipline: group collectives are built from tagged point-to-point
-// messages on the world Comm, so concurrent collectives over *overlapping*
+// Tag discipline: group broadcasts are built from tagged point-to-point
+// messages on the world Comm, so concurrent broadcasts over *overlapping*
 // groups must use distinct tags. SUMMA's row groups are pairwise disjoint
 // (as are its column groups), so one tag per step suffices for all rows,
 // and a second for all columns. Callers own that choice — the tag is an
@@ -38,12 +38,6 @@ class Group {
   /// members must call with the same (root_index, tag, bytes).
   des::Task<Payload> bcast(int root_index, int tag, double bytes,
                            Payload payload);
-
-  /// Every member contributes (`bytes`, `payload`); the member at
-  /// `root_index` returns the vector indexed by group index, others return
-  /// an empty vector.
-  des::Task<std::vector<Payload>> gather(int root_index, int tag, double bytes,
-                                         Payload payload);
 
  private:
   Comm* comm_;

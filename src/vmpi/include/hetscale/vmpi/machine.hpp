@@ -45,9 +45,9 @@ struct RunResult {
 };
 
 /// The collective algorithm family a machine's Comms run. Every
-/// collective that has two implementations (bcast, barrier, gather,
-/// scatter, reduce, allreduce) picks one by this single choice; see Comm's
-/// per-collective docs for what each family runs.
+/// collective that has two implementations (bcast, barrier, gather) picks
+/// one by this single choice; see Comm's per-collective docs for what each
+/// family runs.
 ///
 /// `tree()` is the logarithmic family — what a modern MPI would run, and
 /// what keeps 1k-4k-rank machines affordable; it is vmpi::Machine's

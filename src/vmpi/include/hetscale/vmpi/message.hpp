@@ -28,17 +28,8 @@ struct Message {
   int source = 0;
   int tag = 0;
   double bytes = 0.0;           ///< modeled on-the-wire size
-  Payload payload;              ///< real data (pooled buffer / scalar / boxed)
+  Payload payload;              ///< real data (pooled buffer / scalar / bundle)
   des::SimTime arrival = 0.0;   ///< when the message is fully available
-
-  /// Convenience accessor mirroring the old std::any convention (throws
-  /// std::bad_any_cast on a type mismatch, which in practice means
-  /// mismatched send/recv code). Buffer payloads are read via
-  /// `payload.doubles()` instead.
-  template <class T>
-  T value() const {
-    return payload.as<T>();
-  }
 };
 
 /// The receive queue of one rank. Exactly one coroutine (the rank itself)

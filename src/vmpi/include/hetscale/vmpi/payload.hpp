@@ -1,15 +1,12 @@
-// Payload — the message-plane value type of the virtual MPI runtime.
-//
-// The previous convention (std::any holding shared_ptr<vector<double>>)
-// cost two heap allocations plus an atomic refcount per buffer hop. Payload
-// replaces it with a small tagged value:
+// Payload — the message-plane value type of the virtual MPI runtime: a
+// small tagged value, so a buffer hop costs a non-atomic refcount bump
+// rather than heap allocations. Its kinds:
 //
 //   * empty        — timing-only traffic (the common case in sweeps);
-//   * scalar       — one double, stored inline (reductions, rhs values);
+//   * scalar       — one double, stored inline (rhs values, pivot picks);
 //   * buffer       — a pooled, refcounted block of doubles with span views;
 //   * bundle       — a pooled, refcounted vector of per-rank slices (what
-//                    the binomial gather/scatter trees ship up and down);
-//   * boxed        — a std::any fallback for arbitrary user types.
+//                    the binomial gather tree ships up).
 //
 // Buffer and bundle blocks come from thread-local pools (the arena): a
 // simulation partition runs entirely on one OS thread, so blocks recycle
@@ -25,12 +22,9 @@
 // byte count of a message is independent of what its Payload holds.
 #pragma once
 
-#include <any>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "hetscale/support/error.hpp"
@@ -86,17 +80,6 @@ class Payload {
     scalar_ = scalar;
   }
 
-  /// Box an arbitrary value (compat fallback; allocates). The send/recv
-  /// sites of the shipped algorithms all use buffers or scalars — boxing is
-  /// for user programs and tests that move custom types.
-  template <class T>
-    requires(!std::is_same_v<std::decay_t<T>, Payload> &&
-             !std::is_same_v<std::decay_t<T>, double>)
-  Payload(T&& value)  // NOLINT(google-explicit-constructor)
-      : kind_(Kind::kBoxed) {
-    boxed_ = new std::any(std::forward<T>(value));
-  }
-
   /// An uninitialized pooled buffer of `count` doubles.
   static Payload buffer(std::size_t count) {
     Payload p;
@@ -110,9 +93,9 @@ class Payload {
   static Payload copy_of(std::span<const double> values);
 
   /// An empty pooled bundle — append BundleParts via bundle_parts(). This is
-  /// the native carrier for tree collectives: a parent ships its whole
-  /// subtree as one message without boxing (no std::any, no shared_ptr, no
-  /// per-hop vector allocation once the pools are warm).
+  /// the native carrier for the binomial gather: a parent ships its whole
+  /// subtree as one message with no per-hop allocation once the pools are
+  /// warm.
   static Payload make_bundle();
 
   Payload(const Payload& other) { copy_from(other); }
@@ -137,7 +120,6 @@ class Payload {
   bool is_scalar() const noexcept { return kind_ == Kind::kScalar; }
   bool is_buffer() const noexcept { return kind_ == Kind::kBuffer; }
   bool is_bundle() const noexcept { return kind_ == Kind::kBundle; }
-  bool is_boxed() const noexcept { return kind_ == Kind::kBoxed; }
 
   /// The inline double (requires is_scalar()).
   double scalar() const {
@@ -147,7 +129,7 @@ class Payload {
 
   /// Mutable view of the pooled buffer. An empty payload views as a
   /// zero-length buffer (zero-row blocks are ordinary traffic); scalars and
-  /// boxed values refuse.
+  /// bundles refuse.
   std::span<double> doubles() {
     if (kind_ == Kind::kEmpty) return {};
     HETSCALE_REQUIRE(kind_ == Kind::kBuffer, "payload holds no buffer");
@@ -179,27 +161,8 @@ class Payload {
   /// payload without ever touching a refcount another thread can see.
   void detach_for_transfer();
 
-  /// The boxed std::any (requires is_boxed()).
-  const std::any& boxed() const {
-    HETSCALE_REQUIRE(kind_ == Kind::kBoxed, "payload holds no boxed value");
-    return *boxed_;
-  }
-
-  /// Typed accessor mirroring the old `std::any_cast` convention:
-  /// `as<double>()` reads a scalar (or a boxed double); any other T
-  /// any_casts the boxed value and throws std::bad_any_cast on mismatch —
-  /// which in practice means mismatched send/recv code.
-  template <class T>
-  T as() const {
-    if constexpr (std::is_same_v<T, double>) {
-      if (kind_ == Kind::kScalar) return scalar_;
-    }
-    if (kind_ != Kind::kBoxed) throw std::bad_any_cast();
-    return std::any_cast<T>(*boxed_);
-  }
-
  private:
-  enum class Kind : std::uint8_t { kEmpty, kScalar, kBuffer, kBundle, kBoxed };
+  enum class Kind : std::uint8_t { kEmpty, kScalar, kBuffer, kBundle };
 
   void copy_from(const Payload& other) {
     kind_ = other.kind_;
@@ -216,9 +179,6 @@ class Payload {
       case Kind::kBundle:
         bundle_ = other.bundle_;
         detail::bundle_add_ref(bundle_);
-        break;
-      case Kind::kBoxed:
-        boxed_ = new std::any(*other.boxed_);
         break;
     }
   }
@@ -237,9 +197,6 @@ class Payload {
       case Kind::kBundle:
         bundle_ = other.bundle_;
         break;
-      case Kind::kBoxed:
-        boxed_ = other.boxed_;
-        break;
     }
     other.kind_ = Kind::kEmpty;
   }
@@ -249,8 +206,6 @@ class Payload {
       if (--block_->refs == 0) detail::arena_release(block_);
     } else if (kind_ == Kind::kBundle) {
       detail::bundle_unref(bundle_);
-    } else if (kind_ == Kind::kBoxed) {
-      delete boxed_;
     }
     kind_ = Kind::kEmpty;
   }
@@ -260,14 +215,13 @@ class Payload {
     double scalar_;
     detail::BufferBlock* block_;
     detail::BundleBlock* bundle_;
-    std::any* boxed_;
   };
 };
 
 /// One rank's slice riding inside a bundle payload: the binomial gather
-/// tree accumulates these on the way up, the scatter tree peels them off on
-/// the way down. The modeled `bytes` travel with the slice so intermediate
-/// hops can charge the network for exactly the data they forward.
+/// tree accumulates these on the way up. The modeled `bytes` travel with
+/// the slice so intermediate hops can charge the network for exactly the
+/// data they forward.
 struct BundlePart {
   int rank = 0;
   double bytes = 0.0;

@@ -22,14 +22,11 @@ obs::CommPhase Comm::phase_for_tag(int tag) {
     case kTagBarrierIn:
     case kTagBarrierOut: return obs::CommPhase::kBarrier;
     case kTagGather: return obs::CommPhase::kGather;
-    case kTagScatter: return obs::CommPhase::kScatter;
     case kTagBcastScatter: return obs::CommPhase::kBcastScatter;
     case kTagBcastRing: return obs::CommPhase::kBcastRing;
     case kTagBcastDoubling: return obs::CommPhase::kBcastDoubling;
     case kTagAllgather: return obs::CommPhase::kAllgather;
     case kTagAlltoall: return obs::CommPhase::kAlltoall;
-    case kTagReduce: return obs::CommPhase::kReduce;
-    case kTagAllreduce: return obs::CommPhase::kAllreduce;
     default: return obs::CommPhase::kP2p;
   }
 }
@@ -112,8 +109,7 @@ des::Task<void> Comm::send(int dst, int tag, double bytes, Payload payload) {
   }
 }
 
-Comm::SendRequest Comm::isend(int dst, int tag, double bytes,
-                              Payload payload) {
+void Comm::isend(int dst, int tag, double bytes, Payload payload) {
   HETSCALE_REQUIRE(dst >= 0 && dst < size_, "destination rank out of range");
   HETSCALE_REQUIRE(dst != rank_, "send-to-self is not supported");
   HETSCALE_REQUIRE(tag >= 0, "send tags must be non-negative");
@@ -131,16 +127,6 @@ Comm::SendRequest Comm::isend(int dst, int tag, double bytes,
         {rank_, TraceInterval::Kind::kSend, start, start, dst, tag, bytes});
     tracer->record_message({rank_, dst, tag, bytes, start, result.arrival});
     tracer->record_send(rank_, dst, phase_for_tag(tag), bytes);
-  }
-  return SendRequest{result.sender_free};
-}
-
-des::Task<void> Comm::wait_send(const SendRequest& request) {
-  if (request.sender_free > now()) {
-    auto& stats = machine_->rank_stats(rank_);
-    const des::SimTime start = now();
-    co_await scheduler().resume_at(request.sender_free);
-    stats.comm_s += now() - start;
   }
 }
 
@@ -435,86 +421,6 @@ des::Task<std::vector<Payload>> Comm::gather_binomial(int root, double bytes,
   co_return parts;
 }
 
-des::Task<Payload> Comm::scatter(int root,
-                                  const std::vector<double>& parts_bytes,
-                                  std::vector<Payload> parts) {
-  HETSCALE_REQUIRE(root >= 0 && root < size_, "root rank out of range");
-  if (rank_ == root) {
-    HETSCALE_REQUIRE(parts.size() == static_cast<std::size_t>(size_) &&
-                         parts_bytes.size() == parts.size(),
-                     "scatter needs one part per rank at the root");
-  }
-  if (tree_family()) {
-    return scatter_binomial(root, parts_bytes, std::move(parts));
-  }
-  return scatter_flat(root, parts_bytes, std::move(parts));
-}
-
-des::Task<Payload> Comm::scatter_flat(int root,
-                                       const std::vector<double>& parts_bytes,
-                                       std::vector<Payload> parts) {
-  if (rank_ == root) {
-    for (int dst = 0; dst < size_; ++dst) {
-      if (dst == root) continue;
-      co_await send(dst, kTagScatter, parts_bytes[static_cast<std::size_t>(dst)],
-                    std::move(parts[static_cast<std::size_t>(dst)]));
-    }
-    co_return std::move(parts[static_cast<std::size_t>(root)]);
-  }
-  Message message = co_await recv(root, kTagScatter);
-  co_return std::move(message.payload);
-}
-
-des::Task<Payload> Comm::scatter_binomial(
-    int root, const std::vector<double>& parts_bytes,
-    std::vector<Payload> parts) {
-  // Reverse of gather_binomial: each rank first receives the bundle for its
-  // whole binomial subtree (on its lowest set vrank bit), keeps its own
-  // part, then peels off and forwards the sub-bundles for each child
-  // subtree. Bundles are ordered by vrank, so a subtree rooted at vrank v
-  // with span m holds the parts for vranks [v, v+m) at indices [0, m).
-  const int vrank = (rank_ - root + size_) % size_;
-  Payload bundle;
-  Payload mine;
-  int mask = 1;
-  if (vrank == 0) {
-    bundle = Payload::make_bundle();
-    std::vector<BundlePart>& all = bundle.bundle_parts();
-    all.reserve(static_cast<std::size_t>(size_));
-    for (int v = 0; v < size_; ++v) {
-      const int r = (v + root) % size_;
-      all.push_back(BundlePart{r, parts_bytes[static_cast<std::size_t>(r)],
-                               std::move(parts[static_cast<std::size_t>(r)])});
-    }
-    while (mask < size_) mask <<= 1;
-  } else {
-    while (!(vrank & mask)) mask <<= 1;
-    const int src = ((vrank - mask) + root) % size_;
-    Message message = co_await recv(src, kTagScatter);
-    bundle = std::move(message.payload);
-  }
-  mine = std::move(bundle.bundle_parts().front().payload);
-  mask >>= 1;
-  while (mask > 0) {
-    if (vrank + mask < size_) {
-      const int len = std::min(mask, size_ - (vrank + mask));
-      Payload child = Payload::make_bundle();
-      std::vector<BundlePart>& child_parts = child.bundle_parts();
-      child_parts.reserve(static_cast<std::size_t>(len));
-      double child_bytes = 0.0;
-      for (int i = 0; i < len; ++i) {
-        BundlePart& part = bundle.bundle_parts()[static_cast<std::size_t>(mask + i)];
-        child_bytes += part.bytes;
-        child_parts.push_back(std::move(part));
-      }
-      const int dst = ((vrank + mask) + root) % size_;
-      co_await send(dst, kTagScatter, child_bytes, std::move(child));
-    }
-    mask >>= 1;
-  }
-  co_return std::move(mine);
-}
-
 des::Task<std::vector<Payload>> Comm::allgather(double bytes,
                                                  Payload payload) {
   std::vector<Payload> parts(static_cast<std::size_t>(size_));
@@ -558,124 +464,6 @@ des::Task<std::vector<Payload>> Comm::alltoall(
     received[static_cast<std::size_t>(src)] = std::move(message.payload);
   }
   co_return received;
-}
-
-namespace {
-double apply_reduce(Comm::ReduceOp op, double a, double b) {
-  switch (op) {
-    case Comm::ReduceOp::kSum: return a + b;
-    case Comm::ReduceOp::kMin: return std::min(a, b);
-    case Comm::ReduceOp::kMax: return std::max(a, b);
-    case Comm::ReduceOp::kProd: return a * b;
-  }
-  throw ModelError("unknown reduce op");
-}
-}  // namespace
-
-des::Task<double> Comm::reduce(int root, double value, ReduceOp op) {
-  HETSCALE_REQUIRE(root >= 0 && root < size_, "root rank out of range");
-  if (tree_family()) return reduce_combining(root, value, op);
-  return reduce_flat(root, value, op);
-}
-
-des::Task<double> Comm::reduce_flat(int root, double value, ReduceOp op) {
-  // The paper-era shape: gather p scalars to the root (the root really
-  // materializes a vector of p payloads) and fold them in rank order.
-  auto parts = co_await gather(root, /*bytes=*/8.0, value);
-  if (rank_ != root) co_return 0.0;
-  double accumulated = parts.front().scalar();
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    accumulated = apply_reduce(op, accumulated, parts[i].scalar());
-  }
-  co_return accumulated;
-}
-
-des::Task<double> Comm::reduce_combining(int root, double value,
-                                          ReduceOp op) {
-  // Binomial combining tree on virtual ranks: partial results fold upward,
-  // so every rank holds O(1) state and the root sees ceil(log2 p) messages.
-  // The combine is always op(lower subtree, higher subtree), a fixed
-  // association — deterministic, though (for floats) a different one than
-  // the flat rank-order fold.
-  const int vrank = (rank_ - root + size_) % size_;
-  double accumulated = value;
-  int mask = 1;
-  while (mask < size_) {
-    if (vrank & mask) {
-      const int dst = ((vrank - mask) + root) % size_;
-      co_await send(dst, kTagReduce, /*bytes=*/8.0, Payload(accumulated));
-      co_return 0.0;
-    }
-    if (vrank + mask < size_) {
-      const int src = ((vrank + mask) + root) % size_;
-      Message message = co_await recv(src, kTagReduce);
-      accumulated = apply_reduce(op, accumulated, message.payload.scalar());
-    }
-    mask <<= 1;
-  }
-  co_return accumulated;
-}
-
-des::Task<double> Comm::reduce_sum(int root, double value) {
-  return reduce(root, value, ReduceOp::kSum);
-}
-
-des::Task<double> Comm::allreduce(double value, ReduceOp op) {
-  if (tree_family()) return allreduce_doubling(value, op);
-  return allreduce_reduce_bcast(value, op);
-}
-
-des::Task<double> Comm::allreduce_reduce_bcast(double value, ReduceOp op) {
-  constexpr int kRoot = 0;
-  const double total = co_await reduce(kRoot, value, op);
-  Payload payload;  // named local: see ge.cpp on coroutine temporaries
-  if (rank_ == kRoot) payload = total;
-  const Payload out = co_await bcast(kRoot, /*bytes=*/8.0, std::move(payload));
-  co_return out.scalar();
-}
-
-des::Task<double> Comm::allreduce_doubling(double value, ReduceOp op) {
-  // Recursive-doubling butterfly. Non-power-of-two p folds the ranks past
-  // the largest power of two into mirrors first and unfolds at the end
-  // (MPICH's scheme). In every exchange the combine is op(lower rank's
-  // value, higher rank's value), so each block of ranks carries one fixed
-  // association and the result is bit-identical on every rank.
-  if (size_ == 1) co_return value;
-  int pof2 = 1;
-  while (pof2 * 2 <= size_) pof2 *= 2;
-  const int rem = size_ - pof2;
-  double accumulated = value;
-  if (rank_ >= pof2) {
-    co_await send(rank_ - pof2, kTagAllreduce, /*bytes=*/8.0,
-                  Payload(accumulated));
-  } else {
-    if (rank_ < rem) {
-      Message message = co_await recv(rank_ + pof2, kTagAllreduce);
-      accumulated = apply_reduce(op, accumulated, message.payload.scalar());
-    }
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partner = rank_ ^ mask;
-      co_await send(partner, kTagAllreduce, /*bytes=*/8.0,
-                    Payload(accumulated));
-      Message message = co_await recv(partner, kTagAllreduce);
-      const double theirs = message.payload.scalar();
-      accumulated = partner < rank_
-                        ? apply_reduce(op, theirs, accumulated)
-                        : apply_reduce(op, accumulated, theirs);
-    }
-  }
-  if (rank_ >= pof2) {
-    Message message = co_await recv(rank_ - pof2, kTagAllreduce);
-    accumulated = message.payload.scalar();
-  } else if (rank_ < rem) {
-    co_await send(rank_ + pof2, kTagAllreduce, /*bytes=*/8.0,
-                  Payload(accumulated));
-  }
-  co_return accumulated;
-}
-
-des::Task<double> Comm::allreduce_sum(double value) {
-  return allreduce(value, ReduceOp::kSum);
 }
 
 }  // namespace hetscale::vmpi

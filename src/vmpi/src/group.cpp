@@ -58,30 +58,4 @@ des::Task<Payload> Group::bcast(int root_index, int tag, double bytes,
   co_return message.payload;
 }
 
-des::Task<std::vector<Payload>> Group::gather(int root_index, int tag,
-                                              double bytes, Payload payload) {
-  HETSCALE_REQUIRE(root_index >= 0 && root_index < size(),
-                   "group root out of range");
-  TraceRecorder* tracer = comm_->tracer();
-  const int lane = comm_->rank();
-  if (tracer != nullptr) {
-    tracer->set_lane_phase(lane, obs::CommPhase::kGroupGather);
-  }
-  std::vector<Payload> parts;
-  if (index_ == root_index) {
-    parts.resize(members_.size());
-    parts[static_cast<std::size_t>(root_index)] = std::move(payload);
-    for (int i = 0; i < size(); ++i) {
-      if (i == root_index) continue;
-      Message message = co_await comm_->recv(world_rank(i), tag);
-      parts[static_cast<std::size_t>(i)] = std::move(message.payload);
-    }
-    if (tracer != nullptr) tracer->clear_lane_phase(lane);
-    co_return parts;
-  }
-  co_await comm_->send(world_rank(root_index), tag, bytes, std::move(payload));
-  if (tracer != nullptr) tracer->clear_lane_phase(lane);
-  co_return parts;
-}
-
 }  // namespace hetscale::vmpi

@@ -355,13 +355,9 @@ void Machine::publish_profile(const RunResult& result) {
     }
   }
   if (fault_hooks_ != nullptr) {
-    const FaultProfile faults = fault_hooks_->fault_profile();
-    profile.retries = faults.retries;
-    profile.backoff_s = faults.retry_s;
-    profile.fault = obs::FaultProfileTotals{
-        faults.slowdown_s, faults.checkpoint_s, faults.rework_s,
-        faults.retry_s,    faults.checkpoints,  faults.crashes,
-        faults.retries};
+    profile.fault = fault_hooks_->fault_profile();
+    profile.retries = profile.fault.retries;
+    profile.backoff_s = profile.fault.retry_s;
   }
   profiler_->add_run(std::move(profile));
 }

@@ -124,7 +124,7 @@ std::size_t arena_parked() {
 }
 
 /// One pooled bundle block. Reuse keeps the parts vector's capacity, so a
-/// steady-state gather/scatter tree allocates nothing once warm.
+/// steady-state gather tree allocates nothing once warm.
 struct BundleBlock {
   std::uint32_t refs = 0;
   BundleBlock* next_free = nullptr;
@@ -214,7 +214,6 @@ void Payload::detach_for_transfer() {
   switch (kind_) {
     case Kind::kEmpty:
     case Kind::kScalar:
-    case Kind::kBoxed:  // boxed copies are already deep (new std::any)
       return;
     case Kind::kBuffer: {
       if (block_->refs == 1) return;

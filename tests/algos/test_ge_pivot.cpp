@@ -119,15 +119,6 @@ TEST(GePivot, TimingOnlyRunsAreDeterministic) {
   EXPECT_GT(a.charged_flops, a.work_flops);  // pivoting overhead is charged
 }
 
-TEST(GePivot, HomogeneousDistributionOptionRuns) {
-  GePivotOptions options;
-  options.n = 32;
-  options.panel = 8;
-  options.distribution = GeDistribution::kHomogeneousCyclic;
-  const auto result = run_pivot(mixed_cluster(4), options);
-  EXPECT_EQ(result.solution, reference_solution(options.seed, options.n));
-}
-
 TEST(GePivot, InvalidOptionsRejected) {
   GePivotOptions bad_n;
   bad_n.n = 0;

@@ -83,7 +83,6 @@ TEST(PartitionedAlgos, GePipelinedBitIdentical) {
   options.speeds = test_speeds();
   options.n = 48;
   options.pipelined = true;
-  options.barrier_each_step = false;
   const auto seq = run_at(
       1, [&](vmpi::Machine& m) { return run_parallel_ge(m, options); });
   const auto par = run_at(

@@ -83,11 +83,16 @@ Task<void> stress_rank(Comm& comm, const StressPlan& plan,
       credit -= sent;
       co_await comm.send(dst, kTag + round, 64.0, Payload(sent));
       const auto message = co_await comm.recv(src, kTag + round);
-      credit += message.value<double>();
+      credit += message.payload.scalar();
     }
     if (round % 3 == 2) {
-      const double total = co_await comm.allreduce_sum(credit);
-      EXPECT_NEAR(total, 1000.0 * p, 1e-6);
+      const std::vector<Payload> all =
+          co_await comm.gather(0, 8.0, Payload(credit));
+      double total = 0.0;
+      for (const Payload& part : all) total += part.scalar();
+      if (rank == 0) {
+        EXPECT_NEAR(total, 1000.0 * p, 1e-6);
+      }
     }
   }
   credits[static_cast<std::size_t>(rank)] = credit;

@@ -92,11 +92,10 @@ TEST(CommMatrix, PhaseNamesAreStable) {
   EXPECT_EQ(comm_phase_name(CommPhase::kBcastRing), "bcast.ring");
   EXPECT_EQ(comm_phase_name(CommPhase::kBarrier), "barrier");
   EXPECT_EQ(comm_phase_name(CommPhase::kGather), "gather");
-  EXPECT_EQ(comm_phase_name(CommPhase::kScatter), "scatter");
   EXPECT_EQ(comm_phase_name(CommPhase::kAllgather), "allgather");
   EXPECT_EQ(comm_phase_name(CommPhase::kAlltoall), "alltoall");
   EXPECT_EQ(comm_phase_name(CommPhase::kGroupBcast), "group.bcast");
-  EXPECT_EQ(comm_phase_name(CommPhase::kGroupGather), "group.gather");
+  EXPECT_EQ(comm_phase_name(CommPhase::kBcastDoubling), "bcast.doubling");
 }
 
 }  // namespace

@@ -20,15 +20,15 @@ double run_bcast(int p, int root, double bytes,
                  const CollectiveTuning& tuning) {
   auto machine = Machine::switched(test_cluster(p), {}, tuning);
   auto latest = std::make_shared<double>(0.0);
-  auto sum = std::make_shared<int>(0);
+  auto sum = std::make_shared<double>(0.0);
   machine.run([root, bytes, latest, sum](Comm& comm) -> Task<void> {
     Payload payload;
-    if (comm.rank() == root) payload = Payload(777);
+    if (comm.rank() == root) payload = Payload(777.0);
     const Payload out = co_await comm.bcast(root, bytes, std::move(payload));
-    *sum += out.as<int>();
+    *sum += out.scalar();
     *latest = std::max(*latest, comm.now());
   });
-  EXPECT_EQ(*sum, 777 * p);
+  EXPECT_EQ(*sum, 777.0 * p);
   return *latest;
 }
 
@@ -42,7 +42,7 @@ double run_group_bcast(int p, double bytes) {
     std::iota(members.begin(), members.end(), 0);
     Group world(comm, std::move(members));
     Payload payload;
-    if (world.rank() == 0) payload = Payload(777);
+    if (world.rank() == 0) payload = Payload(777.0);
     (void)co_await world.bcast(0, /*tag=*/5, bytes, std::move(payload));
     *latest = std::max(*latest, comm.now());
   });

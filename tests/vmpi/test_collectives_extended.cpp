@@ -1,4 +1,4 @@
-// allgather, alltoall, and reduction operators.
+// allgather and alltoall.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,11 +21,10 @@ TEST_P(ExtendedCollectives, AllgatherDeliversEveryPartEverywhere) {
   auto machine = Machine::switched(test_cluster(p));
   auto ok = std::make_shared<int>(0);
   machine.run([ok](Comm& comm) -> Task<void> {
-    auto parts =
-        co_await comm.allgather(8.0, Payload(100 + comm.rank()));
+    auto parts = co_await comm.allgather(8.0, Payload(100.0 + comm.rank()));
     EXPECT_EQ(parts.size(), static_cast<std::size_t>(comm.size()));
     for (int r = 0; r < comm.size(); ++r) {
-      EXPECT_EQ(parts[static_cast<std::size_t>(r)].as<int>(), 100 + r)
+      EXPECT_EQ(parts[static_cast<std::size_t>(r)].scalar(), 100.0 + r)
           << "at rank " << comm.rank();
     }
     ++*ok;
@@ -41,50 +40,15 @@ TEST_P(ExtendedCollectives, AlltoallRoutesPersonalizedParts) {
     std::vector<Payload> parts;
     std::vector<double> bytes;
     for (int d = 0; d < comm.size(); ++d) {
-      parts.emplace_back(1000 * comm.rank() + d);
+      parts.emplace_back(1000.0 * comm.rank() + d);
       bytes.push_back(8.0);
     }
     auto received = co_await comm.alltoall(bytes, std::move(parts));
     for (int s = 0; s < comm.size(); ++s) {
-      EXPECT_EQ(received[static_cast<std::size_t>(s)].as<int>(),
-                1000 * s + comm.rank());
+      EXPECT_EQ(received[static_cast<std::size_t>(s)].scalar(),
+                1000.0 * s + comm.rank());
     }
   });
-}
-
-TEST_P(ExtendedCollectives, ReduceOperators) {
-  const int p = GetParam();
-  auto machine = Machine::switched(test_cluster(p));
-  auto results = std::make_shared<std::vector<double>>();
-  machine.run([results](Comm& comm) -> Task<void> {
-    const double mine = static_cast<double>(comm.rank() + 1);
-    const double min = co_await comm.reduce(0, mine, Comm::ReduceOp::kMin);
-    const double max = co_await comm.reduce(0, mine, Comm::ReduceOp::kMax);
-    const double prod = co_await comm.reduce(0, mine, Comm::ReduceOp::kProd);
-    if (comm.rank() == 0) {
-      results->push_back(min);
-      results->push_back(max);
-      results->push_back(prod);
-    }
-  });
-  double factorial = 1.0;
-  for (int r = 1; r <= p; ++r) factorial *= r;
-  ASSERT_EQ(results->size(), 3u);
-  EXPECT_DOUBLE_EQ((*results)[0], 1.0);
-  EXPECT_DOUBLE_EQ((*results)[1], static_cast<double>(p));
-  EXPECT_DOUBLE_EQ((*results)[2], factorial);
-}
-
-TEST_P(ExtendedCollectives, AllreduceMaxEverywhere) {
-  const int p = GetParam();
-  auto machine = Machine::switched(test_cluster(p));
-  auto seen = std::make_shared<std::vector<double>>();
-  machine.run([seen](Comm& comm) -> Task<void> {
-    const double out = co_await comm.allreduce(
-        static_cast<double>(comm.rank()), Comm::ReduceOp::kMax);
-    seen->push_back(out);
-  });
-  for (double v : *seen) EXPECT_DOUBLE_EQ(v, static_cast<double>(p - 1));
 }
 
 TEST(ExtendedCollectives, AllgatherBandwidthScalesWithRing) {
@@ -95,7 +59,7 @@ TEST(ExtendedCollectives, AllgatherBandwidthScalesWithRing) {
     auto machine = Machine::switched(test_cluster(p));
     auto latest = std::make_shared<double>(0.0);
     machine.run([latest](Comm& comm) -> Task<void> {
-      co_await comm.allgather(1e4, Payload(comm.rank()));
+      co_await comm.allgather(1e4, Payload(1.0 * comm.rank()));
       *latest = std::max(*latest, comm.now());
     });
     return *latest;

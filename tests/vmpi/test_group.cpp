@@ -1,7 +1,7 @@
 // Group (sub-communicator) semantics: member addressing by group index,
-// bcast/gather over a rank subset, and concurrent collectives on disjoint
-// groups sharing one tag — the exact pattern SUMMA's row/column panel
-// exchanges rely on.
+// bcast over a rank subset, and concurrent broadcasts on disjoint groups
+// sharing one tag — the exact pattern SUMMA's row/column panel exchanges
+// rely on.
 #include "hetscale/vmpi/group.hpp"
 
 #include <gtest/gtest.h>
@@ -41,52 +41,34 @@ TEST(Group, IndexAndWorldRankAgree) {
 
 TEST(Group, BcastReachesOnlyTheMembers) {
   auto machine = Machine::shared_bus(test_cluster(5), fast_params());
-  auto got = std::make_shared<std::vector<int>>(5, -1);
+  auto got = std::make_shared<std::vector<double>>(5, -1.0);
   machine.run([got](Comm& comm) -> Task<void> {
     if (comm.rank() == 2) co_return;  // not a member; must not be touched
     Group group(comm, {0, 1, 3, 4});
     Payload payload;
-    if (group.rank() == 1) payload = Payload(4321);
+    if (group.rank() == 1) payload = Payload(4321.0);
     const Payload out =
         co_await group.bcast(/*root_index=*/1, kTag, 8.0, std::move(payload));
-    (*got)[static_cast<std::size_t>(comm.rank())] = out.as<int>();
+    (*got)[static_cast<std::size_t>(comm.rank())] = out.scalar();
   });
-  EXPECT_EQ(*got, (std::vector<int>{4321, 4321, -1, 4321, 4321}));
-}
-
-TEST(Group, GatherOrdersPartsByGroupIndex) {
-  auto machine = Machine::shared_bus(test_cluster(4), fast_params());
-  auto parts_seen = std::make_shared<std::vector<int>>();
-  machine.run([parts_seen](Comm& comm) -> Task<void> {
-    if (comm.rank() == 0) co_return;
-    // Members deliberately out of world order: group index != world rank.
-    Group group(comm, {3, 1, 2});
-    auto parts = co_await group.gather(/*root_index=*/0, kTag, 8.0,
-                                       Payload(comm.rank() * 10));
-    if (group.rank() == 0) {
-      for (const auto& part : parts) parts_seen->push_back(part.as<int>());
-    } else {
-      EXPECT_TRUE(parts.empty());
-    }
-  });
-  EXPECT_EQ(*parts_seen, (std::vector<int>{30, 10, 20}));
+  EXPECT_EQ(*got, (std::vector<double>{4321.0, 4321.0, -1.0, 4321.0, 4321.0}));
 }
 
 TEST(Group, DisjointGroupsShareOneTagSafely) {
   // Two simultaneous bcasts, one per "grid row", both on kTag. Disjoint
   // membership must keep the matching unambiguous.
   auto machine = Machine::shared_bus(test_cluster(4), fast_params());
-  auto got = std::make_shared<std::vector<int>>(4, -1);
+  auto got = std::make_shared<std::vector<double>>(4, -1.0);
   machine.run([got](Comm& comm) -> Task<void> {
     const bool low = comm.rank() < 2;
     Group row(comm, low ? std::vector<int>{0, 1} : std::vector<int>{2, 3});
     Payload payload;
-    if (row.rank() == 0) payload = Payload(low ? 100 : 200);
+    if (row.rank() == 0) payload = Payload(low ? 100.0 : 200.0);
     const Payload out =
         co_await row.bcast(/*root_index=*/0, kTag, 8.0, std::move(payload));
-    (*got)[static_cast<std::size_t>(comm.rank())] = out.as<int>();
+    (*got)[static_cast<std::size_t>(comm.rank())] = out.scalar();
   });
-  EXPECT_EQ(*got, (std::vector<int>{100, 100, 200, 200}));
+  EXPECT_EQ(*got, (std::vector<double>{100.0, 100.0, 200.0, 200.0}));
 }
 
 TEST(Group, SingletonCollectivesAreLocal) {
@@ -94,16 +76,11 @@ TEST(Group, SingletonCollectivesAreLocal) {
   const RunResult result = machine.run([](Comm& comm) -> Task<void> {
     Group solo(comm, {comm.rank()});
     const Payload out =
-        co_await solo.bcast(0, kTag, 1e9, Payload(comm.rank()));
-    EXPECT_EQ(out.as<int>(), comm.rank());
-    auto parts = co_await solo.gather(0, kTag, 1e9, Payload(7));
-    EXPECT_EQ(parts.size(), 1u);  // ASSERT_* cannot `return` in a coroutine
-    if (parts.size() == 1u) {
-      EXPECT_EQ(parts[0].as<int>(), 7);
-    }
+        co_await solo.bcast(0, kTag, 1e9, Payload(1.0 * comm.rank()));
+    EXPECT_EQ(out.scalar(), 1.0 * comm.rank());
   });
   // Payload-size 1e9 over the slow bus would dominate the clock if a
-  // singleton collective actually touched the network.
+  // singleton broadcast actually touched the network.
   EXPECT_LT(result.elapsed, 1.0);
 }
 

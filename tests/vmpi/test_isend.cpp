@@ -34,33 +34,17 @@ TEST(Isend, DoesNotBlockTheSender) {
 
 TEST(Isend, PayloadStillDelivered) {
   auto machine = Machine::switched(test_cluster(2), slow_params());
-  auto got = std::make_shared<int>(0);
+  auto got = std::make_shared<double>(0.0);
   machine.run([got](Comm& comm) -> Task<void> {
     if (comm.rank() == 0) {
-      comm.isend(1, 3, 100.0, Payload(1234));
+      comm.isend(1, 3, 100.0, Payload(1234.0));
       co_await comm.compute(1e6);
     } else {
       const auto message = co_await comm.recv(0, 3);
-      *got = message.value<int>();
+      *got = message.payload.scalar();
     }
   });
-  EXPECT_EQ(*got, 1234);
-}
-
-TEST(Isend, WaitSendSynchronizesWithLinkDrain) {
-  auto machine = Machine::switched(test_cluster(2), slow_params());
-  auto waited_until = std::make_shared<double>(0.0);
-  machine.run([waited_until](Comm& comm) -> Task<void> {
-    if (comm.rank() == 0) {
-      const auto request = comm.isend(1, 1, 1e6, {});  // 1 s of wire
-      co_await comm.wait_send(request);
-      *waited_until = comm.now();
-    } else {
-      co_await comm.recv(0, 1);
-    }
-  });
-  // overhead 1e-5 + wire 1.0.
-  EXPECT_NEAR(*waited_until, 1.0 + 1e-5, 1e-9);
+  EXPECT_EQ(*got, 1234.0);
 }
 
 TEST(Isend, BackToBackIsendsQueueOnTheLink) {

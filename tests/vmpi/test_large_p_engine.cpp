@@ -1,12 +1,12 @@
-// The large-p engine's contracts: allreduce's on-wire budget under both
-// collective families (the flat family really pays reduce + bcast — the
-// "double charge" — and the CommMatrix pins exactly what each family
-// costs), the binomial broadcast's equivalence to the flat one for every
-// root and world size, the mailbox's (source, tag) index semantics, and
-// the DES queue / coroutine-frame high-water marks staying linear in p at
-// 4096 concurrent rank actors.
+// The large-p engine's contracts: the binomial broadcast's and gather's
+// equivalence to the flat ones for every root and world size (the
+// CommMatrix pins exactly what each family puts on the wire), the
+// mailbox's (source, tag) index semantics, and the DES queue /
+// coroutine-frame high-water marks staying linear in p at 4096 concurrent
+// rank actors.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,83 +21,6 @@ namespace hetscale::vmpi {
 namespace {
 
 using des::Task;
-
-/// Totals of one phase across the whole CommMatrix.
-struct PhaseTotal {
-  std::uint64_t messages = 0;
-  double bytes = 0.0;
-};
-
-PhaseTotal phase_total(const std::vector<obs::CommCell>& cells,
-                       obs::CommPhase phase) {
-  PhaseTotal total;
-  for (const obs::CommCell& cell : cells) {
-    if (cell.phase != static_cast<int>(phase)) continue;
-    total.messages += cell.messages;
-    total.bytes += cell.bytes;
-  }
-  return total;
-}
-
-/// One allreduce_sum of rank+1 over p ranks under `tuning`; checks every
-/// rank got p(p+1)/2 and returns the traced CommMatrix cells.
-std::vector<obs::CommCell> run_allreduce(int p,
-                                         const CollectiveTuning& tuning) {
-  auto machine = Machine::switched(test_cluster(p), {}, tuning);
-  auto& tracer = machine.enable_tracing();
-  auto correct = std::make_shared<int>(0);
-  const double expected = p * (p + 1) / 2.0;
-  machine.run([correct, expected](Comm& comm) -> Task<void> {
-    const double total = co_await comm.allreduce_sum(comm.rank() + 1.0);
-    if (total == expected) ++*correct;
-  });
-  EXPECT_EQ(*correct, p) << "allreduce value wrong on some rank at p=" << p;
-  return tracer.comm().cells();
-}
-
-// Satellite regression for the allreduce "double charge": the legacy flat
-// family implements allreduce as reduce (a flat gather of p scalars to the
-// root) followed by a flat bcast — 2(p-1) messages and 16(p-1) bytes on
-// the wire, attributed to the gather and bcast phases. Pinning the exact
-// budget keeps any future rewrite from silently doubling it again.
-TEST(LargePEngine, AllreduceFlatFamilyPaysReducePlusBcast) {
-  const int p = 5;
-  const auto cells = run_allreduce(p, CollectiveTuning::legacy_flat());
-  const PhaseTotal gather = phase_total(cells, obs::CommPhase::kGather);
-  const PhaseTotal bcast = phase_total(cells, obs::CommPhase::kBcast);
-  const PhaseTotal p2p = phase_total(cells, obs::CommPhase::kP2p);
-  EXPECT_EQ(gather.messages, static_cast<std::uint64_t>(p - 1));
-  EXPECT_DOUBLE_EQ(gather.bytes, 8.0 * (p - 1));
-  EXPECT_EQ(bcast.messages, static_cast<std::uint64_t>(p - 1));
-  EXPECT_DOUBLE_EQ(bcast.bytes, 8.0 * (p - 1));
-  EXPECT_EQ(p2p.messages, 0u);
-  std::uint64_t all = 0;
-  for (const obs::CommCell& cell : cells) all += cell.messages;
-  EXPECT_EQ(all, static_cast<std::uint64_t>(2 * (p - 1)));
-}
-
-// The recursive-doubling family pays one butterfly instead: p a power of
-// two costs exactly p*log2(p) messages, and a remainder of rem ranks adds
-// one fold-in and one unfold message each — all in the allreduce phase.
-TEST(LargePEngine, AllreduceDoublingFamilyMessageBudget) {
-  {  // p = 8: pure butterfly, 8 * 3 messages.
-    const auto cells = run_allreduce(8, CollectiveTuning::tree());
-    const PhaseTotal allreduce =
-        phase_total(cells, obs::CommPhase::kAllreduce);
-    EXPECT_EQ(allreduce.messages, 24u);
-    EXPECT_DOUBLE_EQ(allreduce.bytes, 8.0 * 24);
-    std::uint64_t all = 0;
-    for (const obs::CommCell& cell : cells) all += cell.messages;
-    EXPECT_EQ(all, 24u);
-  }
-  {  // p = 5: 4 * log2(4) butterfly + 1 fold-in + 1 unfold = 10.
-    const auto cells = run_allreduce(5, CollectiveTuning::tree());
-    const PhaseTotal allreduce =
-        phase_total(cells, obs::CommPhase::kAllreduce);
-    EXPECT_EQ(allreduce.messages, 10u);
-    EXPECT_DOUBLE_EQ(allreduce.bytes, 8.0 * 10);
-  }
-}
 
 /// One bcast of `value` from `root` under `tuning`: asserts delivery on
 /// every rank, then returns {total messages, total bytes, elapsed}.
@@ -145,6 +68,80 @@ TEST(LargePEngine, BcastBinomialMatchesFlatForEveryRootAndWorldSize) {
       EXPECT_EQ(binomial.messages, flat.messages)
           << "p=" << p << " root=" << root;
       EXPECT_DOUBLE_EQ(binomial.bytes, flat.bytes)
+          << "p=" << p << " root=" << root;
+    }
+  }
+}
+
+/// Totals of one gather: every message, and the part delivered to the root.
+struct GatherRun {
+  std::uint64_t messages = 0;
+  double bytes = 0.0;
+  double bytes_to_root = 0.0;
+};
+
+/// One gather to `root` under `tuning`, rank r contributing the scalar
+/// 10r + 0.5 as 8(r + 1) modeled bytes: asserts the root holds every
+/// rank's scalar at that rank's index and the other ranks an empty vector,
+/// then totals the gather phase of the traced CommMatrix.
+GatherRun run_gather_traced(int p, int root, const CollectiveTuning& tuning) {
+  auto machine = Machine::switched(test_cluster(p), {}, tuning);
+  auto& tracer = machine.enable_tracing();
+  machine.run([p, root](Comm& comm) -> Task<void> {
+    const int me = comm.rank();
+    const std::vector<Payload> parts =
+        co_await comm.gather(root, 8.0 * (me + 1), Payload(10.0 * me + 0.5));
+    if (me != root) {
+      EXPECT_TRUE(parts.empty()) << "p=" << p << " root=" << root
+                                 << " rank=" << me;
+      co_return;
+    }
+    EXPECT_EQ(parts.size(), static_cast<std::size_t>(p))
+        << "p=" << p << " root=" << root;
+    for (std::size_t r = 0; r < parts.size(); ++r) {
+      EXPECT_TRUE(parts[r].is_scalar() && parts[r].scalar() == 10.0 * r + 0.5)
+          << "p=" << p << " root=" << root << " part=" << r;
+    }
+  });
+  GatherRun run;
+  for (const obs::CommCell& cell : tracer.comm().cells()) {
+    EXPECT_EQ(cell.phase, static_cast<int>(obs::CommPhase::kGather));
+    run.messages += cell.messages;
+    run.bytes += cell.bytes;
+    if (cell.dst == root) run.bytes_to_root += cell.bytes;
+  }
+  return run;
+}
+
+// Gather property suite: for every world size 1..17 and every root, both
+// families send p-1 messages that deliver every other rank's bytes to the
+// root. The flat family sends each contribution once; the binomial tree
+// forwards rank r's contribution once per set bit of its virtual rank
+// (r - root mod p), inside the bundles of the subtrees it passes through.
+TEST(LargePEngine, GatherBinomialMatchesFlatForEveryRootAndWorldSize) {
+  for (int p = 1; p <= 17; ++p) {
+    for (int root = 0; root < p; ++root) {
+      double contributed = 0.0;
+      double forwarded = 0.0;
+      for (int r = 0; r < p; ++r) {
+        if (r == root) continue;
+        const double bytes = 8.0 * (r + 1);
+        const auto vrank = static_cast<unsigned>((r - root + p) % p);
+        contributed += bytes;
+        forwarded += std::popcount(vrank) * bytes;
+      }
+      const GatherRun flat =
+          run_gather_traced(p, root, CollectiveTuning::legacy_flat());
+      const GatherRun binomial =
+          run_gather_traced(p, root, CollectiveTuning::tree());
+      EXPECT_EQ(flat.messages, static_cast<std::uint64_t>(p - 1));
+      EXPECT_EQ(binomial.messages, flat.messages)
+          << "p=" << p << " root=" << root;
+      EXPECT_DOUBLE_EQ(flat.bytes_to_root, contributed);
+      EXPECT_DOUBLE_EQ(binomial.bytes_to_root, flat.bytes_to_root)
+          << "p=" << p << " root=" << root;
+      EXPECT_DOUBLE_EQ(flat.bytes, contributed);
+      EXPECT_DOUBLE_EQ(binomial.bytes, forwarded)
           << "p=" << p << " root=" << root;
     }
   }
@@ -244,7 +241,7 @@ TEST(LargePEngine, FourKActorsKeepQueueAndFramesLinear) {
   auto machine = Machine::switched(test_cluster(kRanks));
   machine.run([](Comm& comm) -> Task<void> {
     co_await comm.barrier();
-    (void)co_await comm.allreduce_sum(1.0);
+    (void)co_await comm.gather(0, 8.0, Payload(1.0));
     co_await comm.barrier();
   });
   ASSERT_EQ(profiler.runs(), 1u);

@@ -121,8 +121,6 @@ Task<void> mixed_program(Comm& comm) {
   if (me == 0) seed = Payload(7.0);
   (void)co_await comm.bcast(0, 64.0, std::move(seed));
   (void)co_await comm.bcast(0, 40000.0, Payload(2.0));  // long-message path
-  (void)co_await comm.reduce_sum(0, 1.0 * me);
-  (void)co_await comm.allreduce_sum(1.0);
   (void)co_await comm.gather(p - 1, 128.0, Payload(3.0));
   (void)co_await comm.allgather(32.0, Payload(4.0));
   co_await comm.barrier();
@@ -138,7 +136,7 @@ Task<void> mixed_program(Comm& comm) {
   Group col_group(comm, col_members);
   (void)co_await row_group.bcast(0, 50, 2048.0, Payload(5.0));
   co_await comm.compute(1e5 * (col + 1));
-  (void)co_await col_group.gather(0, 51, 1024.0, Payload(6.0));
+  (void)co_await col_group.bcast(0, 51, 1024.0, Payload(6.0));
   co_await comm.barrier();
 }
 

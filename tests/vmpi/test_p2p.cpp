@@ -73,52 +73,55 @@ TEST(P2P, SendBeforeRecvIsBuffered) {
 
 TEST(P2P, TagsAreMatchedNotJustOrder) {
   auto machine = Machine::shared_bus(test_cluster(2), fast_params());
-  auto order = std::make_shared<std::vector<int>>();
+  auto order = std::make_shared<std::vector<double>>();
   machine.run([order](Comm& comm) -> Task<void> {
     if (comm.rank() == 0) {
-      co_await comm.send(1, /*tag=*/10, 8.0, Payload(1));
-      co_await comm.send(1, /*tag=*/20, 8.0, Payload(2));
+      co_await comm.send(1, /*tag=*/10, 8.0, Payload(1.0));
+      co_await comm.send(1, /*tag=*/20, 8.0, Payload(2.0));
     } else {
       // Receive in reverse tag order.
       auto second = co_await comm.recv(0, 20);
       auto first = co_await comm.recv(0, 10);
-      order->push_back(second.value<int>());
-      order->push_back(first.value<int>());
+      order->push_back(second.payload.scalar());
+      order->push_back(first.payload.scalar());
     }
   });
-  EXPECT_EQ(*order, (std::vector<int>{2, 1}));
+  EXPECT_EQ(*order, (std::vector<double>{2.0, 1.0}));
 }
 
 TEST(P2P, NonOvertakingSameTag) {
   auto machine = Machine::shared_bus(test_cluster(2), fast_params());
-  auto values = std::make_shared<std::vector<int>>();
+  auto values = std::make_shared<std::vector<double>>();
   machine.run([values](Comm& comm) -> Task<void> {
     if (comm.rank() == 0) {
-      for (int i = 0; i < 5; ++i) co_await comm.send(1, 3, 8.0, Payload(i));
+      for (int i = 0; i < 5; ++i) {
+        co_await comm.send(1, 3, 8.0, Payload(1.0 * i));
+      }
     } else {
       for (int i = 0; i < 5; ++i) {
         auto msg = co_await comm.recv(0, 3);
-        values->push_back(msg.value<int>());
+        values->push_back(msg.payload.scalar());
       }
     }
   });
-  EXPECT_EQ(*values, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(*values, (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0}));
 }
 
 TEST(P2P, AnySourceAndAnyTagMatch) {
   auto machine = Machine::shared_bus(test_cluster(3), fast_params());
-  auto total = std::make_shared<int>(0);
+  auto total = std::make_shared<double>(0.0);
   machine.run([total](Comm& comm) -> Task<void> {
     if (comm.rank() != 0) {
-      co_await comm.send(0, comm.rank() * 100, 8.0, Payload(comm.rank()));
+      co_await comm.send(0, comm.rank() * 100, 8.0,
+                         Payload(1.0 * comm.rank()));
     } else {
       for (int i = 0; i < 2; ++i) {
         auto msg = co_await comm.recv(kAnySource, kAnyTag);
-        *total += msg.value<int>();
+        *total += msg.payload.scalar();
       }
     }
   });
-  EXPECT_EQ(*total, 3);
+  EXPECT_EQ(*total, 3.0);
 }
 
 TEST(P2P, MissingSendDeadlocksWithDiagnostic) {

@@ -57,7 +57,7 @@ void expect_same_result(const RunResult& a, const RunResult& b) {
 }
 
 /// A mixed workload touching every delivery path: ring p2p with unequal
-/// compute, a broadcast, a reduction, and a gather.
+/// compute, a broadcast, and two gathers.
 Machine::Program mixed_program() {
   return [](Comm& comm) -> Task<void> {
     const int p = comm.size();
@@ -74,9 +74,11 @@ Machine::Program mixed_program() {
     if (comm.rank() == 0) seed = Payload(42.0);
     const auto root_value = co_await comm.bcast(0, 64.0, std::move(seed));
     EXPECT_EQ(root_value.scalar(), 42.0);
-    const double sum =
-        co_await comm.reduce_sum(0, static_cast<double>(comm.rank()));
+    const auto ranks =
+        co_await comm.gather(0, 8.0, Payload(static_cast<double>(comm.rank())));
     if (comm.rank() == 0) {
+      double sum = 0.0;
+      for (const Payload& part : ranks) sum += part.scalar();
       EXPECT_EQ(sum, static_cast<double>(p * (p - 1) / 2));
     }
     const auto parts = co_await comm.gather(
@@ -133,7 +135,7 @@ TEST(Partitioned, TreeCollectivesBitIdenticalAtScale) {
         Payload seed;
         if (comm.rank() == 0) seed = Payload(1.5);
         (void)co_await comm.bcast(0, 64.0, std::move(seed));
-        (void)co_await comm.reduce_sum(0, 1.0);
+        (void)co_await comm.gather(0, 8.0, Payload(1.0));
         (void)co_await comm.gather(0, 32.0, Payload(2.0));
         co_await comm.barrier();
       }

@@ -1,12 +1,9 @@
 // Payload and arena unit tests: tagged-union semantics, refcounted buffer
-// sharing, block recycling through the thread-local pool, and the as<T>()
-// compatibility contract.
+// sharing, and block recycling through the thread-local pool.
 #include "hetscale/vmpi/payload.hpp"
 
 #include <gtest/gtest.h>
 
-#include <any>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,7 +23,6 @@ TEST(Payload, ScalarStoredInline) {
   Payload p(2.5);
   EXPECT_TRUE(p.is_scalar());
   EXPECT_DOUBLE_EQ(p.scalar(), 2.5);
-  EXPECT_DOUBLE_EQ(p.as<double>(), 2.5);
   Payload copy = p;
   EXPECT_DOUBLE_EQ(copy.scalar(), 2.5);
 }
@@ -71,24 +67,9 @@ TEST(Payload, MoveAssignReleasesPreviousValue) {
   EXPECT_TRUE(a.empty());
 }
 
-TEST(Payload, BoxedValuesUseAnySemantics) {
-  Payload p(std::string("hello"));
-  ASSERT_TRUE(p.is_boxed());
-  EXPECT_EQ(p.as<std::string>(), "hello");
-  EXPECT_THROW(p.as<int>(), std::bad_any_cast);
-  Payload copy = p;  // deep copy of the boxed any
-  EXPECT_EQ(copy.as<std::string>(), "hello");
-}
-
-TEST(Payload, IntBoxesLikeTheOldAnyConvention) {
-  Payload p(1234);
-  ASSERT_TRUE(p.is_boxed());
-  EXPECT_EQ(p.as<int>(), 1234);
-}
-
-TEST(Payload, AsDoubleOnNonScalarThrows) {
-  Payload p;
-  EXPECT_THROW(p.as<double>(), std::bad_any_cast);
+TEST(Payload, ScalarOnNonScalarThrows) {
+  EXPECT_THROW(Payload().scalar(), PreconditionError);
+  EXPECT_THROW(Payload::buffer(1).scalar(), PreconditionError);
 }
 
 TEST(Arena, BlocksRecycleThroughTheFreelist) {

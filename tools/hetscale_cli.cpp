@@ -466,7 +466,8 @@ int cmd_profile(const ArgParser& args) {
     return 0;
   }
   HETSCALE_REQUIRE(args.has("cluster"),
-                   "profile needs a scenario name or --cluster (see --help)");
+                   "profile needs a scenario name or --cluster (run "
+                   "hetscale_cli with no arguments for usage)");
   return profile_adhoc(args, /*trace_alias=*/false);
 }
 
@@ -521,9 +522,9 @@ int cmd_analyze(const ArgParser& args) {
     }
     options.subject = name;
   } else {
-    HETSCALE_REQUIRE(
-        args.has("cluster"),
-        "analyze needs a scenario name or --cluster (see --help)");
+    HETSCALE_REQUIRE(args.has("cluster"),
+                     "analyze needs a scenario name or --cluster (run "
+                     "hetscale_cli with no arguments for usage)");
     auto combo = make_combination(
         args.get_or("algo", "ge"),
         machine::parse_cluster(args.get("cluster")));
