@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 
@@ -28,6 +29,7 @@ int main() {
                     "psi step (tree)"});
   double prev_c[2] = {0, 0};
   double prev_w[2] = {0, 0};
+  run::Runner runner(1);
   for (int nodes : {2, 4, 8, 16}) {
     std::string n[2];
     std::string psi[2] = {"-", "-"};
@@ -36,7 +38,8 @@ int main() {
       config.tuning = families[v];
       scal::ClusterCombination ge(v == 0 ? "flat" : "tree", std::move(config),
                                   scal::ge_algo());
-      const auto point = scal::required_problem_size(ge, bench::kGeTargetEs);
+      const auto point =
+          scal::required_problem_size(ge, bench::kGeTargetEs, runner);
       const double c = ge.marked_speed();
       const double w = ge.work(point.n);
       n[v] = std::to_string(point.n);

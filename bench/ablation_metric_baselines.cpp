@@ -11,6 +11,7 @@
 #include "common.hpp"
 #include "hetscale/algos/ge.hpp"
 #include "hetscale/marked/suite.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/baselines.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/series.hpp"
@@ -27,7 +28,9 @@ int main() {
     combos.push_back(bench::make_ge(nodes));
     ptrs.push_back(combos.back().get());
   }
-  const auto report = scal::scalability_series(ptrs, bench::kGeTargetEs);
+  run::Runner runner(1);
+  const auto report =
+      scal::scalability_series(ptrs, bench::kGeTargetEs, runner);
 
   // Sequential reference for Pastor–Bosque: GE at the operating N on one
   // SunBlade (only feasible because this is a simulator!).

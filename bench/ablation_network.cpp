@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "common.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/series.hpp"
 
@@ -13,7 +14,7 @@ namespace {
 
 using namespace hetscale;
 
-void fabric_comparison() {
+void fabric_comparison(run::Runner& runner) {
   Table table("psi per scaling step, switched vs shared bus");
   table.set_header({"Algorithm", "Step", "psi (switched)", "psi (shared bus)"});
   for (bool ge : {true, false}) {
@@ -35,8 +36,8 @@ void fabric_comparison() {
       sw.push_back(sw_owned.back().get());
       bus.push_back(bus_owned.back().get());
     }
-    const auto sw_report = scal::scalability_series(sw, target);
-    const auto bus_report = scal::scalability_series(bus, target);
+    const auto sw_report = scal::scalability_series(sw, target, runner);
+    const auto bus_report = scal::scalability_series(bus, target, runner);
     for (std::size_t i = 0; i < sw_report.steps.size(); ++i) {
       table.add_row({ge ? "GE (E_s=0.3)" : "MM (E_s=0.2)",
                      sw_report.steps[i].from + " -> " + sw_report.steps[i].to,
@@ -49,7 +50,7 @@ void fabric_comparison() {
   std::cout << table << '\n';
 }
 
-void parameter_sweeps() {
+void parameter_sweeps(run::Runner& runner) {
   Table table("Required N for GE E_s = 0.3 on 4 nodes vs network quality");
   table.set_header({"Bandwidth (MB/s)", "Latency (us)", "Required N"});
   for (double mbps : {1.25, 12.5, 125.0}) {
@@ -60,7 +61,7 @@ void parameter_sweeps() {
       scal::ClusterCombination combo("GE-4", std::move(config),
                                      scal::ge_algo());
       const auto solved =
-          scal::required_problem_size(combo, bench::kGeTargetEs);
+          scal::required_problem_size(combo, bench::kGeTargetEs, runner);
       table.add_row({Table::num(mbps, 2), Table::num(latency_us, 1),
                      solved.found ? std::to_string(solved.n) : "unreachable"});
     }
@@ -75,7 +76,8 @@ void parameter_sweeps() {
 int main() {
   bench::print_header("Ablation  Network fabric and parameters",
                       "Switched vs shared bus; bandwidth/latency sweeps.");
-  fabric_comparison();
-  parameter_sweeps();
+  run::Runner runner(1);
+  fabric_comparison(runner);
+  parameter_sweeps(runner);
   return 0;
 }

@@ -8,6 +8,7 @@
 
 #include "common.hpp"
 #include "hetscale/algos/ge.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 
@@ -44,15 +45,16 @@ int main() {
                     "psi step (paper)", "psi step (pipelined)"});
   double prev_c[2] = {0, 0};
   double prev_w[2] = {0, 0};
+  run::Runner runner(1);
   for (int nodes : {2, 4, 8, 16}) {
     scal::ClusterCombination paper("paper", bench::ge_config(nodes),
                                    scal::ge_algo());
     scal::ClusterCombination pipelined("pipelined", bench::ge_config(nodes),
                                        pipelined_ge_algo());
     const auto paper_point =
-        scal::required_problem_size(paper, bench::kGeTargetEs);
+        scal::required_problem_size(paper, bench::kGeTargetEs, runner);
     const auto pipe_point =
-        scal::required_problem_size(pipelined, bench::kGeTargetEs);
+        scal::required_problem_size(pipelined, bench::kGeTargetEs, runner);
     std::string psi[2] = {"-", "-"};
     const double c[2] = {paper.marked_speed(), pipelined.marked_speed()};
     const double w[2] = {paper.work(paper_point.n),

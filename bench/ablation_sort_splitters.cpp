@@ -9,6 +9,7 @@
 
 #include "common.hpp"
 #include "hetscale/algos/sort.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 
@@ -44,6 +45,7 @@ int main() {
   double prev_c = 0;
   double prev_w = 0;
   std::string prev_name;
+  run::Runner runner(1);
   for (int nodes : {4, 8, 16}) {
     scal::ClusterCombination combo("sort-" + std::to_string(nodes),
                                    bench::mm_config(nodes),
@@ -51,7 +53,8 @@ int main() {
     scal::IsoSolveOptions options;
     options.n_min = static_cast<std::int64_t>(combo.processor_count()) *
                     combo.processor_count();
-    const auto point = scal::required_problem_size(combo, 0.25, options);
+    const auto point =
+        scal::required_problem_size(combo, 0.25, runner, options);
     if (!point.found) {
       psi_table.add_row({combo.name(), "unreachable", "-"});
       continue;

@@ -10,6 +10,7 @@
 #include "hetscale/numeric/stats.hpp"
 #include "hetscale/predict/models.hpp"
 #include "hetscale/predict/probe.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/series.hpp"
 
 int main() {
@@ -29,7 +30,9 @@ int main() {
     combos.push_back(bench::make_mm(nodes));
     ptrs.push_back(combos.back().get());
   }
-  const auto measured = scal::scalability_series(ptrs, bench::kMmTargetEs);
+  run::Runner runner(1);
+  const auto measured =
+      scal::scalability_series(ptrs, bench::kMmTargetEs, runner);
 
   Table table;
   table.set_header(

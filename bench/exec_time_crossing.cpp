@@ -4,6 +4,7 @@
 #include <iostream>
 
 #include "common.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/exec_time.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
@@ -16,6 +17,7 @@ int main() {
       "2-node one.");
 
   auto base = bench::make_ge(2);
+  run::Runner runner(1);
   Table table;
   table.set_header({"vs system", "crossing N", "T small (s)", "T big (s)",
                     "psi(2 -> big)"});
@@ -24,9 +26,9 @@ int main() {
     const auto crossing =
         scal::find_time_crossing(*base, *big, 16, 1 << 14);
     const auto base_point =
-        scal::required_problem_size(*base, bench::kGeTargetEs);
+        scal::required_problem_size(*base, bench::kGeTargetEs, runner);
     const auto big_point =
-        scal::required_problem_size(*big, bench::kGeTargetEs);
+        scal::required_problem_size(*big, bench::kGeTargetEs, runner);
     const double psi = scal::isospeed_efficiency_scalability(
         base->marked_speed(), base->work(base_point.n), big->marked_speed(),
         big->work(big_point.n));

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "common.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/capacity.hpp"
 
 int main() {
@@ -18,6 +19,7 @@ int main() {
       "Required N vs the largest N that fits (root holds the full matrix "
       "in 128 MB).");
 
+  run::Runner runner(1);
   Table table;
   table.set_header({"SunBlades", "N required", "N that fits", "verdict"});
   for (int nodes : {2, 4, 8, 16, 32}) {
@@ -27,7 +29,7 @@ int main() {
     scal::ClusterCombination combo("blades-" + std::to_string(nodes),
                                    std::move(config), scal::ge_algo());
     const auto result = scal::memory_bounded_required_size(
-        combo, bench::kGeTargetEs, scal::ge_footprint());
+        combo, bench::kGeTargetEs, scal::ge_footprint(), runner);
     table.add_row(
         {std::to_string(nodes),
          result.solve.found ? std::to_string(result.solve.n) : "> fits",
@@ -46,7 +48,7 @@ int main() {
     scal::ClusterCombination combo("ge-" + std::to_string(nodes),
                                    std::move(config), scal::ge_algo());
     const auto result = scal::memory_bounded_required_size(
-        combo, bench::kGeTargetEs, scal::ge_footprint());
+        combo, bench::kGeTargetEs, scal::ge_footprint(), runner);
     mixed.add_row(
         {std::to_string(nodes),
          result.solve.found ? std::to_string(result.solve.n) : "> fits",

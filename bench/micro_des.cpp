@@ -178,15 +178,12 @@ void BM_GeLadderSolve(benchmark::State& state) {
   store.set_enabled(false);
 #endif
   run::Runner runner(8);
-  scal::IsoSolveOptions options;
-  options.method = scal::IsoSolveOptions::Method::kDirectSearch;
-  options.runner = &runner;
   for (auto _ : state) {
     double achieved = 0.0;
     for (const int nodes : {2, 4, 8}) {
       auto combo = scenarios::make_ge(nodes);
       const auto solved =
-          scal::required_problem_size(*combo, scenarios::kGeTargetEs, options);
+          scal::required_problem_size(*combo, scenarios::kGeTargetEs, runner);
       achieved += solved.achieved_es;
     }
     benchmark::DoNotOptimize(achieved);

@@ -10,6 +10,7 @@
 
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/marked/performance.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/capacity.hpp"
 #include "hetscale/support/table.hpp"
 
@@ -18,6 +19,7 @@ int main() {
 
   // ---- 1. The memory wall ----
   std::cout << "Q1: scaling GE at E_s = 0.3 on 128 MB SunBlades only\n";
+  run::Runner runner(1);
   Table wall;
   wall.set_header({"SunBlades", "N needed", "N that fits", "verdict"});
   for (int nodes : {4, 16, 32}) {
@@ -27,7 +29,7 @@ int main() {
     scal::ClusterCombination combo("blades", std::move(config),
                                    scal::ge_algo());
     const auto bounded = scal::memory_bounded_required_size(
-        combo, 0.3, scal::ge_footprint());
+        combo, 0.3, scal::ge_footprint(), runner);
     wall.add_row({std::to_string(nodes),
                   bounded.solve.found ? std::to_string(bounded.solve.n)
                                       : "more than fits",

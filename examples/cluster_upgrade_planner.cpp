@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 #include "hetscale/support/table.hpp"
@@ -63,7 +64,9 @@ int main() {
                       machine::sunwulf::v210_spec(), 1);
   }
 
-  const auto base_point = scal::required_problem_size(*baseline, kTargetEs);
+  run::Runner runner(1);
+  const auto base_point =
+      scal::required_problem_size(*baseline, kTargetEs, runner);
   std::cout << "Baseline " << base.summary() << ": C = "
             << baseline->marked_speed() / 1e6 << " Mflops, N("
             << kTargetEs << ") = " << base_point.n << "\n\n";
@@ -80,7 +83,7 @@ int main() {
                         {"B: +2 server CPUs", more_cpus},
                         {"C: blades -> V210s", upgraded}}) {
     auto combo = make_combo(label, cluster);
-    const auto point = scal::required_problem_size(*combo, kTargetEs);
+    const auto point = scal::required_problem_size(*combo, kTargetEs, runner);
     const double psi = scal::isospeed_efficiency_scalability(
         baseline->marked_speed(), baseline->work(base_point.n),
         combo->marked_speed(), combo->work(point.n));

@@ -14,6 +14,7 @@
 
 #include "hetscale/algos/jacobi.hpp"
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 #include "hetscale/support/units.hpp"
@@ -104,9 +105,11 @@ int main() {
   small_opts.n_min = small.processor_count() + 2;
   scal::IsoSolveOptions big_opts;
   big_opts.n_min = big.processor_count() + 2;
+  run::Runner runner(1);
   const auto small_point =
-      scal::required_problem_size(small, kTarget, small_opts);
-  const auto big_point = scal::required_problem_size(big, kTarget, big_opts);
+      scal::required_problem_size(small, kTarget, runner, small_opts);
+  const auto big_point =
+      scal::required_problem_size(big, kTarget, runner, big_opts);
   std::cout << "  E_s = " << kTarget << " needs grid N = " << small_point.n
             << " on the small system, N = " << big_point.n
             << " on the doubled one\n";

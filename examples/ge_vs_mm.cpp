@@ -6,13 +6,15 @@
 #include <vector>
 
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/series.hpp"
 #include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
 
-  auto build_series = [](bool ge, double target) {
+  run::Runner runner(1);
+  auto build_series = [&runner](bool ge, double target) {
     std::vector<std::unique_ptr<scal::Combination>> owned;
     std::vector<scal::Combination*> ptrs;
     for (int nodes : {2, 4, 8, 16}) {
@@ -25,7 +27,7 @@ int main() {
           name, std::move(config), ge ? scal::ge_algo() : scal::mm_algo()));
       ptrs.push_back(owned.back().get());
     }
-    auto report = scal::scalability_series(ptrs, target);
+    auto report = scal::scalability_series(ptrs, target, runner);
     return std::make_pair(std::move(owned), std::move(report));
   };
 

@@ -10,6 +10,7 @@
 
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/marked/suite.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 
@@ -44,8 +45,9 @@ int main() {
   scal::ClusterCombination big("GE-big", std::move(big_config),
                                scal::ge_algo());
 
-  const auto small_point = scal::required_problem_size(combo, 0.3);
-  const auto big_point = scal::required_problem_size(big, 0.3);
+  run::Runner runner(1);  // batches run inline; more jobs, same answer
+  const auto small_point = scal::required_problem_size(combo, 0.3, runner);
+  const auto big_point = scal::required_problem_size(big, 0.3, runner);
   std::cout << "Iso-efficiency operating points (E_s = 0.3):\n"
             << "  small: N = " << small_point.n << "\n"
             << "  big:   N = " << big_point.n << "\n";

@@ -5,9 +5,7 @@
 // distribution of Kalinov & Lastovetsky [6] (so each process's share of the
 // remaining rows stays proportional to its speed at every elimination
 // stage), and MM uses a row-based *heterogeneous block* distribution (HoHe).
-// Homogeneous block/cyclic variants are provided for ablation baselines, as
-// is the (simplified, row-based) column-tiling heuristic of Beaumont et
-// al. [1].
+// The homogeneous block split is the equal-speed case of the latter.
 #pragma once
 
 #include <cstdint>
@@ -34,33 +32,13 @@ std::vector<std::int64_t> block_offsets(std::span<const std::int64_t> counts);
 std::vector<int> het_cyclic_owners(std::span<const double> speeds,
                                    std::int64_t n);
 
-/// Heterogeneous block-cyclic: the het_cyclic pattern of one round of
-/// `round_size` items, tiled periodically over all n items (HoHe-style).
-std::vector<int> het_block_cyclic_owners(std::span<const double> speeds,
-                                         std::int64_t n,
-                                         std::int64_t round_size);
-
 /// Homogeneous block distribution of n items over p processors.
 std::vector<std::int64_t> block_counts(int p, std::int64_t n);
-
-/// Homogeneous (block-)cyclic owners with the given block size.
-std::vector<int> cyclic_owners(int p, std::int64_t n,
-                               std::int64_t block_size = 1);
-
-/// Simplified Beaumont et al. column tiling for MM, restricted to one
-/// dimension: identical to het_block_counts but kept as a named entry point
-/// (see DESIGN.md substitutions).
-std::vector<std::int64_t> column_tiling_counts(std::span<const double> speeds,
-                                               std::int64_t n);
 
 /// Load-balance quality of an assignment: (max_i count_i / speed_i) * C / n,
 /// which is the ratio of the slowest processor's finish time to the ideal
 /// perfectly proportional time. 1.0 is perfect; always >= 1 for n > 0.
 double imbalance(std::span<const double> speeds,
                  std::span<const std::int64_t> counts);
-
-/// Per-owner item counts of an owner map (p taken from speeds.size()).
-std::vector<std::int64_t> counts_from_owners(std::span<const int> owners,
-                                             std::size_t p);
 
 }  // namespace hetscale::dist

@@ -10,16 +10,12 @@
 //                aggregate marked speed is as even as the shape allows —
 //                SUMMA's row/column broadcasts then carry balanced panels.
 //   TileMap      block-cyclic 2D tiling: tile (ti, tj) lives on the grid
-//                slot (ti mod r, tj mod c). Provides per-tile owners,
-//                local <-> global index math, and per-owner tile lists.
-//
-// The existing 1D entry points stay as thin wrappers: cyclic_owners() in
-// distribution.cpp delegates to a p x 1 TileMap.
+//                slot (ti mod r, tj mod c). Provides each tile's extent
+//                and owner, and per-owner tile lists.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace hetscale::dist {
@@ -30,10 +26,6 @@ class ProcessGrid {
   /// The squarest shape: r is the largest divisor of p with r <= sqrt(p)
   /// (so r <= c), ranks laid out row-major in rank order.
   static ProcessGrid squarest(int p);
-
-  /// A p x 1 grid with rank i at grid row i — the degenerate shape that
-  /// makes 2D tile math reproduce the 1D row distributions exactly.
-  static ProcessGrid rows_only(int p);
 
   /// The squarest shape for speeds.size() ranks, with ranks placed to
   /// balance aggregate speed: each rank (fastest first) joins the grid row
@@ -98,23 +90,9 @@ class TileMap {
   Tile tile(std::int64_t ti, std::int64_t tj) const;
   /// Owner of tile (ti, tj) — grid.rank_at(ti mod r, tj mod c).
   int owner(std::int64_t ti, std::int64_t tj) const;
-  /// Owner of the global element (gi, gj).
-  int owner_of_index(std::int64_t gi, std::int64_t gj) const;
-
-  /// Tile-relative address of a global element.
-  struct Local {
-    std::int64_t tile_row = 0;
-    std::int64_t tile_col = 0;
-    std::int64_t row = 0;  ///< offset inside the tile
-    std::int64_t col = 0;
-  };
-  Local to_local(std::int64_t gi, std::int64_t gj) const;
-  std::pair<std::int64_t, std::int64_t> to_global(const Local& local) const;
 
   /// All tiles owned by a world rank, in (tile_row, tile_col) lex order.
   std::vector<Tile> tiles_of(int rank) const;
-  /// Elements owned per world rank; sums to rows() * cols() (tested).
-  std::vector<std::int64_t> element_counts() const;
 
  private:
   ProcessGrid grid_;
@@ -125,14 +103,5 @@ class TileMap {
   std::int64_t tile_row_count_;
   std::int64_t tile_col_count_;
 };
-
-/// Panel-exchange helpers: the tiles SUMMA broadcasts each step.
-/// All tiles in one tile row (ascending tile_col) / one tile column
-/// (ascending tile_row).
-std::vector<Tile> row_panel(const TileMap& map, std::int64_t tile_row);
-std::vector<Tile> col_panel(const TileMap& map, std::int64_t tile_col);
-
-/// Modeled wire size of a panel: 8 bytes per double element.
-double panel_bytes(std::span<const Tile> tiles);
 
 }  // namespace hetscale::dist

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "hetscale/dist/grid.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::dist {
@@ -86,43 +85,9 @@ std::vector<int> het_cyclic_owners(std::span<const double> speeds,
   return owners;
 }
 
-std::vector<int> het_block_cyclic_owners(std::span<const double> speeds,
-                                         std::int64_t n,
-                                         std::int64_t round_size) {
-  HETSCALE_REQUIRE(round_size >= 1, "round size must be >= 1");
-  const auto pattern = het_cyclic_owners(speeds, round_size);
-  std::vector<int> owners(
-      static_cast<std::size_t>(std::max<std::int64_t>(n, 0)));
-  for (std::int64_t j = 0; j < n; ++j) {
-    owners[static_cast<std::size_t>(j)] =
-        pattern[static_cast<std::size_t>(j % round_size)];
-  }
-  return owners;
-}
-
 std::vector<std::int64_t> block_counts(int p, std::int64_t n) {
   HETSCALE_REQUIRE(p >= 1, "need at least one processor");
   std::vector<double> speeds(static_cast<std::size_t>(p), 1.0);
-  return het_block_counts(speeds, n);
-}
-
-std::vector<int> cyclic_owners(int p, std::int64_t n,
-                               std::int64_t block_size) {
-  HETSCALE_REQUIRE(p >= 1, "need at least one processor");
-  HETSCALE_REQUIRE(block_size >= 1, "block size must be >= 1");
-  // Thin wrapper over the 2D layer: a p x 1 grid tiled in blocks of
-  // block_size rows reproduces owner[j] = (j / block_size) mod p exactly.
-  const std::int64_t count = std::max<std::int64_t>(n, 0);
-  const TileMap map(ProcessGrid::rows_only(p), count, 1, block_size, 1);
-  std::vector<int> owners(static_cast<std::size_t>(count));
-  for (std::int64_t j = 0; j < count; ++j) {
-    owners[static_cast<std::size_t>(j)] = map.owner_of_index(j, 0);
-  }
-  return owners;
-}
-
-std::vector<std::int64_t> column_tiling_counts(std::span<const double> speeds,
-                                               std::int64_t n) {
   return het_block_counts(speeds, n);
 }
 
@@ -139,17 +104,6 @@ double imbalance(std::span<const double> speeds,
     worst = std::max(worst, static_cast<double>(counts[i]) / speeds[i]);
   }
   return worst * c / static_cast<double>(n);
-}
-
-std::vector<std::int64_t> counts_from_owners(std::span<const int> owners,
-                                             std::size_t p) {
-  std::vector<std::int64_t> counts(p, 0);
-  for (int owner : owners) {
-    HETSCALE_REQUIRE(owner >= 0 && static_cast<std::size_t>(owner) < p,
-                     "owner index out of range");
-    ++counts[static_cast<std::size_t>(owner)];
-  }
-  return counts;
 }
 
 }  // namespace hetscale::dist

@@ -42,13 +42,6 @@ ProcessGrid ProcessGrid::squarest(int p) {
   return ProcessGrid(r, p / r, std::move(slots));
 }
 
-ProcessGrid ProcessGrid::rows_only(int p) {
-  HETSCALE_REQUIRE(p >= 1, "need at least one rank");
-  std::vector<int> slots(static_cast<std::size_t>(p));
-  std::iota(slots.begin(), slots.end(), 0);
-  return ProcessGrid(p, 1, std::move(slots));
-}
-
 ProcessGrid ProcessGrid::speed_balanced(std::span<const double> speeds) {
   const int p = static_cast<int>(speeds.size());
   HETSCALE_REQUIRE(p >= 1, "need at least one rank");
@@ -179,34 +172,6 @@ int TileMap::owner(std::int64_t ti, std::int64_t tj) const {
                        static_cast<int>(tj % grid_.cols()));
 }
 
-int TileMap::owner_of_index(std::int64_t gi, std::int64_t gj) const {
-  HETSCALE_REQUIRE(gi >= 0 && gi < rows_, "global row out of range");
-  HETSCALE_REQUIRE(gj >= 0 && gj < cols_, "global col out of range");
-  return owner(gi / tile_rows_, gj / tile_cols_);
-}
-
-TileMap::Local TileMap::to_local(std::int64_t gi, std::int64_t gj) const {
-  HETSCALE_REQUIRE(gi >= 0 && gi < rows_, "global row out of range");
-  HETSCALE_REQUIRE(gj >= 0 && gj < cols_, "global col out of range");
-  Local local;
-  local.tile_row = gi / tile_rows_;
-  local.tile_col = gj / tile_cols_;
-  local.row = gi % tile_rows_;
-  local.col = gj % tile_cols_;
-  return local;
-}
-
-std::pair<std::int64_t, std::int64_t> TileMap::to_global(
-    const Local& local) const {
-  const std::int64_t gi = local.tile_row * tile_rows_ + local.row;
-  const std::int64_t gj = local.tile_col * tile_cols_ + local.col;
-  HETSCALE_REQUIRE(local.row >= 0 && local.row < tile_rows_ &&
-                       local.col >= 0 && local.col < tile_cols_,
-                   "tile-relative offset out of range");
-  HETSCALE_REQUIRE(gi < rows_ && gj < cols_, "local address beyond the map");
-  return {gi, gj};
-}
-
 std::vector<Tile> TileMap::tiles_of(int rank) const {
   std::vector<Tile> mine;
   const int gr = grid_.row_of(rank);
@@ -217,41 +182,6 @@ std::vector<Tile> TileMap::tiles_of(int rank) const {
     }
   }
   return mine;
-}
-
-std::vector<std::int64_t> TileMap::element_counts() const {
-  std::vector<std::int64_t> counts(static_cast<std::size_t>(grid_.size()), 0);
-  for (std::int64_t ti = 0; ti < tile_row_count_; ++ti) {
-    for (std::int64_t tj = 0; tj < tile_col_count_; ++tj) {
-      const Tile t = tile(ti, tj);
-      counts[static_cast<std::size_t>(t.owner)] += t.elements();
-    }
-  }
-  return counts;
-}
-
-std::vector<Tile> row_panel(const TileMap& map, std::int64_t tile_row) {
-  std::vector<Tile> tiles;
-  tiles.reserve(static_cast<std::size_t>(map.tile_col_count()));
-  for (std::int64_t tj = 0; tj < map.tile_col_count(); ++tj) {
-    tiles.push_back(map.tile(tile_row, tj));
-  }
-  return tiles;
-}
-
-std::vector<Tile> col_panel(const TileMap& map, std::int64_t tile_col) {
-  std::vector<Tile> tiles;
-  tiles.reserve(static_cast<std::size_t>(map.tile_row_count()));
-  for (std::int64_t ti = 0; ti < map.tile_row_count(); ++ti) {
-    tiles.push_back(map.tile(ti, tile_col));
-  }
-  return tiles;
-}
-
-double panel_bytes(std::span<const Tile> tiles) {
-  double elements = 0.0;
-  for (const Tile& t : tiles) elements += static_cast<double>(t.elements());
-  return 8.0 * elements;
 }
 
 }  // namespace hetscale::dist

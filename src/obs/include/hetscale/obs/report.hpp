@@ -37,7 +37,6 @@ class Report {
   double elapsed_s() const { return elapsed_s_; }
   const TimeBudget& budget() const { return budget_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  bool has_wall() const { return has_wall_; }
   const WallStats& wall() const { return wall_; }
 
   void to_json(std::ostream& os) const;

@@ -52,6 +52,7 @@ struct BoundedSolveResult {
 /// is memory-bound at that efficiency (and `solve.found` is false).
 BoundedSolveResult memory_bounded_required_size(
     ClusterCombination& combination, double target_es,
-    const FootprintFn& footprint, IsoSolveOptions options = {});
+    const FootprintFn& footprint, run::Runner& runner,
+    IsoSolveOptions options = {});
 
 }  // namespace hetscale::scal

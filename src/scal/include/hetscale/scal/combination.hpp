@@ -8,7 +8,9 @@
 // A Combination bundles an algorithm with a concrete (simulated) system and
 // can be *measured* at any problem size N. Measurements are cached: the
 // marked speed is a constant of the study (Definition 1), and the simulator
-// is deterministic, so re-measuring the same N is pure waste.
+// is deterministic, so re-measuring the same N is pure waste. The cache and
+// the batching live once, in the base class; a subclass only says how to
+// simulate one size.
 #pragma once
 
 #include <cstdint>
@@ -67,16 +69,29 @@ class Combination {
   /// W(N) — the workload polynomial of the algorithm.
   virtual double work(std::int64_t n) const = 0;
 
-  /// Run (simulate) the combination at problem size N; cached.
-  virtual const Measurement& measure(std::int64_t n) = 0;
+  /// The combination at problem size N: simulated once, then cached.
+  const Measurement& measure(std::int64_t n);
 
-  /// Measure a batch of sizes, returned in request order. The base
-  /// implementation is the sequential fallback (a measure() loop);
-  /// combinations whose runs are independent override it to execute the
-  /// uncached sizes concurrently on the runner. Results are merged in
-  /// request order, so the outcome is bit-identical to sequential.
-  virtual std::vector<Measurement> measure_many(
-      std::span<const std::int64_t> sizes, run::Runner& runner);
+  /// Measure a batch of sizes, returned in request order. The sizes not yet
+  /// cached are deduplicated and simulated as one batch on the runner, so
+  /// the result is bit-identical at any jobs count; jobs 1 runs the batch
+  /// inline, in ascending N, on the caller.
+  std::vector<Measurement> measure_many(std::span<const std::int64_t> sizes,
+                                        run::Runner& runner);
+
+ protected:
+  /// A combination whose runs are fully described by `store_key` (see
+  /// config_fingerprint) also shares them through MeasurementStore::global();
+  /// without one, only this object's cache holds them.
+  explicit Combination(std::string store_key = {});
+
+  /// One uncached run at size n. Called concurrently from a batch, so it
+  /// must only read shared state.
+  virtual Measurement simulate(std::int64_t n) const = 0;
+
+ private:
+  std::string store_key_;  ///< empty: not shared through the store
+  std::map<std::int64_t, Measurement> cache_;
 };
 
 /// An algorithm (AlgoSpec) on a simulated cluster (Config).
@@ -103,13 +118,6 @@ class ClusterCombination final : public Combination {
   const std::string& name() const override { return name_; }
   double marked_speed() const override { return marked_speed_; }
   double work(std::int64_t n) const override { return algo_.work(n); }
-  const Measurement& measure(std::int64_t n) override;
-
-  /// Uncached sizes are simulated concurrently: every run builds its own
-  /// machine and only reads shared state, so simulations are independent;
-  /// the cache is filled on the calling thread in request order.
-  std::vector<Measurement> measure_many(std::span<const std::int64_t> sizes,
-                                        run::Runner& runner) override;
 
   /// The one measurement path: run the algorithm once at size n on
   /// `machine` — a fresh machine built from config(), possibly wrapped
@@ -124,15 +132,13 @@ class ClusterCombination final : public Combination {
 
  private:
   /// run_on a fresh machine built from config().
-  Measurement compute(std::int64_t n) const;
+  Measurement simulate(std::int64_t n) const override;
 
   std::string name_;
   Config config_;
   AlgoSpec algo_;
   std::vector<double> rank_speeds_;  ///< per-rank marked speeds
   double marked_speed_ = 0.0;        ///< measured once, then constant
-  std::string store_key_;            ///< MeasurementStore fingerprint
-  std::map<std::int64_t, Measurement> cache_;
 };
 
 /// A sampled speed-efficiency curve (the data behind Figs. 1–2).
@@ -144,12 +150,7 @@ struct EfficiencyCurve {
   std::vector<double> efficiencies() const;
 };
 
-/// Measure the combination at each size.
-EfficiencyCurve sample_efficiency_curve(Combination& combination,
-                                        std::span<const std::int64_t> sizes);
-
-/// Measure the combination at each size as one batch on the runner —
-/// byte-identical samples to the sequential overload, in any jobs count.
+/// Measure the combination at each size as one batch on the runner.
 EfficiencyCurve sample_efficiency_curve(Combination& combination,
                                         std::span<const std::int64_t> sizes,
                                         run::Runner& runner);

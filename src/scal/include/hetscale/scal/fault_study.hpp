@@ -5,7 +5,8 @@
 // whose runtime consults a fault::Injector — same algorithm, same cluster,
 // same marked speed, but slowdowns, link faults, message loss, and
 // crash/restart are live. Because it *is* a Combination, the whole healthy
-// tool chain applies unchanged: required_problem_size finds the size that
+// tool chain applies unchanged: measure() and measure_many memoize and batch
+// its runs like any other, required_problem_size finds the size that
 // restores E_s on the faulty machine, scalability_series builds Tables 3-5
 // under degradation, and ψ(healthy, faulty) quantifies what the faults cost
 // in the metric's own currency.
@@ -18,16 +19,24 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "hetscale/fault/injector.hpp"
 #include "hetscale/fault/plan.hpp"
 #include "hetscale/scal/combination.hpp"
 
 namespace hetscale::scal {
+
+/// The degraded view of one run under a fault plan.
+struct DegradedSpeed {
+  /// Time-averaged effective marked speed over the run: the sum of
+  /// C_i · slowdown_factor_i(t), averaged over [0, T).
+  double effective_marked_speed = 0.0;
+
+  /// E_s against the effective marked speed — "how well did we use what
+  /// the degraded machine actually offered".
+  double degraded_es = 0.0;
+};
 
 /// One measured point of a combination under a fault plan.
 struct FaultyMeasurement {
@@ -36,12 +45,8 @@ struct FaultyMeasurement {
   /// for".
   Measurement measurement;
 
-  /// Time-averaged effective marked speed over this run: the sum of
-  /// C_i · slowdown_factor_i(t), averaged over [0, T).
+  /// See DegradedSpeed.
   double effective_marked_speed = 0.0;
-
-  /// E_s against the effective marked speed — "how well did we use what
-  /// the degraded machine actually offered".
   double degraded_es = 0.0;
 
   /// Injector accounting summed over ranks.
@@ -60,30 +65,28 @@ class FaultedCombination final : public Combination {
 
   const std::string& name() const override { return name_; }
   /// The healthy marked speed: C is a constant of the study, faults do not
-  /// re-mark the machine (use effective_marked_speed for the degraded view).
+  /// re-mark the machine (degraded() gives the degraded view).
   double marked_speed() const override;
   double work(std::int64_t n) const override;
-  const Measurement& measure(std::int64_t n) override;
 
-  /// Uncached sizes run concurrently on the runner, merged in request
-  /// order — bit-identical to sequential at any jobs count (each run has
-  /// its own machine and injector; the plan is shared read-only).
-  std::vector<Measurement> measure_many(std::span<const std::int64_t> sizes,
-                                        run::Runner& runner) override;
+  /// One run at size n with the full degraded-mode detail; uncached (each
+  /// run has its own machine and injector, the plan is shared read-only).
+  FaultyMeasurement measure_faulty(std::int64_t n) const;
 
-  /// The full degraded-mode detail behind measure(); cached.
-  const FaultyMeasurement& measure_faulty(std::int64_t n);
+  /// C_eff and the degraded E_s of a run of this combination that measured
+  /// `m`. Both follow from the plan, the rank speeds and m's seconds, so
+  /// the memoized measure(n) yields them without another simulation.
+  DegradedSpeed degraded(const Measurement& m) const;
 
   const fault::FaultPlan& plan() const { return *plan_; }
   ClusterCombination& inner() { return *inner_; }
 
  private:
-  FaultyMeasurement compute(std::int64_t n) const;
+  Measurement simulate(std::int64_t n) const override;
 
   ClusterCombination* inner_;
   const fault::FaultPlan* plan_;
   std::string name_;
-  std::map<std::int64_t, FaultyMeasurement> cache_;
 };
 
 /// Healthy-vs-faulty comparison at one problem size, with the added time

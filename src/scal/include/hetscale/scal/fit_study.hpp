@@ -56,13 +56,13 @@ struct FitDataset {
 double heterogeneity_score(std::span<const double> rank_speeds);
 
 /// Measure every ladder combination at every size and flatten the results.
-/// With a runner, each rung's uncached sizes are simulated as one batch;
+/// Each rung's uncached sizes are simulated as one batch on the runner;
 /// rungs are visited in order, so the dataset is bit-identical at any jobs
 /// count. Measurements are memoized through the MeasurementStore exactly as
 /// in measure()/measure_many.
 FitDataset gather_fit_points(std::string algo,
                              std::span<ClusterCombination* const> ladder,
                              std::span<const std::int64_t> sizes,
-                             run::Runner* runner = nullptr);
+                             run::Runner& runner);
 
 }  // namespace hetscale::scal

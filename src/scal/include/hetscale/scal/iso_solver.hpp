@@ -10,6 +10,16 @@
 //     fit a polynomial trend line, read the target crossing off the trend,
 //     then verify by measuring at the read-off size (the "light gray dot"
 //     of Fig. 1).
+//
+// Both submit their measurements as batches on a run::Runner: the
+// trend-line ladder is sampled as one batch, and direct-search refinement
+// is *speculative* bisection — each wave measures the next levels of the
+// bisection decision tree as one batch, then replays the sequential
+// decisions, so the found N and measured E_s are those of plain bisection on
+// any E_s(n). At jobs 1 a wave is the one midpoint plain bisection would
+// visit, so the solve simulates exactly its sizes. The doubling bracket
+// itself stays sequential — simulation cost grows superlinearly with N, so
+// speculating doublings ahead would cost more than it hides.
 #pragma once
 
 #include <cstdint>
@@ -30,19 +40,6 @@ struct IsoSolveOptions {
   std::size_t trend_samples = 10;     ///< geometric ladder of sample sizes
   std::int64_t trend_n_lo = 32;       ///< sampling window
   std::int64_t trend_n_hi = 2048;
-
-  /// Optional worker pool (not owned). When set with jobs > 1, the solver
-  /// submits its measurements as batches: the trend-line ladder is sampled
-  /// concurrently, and direct-search refinement becomes *speculative*
-  /// bisection — each wave measures the next levels of the bisection
-  /// decision tree concurrently, then replays the sequential decisions, so
-  /// the found N and measured E_s are identical to the sequential solve on
-  /// any E_s(n). The doubling bracket itself stays sequential — simulation
-  /// cost grows superlinearly with N, so speculating doublings ahead would
-  /// cost more than it hides. scalability_series fills this in with its own
-  /// runner when left null, so each solve of a ladder bisects in waves on
-  /// the series' pool.
-  run::Runner* runner = nullptr;
 };
 
 struct IsoSolveResult {
@@ -56,7 +53,7 @@ struct IsoSolveResult {
 /// speed-efficiency. found == false if the target is unreachable below
 /// options.n_max (the combination is then *unscalable* at that efficiency).
 IsoSolveResult required_problem_size(Combination& combination,
-                                     double target_es,
+                                     double target_es, run::Runner& runner,
                                      const IsoSolveOptions& options = {});
 
 }  // namespace hetscale::scal

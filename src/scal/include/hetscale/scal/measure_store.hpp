@@ -2,8 +2,8 @@
 //
 // The simulator is deterministic: a (configuration, N) pair always produces
 // the same Measurement, bit for bit. Scenarios, however, each build their
-// own Combination objects — the per-object cache in ClusterCombination
-// cannot see that table3, table4, and table7 all simulate GE on the same
+// own Combination objects — the per-object cache in Combination cannot
+// see that table3, table4, and table7 all simulate GE on the same
 // ensembles. The store closes that gap: measurements are memoized under a
 // *configuration fingerprint* (algorithm + cluster + network + data mode —
 // everything that determines the run, and nothing that doesn't, so
@@ -28,8 +28,10 @@ namespace hetscale::scal {
 
 class MeasurementStore {
  public:
-  /// The process-wide instance used by ClusterCombination. Enabled by
-  /// default; `--no-measure-cache` turns it off for a CLI invocation.
+  /// The process-wide instance Combination::measure and measure_many
+  /// consult for every combination built with a fingerprint (each
+  /// ClusterCombination). Enabled by default; `--no-measure-cache` turns
+  /// it off for a CLI invocation.
   static MeasurementStore& global();
 
   MeasurementStore() = default;

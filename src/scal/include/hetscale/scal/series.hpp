@@ -46,17 +46,16 @@ struct SeriesReport {
 /// Systems where the target cannot be reached get found == false and no
 /// outgoing step.
 ///
-/// With a runner (jobs > 1), the per-system iso-solves run as one batch —
-/// they are independent simulations — and the report is assembled from the
-/// batch in ladder order, so it is bit-identical to the sequential build.
-/// Unless `solve.runner` is already set, each solve also gets `runner`: its
-/// speculative-bisection waves are nested batches on the same pool, claimed
-/// by lanes whose own system is done, and the found N and E_s stay those of
-/// the sequential solve. At jobs >= 3 the waves probe sizes a sequential
-/// solve never visits, so a measurement store sees more simulations.
+/// The per-system iso-solves run as one batch on the runner — they are
+/// independent simulations — and the report is assembled from the batch in
+/// ladder order, so it is bit-identical at any jobs count. Each solve gets
+/// the same runner: its speculative-bisection waves are nested batches on
+/// the same pool, claimed by lanes whose own system is done, and the found
+/// N and E_s stay those of plain bisection. At jobs >= 3 the waves probe
+/// sizes plain bisection never visits, so a measurement store sees more
+/// simulations; at jobs 1 everything runs inline, in ladder order.
 SeriesReport scalability_series(std::span<Combination* const> combinations,
-                                double target_es,
-                                const IsoSolveOptions& solve = {},
-                                run::Runner* runner = nullptr);
+                                double target_es, run::Runner& runner,
+                                const IsoSolveOptions& solve = {});
 
 }  // namespace hetscale::scal

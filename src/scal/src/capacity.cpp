@@ -91,7 +91,8 @@ std::int64_t max_feasible_size(const machine::Cluster& cluster,
 
 BoundedSolveResult memory_bounded_required_size(
     ClusterCombination& combination, double target_es,
-    const FootprintFn& footprint, IsoSolveOptions options) {
+    const FootprintFn& footprint, run::Runner& runner,
+    IsoSolveOptions options) {
   BoundedSolveResult result;
   result.n_limit =
       max_feasible_size(combination.cluster(), footprint,
@@ -102,7 +103,8 @@ BoundedSolveResult memory_bounded_required_size(
     return result;
   }
   options.n_max = std::max(options.n_min + 1, result.n_limit);
-  result.solve = required_problem_size(combination, target_es, options);
+  result.solve =
+      required_problem_size(combination, target_es, runner, options);
   result.memory_bound = !result.solve.found;
   return result;
 }

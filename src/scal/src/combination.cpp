@@ -13,16 +13,6 @@
 
 namespace hetscale::scal {
 
-std::vector<Measurement> Combination::measure_many(
-    std::span<const std::int64_t> sizes, run::Runner& /*runner*/) {
-  // Sequential fallback for combinations that cannot promise independent
-  // concurrent runs.
-  std::vector<Measurement> out;
-  out.reserve(sizes.size());
-  for (const auto n : sizes) out.push_back(measure(n));
-  return out;
-}
-
 std::unique_ptr<net::Network> make_network(NetworkKind kind,
                                            const net::NetworkParams& params) {
   if (kind == NetworkKind::kSharedBus) {
@@ -37,66 +27,37 @@ vmpi::Machine make_machine(const machine::Cluster& cluster, NetworkKind kind,
   return vmpi::Machine(cluster, make_network(kind, params), tuning);
 }
 
-ClusterCombination::ClusterCombination(std::string name, Config config,
-                                       AlgoSpec algo)
-    : name_(std::move(name)),
-      config_(std::move(config)),
-      algo_(std::move(algo)),
-      rank_speeds_(marked::rank_marked_speeds(config_.cluster)),
-      store_key_(config_fingerprint(algo_.key, config_.cluster,
-                                    config_.network, config_.net_params,
-                                    config_.with_data, config_.tuning)) {
-  for (double c : rank_speeds_) marked_speed_ += c;
-}
+Combination::Combination(std::string store_key)
+    : store_key_(std::move(store_key)) {}
 
-const Measurement& ClusterCombination::measure(std::int64_t n) {
+const Measurement& Combination::measure(std::int64_t n) {
   // Single probe: try_emplace both answers membership and reserves the
   // slot, so hit and miss each cost one tree walk.
   const auto [it, inserted] = cache_.try_emplace(n);
   if (!inserted) return it->second;
   auto& store = MeasurementStore::global();
-  if (store.enabled() && store.try_get(store_key_, n, it->second)) {
+  const bool use_store = !store_key_.empty() && store.enabled();
+  if (use_store && store.try_get(store_key_, n, it->second)) {
     return it->second;
   }
   try {
-    it->second = compute(n);
+    it->second = simulate(n);
   } catch (...) {
     cache_.erase(it);  // don't leave a default-constructed placeholder
     throw;
   }
-  if (store.enabled()) store.put(store_key_, n, it->second);
+  if (use_store) store.put(store_key_, n, it->second);
   return it->second;
 }
 
-Measurement ClusterCombination::run_on(vmpi::Machine& machine,
-                                       std::int64_t n) const {
-  HETSCALE_REQUIRE(n >= 1, "problem size must be >= 1");
-  const AlgoRun run = algo_.run(machine, n, rank_speeds_, config_.with_data);
-  Measurement m;
-  m.n = n;
-  m.work_flops = run.work_flops;
-  m.seconds = run.seconds;
-  m.speed_flops = achieved_speed(run.work_flops, run.seconds);
-  m.speed_efficiency =
-      speed_efficiency(run.work_flops, run.seconds, marked_speed_);
-  m.overhead_s = run.overhead_s;
-  return m;
-}
-
-Measurement ClusterCombination::compute(std::int64_t n) const {
-  auto machine = make_machine(config_.cluster, config_.network,
-                              config_.net_params, config_.tuning);
-  return run_on(machine, n);
-}
-
-std::vector<Measurement> ClusterCombination::measure_many(
+std::vector<Measurement> Combination::measure_many(
     std::span<const std::int64_t> sizes, run::Runner& runner) {
   // Sizes still to simulate, deduplicated. A single try_emplace probe per
   // size answers membership and reserves the slot the result lands in.
   // std::map iterators stay valid across later insertions, so collecting
   // them is safe.
   auto& store = MeasurementStore::global();
-  const bool use_store = store.enabled();
+  const bool use_store = !store_key_.empty() && store.enabled();
   using Slot = std::map<std::int64_t, Measurement>::iterator;
   std::vector<std::pair<std::int64_t, Slot>> batch;
   for (const auto n : sizes) {
@@ -117,15 +78,11 @@ std::vector<Measurement> ClusterCombination::measure_many(
       [](const auto& a, const auto& b) { return a.first < b.first; });
 
   try {
-    if (runner.jobs() > 1 && batch.size() > 1) {
-      const auto computed = runner.map(
-          batch.size(), [&](std::size_t i) { return compute(batch[i].first); });
-      // Merge on the calling thread.
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch[i].second->second = computed[i];
-      }
-    } else {
-      for (auto& [n, slot] : batch) slot->second = compute(n);
+    const auto computed = runner.map(
+        batch.size(), [&](std::size_t i) { return simulate(batch[i].first); });
+    // Merge on the calling thread.
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i].second->second = computed[i];
     }
   } catch (...) {
     for (auto& [n, slot] : batch) cache_.erase(slot);
@@ -143,6 +100,39 @@ std::vector<Measurement> ClusterCombination::measure_many(
   return out;
 }
 
+ClusterCombination::ClusterCombination(std::string name, Config config,
+                                       AlgoSpec algo)
+    : Combination(config_fingerprint(algo.key, config.cluster, config.network,
+                                     config.net_params, config.with_data,
+                                     config.tuning)),
+      name_(std::move(name)),
+      config_(std::move(config)),
+      algo_(std::move(algo)),
+      rank_speeds_(marked::rank_marked_speeds(config_.cluster)) {
+  for (double c : rank_speeds_) marked_speed_ += c;
+}
+
+Measurement ClusterCombination::run_on(vmpi::Machine& machine,
+                                       std::int64_t n) const {
+  HETSCALE_REQUIRE(n >= 1, "problem size must be >= 1");
+  const AlgoRun run = algo_.run(machine, n, rank_speeds_, config_.with_data);
+  Measurement m;
+  m.n = n;
+  m.work_flops = run.work_flops;
+  m.seconds = run.seconds;
+  m.speed_flops = achieved_speed(run.work_flops, run.seconds);
+  m.speed_efficiency =
+      speed_efficiency(run.work_flops, run.seconds, marked_speed_);
+  m.overhead_s = run.overhead_s;
+  return m;
+}
+
+Measurement ClusterCombination::simulate(std::int64_t n) const {
+  auto machine = make_machine(config_.cluster, config_.network,
+                              config_.net_params, config_.tuning);
+  return run_on(machine, n);
+}
+
 std::vector<double> EfficiencyCurve::sizes() const {
   std::vector<double> xs;
   xs.reserve(samples.size());
@@ -155,15 +145,6 @@ std::vector<double> EfficiencyCurve::efficiencies() const {
   ys.reserve(samples.size());
   for (const auto& m : samples) ys.push_back(m.speed_efficiency);
   return ys;
-}
-
-EfficiencyCurve sample_efficiency_curve(Combination& combination,
-                                        std::span<const std::int64_t> sizes) {
-  EfficiencyCurve curve;
-  curve.label = combination.name();
-  curve.samples.reserve(sizes.size());
-  for (auto n : sizes) curve.samples.push_back(combination.measure(n));
-  return curve;
 }
 
 EfficiencyCurve sample_efficiency_curve(Combination& combination,

@@ -1,12 +1,10 @@
 #include "hetscale/scal/fault_study.hpp"
 
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "hetscale/fault/analysis.hpp"
 #include "hetscale/fault/degraded_network.hpp"
-#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/metrics.hpp"
 
 namespace hetscale::scal {
@@ -32,7 +30,16 @@ double FaultedCombination::work(std::int64_t n) const {
   return inner_->work(n);
 }
 
-FaultyMeasurement FaultedCombination::compute(std::int64_t n) const {
+DegradedSpeed FaultedCombination::degraded(const Measurement& m) const {
+  DegradedSpeed view;
+  view.effective_marked_speed = fault::mean_effective_marked_speed(
+      *plan_, inner_->rank_speeds(), m.seconds);
+  view.degraded_es =
+      speed_efficiency(m.work_flops, m.seconds, view.effective_marked_speed);
+  return view;
+}
+
+FaultyMeasurement FaultedCombination::measure_faulty(std::int64_t n) const {
   const auto& config = inner_->config();
   auto network = std::make_unique<fault::DegradedNetwork>(
       make_network(config.network, config.net_params), *plan_);
@@ -42,49 +49,16 @@ FaultyMeasurement FaultedCombination::compute(std::int64_t n) const {
 
   FaultyMeasurement fm;
   fm.measurement = inner_->run_on(machine, n);
-  const Measurement& m = fm.measurement;
-  fm.effective_marked_speed = fault::mean_effective_marked_speed(
-      *plan_, inner_->rank_speeds(), m.seconds);
-  fm.degraded_es =
-      speed_efficiency(m.work_flops, m.seconds, fm.effective_marked_speed);
+  const DegradedSpeed view = degraded(fm.measurement);
+  fm.effective_marked_speed = view.effective_marked_speed;
+  fm.degraded_es = view.degraded_es;
   fm.fault_totals = injector.totals();
   fm.critical_path_fault_s = injector.critical_path_fault_s();
   return fm;
 }
 
-const FaultyMeasurement& FaultedCombination::measure_faulty(std::int64_t n) {
-  if (auto it = cache_.find(n); it != cache_.end()) return it->second;
-  return cache_.emplace(n, compute(n)).first->second;
-}
-
-const Measurement& FaultedCombination::measure(std::int64_t n) {
+Measurement FaultedCombination::simulate(std::int64_t n) const {
   return measure_faulty(n).measurement;
-}
-
-std::vector<Measurement> FaultedCombination::measure_many(
-    std::span<const std::int64_t> sizes, run::Runner& runner) {
-  // Same shape as ClusterCombination::measure_many: dedup the uncached
-  // sizes, simulate them concurrently, merge in request order.
-  std::vector<std::int64_t> missing;
-  std::set<std::int64_t> seen;
-  for (const auto n : sizes) {
-    if (cache_.count(n) == 0 && seen.insert(n).second) missing.push_back(n);
-  }
-
-  if (runner.jobs() > 1 && missing.size() > 1) {
-    const auto computed = runner.map(
-        missing.size(), [&](std::size_t i) { return compute(missing[i]); });
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      cache_.emplace(missing[i], computed[i]);
-    }
-  } else {
-    for (const auto n : missing) cache_.emplace(n, compute(n));
-  }
-
-  std::vector<Measurement> out;
-  out.reserve(sizes.size());
-  for (const auto n : sizes) out.push_back(cache_.at(n).measurement);
-  return out;
 }
 
 FaultDecomposition decompose_faults(ClusterCombination& combination,

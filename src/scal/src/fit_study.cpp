@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "hetscale/run/runner.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
@@ -39,7 +38,7 @@ double heterogeneity_score(std::span<const double> rank_speeds) {
 FitDataset gather_fit_points(std::string algo,
                              std::span<ClusterCombination* const> ladder,
                              std::span<const std::int64_t> sizes,
-                             run::Runner* runner) {
+                             run::Runner& runner) {
   HETSCALE_REQUIRE(!ladder.empty(), "fit study needs at least one rung");
   HETSCALE_REQUIRE(!sizes.empty(), "fit study needs at least one size");
   FitDataset data;
@@ -47,13 +46,7 @@ FitDataset gather_fit_points(std::string algo,
   data.points.reserve(ladder.size() * sizes.size());
   for (ClusterCombination* combination : ladder) {
     HETSCALE_REQUIRE(combination != nullptr, "null combination in ladder");
-    std::vector<Measurement> measured;
-    if (runner != nullptr) {
-      measured = combination->measure_many(sizes, *runner);
-    } else {
-      measured.reserve(sizes.size());
-      for (const auto n : sizes) measured.push_back(combination->measure(n));
-    }
+    const auto measured = combination->measure_many(sizes, runner);
     const auto& speeds = combination->rank_speeds();
     const double het = heterogeneity_score(speeds);
     for (const auto& m : measured) {

@@ -15,14 +15,14 @@ namespace hetscale::scal {
 namespace {
 
 /// Smallest n in [lo, hi] with E_s(n) >= target by *speculative* bisection:
-/// each wave measures, as one concurrent batch, every midpoint the
-/// sequential bisection could visit in its next d steps (the depth-d
-/// decision tree of the bracket, 2^d - 1 probes with 2^d - 1 <= jobs), then
-/// replays the d decisions on the cached measurements. The trajectory — and
-/// therefore the returned n — is identical to numeric::first_at_least on
-/// *any* E_s(n), including one with small non-monotone wiggles; the wave
-/// only trades redundant concurrent measurements for d levels of progress
-/// per sequential round trip.
+/// each wave measures, as one batch, every midpoint the sequential
+/// bisection could visit in its next d steps (the depth-d decision tree of
+/// the bracket, 2^d - 1 probes with 2^d - 1 <= jobs, and d = 1 below three
+/// jobs), then replays the d decisions on the cached measurements. The
+/// trajectory — and therefore the returned n — is identical to
+/// numeric::first_at_least on *any* E_s(n), including one with small
+/// non-monotone wiggles; the wave only trades redundant concurrent
+/// measurements for d levels of progress per sequential round trip.
 ///
 /// Precondition (established by direct_search's doubling bracket): lo == hi,
 /// or E_s(lo) < target <= E_s(hi). Both endpoints were measured while
@@ -60,7 +60,7 @@ std::int64_t speculative_first_at_least(Combination& combination,
       }
       frontier = std::move(next);
     }
-    combination.measure_many(probes, runner);  // one concurrent wave
+    combination.measure_many(probes, runner);  // one wave
     // Replay bisection's decisions against the now-cached measurements.
     for (int level = 0; level < depth && hi - lo > 1; ++level) {
       const std::int64_t mid = lo + (hi - lo) / 2;
@@ -75,6 +75,7 @@ std::int64_t speculative_first_at_least(Combination& combination,
 }
 
 IsoSolveResult direct_search(Combination& combination, double target_es,
+                             run::Runner& runner,
                              const IsoSolveOptions& options) {
   IsoSolveResult result;
   result.target_es = target_es;
@@ -83,10 +84,10 @@ IsoSolveResult direct_search(Combination& combination, double target_es,
     return combination.measure(n).speed_efficiency;
   };
 
-  // Doubling bracket: find hi with E_s(hi) >= target. Kept sequential even
-  // under a runner — each doubling costs several times the previous one, so
-  // speculative measurement past the crossing wastes more work than the
-  // overlap recovers (see IsoSolveOptions::runner).
+  // Doubling bracket: find hi with E_s(hi) >= target. Kept sequential —
+  // each doubling costs several times the previous one, so speculative
+  // measurement past the crossing wastes more work than the overlap
+  // recovers (see the header comment).
   std::int64_t lo = options.n_min;
   std::int64_t hi = lo;
   while (es_at(hi) < target_es) {
@@ -94,13 +95,8 @@ IsoSolveResult direct_search(Combination& combination, double target_es,
     lo = hi;
     hi = std::min(options.n_max, hi * 2);
   }
-  run::Runner* runner = options.runner;
-  const std::int64_t n =
-      (runner != nullptr && runner->jobs() > 1)
-          ? speculative_first_at_least(combination, target_es,
-                                       std::min(lo, hi), hi, *runner)
-          : numeric::first_at_least(es_at, target_es, std::min(lo, hi), hi);
-  HETSCALE_CHECK(n >= 0, "bracketed target vanished during bisection");
+  const std::int64_t n = speculative_first_at_least(
+      combination, target_es, std::min(lo, hi), hi, runner);
   result.found = true;
   result.n = n;
   result.achieved_es = es_at(n);
@@ -108,6 +104,7 @@ IsoSolveResult direct_search(Combination& combination, double target_es,
 }
 
 IsoSolveResult trend_line(Combination& combination, double target_es,
+                          run::Runner& runner,
                           const IsoSolveOptions& options) {
   HETSCALE_REQUIRE(options.trend_samples >= options.trend_degree + 1,
                    "need more trend samples than polynomial coefficients");
@@ -129,10 +126,7 @@ IsoSolveResult trend_line(Combination& combination, double target_es,
     if (sizes.empty() || n > sizes.back()) sizes.push_back(n);
     x *= ratio;
   }
-  const auto curve =
-      options.runner != nullptr
-          ? sample_efficiency_curve(combination, sizes, *options.runner)
-          : sample_efficiency_curve(combination, sizes);
+  const auto curve = sample_efficiency_curve(combination, sizes, runner);
   const auto trend = fit_trend(curve, options.trend_degree);
 
   // Read the crossing off the trend line, allowing mild extrapolation.
@@ -159,16 +153,16 @@ IsoSolveResult trend_line(Combination& combination, double target_es,
 }  // namespace
 
 IsoSolveResult required_problem_size(Combination& combination,
-                                     double target_es,
+                                     double target_es, run::Runner& runner,
                                      const IsoSolveOptions& options) {
   HETSCALE_REQUIRE(target_es > 0.0 && target_es < 1.0,
                    "target speed-efficiency must be in (0, 1)");
   HETSCALE_REQUIRE(options.n_min >= 1 && options.n_max > options.n_min,
                    "invalid search range");
   if (options.method == IsoSolveOptions::Method::kDirectSearch) {
-    return direct_search(combination, target_es, options);
+    return direct_search(combination, target_es, runner, options);
   }
-  return trend_line(combination, target_es, options);
+  return trend_line(combination, target_es, runner, options);
 }
 
 }  // namespace hetscale::scal

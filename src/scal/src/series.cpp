@@ -13,9 +13,8 @@ double SeriesReport::cumulative_psi() const {
 }
 
 SeriesReport scalability_series(std::span<Combination* const> combinations,
-                                double target_es,
-                                const IsoSolveOptions& solve,
-                                run::Runner* runner) {
+                                double target_es, run::Runner& runner,
+                                const IsoSolveOptions& solve) {
   HETSCALE_REQUIRE(combinations.size() >= 2,
                    "a scalability series needs at least two systems");
   SeriesReport report;
@@ -27,22 +26,11 @@ SeriesReport scalability_series(std::span<Combination* const> combinations,
 
   // One iso-solve per system. Each solve only touches its own combination,
   // so the ladder is an independent batch; the report below is assembled
-  // in ladder order either way. Each solve's own waves are nested batches
-  // on the same pool, so lanes whose system is done help the slower ones.
-  IsoSolveOptions options = solve;
-  if (options.runner == nullptr) options.runner = runner;
-  std::vector<IsoSolveResult> solved;
-  if (runner != nullptr && runner->jobs() > 1) {
-    solved = runner->map(combinations.size(), [&](std::size_t i) {
-      return required_problem_size(*combinations[i], target_es, options);
-    });
-  } else {
-    solved.reserve(combinations.size());
-    for (Combination* combination : combinations) {
-      solved.push_back(
-          required_problem_size(*combination, target_es, options));
-    }
-  }
+  // in ladder order. Each solve's own waves are nested batches on the same
+  // pool, so lanes whose system is done help the slower ones.
+  const auto solved = runner.map(combinations.size(), [&](std::size_t i) {
+    return required_problem_size(*combinations[i], target_es, runner, solve);
+  });
 
   for (std::size_t i = 0; i < combinations.size(); ++i) {
     Combination* combination = combinations[i];

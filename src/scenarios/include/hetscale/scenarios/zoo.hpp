@@ -19,16 +19,16 @@
 namespace hetscale::scenarios {
 
 /// Measure the fit dataset of one of zoo_algos(): its fit_sizes on each
-/// rung (an entry without a model has none, and throws
-/// PreconditionError). A null runner measures sequentially — same points,
-/// same bytes.
+/// rung, each rung one batch on the runner (an entry without a model has
+/// none, and throws PreconditionError). Same points, same bytes at any
+/// jobs count.
 scal::FitDataset gather_zoo_dataset(const AlgoEntry& entry,
-                                    run::Runner* runner);
+                                    run::Runner& runner);
 
 /// Gather + fit + rank for each requested algorithm, in the given order;
 /// each is scored against its entry's analytic model.
 predict::FitStudyReport build_fit_report(
-    const std::vector<const AlgoEntry*>& algos, run::Runner* runner);
+    const std::vector<const AlgoEntry*>& algos, run::Runner& runner);
 
 /// Register the `model_zoo_ranking` scenario. Idempotent.
 void register_zoo_scenarios();

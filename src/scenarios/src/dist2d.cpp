@@ -119,10 +119,10 @@ RunResult summa_mm(const RunContext& context) {
     owned.push_back(make_mm(nodes));
     mm_ptrs.push_back(owned.back().get());
   }
-  const auto summa_series = scal::scalability_series(
-      summa_ptrs, kMmTargetEs, {}, &context.runner);
+  const auto summa_series =
+      scal::scalability_series(summa_ptrs, kMmTargetEs, context.runner);
   const auto mm_series =
-      scal::scalability_series(mm_ptrs, kMmTargetEs, {}, &context.runner);
+      scal::scalability_series(mm_ptrs, kMmTargetEs, context.runner);
 
   Table table("Isospeed-efficiency scalability at E_s = " +
               Table::num(kMmTargetEs, 2));
@@ -208,10 +208,10 @@ RunResult ge_pivot(const RunContext& context) {
     owned.push_back(make_ge(nodes));
     plain_ptrs.push_back(owned.back().get());
   }
-  const auto pivot_series = scal::scalability_series(
-      pivot_ptrs, kGeTargetEs, {}, &context.runner);
-  const auto plain_series = scal::scalability_series(
-      plain_ptrs, kGeTargetEs, {}, &context.runner);
+  const auto pivot_series =
+      scal::scalability_series(pivot_ptrs, kGeTargetEs, context.runner);
+  const auto plain_series =
+      scal::scalability_series(plain_ptrs, kGeTargetEs, context.runner);
 
   Table table("Isospeed-efficiency scalability at E_s = " +
               Table::num(kGeTargetEs, 2));

@@ -63,10 +63,10 @@ RunResult ge_degraded_scalability(const RunContext& context) {
       "(stragglers at 0.6x + periodic link faults; plan '" +
           ladder.plans.front()->summary() + "').");
 
-  const auto healthy = scal::scalability_series(
-      ladder.healthy_ptrs, kGeTargetEs, {}, &context.runner);
-  const auto faulty = scal::scalability_series(
-      ladder.faulted_ptrs, kGeTargetEs, {}, &context.runner);
+  const auto healthy = scal::scalability_series(ladder.healthy_ptrs,
+                                                kGeTargetEs, context.runner);
+  const auto faulty = scal::scalability_series(ladder.faulted_ptrs,
+                                               kGeTargetEs, context.runner);
 
   result.columns = {"nodes",   "marked_speed_mflops", "n_healthy",
                     "n_faulty", "effective_speed_mflops", "degraded_es"};
@@ -81,13 +81,14 @@ RunResult ge_degraded_scalability(const RunContext& context) {
     std::string degraded_es = "-";
     Value n_faulty_v, c_eff_v, degraded_es_v;  // null unless found
     if (f.found) {
-      const auto& fm = ladder.faulted[i]->measure_faulty(f.n);
+      auto& faulted = *ladder.faulted[i];
+      const scal::DegradedSpeed view = faulted.degraded(faulted.measure(f.n));
       n_faulty = std::to_string(f.n);
-      c_eff = mflops_str(fm.effective_marked_speed);
-      degraded_es = Table::fixed(fm.degraded_es, 4);
+      c_eff = mflops_str(view.effective_marked_speed);
+      degraded_es = Table::fixed(view.degraded_es, 4);
       n_faulty_v = Value(f.n);
-      c_eff_v = Value::fixed(fm.effective_marked_speed / 1e6, 1);
-      degraded_es_v = Value::fixed(fm.degraded_es, 4);
+      c_eff_v = Value::fixed(view.effective_marked_speed / 1e6, 1);
+      degraded_es_v = Value::fixed(view.degraded_es, 4);
     }
     points.add_row({h.system, mflops_str(h.marked_speed),
                     h.found ? std::to_string(h.n) : "-", n_faulty, c_eff,

@@ -89,8 +89,8 @@ RunResult large_p(const RunContext& context) {
         rung_name("mm", p), large_p_config(p), scal::mm_algo()));
     mm_ptrs.push_back(mm.back().get());
   }
-  const auto mm_series = scal::scalability_series(mm_ptrs, kMmTargetEs, {},
-                                                  &context.runner);
+  const auto mm_series =
+      scal::scalability_series(mm_ptrs, kMmTargetEs, context.runner);
 
   // ---- Render: one unified ladder table ---------------------------------
   Table table("Operating points (MM rows at the isospeed target)");

@@ -161,8 +161,8 @@ RunResult table3(const RunContext& context) {
                         "SunBlades).");
 
   auto ladder = ge_ladder();
-  const auto report = scal::scalability_series(ladder.ptrs, kGeTargetEs, {},
-                                               &context.runner);
+  const auto report = scal::scalability_series(ladder.ptrs, kGeTargetEs,
+                                               context.runner);
 
   result.columns = {"system", "n", "work_mflop", "marked_speed_mflops",
                     "achieved_es"};
@@ -199,8 +199,8 @@ RunResult table4(const RunContext& context) {
                         "psi(C,C') = C'W / (C W') at E_s = 0.3.");
 
   auto ladder = ge_ladder();
-  const auto report = scal::scalability_series(ladder.ptrs, kGeTargetEs, {},
-                                               &context.runner);
+  const auto report = scal::scalability_series(ladder.ptrs, kGeTargetEs,
+                                               context.runner);
 
   result.columns = {"from", "to", "psi"};
   Table table;
@@ -233,8 +233,8 @@ RunResult table5(const RunContext& context) {
                         "psi at E_s = 0.2 on the mixed ensembles.");
 
   auto mm_systems = mm_ladder();
-  const auto mm = scal::scalability_series(mm_systems.ptrs, kMmTargetEs, {},
-                                           &context.runner);
+  const auto mm = scal::scalability_series(mm_systems.ptrs, kMmTargetEs,
+                                           context.runner);
 
   result.columns = {"from", "to", "required_n", "psi"};
   Table table;
@@ -253,8 +253,8 @@ RunResult table5(const RunContext& context) {
 
   // §4.4.3 comparison against the GE ladder.
   auto ge_systems = ge_ladder();
-  const auto ge = scal::scalability_series(ge_systems.ptrs, kGeTargetEs, {},
-                                           &context.runner);
+  const auto ge = scal::scalability_series(ge_systems.ptrs, kGeTargetEs,
+                                           context.runner);
   os << "GE cumulative psi = " << Table::fixed(ge.cumulative_psi(), 4)
      << " vs MM cumulative psi = " << Table::fixed(mm.cumulative_psi(), 4)
      << (mm.cumulative_psi() > ge.cumulative_psi()
@@ -344,7 +344,7 @@ RunResult table7(const RunContext& context) {
   // Measured ladder (as in Table 4).
   auto ladder = ge_ladder();
   const auto measured = scal::scalability_series(ladder.ptrs, kGeTargetEs,
-                                                 {}, &context.runner);
+                                                 context.runner);
 
   result.columns = {"from_nodes", "to_nodes", "psi_predicted",
                     "psi_measured", "rel_error"};
@@ -414,9 +414,8 @@ RunResult fig1(const RunContext& context) {
   options.method = scal::IsoSolveOptions::Method::kTrendLine;
   options.trend_n_lo = 50;
   options.trend_n_hi = 1000;
-  options.runner = &context.runner;
-  const auto solved =
-      scal::required_problem_size(*combo, kGeTargetEs, options);
+  const auto solved = scal::required_problem_size(*combo, kGeTargetEs,
+                                                  context.runner, options);
   os << "Trend-line read-off for E_s = " << kGeTargetEs << ": N ~ "
      << solved.n << "; measured E_s at that N = "
      << Table::fixed(solved.achieved_es, 3)

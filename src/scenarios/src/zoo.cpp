@@ -47,7 +47,7 @@ RunResult model_zoo_ranking(const RunContext& context) {
       "deterministic LM solver, scored leave-one-point-out, and ranked "
       "against the unfitted analytic Theorem-1 prediction.");
 
-  const auto report = build_fit_report(zoo_algos(), &context.runner);
+  const auto report = build_fit_report(zoo_algos(), context.runner);
 
   result.columns = {"algo",     "model",         "rank",
                     "cv_rmse",  "fit_rmse",      "beats_analytic"};
@@ -86,7 +86,7 @@ RunResult model_zoo_ranking(const RunContext& context) {
 }  // namespace
 
 scal::FitDataset gather_zoo_dataset(const AlgoEntry& entry,
-                                    run::Runner* runner) {
+                                    run::Runner& runner) {
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::ClusterCombination*> ladder;
   for (int nodes : kZooLadder) {
@@ -97,7 +97,7 @@ scal::FitDataset gather_zoo_dataset(const AlgoEntry& entry,
 }
 
 predict::FitStudyReport build_fit_report(
-    const std::vector<const AlgoEntry*>& algos, run::Runner* runner) {
+    const std::vector<const AlgoEntry*>& algos, run::Runner& runner) {
   const auto comm = predict::probe_comm_model(
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
   predict::FitStudyReport report;

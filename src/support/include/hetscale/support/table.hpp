@@ -23,7 +23,6 @@ class Table {
   Table() = default;
   explicit Table(std::string title) : title_(std::move(title)) {}
 
-  void set_title(std::string title) { title_ = std::move(title); }
   void set_header(std::vector<std::string> header);
   void add_row(std::vector<std::string> row);
 

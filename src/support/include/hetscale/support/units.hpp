@@ -15,25 +15,4 @@ constexpr double mflops(double x) { return x * 1e6; }
 /// Flop count corresponding to `x` Mflop.
 constexpr double mflop(double x) { return x * 1e6; }
 
-/// Convert a rate in flop/s to Mflop/s (for reporting).
-constexpr double to_mflops(double flops_per_s) { return flops_per_s / 1e6; }
-
-/// Seconds corresponding to `x` milliseconds.
-constexpr double ms(double x) { return x * 1e-3; }
-
-/// Seconds corresponding to `x` microseconds.
-constexpr double us(double x) { return x * 1e-6; }
-
-/// Convert seconds to milliseconds (for reporting).
-constexpr double to_ms(double seconds) { return seconds * 1e3; }
-
-/// Bytes/s corresponding to a link speed of `x` Mbit/s.
-constexpr double mbit_per_s(double x) { return x * 1e6 / 8.0; }
-
-/// Bytes/s corresponding to a link speed of `x` MByte/s.
-constexpr double mbyte_per_s(double x) { return x * 1e6; }
-
-/// Bytes occupied by `n` doubles.
-constexpr double doubles(double n) { return n * 8.0; }
-
 }  // namespace hetscale::units

@@ -74,8 +74,10 @@ TEST(HetCyclic, EveryPrefixIsNearProportional) {
 
 TEST(HetCyclic, TotalsMatchBlockCounts) {
   const std::vector<double> speeds{26.0, 27.5, 55.0};
-  const auto owners = het_cyclic_owners(speeds, 311);
-  const auto counts = counts_from_owners(owners, speeds.size());
+  std::vector<std::int64_t> counts(speeds.size(), 0);
+  for (int owner : het_cyclic_owners(speeds, 311)) {
+    ++counts[static_cast<std::size_t>(owner)];
+  }
   const auto block = het_block_counts(speeds, 311);
   for (std::size_t i = 0; i < speeds.size(); ++i) {
     EXPECT_NEAR(static_cast<double>(counts[i]),
@@ -87,19 +89,6 @@ TEST(HetCyclic, EqualSpeedsGiveRoundRobin) {
   const std::vector<double> speeds{1.0, 1.0, 1.0};
   const auto owners = het_cyclic_owners(speeds, 9);
   EXPECT_EQ(owners, (std::vector<int>{0, 1, 2, 0, 1, 2, 0, 1, 2}));
-}
-
-TEST(HetBlockCyclic, TilesThePattern) {
-  const std::vector<double> speeds{1.0, 1.0};
-  const auto owners = het_block_cyclic_owners(speeds, 8, 4);
-  ASSERT_EQ(owners.size(), 8u);
-  for (std::size_t j = 0; j < 4; ++j) EXPECT_EQ(owners[j], owners[j + 4]);
-}
-
-TEST(CyclicOwners, HomogeneousBlockCyclic) {
-  EXPECT_EQ(cyclic_owners(2, 8, 2),
-            (std::vector<int>{0, 0, 1, 1, 0, 0, 1, 1}));
-  EXPECT_EQ(cyclic_owners(3, 5, 1), (std::vector<int>{0, 1, 2, 0, 1}));
 }
 
 TEST(Imbalance, PerfectProportionalIsOne) {
@@ -138,7 +127,6 @@ TEST(HetBlock, ZeroItemsGiveAllZeroCounts) {
   EXPECT_EQ(het_block_counts(speeds, 0),
             (std::vector<std::int64_t>{0, 0, 0}));
   EXPECT_TRUE(het_cyclic_owners(speeds, 0).empty());
-  EXPECT_TRUE(het_block_cyclic_owners(speeds, 0, 4).empty());
   EXPECT_EQ(block_offsets(het_block_counts(speeds, 0)),
             (std::vector<std::int64_t>{0, 0, 0, 0}));
 }
@@ -168,7 +156,10 @@ TEST(HetBlock, CountsSumToNAcrossSpeedVectors) {
       const auto counts = het_block_counts(speeds, n);
       EXPECT_EQ(sum(counts), n) << "p=" << speeds.size() << " n=" << n;
       const auto owners = het_cyclic_owners(speeds, n);
-      EXPECT_EQ(sum(counts_from_owners(owners, speeds.size())), n);
+      EXPECT_EQ(static_cast<std::int64_t>(owners.size()), n);
+      for (int owner : owners) {
+        EXPECT_TRUE(owner >= 0 && owner < static_cast<int>(speeds.size()));
+      }
       const auto offsets = block_offsets(counts);
       EXPECT_EQ(offsets.back(), n);
     }
@@ -182,17 +173,6 @@ TEST(Distribution, InvalidInputsRejected) {
   EXPECT_THROW(het_block_counts(negative, 10), PreconditionError);
   const std::vector<double> ok{1.0};
   EXPECT_THROW(het_block_counts(ok, -1), PreconditionError);
-  EXPECT_THROW(het_block_cyclic_owners(ok, 10, 0), PreconditionError);
-}
-
-TEST(ColumnTiling, AliasesHetBlock) {
-  const std::vector<double> speeds{2.0, 3.0};
-  EXPECT_EQ(column_tiling_counts(speeds, 10), het_block_counts(speeds, 10));
-}
-
-TEST(CountsFromOwners, RejectsOutOfRangeOwner) {
-  const std::vector<int> owners{0, 1, 2};
-  EXPECT_THROW(counts_from_owners(owners, 2), PreconditionError);
 }
 
 }  // namespace

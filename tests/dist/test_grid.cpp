@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <utility>
 #include <vector>
 
-#include "hetscale/dist/distribution.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::dist {
@@ -37,14 +36,6 @@ TEST(ProcessGrid, SlotAndRankLookupsAreInverse) {
   for (int count : seen) EXPECT_EQ(count, 1);  // a permutation of the ranks
 }
 
-TEST(ProcessGrid, RowsOnlyIsTheDegenerate1dShape) {
-  const ProcessGrid grid = ProcessGrid::rows_only(5);
-  EXPECT_EQ(grid.rows(), 5);
-  EXPECT_EQ(grid.cols(), 1);
-  for (int r = 0; r < 5; ++r) EXPECT_EQ(grid.rank_at(r, 0), r);
-  EXPECT_EQ(grid.col_members(0), (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
 TEST(ProcessGrid, MembersFollowGridOrder) {
   const ProcessGrid grid = ProcessGrid::squarest(6);  // 2 x 3, row-major
   EXPECT_EQ(grid.row_members(0), (std::vector<int>{0, 1, 2}));
@@ -70,7 +61,6 @@ TEST(ProcessGrid, SpeedBalancedEvensOutRowAggregates) {
 
 TEST(ProcessGrid, InvalidInputsRejected) {
   EXPECT_THROW(ProcessGrid::squarest(0), PreconditionError);
-  EXPECT_THROW(ProcessGrid::rows_only(-1), PreconditionError);
   EXPECT_THROW(ProcessGrid::speed_balanced(std::vector<double>{1.0, 0.0}),
                PreconditionError);
   const ProcessGrid grid = ProcessGrid::squarest(4);
@@ -103,20 +93,6 @@ TEST(TileMap, EdgeTilesAreTruncated) {
   EXPECT_EQ(corner.elements(), 24);
 }
 
-TEST(TileMap, LocalGlobalRoundTripCoversEveryElement) {
-  const TileMap map(ProcessGrid::squarest(6), 37, 23, 8, 5);
-  for (std::int64_t gi = 0; gi < map.rows(); ++gi) {
-    for (std::int64_t gj = 0; gj < map.cols(); ++gj) {
-      const TileMap::Local local = map.to_local(gi, gj);
-      const auto [back_i, back_j] = map.to_global(local);
-      EXPECT_EQ(back_i, gi);
-      EXPECT_EQ(back_j, gj);
-      EXPECT_EQ(map.owner_of_index(gi, gj),
-                map.owner(local.tile_row, local.tile_col));
-    }
-  }
-}
-
 TEST(TileMap, TilesOfPartitionTheTileSpace) {
   const TileMap map(ProcessGrid::squarest(4), 100, 100, 16, 16);
   std::int64_t tiles_seen = 0;
@@ -131,42 +107,6 @@ TEST(TileMap, TilesOfPartitionTheTileSpace) {
   }
   EXPECT_EQ(tiles_seen, map.tile_row_count() * map.tile_col_count());
   EXPECT_EQ(elements_seen, map.rows() * map.cols());
-  const auto counts = map.element_counts();
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::int64_t{0}),
-            map.rows() * map.cols());
-}
-
-TEST(TileMap, PanelsWalkOneTileRowOrColumn) {
-  const TileMap map(ProcessGrid::squarest(4), 64, 48, 16, 16);
-  const auto row = row_panel(map, 1);
-  ASSERT_EQ(row.size(), static_cast<std::size_t>(map.tile_col_count()));
-  for (std::size_t j = 0; j < row.size(); ++j) {
-    EXPECT_EQ(row[j].tile_row, 1);
-    EXPECT_EQ(row[j].tile_col, static_cast<std::int64_t>(j));
-  }
-  const auto col = col_panel(map, 2);
-  ASSERT_EQ(col.size(), static_cast<std::size_t>(map.tile_row_count()));
-  // 8 bytes per element, truncation included.
-  double expect_bytes = 0.0;
-  for (const Tile& t : col) {
-    expect_bytes += 8.0 * static_cast<double>(t.elements());
-  }
-  EXPECT_DOUBLE_EQ(panel_bytes(col), expect_bytes);
-}
-
-TEST(TileMap, RowsOnlyReproducesCyclicOwners) {
-  // The 1D wrapper contract: a p x 1 map in blocks of `b` rows must agree
-  // with the classic owner[j] = (j / b) mod p distribution.
-  const int p = 3;
-  const std::int64_t n = 17;
-  const std::int64_t b = 4;
-  const TileMap map(ProcessGrid::rows_only(p), n, 1, b, 1);
-  const auto owners = cyclic_owners(p, n, b);
-  for (std::int64_t j = 0; j < n; ++j) {
-    EXPECT_EQ(map.owner_of_index(j, 0), owners[static_cast<std::size_t>(j)]);
-    EXPECT_EQ(owners[static_cast<std::size_t>(j)],
-              static_cast<int>((j / b) % p));
-  }
 }
 
 TEST(TileMap, InvalidInputsRejected) {
@@ -176,7 +116,6 @@ TEST(TileMap, InvalidInputsRejected) {
                PreconditionError);
   const TileMap map(ProcessGrid::squarest(4), 8, 8, 4, 4);
   EXPECT_THROW(map.tile(2, 0), PreconditionError);
-  EXPECT_THROW(map.owner_of_index(8, 0), PreconditionError);
 }
 
 }  // namespace

@@ -60,8 +60,8 @@ TEST(FaultDeterminism, RepeatedGeRunsAreBitIdentical) {
   ClusterCombination second_inner("GE-2", ge_config(), ge_algo());
   FaultedCombination second(second_inner, plan);
 
-  const FaultyMeasurement& a = first.measure_faulty(96);
-  const FaultyMeasurement& b = second.measure_faulty(96);
+  const FaultyMeasurement a = first.measure_faulty(96);
+  const FaultyMeasurement b = second.measure_faulty(96);
   expect_identical(a.measurement, b.measurement);
   EXPECT_EQ(a.effective_marked_speed, b.effective_marked_speed);
   EXPECT_EQ(a.degraded_es, b.degraded_es);
@@ -123,11 +123,26 @@ TEST(FaultDeterminism, FaultyViewRelatesSanelyToTheHealthyOne) {
   FaultedCombination faulted(inner, plan);
   EXPECT_EQ(faulted.marked_speed(), inner.marked_speed());  // C is constant
   EXPECT_EQ(faulted.work(96), inner.work(96));
-  const FaultyMeasurement& faulty = faulted.measure_faulty(96);
+  const FaultyMeasurement faulty = faulted.measure_faulty(96);
   // The effective marked speed is what the degraded machine offered — less
   // than C, so the degraded E_s reads higher than the classic one.
   EXPECT_LT(faulty.effective_marked_speed, inner.marked_speed());
   EXPECT_GT(faulty.degraded_es, faulty.measurement.speed_efficiency);
+}
+
+// The fault scenario reads C_eff and the degraded E_s off the memoized
+// measure(n); they must be the ones measure_faulty(n) computes beside its
+// own run, bit for bit.
+TEST(FaultDeterminism, DegradedViewOfTheMemoizedRunMatchesMeasureFaulty) {
+  ClusterCombination inner("GE-2", ge_config(), ge_algo());
+  const fault::FaultPlan plan = active_plan(7, inner.processor_count());
+  FaultedCombination faulted(inner, plan);
+  const Measurement& memoized = faulted.measure(96);
+  const DegradedSpeed view = faulted.degraded(memoized);
+  const FaultyMeasurement full = faulted.measure_faulty(96);
+  expect_identical(memoized, full.measurement);
+  EXPECT_EQ(view.effective_marked_speed, full.effective_marked_speed);
+  EXPECT_EQ(view.degraded_es, full.degraded_es);
 }
 
 TEST(FaultDeterminism, FaultScenariosAreRegistered) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/metrics.hpp"
 #include "hetscale/scal/series.hpp"
 
@@ -23,11 +24,12 @@ std::unique_ptr<ClusterCombination> homogeneous_ge(int nodes) {
 }
 
 TEST(HomogeneousSpecialCase, PsiEqualsIsospeedForm) {
+  run::Runner runner(1);
   auto g2 = homogeneous_ge(2);
   auto g4 = homogeneous_ge(4);
   auto g8 = homogeneous_ge(8);
   std::vector<Combination*> combos{g2.get(), g4.get(), g8.get()};
-  const auto report = scalability_series(combos, 0.25);
+  const auto report = scalability_series(combos, 0.25, runner);
 
   const int procs[] = {2, 4, 8};
   for (std::size_t i = 0; i + 1 < report.points.size(); ++i) {

@@ -9,12 +9,14 @@
 #include "hetscale/numeric/stats.hpp"
 #include "hetscale/predict/models.hpp"
 #include "hetscale/predict/probe.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/scal/series.hpp"
 
 namespace hetscale {
 namespace {
 
 TEST(PredictionVsMeasured, GeRequiredSizeWithinModelError) {
+  run::Runner runner(1);
   const auto comm = predict::probe_comm_model(
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
   predict::GeOverheadModel model;
@@ -24,7 +26,7 @@ TEST(PredictionVsMeasured, GeRequiredSizeWithinModelError) {
   config.with_data = false;
   scal::ClusterCombination combo("GE-4", std::move(config), scal::ge_algo());
 
-  const auto measured = scal::required_problem_size(combo, 0.3);
+  const auto measured = scal::required_problem_size(combo, 0.3, runner);
   ASSERT_TRUE(measured.found);
 
   const auto system = predict::system_model_for(
@@ -37,6 +39,7 @@ TEST(PredictionVsMeasured, GeRequiredSizeWithinModelError) {
 }
 
 TEST(PredictionVsMeasured, GeScalabilityCloseToMeasured) {
+  run::Runner runner(1);
   const auto comm = predict::probe_comm_model(
       predict::ProbeConfig{.node = machine::sunwulf::sunblade_spec()});
   predict::GeOverheadModel model;
@@ -51,7 +54,7 @@ TEST(PredictionVsMeasured, GeScalabilityCloseToMeasured) {
   auto g2 = make_combo(2);
   auto g4 = make_combo(4);
   std::vector<scal::Combination*> combos{g2.get(), g4.get()};
-  const auto measured = scal::scalability_series(combos, 0.3);
+  const auto measured = scal::scalability_series(combos, 0.3, runner);
 
   const double predicted = predict::predicted_scalability(
       model,

@@ -11,9 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "hetscale/numeric/roots.hpp"
 #include "hetscale/obs/profiler.hpp"
 #include "hetscale/scal/combination.hpp"
 #include "hetscale/scal/iso_solver.hpp"
+#include "hetscale/scal/measure_store.hpp"
 #include "hetscale/scenarios/paper.hpp"
 #include "hetscale/support/args.hpp"
 #include "hetscale/support/error.hpp"
@@ -346,24 +348,40 @@ TEST(Runner, ParallelSimulationSweepMatchesSequentialExactly) {
   }
 }
 
-// Regression: the iso-solver's parallel refinement must land on the same N
-// as sequential bisection even where E_s(N) has small non-monotone wiggles
-// (speculative bisection replays the exact sequential trajectory).
+// Regression: the iso-solver's speculative refinement must land on the same
+// N as plain bisection even where E_s(N) has small non-monotone wiggles
+// (the waves replay the exact sequential trajectory). The reference is
+// numeric::first_at_least over the direct search's doubling bracket; the
+// store is off, so every solve runs its own simulations.
 TEST(Runner, IsoSolveIsWorkerCountInvariant) {
-  auto baseline_combo = scenarios::make_ge(2);
-  const auto baseline = scal::required_problem_size(
-      *baseline_combo, scenarios::kGeTargetEs, {});
+  struct StoreOff {
+    bool was = scal::MeasurementStore::global().enabled();
+    StoreOff() { scal::MeasurementStore::global().set_enabled(false); }
+    ~StoreOff() { scal::MeasurementStore::global().set_enabled(was); }
+  } store_off;
+
+  auto reference = scenarios::make_ge(2);
+  const auto es_at = [&](std::int64_t n) {
+    return reference->measure(n).speed_efficiency;
+  };
+  std::int64_t lo = scal::IsoSolveOptions{}.n_min;
+  std::int64_t hi = lo;
+  while (es_at(hi) < scenarios::kGeTargetEs) {
+    lo = hi;
+    hi *= 2;
+  }
+  const std::int64_t expected_n =
+      numeric::first_at_least(es_at, scenarios::kGeTargetEs, lo, hi);
+  ASSERT_GE(expected_n, 1);
 
   for (int jobs : {1, 2, 8}) {
     auto combo = scenarios::make_ge(2);
     Runner runner(jobs);
-    scal::IsoSolveOptions options;
-    options.runner = &runner;
     const auto got =
-        scal::required_problem_size(*combo, scenarios::kGeTargetEs, options);
-    EXPECT_EQ(got.found, baseline.found) << "jobs=" << jobs;
-    EXPECT_EQ(got.n, baseline.n) << "jobs=" << jobs;
-    EXPECT_EQ(got.achieved_es, baseline.achieved_es) << "jobs=" << jobs;
+        scal::required_problem_size(*combo, scenarios::kGeTargetEs, runner);
+    EXPECT_TRUE(got.found) << "jobs=" << jobs;
+    EXPECT_EQ(got.n, expected_n) << "jobs=" << jobs;
+    EXPECT_EQ(got.achieved_es, es_at(expected_n)) << "jobs=" << jobs;
   }
 }
 

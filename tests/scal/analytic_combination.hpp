@@ -3,8 +3,12 @@
 // for target e is exactly n* = ceil(knee * e / (1 - e)).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "hetscale/scal/combination.hpp"
 
@@ -23,18 +27,6 @@ class AnalyticCombination final : public Combination {
     return dn * dn * dn;
   }
 
-  const Measurement& measure(std::int64_t n) override {
-    ++measure_calls_;
-    const double es = efficiency(n);
-    last_.n = n;
-    last_.work_flops = work(n);
-    last_.seconds = last_.work_flops / (marked_speed_ * es);
-    last_.speed_flops = last_.work_flops / last_.seconds;
-    last_.speed_efficiency = es;
-    last_.overhead_s = last_.seconds * (1.0 - es);
-    return last_;
-  }
-
   double efficiency(std::int64_t n) const {
     return static_cast<double>(n) / (static_cast<double>(n) + knee_);
   }
@@ -46,14 +38,37 @@ class AnalyticCombination final : public Combination {
         std::ceil(knee_ * e / (1.0 - e) - 1e-9));
   }
 
-  int measure_calls() const { return measure_calls_; }
+  /// Every size simulate() has run, ascending (batches may run it from
+  /// several threads in any order).
+  std::vector<std::int64_t> simulated() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<std::int64_t> sizes = simulated_;
+    std::sort(sizes.begin(), sizes.end());
+    return sizes;
+  }
 
  private:
+  Measurement simulate(std::int64_t n) const override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      simulated_.push_back(n);
+    }
+    const double es = efficiency(n);
+    Measurement m;
+    m.n = n;
+    m.work_flops = work(n);
+    m.seconds = m.work_flops / (marked_speed_ * es);
+    m.speed_flops = m.work_flops / m.seconds;
+    m.speed_efficiency = es;
+    m.overhead_s = m.seconds * (1.0 - es);
+    return m;
+  }
+
   std::string name_;
   double marked_speed_;
   double knee_;
-  Measurement last_;
-  int measure_calls_ = 0;
+  mutable std::mutex mutex_;
+  mutable std::vector<std::int64_t> simulated_;
 };
 
 }  // namespace hetscale::scal::testing

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hetscale/machine/sunwulf.hpp"
+#include "hetscale/run/runner.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
@@ -70,13 +71,14 @@ TEST(Capacity, ZeroWhenNothingFits) {
 }
 
 TEST(Capacity, MemoryBoundedSolveFindsFeasibleTarget) {
+  run::Runner runner(1);
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::ge_ensemble(2);
   config.with_data = false;
   ClusterCombination combo("GE-2", std::move(config), ge_algo());
   // Root is the 4 GB server: plenty of room for the E_s = 0.3 point.
   const auto result =
-      memory_bounded_required_size(combo, 0.3, ge_footprint());
+      memory_bounded_required_size(combo, 0.3, ge_footprint(), runner);
   EXPECT_FALSE(result.memory_bound);
   ASSERT_TRUE(result.solve.found);
   EXPECT_LE(result.solve.n, result.n_limit);
@@ -86,12 +88,13 @@ TEST(Capacity, AllBladeSystemBecomesMemoryBound) {
   // Sun & Ni's memory-bounded regime: on all-SunBlade systems the root
   // must hold the full matrix in 128 MB, and past some ensemble size the
   // required problem for E_s = 0.3 no longer fits.
+  run::Runner runner(1);
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::homogeneous_ensemble(32);
   config.with_data = false;
   ClusterCombination combo("hom-32", std::move(config), ge_algo());
   const auto result =
-      memory_bounded_required_size(combo, 0.3, ge_footprint());
+      memory_bounded_required_size(combo, 0.3, ge_footprint(), runner);
   EXPECT_TRUE(result.memory_bound);
   EXPECT_GT(result.n_limit, 0);
 }

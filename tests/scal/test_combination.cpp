@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "analytic_combination.hpp"
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/marked/suite.hpp"
 #include "hetscale/numeric/linsolve.hpp"
 #include "hetscale/numeric/polynomial.hpp"
+#include "hetscale/run/runner.hpp"
+#include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
@@ -52,6 +60,39 @@ TEST(Combination, MeasurementsAreCached) {
   EXPECT_EQ(first, second);  // same object: no re-simulation
 }
 
+// measure() and measure_many() share the one cache in the base class, so a
+// combination that only says how to simulate one size is simulated once per
+// distinct size — through repeats, batches with duplicates and cached
+// sizes, and a direct-search solve — and batches answer in request order.
+TEST(Combination, EachDistinctSizeIsSimulatedOnce) {
+  for (int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    testing::AnalyticCombination combo("synthetic", 1e8, /*knee=*/137.0);
+    run::Runner runner(jobs);
+    const Measurement* first = &combo.measure(40);
+    EXPECT_EQ(&combo.measure(40), first);
+
+    const std::vector<std::int64_t> sizes{96, 40, 12, 96, 64, 12, 40};
+    const auto batch = combo.measure_many(sizes, runner);
+    ASSERT_EQ(batch.size(), sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      EXPECT_EQ(batch[i].n, sizes[i]);
+      EXPECT_EQ(batch[i].speed_efficiency, combo.efficiency(sizes[i]));
+    }
+    EXPECT_EQ(combo.simulated(), (std::vector<std::int64_t>{12, 40, 64, 96}));
+    (void)combo.measure_many(sizes, runner);
+    EXPECT_EQ(combo.simulated().size(), 4u);
+
+    const auto solved = required_problem_size(combo, 0.5, runner);
+    ASSERT_TRUE(solved.found);
+    EXPECT_EQ(solved.n, combo.required_size(0.5));
+    const auto simulated = combo.simulated();
+    EXPECT_EQ(std::adjacent_find(simulated.begin(), simulated.end()),
+              simulated.end())
+        << "a size was simulated twice";
+  }
+}
+
 TEST(Combination, SpeedEfficiencyIncreasesWithProblemSize) {
   ClusterCombination combo("GE-2", ge2_config(), ge_algo());
   double prev = 0.0;
@@ -72,9 +113,10 @@ TEST(Combination, EfficiencyBoundedByOne) {
 }
 
 TEST(Combination, CurveSamplingPreservesOrder) {
+  run::Runner runner(1);
   ClusterCombination combo("GE-2", ge2_config(), ge_algo());
   const std::vector<std::int64_t> sizes{16, 64, 256};
-  const auto curve = sample_efficiency_curve(combo, sizes);
+  const auto curve = sample_efficiency_curve(combo, sizes, runner);
   EXPECT_EQ(curve.label, "GE-2");
   ASSERT_EQ(curve.samples.size(), 3u);
   EXPECT_EQ(curve.samples[0].n, 16);
@@ -83,9 +125,10 @@ TEST(Combination, CurveSamplingPreservesOrder) {
 }
 
 TEST(Combination, TrendLineFitsTheCurveWell) {
+  run::Runner runner(1);
   ClusterCombination combo("GE-2", ge2_config(), ge_algo());
   const std::vector<std::int64_t> sizes{32, 64, 96, 128, 192, 256, 384, 512};
-  const auto curve = sample_efficiency_curve(combo, sizes);
+  const auto curve = sample_efficiency_curve(combo, sizes, runner);
   const auto trend = fit_trend(curve, 3);
   EXPECT_GT(numeric::r_squared(trend, curve.sizes(), curve.efficiencies()),
             0.98);

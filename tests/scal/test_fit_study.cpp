@@ -1,5 +1,5 @@
 // FitStudy: heterogeneity score properties, gather shape/order, and
-// runner-vs-sequential bit-identity of the gathered dataset.
+// bit-identity of the gathered dataset at jobs 1 and jobs 4.
 #include "hetscale/scal/fit_study.hpp"
 
 #include <gtest/gtest.h>
@@ -48,11 +48,12 @@ ClusterCombination::Config ge_config(int nodes) {
 }
 
 TEST(FitStudy, GatherIsLadderMajorSizeMinorWithFullRows) {
+  run::Runner runner(1);
   ClusterCombination two("C2", ge_config(2), ge_algo());
   ClusterCombination four("C4", ge_config(4), ge_algo());
   std::vector<ClusterCombination*> ladder{&two, &four};
   const std::vector<std::int64_t> sizes{32, 64};
-  const auto data = gather_fit_points("ge", ladder, sizes);
+  const auto data = gather_fit_points("ge", ladder, sizes, runner);
 
   EXPECT_EQ(data.algo, "ge");
   ASSERT_EQ(data.points.size(), 4u);
@@ -91,9 +92,10 @@ TEST(FitStudy, RunnerAndSequentialGatherAreBitIdentical) {
   std::vector<ClusterCombination*> ladder_b{&b};
   const std::vector<std::int64_t> sizes{24, 48, 96};
 
-  const auto sequential = gather_fit_points("ge", ladder_a, sizes);
-  run::Runner runner(4);
-  const auto threaded = gather_fit_points("ge", ladder_b, sizes, &runner);
+  run::Runner one(1);
+  const auto sequential = gather_fit_points("ge", ladder_a, sizes, one);
+  run::Runner four(4);
+  const auto threaded = gather_fit_points("ge", ladder_b, sizes, four);
   store.set_enabled(was_enabled);
 
   ASSERT_EQ(sequential.points.size(), threaded.points.size());
@@ -107,11 +109,14 @@ TEST(FitStudy, RunnerAndSequentialGatherAreBitIdentical) {
 }
 
 TEST(FitStudy, RejectsEmptyLadderOrSizes) {
+  run::Runner runner(1);
   ClusterCombination two("C2", ge_config(2), ge_algo());
   std::vector<ClusterCombination*> ladder{&two};
   const std::vector<std::int64_t> sizes{32};
-  EXPECT_THROW(gather_fit_points("ge", {}, sizes), PreconditionError);
-  EXPECT_THROW(gather_fit_points("ge", ladder, {}), PreconditionError);
+  EXPECT_THROW(gather_fit_points("ge", {}, sizes, runner),
+               PreconditionError);
+  EXPECT_THROW(gather_fit_points("ge", ladder, {}, runner),
+               PreconditionError);
 }
 
 }  // namespace

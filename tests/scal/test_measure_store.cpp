@@ -315,7 +315,7 @@ TEST_F(MeasureStoreTest, PersistedCacheWarmStartsFitStudyByteIdentically) {
   std::vector<ClusterCombination*> ladder{&cold};
   const std::vector<std::int64_t> sizes{32, 48, 64};
   run::Runner runner(2);
-  const auto cold_data = gather_fit_points("ge", ladder, sizes, &runner);
+  const auto cold_data = gather_fit_points("ge", ladder, sizes, runner);
   const auto cold_fit = predict::fit_scalability_model(
       *predict::find_model("usl"), cold_data);
   EXPECT_EQ(store.misses(), sizes.size());
@@ -335,7 +335,8 @@ TEST_F(MeasureStoreTest, PersistedCacheWarmStartsFitStudyByteIdentically) {
   const std::uint64_t misses_before = store.misses();
   ClusterCombination warm("C2-warm", ge2_config(), ge_algo());
   std::vector<ClusterCombination*> warm_ladder{&warm};
-  const auto warm_data = gather_fit_points("ge", warm_ladder, sizes, &runner);
+  const auto warm_data =
+      gather_fit_points("ge", warm_ladder, sizes, runner);
   EXPECT_EQ(store.misses(), misses_before)
       << "a warm-started gather must not recompute anything";
   EXPECT_EQ(store.hits(), hits_before + sizes.size());

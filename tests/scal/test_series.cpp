@@ -21,11 +21,12 @@ namespace {
 using testing::AnalyticCombination;
 
 TEST(Series, BuildsOperatingPointsAndSteps) {
+  run::Runner runner(1);
   AnalyticCombination a("sys-2", 1e8, 100.0);
   AnalyticCombination b("sys-4", 2e8, 220.0);
   AnalyticCombination c("sys-8", 4e8, 500.0);
   std::vector<Combination*> combos{&a, &b, &c};
-  const auto report = scalability_series(combos, 0.5);
+  const auto report = scalability_series(combos, 0.5, runner);
 
   ASSERT_EQ(report.points.size(), 3u);
   ASSERT_EQ(report.steps.size(), 2u);
@@ -37,10 +38,11 @@ TEST(Series, BuildsOperatingPointsAndSteps) {
 }
 
 TEST(Series, PsiMatchesClosedForm) {
+  run::Runner runner(1);
   AnalyticCombination a("sys-2", 1e8, 100.0);
   AnalyticCombination b("sys-4", 2e8, 220.0);
   std::vector<Combination*> combos{&a, &b};
-  const auto report = scalability_series(combos, 0.5);
+  const auto report = scalability_series(combos, 0.5, runner);
   const double expected = isospeed_efficiency_scalability(
       1e8, a.work(a.required_size(0.5)), 2e8, b.work(b.required_size(0.5)));
   EXPECT_DOUBLE_EQ(report.steps[0].psi, expected);
@@ -54,19 +56,21 @@ TEST(Series, IdealCombinationScoresPsiOfOne) {
   // psi = 1 requires W' = W·C'/C. With W = n^3 and knee ∝ C, n' doubles
   // when C doubles, so W' = 8W but C'/C = 2 -> psi = 1/4. Construct the
   // true ideal instead: same knee, C ratio folded into work via equal n.
+  run::Runner runner(1);
   AnalyticCombination a("base", 1e8, 100.0);
   AnalyticCombination b("same", 1e8, 100.0);  // identical system
   std::vector<Combination*> combos{&a, &b};
-  const auto report = scalability_series(combos, 0.4);
+  const auto report = scalability_series(combos, 0.4, runner);
   EXPECT_DOUBLE_EQ(report.steps[0].psi, 1.0);
 }
 
 TEST(Series, CumulativePsiIsProductOfSteps) {
+  run::Runner runner(1);
   AnalyticCombination a("s1", 1e8, 100.0);
   AnalyticCombination b("s2", 2e8, 300.0);
   AnalyticCombination c("s3", 4e8, 900.0);
   std::vector<Combination*> combos{&a, &b, &c};
-  const auto report = scalability_series(combos, 0.5);
+  const auto report = scalability_series(combos, 0.5, runner);
   EXPECT_NEAR(report.cumulative_psi(),
               report.steps[0].psi * report.steps[1].psi, 1e-12);
   // And the product telescopes to psi(first, last).
@@ -78,21 +82,23 @@ TEST(Series, CumulativePsiIsProductOfSteps) {
 }
 
 TEST(Series, UnreachableSystemMarkedNotFound) {
+  run::Runner runner(1);
   AnalyticCombination a("ok", 1e8, 100.0);
   AnalyticCombination b("hopeless", 2e8, 1e12);
   std::vector<Combination*> combos{&a, &b};
   IsoSolveOptions solve;
   solve.n_max = 1 << 16;
-  const auto report = scalability_series(combos, 0.5, solve);
+  const auto report = scalability_series(combos, 0.5, runner, solve);
   EXPECT_TRUE(report.points[0].found);
   EXPECT_FALSE(report.points[1].found);
   EXPECT_EQ(report.steps[0].psi, 0.0);  // no step across a missing point
 }
 
 TEST(Series, NeedsAtLeastTwoSystems) {
+  run::Runner runner(1);
   AnalyticCombination a("solo", 1e8, 100.0);
   std::vector<Combination*> combos{&a};
-  EXPECT_THROW(scalability_series(combos, 0.5), PreconditionError);
+  EXPECT_THROW(scalability_series(combos, 0.5, runner), PreconditionError);
 }
 
 std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
@@ -115,7 +121,7 @@ TEST(Series, ParallelLadderMatchesSequentialBitwise) {
       ptrs.push_back(owned.back().get());
     }
     run::Runner runner(jobs);
-    return scalability_series(ptrs, scenarios::kGeTargetEs, {}, &runner);
+    return scalability_series(ptrs, scenarios::kGeTargetEs, runner);
   };
   const SeriesReport expected = series_at(1);
   ASSERT_EQ(expected.points.size(), 3u);

@@ -188,8 +188,8 @@ int cmd_solve(const ArgParser& args) {
   run::Runner runner(resolve_jobs(args));
   scal::IsoSolveOptions options;
   options.n_min = args.get_int("nmin", options.n_min);
-  options.runner = &runner;
-  const auto result = scal::required_problem_size(*combo, target, options);
+  const auto result =
+      scal::required_problem_size(*combo, target, runner, options);
   if (!result.found) {
     std::cout << "E_s = " << target << " is unreachable on " << combo->name()
               << " (within N <= " << options.n_max << ")\n";
@@ -236,7 +236,7 @@ int cmd_series(const ArgParser& args) {
     ptrs.push_back(owned.back().get());
   }
   run::Runner runner(resolve_jobs(args));
-  const auto report = scal::scalability_series(ptrs, target, {}, &runner);
+  const auto report = scal::scalability_series(ptrs, target, runner);
   Table table("Isospeed-efficiency scalability series (E_s = " +
               Table::num(target, 2) + ")");
   table.set_header({"system", "C (Mflops)", "N", "psi step"});
@@ -286,7 +286,7 @@ int cmd_fit(const ArgParser& args) {
     algos = {&scenarios::find_zoo_algo(args.get("algo"))};
   }
   run::Runner runner(resolve_jobs(args));
-  const auto report = scenarios::build_fit_report(algos, &runner);
+  const auto report = scenarios::build_fit_report(algos, runner);
   const std::string format = args.get_or("format", "table");
   if (format == "json") {
     report.to_json(std::cout);
