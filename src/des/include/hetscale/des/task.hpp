@@ -1,10 +1,14 @@
 // Task<T>: a lazily-started coroutine with continuation chaining.
 //
 // Every simulated process (an MPI rank, a collective in flight, a benchmark
-// kernel) is a Task. Tasks compose: `co_await child_task()` transfers control
-// into the child symmetrically and resumes the parent when the child reaches
-// final suspension — all within one OS thread, so the simulation is fully
-// deterministic and race-free (DESIGN.md §6.2).
+// kernel) is a Task. Tasks compose: `co_await child_task()` runs the child
+// at once. A child that finishes without suspending returns to the parent
+// like a call, so a loop of such awaits (a root taking messages that have
+// already arrived) keeps a constant stack depth even where a symmetric
+// transfer is not compiled to a tail call (ASan builds). A child that
+// suspends resumes the parent by symmetric transfer when it reaches final
+// suspension. All of it runs within one OS thread, so the simulation is
+// fully deterministic and race-free (DESIGN.md §6.2).
 #pragma once
 
 #include <coroutine>
@@ -93,11 +97,16 @@ class [[nodiscard]] Task {
   }
 
   // Awaitable interface: `co_await task` starts the task and resumes the
-  // awaiter when the task completes, yielding its value.
+  // awaiter when the task completes, yielding its value. If the task
+  // finished without suspending, await_suspend returns false and the
+  // awaiter simply continues; otherwise the task's final suspension
+  // resumes it.
   bool await_ready() const noexcept { return !handle_ || handle_.done(); }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
+  bool await_suspend(std::coroutine_handle<> awaiter) {
+    handle_.resume();
+    if (handle_.done()) return false;
     handle_.promise().continuation = awaiter;
-    return handle_;  // symmetric transfer into the child
+    return true;
   }
   T await_resume() {
     auto& promise = handle_.promise();
@@ -152,9 +161,11 @@ class [[nodiscard]] Task<void> {
   }
 
   bool await_ready() const noexcept { return !handle_ || handle_.done(); }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
+  bool await_suspend(std::coroutine_handle<> awaiter) {
+    handle_.resume();
+    if (handle_.done()) return false;
     handle_.promise().continuation = awaiter;
-    return handle_;
+    return true;
   }
   void await_resume() {
     auto& promise = handle_.promise();

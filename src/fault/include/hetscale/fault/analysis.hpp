@@ -11,15 +11,10 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "hetscale/fault/plan.hpp"
 
 namespace hetscale::fault {
-
-/// C_i(t): rank i's effective marked speed at virtual time t.
-double effective_rank_speed(const FaultPlan& plan, int rank,
-                            double healthy_speed, des::SimTime t);
 
 /// Time average of C_i(t) over [0, horizon) — exact integral over the
 /// plan's piecewise-constant factors, not a sampling.
@@ -30,11 +25,5 @@ double mean_effective_rank_speed(const FaultPlan& plan, int rank,
 double mean_effective_marked_speed(const FaultPlan& plan,
                                    std::span<const double> healthy_speeds,
                                    des::SimTime horizon);
-
-/// C(t) sampled at `samples` evenly spaced times in [0, horizon) — the
-/// data behind a degradation timeline table.
-std::vector<double> sample_effective_marked_speed(
-    const FaultPlan& plan, std::span<const double> healthy_speeds,
-    des::SimTime horizon, std::size_t samples);
 
 }  // namespace hetscale::fault

@@ -1,6 +1,7 @@
 #include "hetscale/fault/analysis.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "hetscale/support/error.hpp"
 
@@ -35,12 +36,6 @@ double integrate_factor(const FaultPlan& plan, int rank,
 
 }  // namespace
 
-double effective_rank_speed(const FaultPlan& plan, int rank,
-                            double healthy_speed, des::SimTime t) {
-  HETSCALE_REQUIRE(healthy_speed >= 0.0, "healthy speed must be >= 0");
-  return healthy_speed * plan.slowdown_factor(rank, t);
-}
-
 double mean_effective_rank_speed(const FaultPlan& plan, int rank,
                                  double healthy_speed, des::SimTime horizon) {
   HETSCALE_REQUIRE(healthy_speed >= 0.0, "healthy speed must be >= 0");
@@ -57,26 +52,6 @@ double mean_effective_marked_speed(const FaultPlan& plan,
                                        healthy_speeds[rank], horizon);
   }
   return total;
-}
-
-std::vector<double> sample_effective_marked_speed(
-    const FaultPlan& plan, std::span<const double> healthy_speeds,
-    des::SimTime horizon, std::size_t samples) {
-  HETSCALE_REQUIRE(horizon > 0.0, "horizon must be > 0");
-  HETSCALE_REQUIRE(samples > 0, "need at least one sample");
-  std::vector<double> series;
-  series.reserve(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    const des::SimTime t =
-        horizon * (static_cast<double>(i) / static_cast<double>(samples));
-    double total = 0.0;
-    for (std::size_t rank = 0; rank < healthy_speeds.size(); ++rank) {
-      total += effective_rank_speed(plan, static_cast<int>(rank),
-                                    healthy_speeds[rank], t);
-    }
-    series.push_back(total);
-  }
-  return series;
 }
 
 }  // namespace hetscale::fault

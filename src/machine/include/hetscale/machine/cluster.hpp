@@ -64,9 +64,6 @@ class Cluster {
   /// estimate of it (marked::measure_system).
   double aggregate_rate_flops() const;
 
-  /// Smallest per-node memory among participating nodes (capacity checks).
-  double min_node_memory_bytes() const;
-
   /// Human-readable one-line summary ("1x SunFire server(2cpu) + 3x SunBlade").
   std::string summary() const;
 

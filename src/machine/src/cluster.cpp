@@ -1,6 +1,5 @@
 #include "hetscale/machine/cluster.hpp"
 
-#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -41,15 +40,6 @@ double Cluster::aggregate_rate_flops() const {
     total += node.cpus_used * node.spec.cpu_rate_flops;
   }
   return total;
-}
-
-double Cluster::min_node_memory_bytes() const {
-  HETSCALE_REQUIRE(!nodes_.empty(), "cluster has no nodes");
-  double smallest = nodes_.front().spec.memory_bytes;
-  for (const auto& node : nodes_) {
-    smallest = std::min(smallest, node.spec.memory_bytes);
-  }
-  return smallest;
 }
 
 std::string Cluster::summary() const {

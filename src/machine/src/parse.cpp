@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <climits>
+#include <cstdint>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "hetscale/machine/sunwulf.hpp"
 #include "hetscale/support/args.hpp"
@@ -20,37 +23,57 @@ NodeSpec spec_for(const std::string& type) {
                           "' (expected server, sunblade, or v210)");
 }
 
-int parse_positive_int(const std::string& text, const std::string& what) {
-  return static_cast<int>(parse_int(text, what, 1, INT_MAX));
+/// One parsed group: `count` nodes of `type`, each using `cpus` CPUs.
+struct Group {
+  std::string type;
+  NodeSpec spec;
+  int count = 1;
+  int cpus = -1;  // all
+};
+
+Group parse_group(std::string body) {
+  Group group;
+  if (const auto colon = body.find(':'); colon != std::string::npos) {
+    group.cpus =
+        static_cast<int>(parse_int(body.substr(colon + 1), "cpu count", 1,
+                                   INT_MAX));
+    body = body.substr(0, colon);
+  }
+  if (const auto x = body.find('x');
+      x != std::string::npos && x + 1 < body.size() &&
+      std::isdigit(static_cast<unsigned char>(body[x + 1]))) {
+    group.count = static_cast<int>(
+        parse_int(body.substr(x + 1), "node count", 1, kMaxClusterNodes));
+    body = body.substr(0, x);
+  }
+  group.spec = spec_for(body);
+  group.type = std::move(body);
+  return group;
 }
 
 }  // namespace
 
 Cluster parse_cluster(const std::string& description) {
-  const auto groups = split(description, ',');
-  HETSCALE_REQUIRE(!groups.empty(),
+  const auto texts = split(description, ',');
+  HETSCALE_REQUIRE(!texts.empty(),
                    "cluster description must name at least one node");
+  std::vector<Group> groups;
+  std::int64_t total = 0;
+  for (const auto& text : texts) {
+    groups.push_back(parse_group(text));
+    total += groups.back().count;
+  }
+  HETSCALE_REQUIRE(total <= kMaxClusterNodes,
+                   "cluster description names " + std::to_string(total) +
+                       " nodes; at most " + std::to_string(kMaxClusterNodes) +
+                       " are supported");
   Cluster cluster;
   int node_index = 0;
-  for (const auto& group : groups) {
-    std::string body = group;
-    int cpus = -1;  // all
-    if (const auto colon = body.find(':'); colon != std::string::npos) {
-      cpus = parse_positive_int(body.substr(colon + 1), "cpu count");
-      body = body.substr(0, colon);
-    }
-    int count = 1;
-    if (const auto x = body.find('x'); x != std::string::npos &&
-                                       x + 1 < body.size() &&
-                                       std::isdigit(body[x + 1])) {
-      count = parse_positive_int(body.substr(x + 1), "node count");
-      body = body.substr(0, x);
-    }
-    const NodeSpec spec = spec_for(body);
-    for (int i = 0; i < count; ++i) {
+  for (const Group& group : groups) {
+    for (int i = 0; i < group.count; ++i) {
       std::ostringstream name;
-      name << body << '-' << node_index++;
-      cluster.add_node(name.str(), spec, cpus);
+      name << group.type << '-' << node_index++;
+      cluster.add_node(name.str(), group.spec, group.cpus);
     }
   }
   return cluster;

@@ -48,10 +48,4 @@ MarkedPerformance node_marked_performance(
 double effective_marked_speed(const MarkedPerformance& performance,
                               const ApplicationProfile& profile);
 
-/// System-level effective marked speed: the sum over participating
-/// processors of their node's effective rate (Definition 2 generalized).
-double system_effective_marked_speed(
-    const machine::Cluster& cluster, const ApplicationProfile& profile,
-    const net::NetworkParams& net_params = {});
-
 }  // namespace hetscale::marked

@@ -100,15 +100,4 @@ double effective_marked_speed(const MarkedPerformance& performance,
   return 1.0 / seconds_per_flop;
 }
 
-double system_effective_marked_speed(const machine::Cluster& cluster,
-                                     const ApplicationProfile& profile,
-                                     const net::NetworkParams& net_params) {
-  double total = 0.0;
-  for (const auto& node : cluster.nodes()) {
-    const auto performance = node_marked_performance(node.spec, net_params);
-    total += node.cpus_used * effective_marked_speed(performance, profile);
-  }
-  return total;
-}
-
 }  // namespace hetscale::marked

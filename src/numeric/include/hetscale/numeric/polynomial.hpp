@@ -26,9 +26,6 @@ class Polynomial {
   /// Evaluate at x (Horner's method).
   double operator()(double x) const;
 
-  /// First derivative.
-  Polynomial derivative() const;
-
  private:
   std::vector<double> coefficients_{0.0};
 };

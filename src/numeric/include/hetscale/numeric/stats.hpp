@@ -18,7 +18,4 @@ double max_value(std::span<const double> xs);
 /// comparing predicted vs measured scalability.
 double relative_error(double a, double b);
 
-/// Geometric mean; requires all xs > 0.
-double geometric_mean(std::span<const double> xs);
-
 }  // namespace hetscale::numeric

@@ -26,14 +26,6 @@ double Polynomial::operator()(double x) const {
   return acc;
 }
 
-Polynomial Polynomial::derivative() const {
-  if (coefficients_.size() <= 1) return Polynomial({0.0});
-  std::vector<double> d(coefficients_.size() - 1);
-  for (std::size_t i = 1; i < coefficients_.size(); ++i)
-    d[i - 1] = coefficients_[i] * static_cast<double>(i);
-  return Polynomial(std::move(d));
-}
-
 Polynomial polyfit(std::span<const double> xs, std::span<const double> ys,
                    std::size_t degree) {
   HETSCALE_REQUIRE(xs.size() == ys.size(), "xs and ys must have equal length");

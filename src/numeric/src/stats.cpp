@@ -38,14 +38,4 @@ double relative_error(double a, double b) {
   return std::abs(a - b) / denom;
 }
 
-double geometric_mean(std::span<const double> xs) {
-  HETSCALE_REQUIRE(!xs.empty(), "geometric mean of empty sample");
-  double acc = 0.0;
-  for (double x : xs) {
-    HETSCALE_REQUIRE(x > 0.0, "geometric mean requires positive samples");
-    acc += std::log(x);
-  }
-  return std::exp(acc / static_cast<double>(xs.size()));
-}
-
 }  // namespace hetscale::numeric

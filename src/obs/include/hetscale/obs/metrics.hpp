@@ -95,7 +95,6 @@ class MetricsRegistry {
   /// Lookup without creation; nullptr when absent (labels in any order).
   const Counter* find_counter(const std::string& name,
                               Labels labels = {}) const;
-  const Gauge* find_gauge(const std::string& name, Labels labels = {}) const;
   const Histogram* find_histogram(const std::string& name,
                                   Labels labels = {}) const;
 

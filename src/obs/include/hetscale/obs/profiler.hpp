@@ -4,9 +4,8 @@
 // Determinism contract: runs may be appended from any worker thread in any
 // order (the experiment Runner schedules simulations concurrently), but
 // report() sorts a copy of the runs before folding, so every exported
-// total is bitwise identical at --jobs 1 and --jobs N. Wall-clock numbers
-// cannot be made stable and are quarantined in WallStats, which exporters
-// omit unless explicitly asked for.
+// total is bitwise identical at --jobs 1 and --jobs N. The profiler records
+// simulated quantities only; no host wall-clock number enters it.
 //
 // The ambient profiler (current()/ProfilerScope) is how instrumentation
 // reaches the simulation layers without threading a pointer through every
@@ -130,19 +129,6 @@ struct RunProfile {
   auto operator<=>(const RunProfile&) const = default;
 };
 
-/// Host-side, non-deterministic observations (wall clock, worker
-/// scheduling). Never part of byte-stable exports.
-struct WallStats {
-  double wall_s = 0.0;         ///< wall time spent inside instrumented work
-  double worker_busy_s = 0.0;  ///< summed per-lane busy wall time
-  std::uint64_t batches = 0;
-  std::uint64_t tasks = 0;
-  std::uint64_t steals = 0;  ///< Chase-Lev deque steals across batches
-  int jobs = 0;
-
-  bool empty() const { return batches == 0 && tasks == 0 && wall_s == 0.0; }
-};
-
 struct ReportOptions;
 class Report;
 
@@ -151,17 +137,10 @@ class Profiler {
   /// Append one finished run. Thread-safe.
   void add_run(RunProfile run);
 
-  /// Record host-side batch execution (volatile; Runner calls this).
-  /// Thread-safe.
-  void record_batch(int jobs, std::uint64_t tasks, double wall_s,
-                    double worker_busy_s, std::uint64_t steals = 0);
-
   std::size_t runs() const;
 
   /// Copy of the runs, sorted into canonical order for deterministic folds.
   std::vector<RunProfile> sorted_runs() const;
-
-  WallStats wall() const;
 
   /// Fold the runs into an exportable report (defined in report.cpp).
   Report report(const ReportOptions& options) const;
@@ -170,7 +149,6 @@ class Profiler {
  private:
   mutable std::mutex mutex_;
   std::vector<RunProfile> runs_;
-  WallStats wall_;
 };
 
 /// The ambient profiler instrumented layers publish to; nullptr when

@@ -6,9 +6,8 @@
 //   to_prometheus()  text exposition format, deterministic metrics only
 //   to_table()       the per-run time-budget table for humans
 //
-// The JSON and Prometheus outputs are byte-stable across --jobs because the
-// fold consumes Profiler::sorted_runs(); wall-clock data appears only in
-// JSON and only when ReportOptions::include_wall is set.
+// All three are byte-stable across --jobs because the fold consumes
+// Profiler::sorted_runs().
 #pragma once
 
 #include <ostream>
@@ -24,8 +23,6 @@ namespace hetscale::obs {
 struct ReportOptions {
   /// Free-form name of what was profiled (scenario or algorithm).
   std::string subject = "run";
-  /// Include host wall-clock stats (volatile across --jobs) in the JSON.
-  bool include_wall = false;
 };
 
 class Report {
@@ -37,7 +34,6 @@ class Report {
   double elapsed_s() const { return elapsed_s_; }
   const TimeBudget& budget() const { return budget_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  const WallStats& wall() const { return wall_; }
 
   void to_json(std::ostream& os) const;
   void to_prometheus(std::ostream& os) const;
@@ -49,8 +45,6 @@ class Report {
   double elapsed_s_ = 0.0;
   TimeBudget budget_;
   MetricsRegistry metrics_;
-  bool has_wall_ = false;
-  WallStats wall_;
 };
 
 }  // namespace hetscale::obs

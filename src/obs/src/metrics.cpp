@@ -175,12 +175,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name,
   return entry ? &std::get<Counter>(entry->value) : nullptr;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name,
-                                         Labels labels) const {
-  const Entry* entry = find(name, std::move(labels), Type::kGauge);
-  return entry ? &std::get<Gauge>(entry->value) : nullptr;
-}
-
 const Histogram* MetricsRegistry::find_histogram(const std::string& name,
                                                  Labels labels) const {
   const Entry* entry = find(name, std::move(labels), Type::kHistogram);

@@ -15,17 +15,6 @@ void Profiler::add_run(RunProfile run) {
   runs_.push_back(std::move(run));
 }
 
-void Profiler::record_batch(int jobs, std::uint64_t tasks, double wall_s,
-                            double worker_busy_s, std::uint64_t steals) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++wall_.batches;
-  wall_.tasks += tasks;
-  wall_.wall_s += wall_s;
-  wall_.worker_busy_s += worker_busy_s;
-  wall_.steals += steals;
-  wall_.jobs = std::max(wall_.jobs, jobs);
-}
-
 std::size_t Profiler::runs() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return runs_.size();
@@ -41,11 +30,6 @@ std::vector<RunProfile> Profiler::sorted_runs() const {
   // order does not. RunProfile holds no NaNs, so the partial order is total.
   std::sort(copy.begin(), copy.end());
   return copy;
-}
-
-WallStats Profiler::wall() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return wall_;
 }
 
 Profiler* current() { return g_current.load(std::memory_order_acquire); }

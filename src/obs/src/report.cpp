@@ -147,10 +147,6 @@ Report::Report(const Profiler& profiler, ReportOptions options)
     budget_ += run.budget;
     fold_run(metrics_, run);
   }
-  if (options.include_wall) {
-    has_wall_ = true;
-    wall_ = profiler.wall();
-  }
 }
 
 Report Profiler::report(const ReportOptions& options) const {
@@ -180,17 +176,6 @@ void Report::to_json(std::ostream& os) const {
   os << "},\n";
   os << "  \"metrics\": ";
   metrics_.write_json(os);
-  if (has_wall_) {
-    os << ",\n  \"wall\": {";
-    os << "\"wall_s\": " << json_number_or_null(wall_.wall_s) << ", ";
-    os << "\"worker_busy_s\": " << json_number_or_null(wall_.worker_busy_s)
-       << ", ";
-    os << "\"batches\": " << wall_.batches << ", ";
-    os << "\"tasks\": " << wall_.tasks << ", ";
-    os << "\"steals\": " << wall_.steals << ", ";
-    os << "\"jobs\": " << wall_.jobs;
-    os << "}";
-  }
   os << "\n}\n";
 }
 

@@ -92,14 +92,6 @@ class Runner {
   /// True on a thread currently executing a Runner task (any Runner).
   static bool on_worker_thread();
 
-  /// How many tasks of the most recent top-level batch — one submitted
-  /// from outside any Runner task — ran on a lane other than the one they
-  /// were dealt to. Inline batches (jobs() == 1 or a single task) report 0;
-  /// nested batches leave it alone, and a profiled batch records its own
-  /// count. Observability for tests and tuning only — stealing never
-  /// affects results.
-  std::size_t last_batch_steals() const { return last_batch_steals_; }
-
  private:
   struct Batch;
 
@@ -108,11 +100,8 @@ class Runner {
   void drain(Batch& batch, std::size_t lane);
   void retire(Batch& batch);
   void shut_down();
-  std::size_t run_batch(std::size_t count,
-                        const std::function<void(std::size_t)>& task);
 
   int jobs_ = 1;
-  std::size_t last_batch_steals_ = 0;
   std::mutex mutex_;
   /// Wakes idle lanes when a batch is published and submitters when their
   /// last helper leaves.

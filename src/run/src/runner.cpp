@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <limits>
 #include <memory>
 
-#include "hetscale/obs/profiler.hpp"
 #include "hetscale/support/args.hpp"
 #include "hetscale/support/error.hpp"
 
@@ -27,7 +25,7 @@ thread_local Seat t_seat;
 
 // One lane's deque of task indices — a Chase-Lev deque specialized to this
 // Runner's lifecycle: the buffer is filled once *before* the batch is
-// published (the mutex handshake in run_batch gives every helper a
+// published (the mutex handshake in run_indexed gives every helper a
 // happens-before edge to those writes) and nothing pushes mid-batch. With
 // the buffer immutable, the classic hazards (growth, a steal reading a slot
 // the owner is overwriting) vanish, and what remains is the owner/thief
@@ -51,7 +49,6 @@ struct Runner::Batch {
   std::vector<std::size_t> items;    ///< indices grouped by owning lane
   std::unique_ptr<Lane[]> lanes;     ///< one deque per lane
   std::size_t lane_count = 0;
-  std::atomic<std::size_t> steals{0};
   std::atomic<bool> failed{false};
   int helpers = 0;  ///< threads other than the submitter draining it
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
@@ -106,16 +103,13 @@ StealResult steal_top(Lane& lane, std::size_t& out) {
 /// a lost CAS means indices were still in flight, and reporting "no work"
 /// then would retire a lane while tasks remain unclaimed.
 bool steal_any(Lane* lanes, std::size_t lane_count, std::size_t self,
-               std::atomic<std::size_t>& steals, std::size_t& out) {
+               std::size_t& out) {
   for (;;) {
     bool contended = false;
     for (std::size_t d = 1; d < lane_count; ++d) {
       Lane& victim = lanes[(self + d) % lane_count];
       const StealResult r = steal_top(victim, out);
-      if (r == StealResult::kSuccess) {
-        steals.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
+      if (r == StealResult::kSuccess) return true;
       if (r == StealResult::kContended) contended = true;
     }
     if (!contended) return false;
@@ -158,8 +152,7 @@ void Runner::drain(Batch& batch, std::size_t lane) {
   for (;;) {
     std::size_t i;
     if (!pop_bottom(batch.lanes[lane], i) &&
-        !steal_any(batch.lanes.get(), batch.lane_count, lane, batch.steals,
-                   i)) {
+        !steal_any(batch.lanes.get(), batch.lane_count, lane, i)) {
       return;
     }
     if (batch.failed.load(std::memory_order_relaxed)) continue;
@@ -206,42 +199,11 @@ void Runner::run_indexed(std::size_t count,
                          const std::function<void(std::size_t)>& task) {
   HETSCALE_REQUIRE(task != nullptr, "batch task must be callable");
   if (count == 0) return;
-  obs::Profiler* profiler = obs::current();
-  if (profiler == nullptr) {
-    run_batch(count, task);
-    return;
-  }
-  // Profiled batch: measure the batch's wall time and the summed per-task
-  // busy time (host-side occupancy — volatile across --jobs, so the
-  // profiler quarantines it in WallStats).
-  using Clock = std::chrono::steady_clock;
-  std::atomic<std::int64_t> busy_ns{0};
-  const std::function<void(std::size_t)> timed = [&](std::size_t i) {
-    const Clock::time_point begin = Clock::now();
-    task(i);
-    busy_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          Clock::now() - begin)
-                          .count(),
-                      std::memory_order_relaxed);
-  };
-  const Clock::time_point begin = Clock::now();
-  const std::size_t steals = run_batch(count, timed);
-  const double wall_s =
-      std::chrono::duration<double>(Clock::now() - begin).count();
-  profiler->record_batch(jobs_, count, wall_s,
-                         1e-9 * static_cast<double>(busy_ns.load()), steals);
-}
-
-std::size_t Runner::run_batch(std::size_t count,
-                              const std::function<void(std::size_t)>& task) {
-  // Only a thread outside every Runner's tasks may write last_batch_steals_:
-  // anywhere else the write would race the owner's read-back.
   const bool top_level = t_seat.runner == nullptr;
   const bool other_runner = !top_level && t_seat.runner != this;
   if (jobs_ == 1 || count == 1 || other_runner) {
-    if (top_level) last_batch_steals_ = 0;
     for (std::size_t i = 0; i < count; ++i) task(i);
-    return 0;
+    return;
   }
 
   Batch batch;
@@ -294,11 +256,7 @@ std::size_t Runner::run_batch(std::size_t count,
   }
   lock.unlock();
   if (top_level) t_seat = {};
-
-  const std::size_t steals = batch.steals.load(std::memory_order_relaxed);
-  if (top_level) last_batch_steals_ = steals;
   if (batch.error) std::rethrow_exception(batch.error);
-  return steals;
 }
 
 }  // namespace hetscale::run

@@ -104,7 +104,6 @@ int scenario_main(const std::string& name, int argc,
     if (profiler) {
       obs::ReportOptions options;
       options.subject = scenario->name;
-      options.include_wall = true;
       std::cerr << profiler->report(options).to_table().str();
     }
     return 0;

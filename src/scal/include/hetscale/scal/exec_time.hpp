@@ -3,8 +3,8 @@
 // Scalability and execution time are two views of the same data: under
 // isospeed-efficiency scaling, T' = W' / (E_s · C'), so a more scalable
 // combination (smaller W' growth) has the smaller scaled execution time.
-// This module exposes that relation plus *crossing-point analysis*: the
-// problem size at which one combination starts beating another outright.
+// This module adds *crossing-point analysis*: the problem size at which one
+// combination starts beating another outright.
 #pragma once
 
 #include <cstdint>
@@ -12,16 +12,6 @@
 #include "hetscale/scal/combination.hpp"
 
 namespace hetscale::scal {
-
-/// Execution time at an iso-efficiency operating point: T = W / (E_s · C).
-double iso_efficiency_time(double work, double marked_speed,
-                           double speed_efficiency);
-
-/// Ref [8]'s headline relation, checkable from a solved scaling step: the
-/// ratio of scaled execution times of two combinations that started from
-/// the same time and efficiency equals the inverse ratio of their ψ values.
-/// Returns T_a' / T_b' given the two scalabilities.
-double scaled_time_ratio(double psi_a, double psi_b);
 
 /// Crossing-point analysis between two combinations measured at the SAME
 /// problem sizes (e.g. the same algorithm on a small and a big system):

@@ -5,24 +5,6 @@
 
 namespace hetscale::scal {
 
-double iso_efficiency_time(double work, double marked_speed,
-                           double speed_efficiency) {
-  HETSCALE_REQUIRE(work > 0.0, "work must be positive");
-  HETSCALE_REQUIRE(marked_speed > 0.0, "marked speed must be positive");
-  HETSCALE_REQUIRE(speed_efficiency > 0.0 && speed_efficiency <= 1.0,
-                   "speed-efficiency must be in (0, 1]");
-  return work / (speed_efficiency * marked_speed);
-}
-
-double scaled_time_ratio(double psi_a, double psi_b) {
-  HETSCALE_REQUIRE(psi_a > 0.0 && psi_b > 0.0,
-                   "scalabilities must be positive");
-  // T' = W'/(e C') and ψ = C'W/(C W')  =>  T' = W/(e C) · 1/ψ · ... with a
-  // common starting point (same W, e, C across combinations on systems of
-  // equal C'), T_a'/T_b' = ψ_b / ψ_a.
-  return psi_b / psi_a;
-}
-
 CrossingPoint find_time_crossing(Combination& a, Combination& b,
                                  std::int64_t n_lo, std::int64_t n_hi) {
   HETSCALE_REQUIRE(n_lo >= 1 && n_hi > n_lo, "invalid size range");

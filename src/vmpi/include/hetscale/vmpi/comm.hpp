@@ -2,7 +2,7 @@
 //
 // Programming model (mirrors the MPI subset the paper's algorithms use):
 //   * one rank per processor (HoHe: process count == processor count),
-//   * blocking send / recv with tags and source wildcards,
+//   * blocking send / recv; every receive names its source and tag,
 //   * collectives (bcast, barrier, gather, allgather, alltoall) built from
 //     point-to-point messages, so their cost comes from the network model;
 //     the machine's CollectiveTuning picks the paper-era flat family or
@@ -12,9 +12,6 @@
 //   * compute(flops) advances this rank's virtual time by flops / rate;
 //   * send blocks until the network says the sender is free;
 //   * recv completes at max(time recv was called, message arrival).
-// With source-specific receives (all algorithms here) these semantics are
-// exact. With kAnySource, matching is post-order and completion may be
-// conservatively late if a later-posted message would have arrived earlier.
 #pragma once
 
 #include <vector>
@@ -60,7 +57,7 @@ class Comm {
   des::Task<void> compute(double flops, double efficiency = 1.0);
 
   /// Blocking send of a message of modeled size `bytes` carrying `payload`.
-  /// Tags are non-negative (negative values are the receive wildcards).
+  /// Tags are non-negative.
   des::Task<void> send(int dst, int tag, double bytes, Payload payload);
 
   /// Nonblocking, fire-and-forget send: the message is injected (the
@@ -69,8 +66,8 @@ class Comm {
   /// overlap. Tags as for send().
   void isend(int dst, int tag, double bytes, Payload payload);
 
-  /// Blocking receive matching (source, tag); wildcards kAnySource/kAnyTag.
-  /// Any other negative tag is rejected: no send can carry one.
+  /// Blocking receive of the oldest message from `source` with `tag`, a
+  /// non-negative tag (no send can carry a negative one).
   des::Task<Message> recv(int source, int tag);
 
   // ---- Collectives (see file comment) ----

@@ -109,8 +109,7 @@ class Machine {
   /// own scheduler and thread: min(sim_threads(), world_size()) when the
   /// network has a positive lookahead (a shared bus has none) and no node
   /// hosts two ranks (they would share an injection port), otherwise 1.
-  /// Results are bit-identical at any count; with several, wildcard
-  /// receives are rejected, since their match would depend on batching.
+  /// Results are bit-identical at any count.
   int partitions() const;
 
   /// Deliver a message from `src` into `dst`'s mailbox. Messages within a

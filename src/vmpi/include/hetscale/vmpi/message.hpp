@@ -20,10 +20,6 @@
 
 namespace hetscale::vmpi {
 
-/// Wildcards for Comm::recv.
-inline constexpr int kAnySource = -1;
-inline constexpr int kAnyTag = -1;
-
 struct Message {
   int source = 0;
   int tag = 0;
@@ -43,21 +39,19 @@ class Mailbox {
   /// blocked in recv, its resumption is scheduled at the message's arrival.
   void post(Message message);
 
-  /// Remove and return the first pending message matching (source, tag),
-  /// honouring wildcards; messages are matched in post order (MPI's
-  /// non-overtaking rule). Arrival times are NOT consulted here — the caller
-  /// waits out a future arrival itself. Wildcard-free matches (every
-  /// collective and algorithm in the tree) pop the head of a per-(source,
-  /// tag) chain — O(1) regardless of how many unrelated messages are
-  /// pending, so a flat-collective root at p=4096 does not pay an O(p) scan
-  /// per take. Wildcard matches scan the pending slots in post order.
+  /// Remove and return the oldest pending message from `source` with `tag`
+  /// (MPI's non-overtaking rule). Arrival times are NOT consulted here — the
+  /// caller waits out a future arrival itself. The take pops the head of a
+  /// per-(source, tag) chain — O(1) regardless of how many unrelated
+  /// messages are pending, so a flat-collective root at p=4096 does not pay
+  /// an O(p) scan per take.
   std::optional<Message> take_match(int source, int tag);
 
-  /// Awaitable: suspend until the next post. Only one waiter may exist.
-  /// The (source, tag) the receiver is matching is remembered while it is
-  /// suspended, so a deadlocked run can name what every blocked rank was
-  /// waiting for (Machine::run's diagnosis).
-  auto wait_for_post(int source = kAnySource, int tag = kAnyTag) {
+  /// Awaitable: suspend until a message from `source` with `tag` is posted.
+  /// Only one waiter may exist. The (source, tag) is remembered while the
+  /// receiver is suspended, so a deadlocked run can name what every blocked
+  /// rank was waiting for (Machine::run's diagnosis).
+  auto wait_for_post(int source, int tag) {
     return WaitAwaiter{*this, source, tag};
   }
 
@@ -65,8 +59,8 @@ class Mailbox {
 
   /// The (source, tag) of a receiver currently suspended on this mailbox.
   struct WaitingRecv {
-    int source = kAnySource;
-    int tag = kAnyTag;
+    int source = 0;
+    int tag = 0;
   };
   std::optional<WaitingRecv> waiting_recv() const { return waiting_; }
 
@@ -80,11 +74,6 @@ class Mailbox {
     void await_resume() const noexcept { box.waiting_.reset(); }
   };
 
-  /// Sentinel for a slot whose message was taken: slots tombstone in place
-  /// (chains link positions in pending_, so mid-erase would shift them) and
-  /// the whole slab resets when it fully drains — the overwhelmingly common
-  /// case between collective phases.
-  static constexpr int kConsumedSource = -2;
   /// End of a chain.
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
@@ -94,8 +83,7 @@ class Mailbox {
     std::uint32_t next = kNoSlot;
   };
 
-  /// The slots of one (source, tag) in post order. Slots a wildcard take
-  /// consumed stay linked and are skipped when they reach the head.
+  /// The pending slots of one (source, tag) in post order.
   struct Chain {
     std::uint32_t head = kNoSlot;  ///< kNoSlot: empty
     std::uint32_t tail = kNoSlot;
@@ -107,18 +95,16 @@ class Mailbox {
            static_cast<std::uint32_t>(tag);
   }
 
-  std::optional<Message> consume(std::size_t slot);
-  void reset_slab();
-
   des::Scheduler* scheduler_;
-  /// Pending messages live in [head_, pending_.size()); popping the front
-  /// advances head_ past tombstones, and the vector (its capacity is the
-  /// slab) resets to index 0 whenever it fully drains.
+  /// Every slot posted since the last full drain. A taken slot stays in
+  /// place (chains link positions in pending_, so an erase would shift
+  /// them); the first post after no message is pending resets the vector
+  /// (its capacity is the slab) to index 0 — the overwhelmingly common
+  /// case between collective phases.
   std::vector<Slot> pending_;
-  std::size_t head_ = 0;
   std::size_t live_count_ = 0;
-  /// (source, tag) -> chain. Cleared in O(1) on every full drain, which is
-  /// what keeps the keys of a moving broadcast root from piling up.
+  /// (source, tag) -> chain. Cleared in O(1) with the slab, which is what
+  /// keeps the keys of a moving broadcast root from piling up.
   FlatTable<Chain> chains_;
   std::coroutine_handle<> waiter_;
   std::optional<WaitingRecv> waiting_;

@@ -88,7 +88,7 @@ net::TransferResult Comm::transmit(int dst, double bytes, des::SimTime start) {
 des::Task<void> Comm::send(int dst, int tag, double bytes, Payload payload) {
   HETSCALE_REQUIRE(dst >= 0 && dst < size_, "destination rank out of range");
   HETSCALE_REQUIRE(dst != rank_, "send-to-self is not supported");
-  // A negative tag could only ever be matched by a wildcard: kAnyTag is -1.
+  // Receives reject negative tags, so no receive could take such a message.
   HETSCALE_REQUIRE(tag >= 0, "send tags must be non-negative");
   auto& stats = machine_->rank_stats(rank_);
   const des::SimTime start = now();
@@ -131,18 +131,8 @@ void Comm::isend(int dst, int tag, double bytes, Payload payload) {
 }
 
 des::Task<Message> Comm::recv(int source, int tag) {
-  HETSCALE_REQUIRE(source == kAnySource || (source >= 0 && source < size_),
-                   "source rank out of range");
-  HETSCALE_REQUIRE(tag == kAnyTag || tag >= 0,
-                   "receive tags must be non-negative or kAnyTag");
-  // Partitioned runs batch cross-partition deliveries at window boundaries,
-  // so a wildcard's post-order matching would depend on the thread count;
-  // source- and tag-specific receives (every collective and algorithm in
-  // the tree) match per-sender program order, which is mode-independent.
-  HETSCALE_REQUIRE(machine_->partitions() == 1 ||
-                       (source != kAnySource && tag != kAnyTag),
-                   "wildcard receives are not supported when --sim-threads "
-                   "> 1; receive from a specific (source, tag) instead");
+  HETSCALE_REQUIRE(source >= 0 && source < size_, "source rank out of range");
+  HETSCALE_REQUIRE(tag >= 0, "receive tags must be non-negative");
   auto& stats = machine_->rank_stats(rank_);
   const des::SimTime start = now();
   Mailbox& box = machine_->mailbox(rank_);

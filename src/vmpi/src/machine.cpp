@@ -167,20 +167,9 @@ namespace {
 std::string describe_rank_wait(int rank, const Mailbox& box) {
   std::ostringstream out;
   const auto waiting = box.waiting_recv();
-  out << "  rank " << rank << " blocked in recv(source=";
-  if (waiting->source == kAnySource) {
-    out << "ANY";
-  } else {
-    out << waiting->source;
-  }
-  out << ", tag=";
-  if (waiting->tag == kAnyTag) {
-    out << "ANY";
-  } else {
-    out << waiting->tag;
-  }
-  out << "); " << box.pending_count() << " pending unmatched message"
-      << (box.pending_count() == 1 ? "" : "s");
+  out << "  rank " << rank << " blocked in recv(source=" << waiting->source
+      << ", tag=" << waiting->tag << "); " << box.pending_count()
+      << " pending unmatched message" << (box.pending_count() == 1 ? "" : "s");
   return out.str();
 }
 }  // namespace

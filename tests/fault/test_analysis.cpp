@@ -14,18 +14,9 @@ namespace {
 
 TEST(Analysis, HealthyPlanKeepsTheMarkedSpeed) {
   const FaultPlan plan;
-  EXPECT_DOUBLE_EQ(effective_rank_speed(plan, 0, 100.0, 3.0), 100.0);
   EXPECT_DOUBLE_EQ(mean_effective_rank_speed(plan, 0, 100.0, 10.0), 100.0);
   const std::vector<double> speeds{100.0, 50.0};
   EXPECT_DOUBLE_EQ(mean_effective_marked_speed(plan, speeds, 10.0), 150.0);
-}
-
-TEST(Analysis, PointwiseSpeedFollowsTheActiveFactor) {
-  FaultPlan plan;
-  plan.add_slowdown({0, 2.0, 4.0, 0.5});
-  EXPECT_DOUBLE_EQ(effective_rank_speed(plan, 0, 100.0, 1.0), 100.0);
-  EXPECT_DOUBLE_EQ(effective_rank_speed(plan, 0, 100.0, 3.0), 50.0);
-  EXPECT_DOUBLE_EQ(effective_rank_speed(plan, 1, 100.0, 3.0), 100.0);
 }
 
 TEST(Analysis, MeanIsTheExactIntegral) {
@@ -48,18 +39,6 @@ TEST(Analysis, MarkedSpeedSumsOverRanks) {
   EXPECT_DOUBLE_EQ(mean_effective_marked_speed(plan, speeds, 10.0), 105.0);
 }
 
-TEST(Analysis, SamplesTraceTheTimeline) {
-  FaultPlan plan;
-  plan.add_slowdown({0, 5.0, 10.0, 0.5});
-  const std::vector<double> speeds{100.0};
-  const auto samples = sample_effective_marked_speed(plan, speeds, 10.0, 4);
-  ASSERT_EQ(samples.size(), 4u);
-  EXPECT_DOUBLE_EQ(samples[0], 100.0);  // t=0
-  EXPECT_DOUBLE_EQ(samples[1], 100.0);  // t=2.5
-  EXPECT_DOUBLE_EQ(samples[2], 50.0);   // t=5
-  EXPECT_DOUBLE_EQ(samples[3], 50.0);   // t=7.5
-}
-
 TEST(Analysis, ValidatesItsInputs) {
   const FaultPlan plan;
   const std::vector<double> speeds{100.0};
@@ -68,8 +47,6 @@ TEST(Analysis, ValidatesItsInputs) {
   EXPECT_THROW(mean_effective_rank_speed(plan, 0, -1.0, 1.0),
                PreconditionError);
   EXPECT_THROW(mean_effective_marked_speed(plan, speeds, 0.0),
-               PreconditionError);
-  EXPECT_THROW(sample_effective_marked_speed(plan, speeds, 1.0, 0),
                PreconditionError);
 }
 

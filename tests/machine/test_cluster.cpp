@@ -50,18 +50,6 @@ TEST(Cluster, AggregateRateSumsUsedCpus) {
   EXPECT_DOUBLE_EQ(cluster.aggregate_rate_flops(), units::mflops(225.0));
 }
 
-TEST(Cluster, MinNodeMemory) {
-  Cluster cluster;
-  cluster.add_node("a", fast_spec());
-  cluster.add_node("b", slow_spec());
-  EXPECT_DOUBLE_EQ(cluster.min_node_memory_bytes(), 1e8);
-}
-
-TEST(Cluster, MinMemoryOfEmptyClusterThrows) {
-  Cluster cluster;
-  EXPECT_THROW(cluster.min_node_memory_bytes(), PreconditionError);
-}
-
 TEST(Cluster, InvalidSpecsRejected) {
   Cluster cluster;
   NodeSpec bad = fast_spec();

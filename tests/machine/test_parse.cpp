@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <random>
 #include <string>
 
 #include "hetscale/machine/sunwulf.hpp"
@@ -77,7 +80,7 @@ TEST(ParseCluster, RejectsCountsThatWouldWrap) {
     const char* reason;
   } rows[] = {
       {"server:4294967295", "cpu count must be in [1, 2147483647]"},
-      {"sunbladex4294967297", "node count must be in [1, 2147483647]"},
+      {"sunbladex4294967297", "node count must be in [1, 65536]"},
       {"sunbladex2:", "cpu count needs an integer"},
       {"server:99999999999999999999", "cpu count is out of range"},
   };
@@ -91,6 +94,63 @@ TEST(ParseCluster, RejectsCountsThatWouldWrap) {
           << error.what();
     }
   }
+}
+
+// The node total is checked against kMaxClusterNodes before any node is
+// built, so a huge count fails at once instead of building nodes first.
+TEST(ParseCluster, RejectsMoreNodesThanTheBound) {
+  const struct {
+    const char* description;
+    const char* reason;
+  } rows[] = {
+      {"sunbladex2000000000", "node count must be in [1, 65536]"},
+      {"sunbladex65537", "node count must be in [1, 65536]"},
+      {"sunbladex40000,sunbladex40000",
+       "names 80000 nodes; at most 65536 are supported"},
+  };
+  for (const auto& row : rows) {
+    SCOPED_TRACE(row.description);
+    try {
+      (void)parse_cluster(row.description);
+      ADD_FAILURE() << "accepted";
+    } catch (const PreconditionError& error) {
+      EXPECT_NE(std::string(error.what()).find(row.reason), std::string::npos)
+          << error.what();
+    }
+  }
+  const auto at_bound = parse_cluster("sunbladex65535,v210");
+  EXPECT_EQ(at_bound.node_count(), static_cast<std::size_t>(kMaxClusterNodes));
+}
+
+// Seeded strings over the grammar's alphabet, with counts past the bound and
+// stray bytes mixed in: each one parses into at most kMaxClusterNodes nodes
+// or throws PreconditionError, never anything else.
+TEST(ParseCluster, FuzzedDescriptionsParseOrThrowPreconditionError) {
+  const std::array<std::string, 18> tokens = {
+      "server", "sunblade", "v210", "x", "x", ":", ":", ",", ",", " ",
+      "0", "1", "2", "9", "65537", "99999999999999999999", "-", "\xe9"};
+  std::mt19937_64 rng(7);
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 5000; ++i) {
+    std::string description;
+    const auto length = rng() % 10;
+    for (std::uint64_t k = 0; k < length; ++k) {
+      description += tokens[rng() % tokens.size()];
+    }
+    SCOPED_TRACE(description);
+    try {
+      const Cluster cluster = parse_cluster(description);
+      EXPECT_GE(cluster.node_count(), 1u);
+      EXPECT_LE(cluster.node_count(),
+                static_cast<std::size_t>(kMaxClusterNodes));
+      ++parsed;
+    } catch (const PreconditionError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

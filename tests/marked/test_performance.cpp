@@ -75,18 +75,6 @@ TEST(MarkedPerformance, NetworkIntensityLowersEffectiveSpeedFurther) {
             effective_marked_speed(performance, mem_only));
 }
 
-TEST(MarkedPerformance, SystemEffectiveSpeedSumsNodes) {
-  machine::Cluster cluster;
-  cluster.add_node("a", sunblade_spec());
-  cluster.add_node("b", sunblade_spec());
-  ApplicationProfile profile;
-  profile.memory_bytes_per_flop = 2.0;
-  const double one = effective_marked_speed(
-      node_marked_performance(sunblade_spec()), profile);
-  EXPECT_NEAR(system_effective_marked_speed(cluster, profile), 2.0 * one,
-              1e-6 * one);
-}
-
 TEST(MarkedPerformance, EffectiveSpeedOrderingCanFlipWithProfile) {
   // A node with faster compute but slower memory can lose its advantage on
   // a memory-bound profile — the reason a single marked speed is not

@@ -24,14 +24,6 @@ TEST(Polynomial, DegreeIgnoresTrailingZeros) {
   EXPECT_EQ(Polynomial(std::vector<double>{}).degree(), 0u);
 }
 
-TEST(Polynomial, Derivative) {
-  const Polynomial p({1.0, 2.0, 3.0});
-  const Polynomial d = p.derivative();  // 2 + 6x
-  EXPECT_DOUBLE_EQ(d(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(d(1.0), 8.0);
-  EXPECT_EQ(Polynomial({7.0}).derivative()(3.0), 0.0);
-}
-
 TEST(Polyfit, RecoversExactPolynomial) {
   const Polynomial truth({2.0, -1.0, 0.5});
   std::vector<double> xs;

@@ -45,15 +45,5 @@ TEST(Stats, RelativeErrorSymmetric) {
   EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);
 }
 
-TEST(Stats, GeometricMean) {
-  const std::vector<double> xs{1.0, 4.0, 16.0};
-  EXPECT_NEAR(geometric_mean(xs), 4.0, 1e-12);
-}
-
-TEST(Stats, GeometricMeanRejectsNonPositive) {
-  const std::vector<double> xs{1.0, 0.0};
-  EXPECT_THROW(geometric_mean(xs), PreconditionError);
-}
-
 }  // namespace
 }  // namespace hetscale::numeric

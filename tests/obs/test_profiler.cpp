@@ -57,30 +57,6 @@ TEST(Profiler, ReportIsInvariantToRunInsertionOrder) {
   EXPECT_EQ(render({2.0, 3.0, 1.0}), render({1.0, 2.0, 3.0}));
 }
 
-TEST(Profiler, WallStatsStayOutOfDeterministicExports) {
-  Profiler profiler;
-  profiler.add_run(sample_run(1.0));
-  profiler.record_batch(/*jobs=*/8, /*tasks=*/3, /*wall_s=*/0.125,
-                        /*worker_busy_s=*/0.5);
-  EXPECT_FALSE(profiler.wall().empty());
-  EXPECT_EQ(profiler.wall().jobs, 8);
-
-  std::ostringstream without;
-  profiler.report().to_json(without);
-  EXPECT_EQ(without.str().find("wall"), std::string::npos);
-
-  ReportOptions options;
-  options.include_wall = true;
-  std::ostringstream with;
-  profiler.report(options).to_json(with);
-  EXPECT_NE(with.str().find("\"wall\""), std::string::npos);
-
-  // Prometheus never exposes wall data, asked or not.
-  std::ostringstream prom;
-  profiler.report(options).to_prometheus(prom);
-  EXPECT_EQ(prom.str().find("wall"), std::string::npos);
-}
-
 TEST(Profiler, ReportFoldsBudgetAndTraffic) {
   Profiler profiler;
   profiler.add_run(sample_run(1.0));

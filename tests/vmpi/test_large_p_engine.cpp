@@ -186,29 +186,6 @@ TEST(LargePEngine, MailboxIndexedTakeIsFifoPerKey) {
   EXPECT_EQ(box.pending_count(), 0u);
 }
 
-// A wildcard take honours MPI's non-overtaking rule across keys, and the
-// indexed path then skips the slot the wildcard consumed.
-TEST(LargePEngine, MailboxWildcardAndIndexInterleave) {
-  des::Scheduler scheduler;
-  Mailbox box(scheduler);
-  box.post(make_message(1, 7, 10.0));
-  box.post(make_message(1, 8, 20.0));
-  box.post(make_message(1, 7, 30.0));
-
-  auto any = box.take_match(kAnySource, kAnyTag);
-  ASSERT_TRUE(any.has_value());
-  EXPECT_DOUBLE_EQ(any->payload.scalar(), 10.0);  // oldest post overall
-
-  auto indexed = box.take_match(1, 7);  // must skip the consumed slot
-  ASSERT_TRUE(indexed.has_value());
-  EXPECT_DOUBLE_EQ(indexed->payload.scalar(), 30.0);
-
-  auto by_source = box.take_match(1, kAnyTag);
-  ASSERT_TRUE(by_source.has_value());
-  EXPECT_DOUBLE_EQ(by_source->payload.scalar(), 20.0);
-  EXPECT_FALSE(box.take_match(kAnySource, kAnyTag).has_value());
-}
-
 // Tag churn (a fresh tag per step, as pipelined GE mints) with a full
 // drain between steps: the key table must recycle without ever matching a
 // stale slot.

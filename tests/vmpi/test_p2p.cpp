@@ -107,21 +107,34 @@ TEST(P2P, NonOvertakingSameTag) {
   EXPECT_EQ(*values, (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0}));
 }
 
-TEST(P2P, AnySourceAndAnyTagMatch) {
-  auto machine = Machine::shared_bus(test_cluster(3), fast_params());
-  auto total = std::make_shared<double>(0.0);
-  machine.run([total](Comm& comm) -> Task<void> {
-    if (comm.rank() != 0) {
-      co_await comm.send(0, comm.rank() * 100, 8.0,
-                         Payload(1.0 * comm.rank()));
-    } else {
-      for (int i = 0; i < 2; ++i) {
-        auto msg = co_await comm.recv(kAnySource, kAnyTag);
-        *total += msg.payload.scalar();
+// A receive whose message has already arrived finishes without suspending,
+// the way Jacobi's root collects its bands. A loop of such receives must
+// not nest one frame per message: this many overflow the stack of a build
+// that does not compile a coroutine transfer to a tail call (ASan).
+TEST(P2P, ReadyReceivesInOneLoopDoNotNest) {
+  constexpr int kMessages = 100000;
+  constexpr int kDataTag = 1;
+  constexpr int kDoneTag = 2;
+  auto machine = Machine::switched(test_cluster(2), fast_params());
+  auto in_order = std::make_shared<int>(0);
+  machine.run([in_order](Comm& comm) -> Task<void> {
+    if (comm.rank() == 1) {
+      for (int i = 0; i < kMessages; ++i) {
+        comm.isend(0, kDataTag, 8.0, Payload(static_cast<double>(i)));
       }
+      co_await comm.send(0, kDoneTag, 8.0, {});
+    } else {
+      // The link is FIFO, so every data message has arrived once this has.
+      (void)co_await comm.recv(1, kDoneTag);
+      const des::SimTime ready_at = comm.now();
+      for (int i = 0; i < kMessages; ++i) {
+        const Message message = co_await comm.recv(1, kDataTag);
+        if (message.payload.scalar() == static_cast<double>(i)) ++*in_order;
+      }
+      EXPECT_EQ(comm.now(), ready_at);  // no receive waited
     }
   });
-  EXPECT_EQ(*total, 3.0);
+  EXPECT_EQ(*in_order, kMessages);
 }
 
 TEST(P2P, MissingSendDeadlocksWithDiagnostic) {
