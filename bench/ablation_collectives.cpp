@@ -6,52 +6,54 @@
 // compares required problem sizes and ψ: how much of GE's limited
 // scalability was the collective algorithm?
 #include <iostream>
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "common.hpp"
 #include "hetscale/run/runner.hpp"
-#include "hetscale/scal/iso_solver.hpp"
-#include "hetscale/scal/metrics.hpp"
+#include "hetscale/scal/series.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Ablation  Collective algorithms (paper-era flat family vs tree "
       "family)",
       "GE ladder at E_s = 0.3 under the paper's flat-tree MPI vs a "
       "tree-collective one.");
 
+  const int ladder[] = {2, 4, 8, 16};
   const vmpi::CollectiveTuning families[2] = {
       vmpi::CollectiveTuning::legacy_flat(), vmpi::CollectiveTuning::tree()};
+  run::Runner runner(1);
+  scal::SeriesReport series[2];
+  for (int v = 0; v < 2; ++v) {
+    std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
+    std::vector<scal::Combination*> rungs;
+    for (int nodes : ladder) {
+      auto config = scenarios::ge_config(nodes);
+      config.tuning = families[v];
+      owned.push_back(std::make_unique<scal::ClusterCombination>(
+          v == 0 ? "flat" : "tree", std::move(config), scal::ge_algo()));
+      rungs.push_back(owned.back().get());
+    }
+    series[v] =
+        scal::scalability_series(rungs, scenarios::kGeTargetEs, runner);
+  }
+
   Table table;
   table.set_header({"Nodes", "N (flat)", "N (tree)", "psi step (flat)",
                     "psi step (tree)"});
-  double prev_c[2] = {0, 0};
-  double prev_w[2] = {0, 0};
-  run::Runner runner(1);
-  for (int nodes : {2, 4, 8, 16}) {
-    std::string n[2];
-    std::string psi[2] = {"-", "-"};
-    for (int v = 0; v < 2; ++v) {
-      auto config = bench::ge_config(nodes);
-      config.tuning = families[v];
-      scal::ClusterCombination ge(v == 0 ? "flat" : "tree", std::move(config),
-                                  scal::ge_algo());
-      const auto point =
-          scal::required_problem_size(ge, bench::kGeTargetEs, runner);
-      const double c = ge.marked_speed();
-      const double w = ge.work(point.n);
-      n[v] = std::to_string(point.n);
-      if (prev_c[v] > 0) {
-        psi[v] = Table::fixed(
-            scal::isospeed_efficiency_scalability(prev_c[v], prev_w[v], c, w),
-            3);
-      }
-      prev_c[v] = c;
-      prev_w[v] = w;
-    }
-    table.add_row({std::to_string(nodes), n[0], n[1], psi[0], psi[1]});
+  for (std::size_t i = 0; i < std::size(ladder); ++i) {
+    const auto psi = [&](int v) {
+      return i == 0 ? std::string("-")
+                    : Table::fixed(series[v].steps[i - 1].psi, 3);
+    };
+    table.add_row({std::to_string(ladder[i]),
+                   std::to_string(series[0].points[i].n),
+                   std::to_string(series[1].points[i].n), psi(0), psi(1)});
   }
   std::cout << table;
   std::cout << "(tree collectives shrink the required problem sizes and "

@@ -6,15 +6,16 @@
 // the distributions themselves.
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/algos/mm.hpp"
 #include "hetscale/dist/distribution.hpp"
 #include "hetscale/marked/suite.hpp"
 #include "hetscale/scal/metrics.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Ablation  Heterogeneous vs homogeneous distribution",
       "MM on mixed ensembles, rows-by-marked-speed vs equal rows.");
 

@@ -8,29 +8,30 @@
 //    provides it, a real cluster often cannot).
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/algos/ge.hpp"
 #include "hetscale/marked/suite.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/scal/baselines.hpp"
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/series.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Ablation  Metric baselines on identical GE runs",
       "isospeed-efficiency vs J-W productivity vs Pastor-Bosque.");
 
   std::vector<std::unique_ptr<scal::ClusterCombination>> combos;
   std::vector<scal::Combination*> ptrs;
   for (int nodes : {2, 4, 8, 16}) {
-    combos.push_back(bench::make_ge(nodes));
+    combos.push_back(scenarios::make_ge(nodes));
     ptrs.push_back(combos.back().get());
   }
   run::Runner runner(1);
   const auto report =
-      scal::scalability_series(ptrs, bench::kGeTargetEs, runner);
+      scal::scalability_series(ptrs, scenarios::kGeTargetEs, runner);
 
   // Sequential reference for Pastor–Bosque: GE at the operating N on one
   // SunBlade (only feasible because this is a simulator!).

@@ -5,12 +5,15 @@
 // next pivot asynchronously while the current step's eliminations run.
 // Same arithmetic, same W(N) — how much scalability was left on the table?
 #include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
-#include "common.hpp"
 #include "hetscale/algos/ge.hpp"
 #include "hetscale/run/runner.hpp"
-#include "hetscale/scal/iso_solver.hpp"
-#include "hetscale/scal/metrics.hpp"
+#include "hetscale/scal/series.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 namespace {
 
@@ -36,40 +39,38 @@ scal::AlgoSpec pipelined_ge_algo() {
 }  // namespace
 
 int main() {
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Ablation  Pipelined GE (overlapped pivot distribution)",
       "Paper's synchronous GE vs lookahead-1 pipelining, E_s = 0.3.");
+
+  const int ladder[] = {2, 4, 8, 16};
+  const scal::AlgoSpec variants[2] = {scal::ge_algo(), pipelined_ge_algo()};
+  run::Runner runner(1);
+  scal::SeriesReport series[2];
+  for (int v = 0; v < 2; ++v) {
+    std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
+    std::vector<scal::Combination*> rungs;
+    for (int nodes : ladder) {
+      owned.push_back(std::make_unique<scal::ClusterCombination>(
+          v == 0 ? "paper" : "pipelined", scenarios::ge_config(nodes),
+          variants[v]));
+      rungs.push_back(owned.back().get());
+    }
+    series[v] =
+        scal::scalability_series(rungs, scenarios::kGeTargetEs, runner);
+  }
 
   Table table;
   table.set_header({"Nodes", "N (paper)", "N (pipelined)",
                     "psi step (paper)", "psi step (pipelined)"});
-  double prev_c[2] = {0, 0};
-  double prev_w[2] = {0, 0};
-  run::Runner runner(1);
-  for (int nodes : {2, 4, 8, 16}) {
-    scal::ClusterCombination paper("paper", bench::ge_config(nodes),
-                                   scal::ge_algo());
-    scal::ClusterCombination pipelined("pipelined", bench::ge_config(nodes),
-                                       pipelined_ge_algo());
-    const auto paper_point =
-        scal::required_problem_size(paper, bench::kGeTargetEs, runner);
-    const auto pipe_point =
-        scal::required_problem_size(pipelined, bench::kGeTargetEs, runner);
-    std::string psi[2] = {"-", "-"};
-    const double c[2] = {paper.marked_speed(), pipelined.marked_speed()};
-    const double w[2] = {paper.work(paper_point.n),
-                         pipelined.work(pipe_point.n)};
-    for (int v = 0; v < 2; ++v) {
-      if (prev_c[v] > 0) {
-        psi[v] = Table::fixed(scal::isospeed_efficiency_scalability(
-                                  prev_c[v], prev_w[v], c[v], w[v]),
-                              3);
-      }
-      prev_c[v] = c[v];
-      prev_w[v] = w[v];
-    }
-    table.add_row({std::to_string(nodes), std::to_string(paper_point.n),
-                   std::to_string(pipe_point.n), psi[0], psi[1]});
+  for (std::size_t i = 0; i < std::size(ladder); ++i) {
+    const auto psi = [&](int v) {
+      return i == 0 ? std::string("-")
+                    : Table::fixed(series[v].steps[i - 1].psi, 3);
+    };
+    table.add_row({std::to_string(ladder[i]),
+                   std::to_string(series[0].points[i].n),
+                   std::to_string(series[1].points[i].n), psi(0), psi(1)});
   }
   std::cout << table;
   std::cout << "(overlap + no barrier shrink the iso-efficiency problem "

@@ -3,12 +3,13 @@
 // effective system speeds under different application profiles.
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/marked/performance.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Marked performance  (multi-parameter extension, paper §5)",
       "Per-node sustained compute/memory/network; effective marked speed "
       "under application profiles.");
@@ -22,7 +23,7 @@ int main() {
                     "network (MB/s)", "net latency (us)"});
   for (const auto& spec : specs) {
     const auto perf = marked::node_marked_performance(spec);
-    table.add_row({spec.model, bench::mflops_str(perf.compute_flops),
+    table.add_row({spec.model, scenarios::mflops_str(perf.compute_flops),
                    Table::fixed(perf.memory_Bps / 1e6, 0),
                    Table::fixed(perf.network_Bps / 1e6, 2),
                    Table::fixed(perf.network_latency_s * 1e6, 1)});
@@ -40,10 +41,11 @@ int main() {
     const auto perf = marked::node_marked_performance(spec);
     eff.add_row(
         {spec.model,
-         bench::mflops_str(marked::effective_marked_speed(
+         scenarios::mflops_str(marked::effective_marked_speed(
              perf, marked::compute_bound_profile())),
-         bench::mflops_str(marked::effective_marked_speed(perf, stream)),
-         bench::mflops_str(marked::effective_marked_speed(perf, exchange))});
+         scenarios::mflops_str(marked::effective_marked_speed(perf, stream)),
+         scenarios::mflops_str(
+             marked::effective_marked_speed(perf, exchange))});
   }
   std::cout << eff;
   std::cout << "(the V210's memory system widens its lead on memory-bound "

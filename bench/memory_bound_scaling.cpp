@@ -8,13 +8,14 @@
 // heterogeneity as a capacity feature, not just a speed mix.
 #include <iostream>
 
-#include "common.hpp"
 #include "hetscale/run/runner.hpp"
 #include "hetscale/scal/capacity.hpp"
+#include "hetscale/scenarios/paper.hpp"
+#include "hetscale/support/table.hpp"
 
 int main() {
   using namespace hetscale;
-  bench::print_header(
+  std::cout << scenarios::artifact_header(
       "Memory-bounded scaling  GE at E_s = 0.3 on all-SunBlade systems",
       "Required N vs the largest N that fits (root holds the full matrix "
       "in 128 MB).");
@@ -29,7 +30,7 @@ int main() {
     scal::ClusterCombination combo("blades-" + std::to_string(nodes),
                                    std::move(config), scal::ge_algo());
     const auto result = scal::memory_bounded_required_size(
-        combo, bench::kGeTargetEs, scal::ge_footprint(), runner);
+        combo, scenarios::kGeTargetEs, scal::ge_footprint(), runner);
     table.add_row(
         {std::to_string(nodes),
          result.solve.found ? std::to_string(result.solve.n) : "> fits",
@@ -48,7 +49,7 @@ int main() {
     scal::ClusterCombination combo("ge-" + std::to_string(nodes),
                                    std::move(config), scal::ge_algo());
     const auto result = scal::memory_bounded_required_size(
-        combo, bench::kGeTargetEs, scal::ge_footprint(), runner);
+        combo, scenarios::kGeTargetEs, scal::ge_footprint(), runner);
     mixed.add_row(
         {std::to_string(nodes),
          result.solve.found ? std::to_string(result.solve.n) : "> fits",

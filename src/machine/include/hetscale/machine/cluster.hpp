@@ -13,6 +13,11 @@
 
 namespace hetscale::machine {
 
+/// The most nodes a cluster description or a catalog ensemble builder
+/// (sunwulf.hpp) accepts: 16 times the 4096-node top rung of the large-p
+/// scenario. Both check it before building any node.
+inline constexpr int kMaxClusterNodes = 65536;
+
 /// A node model (one row of the paper's hardware description).
 struct NodeSpec {
   std::string model;           ///< e.g. "SunFire V210"

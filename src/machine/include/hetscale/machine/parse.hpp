@@ -17,13 +17,10 @@
 
 namespace hetscale::machine {
 
-/// The most nodes one description may name, over all its groups: 16 times
-/// the 4096-node top rung of the large-p scenario.
-inline constexpr int kMaxClusterNodes = 65536;
-
 /// Parse a cluster description. Throws PreconditionError with a pointed
 /// message on malformed input, unknown node types, or more than
-/// kMaxClusterNodes nodes; the last is checked before any node is built.
+/// kMaxClusterNodes (cluster.hpp) nodes; the last is checked before any
+/// node is built.
 Cluster parse_cluster(const std::string& description);
 
 }  // namespace hetscale::machine

@@ -25,16 +25,18 @@ NodeSpec v210_spec();
 
 /// The paper's GE ensembles (§4.4.1): the server node using two CPUs plus
 /// (total_nodes - 1) SunBlades. total_nodes in {2, 4, 8, 16, 32}; any
-/// total_nodes >= 2 is accepted.
+/// total_nodes in [2, kMaxClusterNodes] is accepted.
 Cluster ge_ensemble(int total_nodes);
 
 /// The paper's MM ensembles (§4.4.2): one server node (one CPU), and of the
 /// remaining nodes half SunBlades, half SunFire V210s (one CPU each);
-/// e.g. 8 nodes = server + 3 SunBlades + 4 V210s.
+/// e.g. 8 nodes = server + 3 SunBlades + 4 V210s. total_nodes in
+/// [2, kMaxClusterNodes].
 Cluster mm_ensemble(int total_nodes);
 
 /// A homogeneous ensemble of `total_nodes` SunBlades — used to demonstrate
 /// that isospeed-efficiency collapses to classic isospeed (paper §3.3).
+/// total_nodes in [1, kMaxClusterNodes].
 Cluster homogeneous_ensemble(int total_nodes);
 
 }  // namespace hetscale::machine::sunwulf

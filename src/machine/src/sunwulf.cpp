@@ -50,8 +50,19 @@ NodeSpec v210_spec() {
   };
 }
 
+namespace {
+/// Reject an ensemble larger than kMaxClusterNodes before any node is built.
+void require_node_bound(int total_nodes, const std::string& what) {
+  HETSCALE_REQUIRE(total_nodes <= kMaxClusterNodes,
+                   what + " of " + std::to_string(total_nodes) +
+                       " nodes; at most " + std::to_string(kMaxClusterNodes) +
+                       " are allowed");
+}
+}  // namespace
+
 Cluster ge_ensemble(int total_nodes) {
   HETSCALE_REQUIRE(total_nodes >= 2, "GE ensemble needs at least 2 nodes");
+  require_node_bound(total_nodes, "GE ensemble");
   Cluster cluster;
   cluster.add_node("sunwulf", server_spec(), /*cpus_used=*/2);
   for (int i = 1; i < total_nodes; ++i) {
@@ -62,6 +73,7 @@ Cluster ge_ensemble(int total_nodes) {
 
 Cluster mm_ensemble(int total_nodes) {
   HETSCALE_REQUIRE(total_nodes >= 2, "MM ensemble needs at least 2 nodes");
+  require_node_bound(total_nodes, "MM ensemble");
   Cluster cluster;
   cluster.add_node("sunwulf", server_spec(), /*cpus_used=*/1);
   // Of the remaining nodes, the first half (rounded down) are SunBlades and
@@ -81,6 +93,7 @@ Cluster mm_ensemble(int total_nodes) {
 
 Cluster homogeneous_ensemble(int total_nodes) {
   HETSCALE_REQUIRE(total_nodes >= 1, "ensemble needs at least 1 node");
+  require_node_bound(total_nodes, "homogeneous ensemble");
   Cluster cluster;
   for (int i = 0; i < total_nodes; ++i) {
     cluster.add_node("hpc-" + std::to_string(1 + i), sunblade_spec());

@@ -50,10 +50,10 @@ namespace hetscale::run {
 
 class Runner {
  public:
-  /// jobs <= 0 picks the process default (HETSCALE_JOBS or hardware
-  /// concurrency). jobs == 1 is the sequential fallback: no worker threads
-  /// at all, batches run inline on the caller. jobs above kMaxJobs (see
-  /// support/args.hpp) throws PreconditionError before any thread starts.
+  /// jobs <= 0 picks the hardware concurrency (normalize_jobs(0), see
+  /// support/args.hpp). jobs == 1 is the sequential fallback: no worker
+  /// threads at all, batches run inline on the caller. jobs above kMaxJobs
+  /// throws PreconditionError before any thread starts.
   explicit Runner(int jobs = 0);
   ~Runner();
 

@@ -2,10 +2,10 @@
 //
 // A Scenario wraps one paper artifact (a table, a figure, an ablation) as
 // a function from a RunContext (worker pool + output format) to a
-// RunResult. Scenarios register under a stable name; the bench binaries
-// and `hetscale_cli run <name>` both resolve through this registry, so
-// every artifact has exactly one implementation and a one-command
-// regeneration path with `--jobs N` parallelism.
+// RunResult. Scenarios register under a stable name; the bench launchers
+// and `hetscale_cli run <name>` both resolve through this registry and run
+// through run_scenario(), so every artifact has exactly one implementation
+// and one launch path, with `--jobs N` parallelism.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 
 #include "hetscale/run/result.hpp"
 #include "hetscale/run/runner.hpp"
+#include "hetscale/support/args.hpp"
 
 namespace hetscale::run {
 
@@ -23,8 +24,8 @@ enum class OutputFormat { kText, kCsv, kJson };
 struct RunContext {
   Runner& runner;
   OutputFormat format = OutputFormat::kText;
-  /// Experiment seed (--seed / HETSCALE_SEED). Fault scenarios expand it
-  /// into a FaultPlan; healthy scenarios are free to ignore it.
+  /// Experiment seed (--seed). Fault scenarios expand it into a FaultPlan;
+  /// healthy scenarios are free to ignore it.
   std::uint64_t seed = 0;
 };
 
@@ -52,11 +53,16 @@ OutputFormat parse_format(const std::string& text);
 const std::string& render(const RunResult& result, OutputFormat format,
                           std::string& storage);
 
-/// Shared main() for scenario-backed binaries and the CLI `run` command:
-/// parses --format=text|csv|json, --jobs N / -j N (HETSCALE_JOBS fallback),
-/// --seed N (HETSCALE_SEED fallback), --profile (time-budget report on
-/// stderr), and --help from argv[1..], runs the named scenario, prints to
-/// stdout. Returns a process exit code.
-int scenario_main(const std::string& name, int argc, const char* const* argv);
+/// Declare the flags run_scenario() reads: --format=text|csv|json,
+/// --profile, --jobs N / -j N, --sim-threads N and --seed N.
+ArgParser& add_scenario_flags(ArgParser& args);
+
+/// Run `scenario` with those flags, already parsed: --sim-threads becomes
+/// the process-wide sim-thread count, the run gets a --jobs-wide Runner and
+/// --seed, and the result is printed to stdout in --format. With --profile
+/// the machines built during the run report to a profiler, whose
+/// time-budget table follows on stderr. The bench launchers and
+/// `hetscale_cli run` both end here. Throws on a malformed flag.
+void run_scenario(const Scenario& scenario, const ArgParser& args);
 
 }  // namespace hetscale::run

@@ -119,7 +119,7 @@ bool steal_any(Lane* lanes, std::size_t lane_count, std::size_t self,
 }  // namespace
 
 Runner::Runner(int jobs)
-    : jobs_(jobs > 0 ? normalize_jobs(jobs) : default_jobs()) {
+    : jobs_(normalize_jobs(std::max(jobs, 0))) {
   // The caller participates in draining (lane 0), so jobs_ - 1 pool threads
   // give jobs_ concurrent lanes. A thread that fails to start must not
   // leave the ones already running pointing at a half-built Runner.

@@ -13,9 +13,9 @@
 //   * fault_ge_loss_retry — GE under transient message loss, sweeping the
 //     drop probability; retries and retry wait against the efficiency lost.
 //
-// Every plan derives from RunContext::seed (--seed / HETSCALE_SEED), so an
-// artifact is reproduced bit-exactly by rerunning with the same seed, at
-// any --jobs setting.
+// Every plan derives from RunContext::seed (--seed), so an artifact is
+// reproduced bit-exactly by rerunning with the same seed, at any --jobs
+// setting.
 #pragma once
 
 #include <cstdint>

@@ -84,64 +84,45 @@ inline constexpr int kMaxJobs = 1024;
 /// Map a requested worker count to an effective one: 0 means "use the
 /// hardware concurrency" (at least 1, at most kMaxJobs), positive values up
 /// to kMaxJobs pass through, and anything else throws. This is the single
-/// definition of what `0` means — --jobs, HETSCALE_JOBS, and Runner(0) all
-/// funnel through it, so the three spellings can never drift apart.
+/// definition of what `0` means — --jobs and Runner(0) both funnel through
+/// it, so the two spellings can never drift apart.
 int normalize_jobs(std::int64_t jobs);
-
-/// The process-wide default worker count: the HETSCALE_JOBS environment
-/// variable when set (a whole integer in [0, kMaxJobs]; 0 = hardware
-/// concurrency), otherwise the hardware concurrency (at least 1). A
-/// malformed value throws PreconditionError naming the variable.
-int default_jobs();
 
 /// Declare the conventional `--jobs N` flag with its `-j` alias.
 ArgParser& add_jobs_flag(ArgParser& args);
 
 /// The parsed --jobs/-j value (must be >= 0; 0 picks the hardware
-/// concurrency), or default_jobs() when the flag was not given.
+/// concurrency), or the hardware concurrency when the flag was not given.
 int resolve_jobs(const ArgParser& args);
 
 /// Map a requested simulation-thread count to an effective one: 0 means
 /// "use the hardware concurrency" (at least 1), positive values up to
 /// INT_MAX pass through, anything else throws. Mirrors normalize_jobs() so
-/// --sim-threads, HETSCALE_SIM_THREADS, and set_global_sim_threads() agree
-/// on what 0 means.
+/// --sim-threads and set_global_sim_threads() agree on what 0 means.
 int normalize_sim_threads(std::int64_t threads);
-
-/// The process-wide default simulation-thread count per machine: the
-/// HETSCALE_SIM_THREADS environment variable when set (a whole integer in
-/// [0, INT_MAX]; 0 = hardware concurrency), otherwise 1 — the classic
-/// sequential scheduler, which every golden artifact was recorded with. A
-/// malformed value throws PreconditionError naming the variable.
-int default_sim_threads();
 
 /// Declare the conventional `--sim-threads N` flag.
 ArgParser& add_sim_threads_flag(ArgParser& args);
 
 /// The parsed --sim-threads value (must be >= 0; 0 picks the hardware
-/// concurrency), or default_sim_threads() when the flag was not given.
+/// concurrency), or 1 — the classic sequential scheduler, which every
+/// golden artifact was recorded with — when the flag was not given.
 int resolve_sim_threads(const ArgParser& args);
 
-/// The effective process-wide sim-thread count new machines inherit:
-/// set_global_sim_threads() when called, otherwise default_sim_threads().
-/// A process global — exactly like the --jobs convention — so Machine
-/// construction sites need no per-call plumbing; CLI entry points call
+/// The process-wide sim-thread count new machines inherit:
+/// set_global_sim_threads() when called, otherwise 1. A process global —
+/// exactly like the --jobs convention — so Machine construction sites need
+/// no per-call plumbing; CLI entry points call
 /// set_global_sim_threads(resolve_sim_threads(args)) once after parsing.
 int global_sim_threads();
 void set_global_sim_threads(int threads);
-
-/// The process-wide default fault/experiment seed: the HETSCALE_SEED
-/// environment variable when set (a whole integer in [0, INT64_MAX], the
-/// range --seed takes), otherwise 0. A malformed value throws
-/// PreconditionError naming the variable.
-std::uint64_t default_seed();
 
 /// Declare the conventional `--seed N` flag shared by the CLI and the
 /// scenario launchers.
 ArgParser& add_seed_flag(ArgParser& args);
 
-/// The parsed --seed value (must be >= 0), or default_seed() when the flag
-/// was not given.
+/// The parsed --seed value (must be >= 0), or 0 when the flag was not
+/// given.
 std::uint64_t resolve_seed(const ArgParser& args);
 
 }  // namespace hetscale

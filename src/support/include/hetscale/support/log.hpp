@@ -1,36 +1,23 @@
-// Minimal leveled logging.
+// Warnings on std::clog.
 //
-// The simulator is a library first; logging defaults to WARN so tests and
-// benches stay quiet, and examples flip it to INFO to narrate their runs.
+// The simulator is a library first: it reports a condition that is not an
+// error but that a caller may want to see (an iso-solve whose trend line
+// never reaches its target) as one warning line, and prints nothing else.
 #pragma once
 
 #include <sstream>
 #include <string>
 
-namespace hetscale {
+namespace hetscale::detail {
+/// Write "[hetscale WARN] <message>" and a newline to std::clog as one
+/// line: writers on different threads never shear each other's lines.
+void log_warning(const std::string& message);
+}  // namespace hetscale::detail
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Global log threshold; messages below it are discarded.
-void set_log_level(LogLevel level);
-LogLevel log_level();
-
-namespace detail {
-void log_write(LogLevel level, const std::string& message);
-}
-
-}  // namespace hetscale
-
-#define HETSCALE_LOG(level, expr)                                           \
-  do {                                                                      \
-    if (static_cast<int>(level) >= static_cast<int>(::hetscale::log_level())) { \
-      std::ostringstream hetscale_log_os;                                   \
-      hetscale_log_os << expr;                                              \
-      ::hetscale::detail::log_write(level, hetscale_log_os.str());          \
-    }                                                                       \
+/// HETSCALE_WARN("x = " << x): format with operator<< and log_warning it.
+#define HETSCALE_WARN(expr)                                  \
+  do {                                                       \
+    std::ostringstream hetscale_warn_os;                     \
+    hetscale_warn_os << expr;                                \
+    ::hetscale::detail::log_warning(hetscale_warn_os.str()); \
   } while (false)
-
-#define HETSCALE_DEBUG(expr) HETSCALE_LOG(::hetscale::LogLevel::kDebug, expr)
-#define HETSCALE_INFO(expr) HETSCALE_LOG(::hetscale::LogLevel::kInfo, expr)
-#define HETSCALE_WARN(expr) HETSCALE_LOG(::hetscale::LogLevel::kWarn, expr)
-#define HETSCALE_ERROR(expr) HETSCALE_LOG(::hetscale::LogLevel::kError, expr)

@@ -5,7 +5,6 @@
 #include <charconv>
 #include <climits>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <system_error>
 #include <thread>
@@ -204,24 +203,16 @@ int normalize_jobs(std::int64_t jobs) {
       std::clamp<unsigned>(hardware, 1, static_cast<unsigned>(kMaxJobs)));
 }
 
-int default_jobs() {
-  const char* env = std::getenv("HETSCALE_JOBS");
-  if (env == nullptr) return normalize_jobs(0);
-  return normalize_jobs(parse_int(env, "HETSCALE_JOBS", 0, kMaxJobs));
-}
-
 ArgParser& add_jobs_flag(ArgParser& args) {
   args.add_flag("jobs",
                 "worker threads for batch runs, at most " +
-                    std::to_string(kMaxJobs) +
-                    "; 0 = hardware concurrency "
-                    "(default: HETSCALE_JOBS or hardware concurrency)");
+                    std::to_string(kMaxJobs) + "; 0 = hardware concurrency",
+                "0");
   args.add_short('j', "jobs");
   return args;
 }
 
 int resolve_jobs(const ArgParser& args) {
-  if (!args.has("jobs")) return default_jobs();
   const auto jobs = args.get_int("jobs", 0);
   HETSCALE_REQUIRE(jobs >= 0,
                    "--jobs must be >= 0 (0 means hardware concurrency)");
@@ -238,22 +229,15 @@ int normalize_sim_threads(std::int64_t threads) {
   return hardware >= 1 ? static_cast<int>(hardware) : 1;
 }
 
-int default_sim_threads() {
-  const char* env = std::getenv("HETSCALE_SIM_THREADS");
-  if (env == nullptr) return 1;
-  return normalize_sim_threads(
-      parse_int(env, "HETSCALE_SIM_THREADS", 0, INT_MAX));
-}
-
 ArgParser& add_sim_threads_flag(ArgParser& args) {
   args.add_flag("sim-threads",
                 "OS threads per simulated machine; 0 = hardware concurrency, "
-                "1 = sequential (default: HETSCALE_SIM_THREADS or 1)");
+                "1 = sequential",
+                "1");
   return args;
 }
 
 int resolve_sim_threads(const ArgParser& args) {
-  if (!args.has("sim-threads")) return default_sim_threads();
   const auto threads = args.get_int("sim-threads", 1);
   HETSCALE_REQUIRE(
       threads >= 0,
@@ -262,15 +246,13 @@ int resolve_sim_threads(const ArgParser& args) {
 }
 
 namespace {
-/// 0 = unset: fall through to the HETSCALE_SIM_THREADS/1 default. Relaxed
-/// atomics suffice — this is a configuration knob read at Machine
-/// construction, not a synchronization point.
-std::atomic<int> g_sim_threads{0};
+/// Sequential until set. Relaxed atomics suffice — this is a configuration
+/// knob read at Machine construction, not a synchronization point.
+std::atomic<int> g_sim_threads{1};
 }  // namespace
 
 int global_sim_threads() {
-  const int value = g_sim_threads.load(std::memory_order_relaxed);
-  return value > 0 ? value : default_sim_threads();
+  return g_sim_threads.load(std::memory_order_relaxed);
 }
 
 void set_global_sim_threads(int threads) {
@@ -278,21 +260,12 @@ void set_global_sim_threads(int threads) {
   g_sim_threads.store(threads, std::memory_order_relaxed);
 }
 
-std::uint64_t default_seed() {
-  const char* env = std::getenv("HETSCALE_SEED");
-  if (env == nullptr) return 0;
-  // The same range --seed accepts.
-  return static_cast<std::uint64_t>(parse_int(env, "HETSCALE_SEED", 0));
-}
-
 ArgParser& add_seed_flag(ArgParser& args) {
-  args.add_flag("seed",
-                "fault/experiment seed (default: HETSCALE_SEED or 0)");
+  args.add_flag("seed", "fault/experiment seed", "0");
   return args;
 }
 
 std::uint64_t resolve_seed(const ArgParser& args) {
-  if (!args.has("seed")) return default_seed();
   const auto seed = args.get_int("seed", 0);
   HETSCALE_REQUIRE(seed >= 0, "--seed must be >= 0");
   return static_cast<std::uint64_t>(seed);

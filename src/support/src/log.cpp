@@ -1,38 +1,19 @@
 #include "hetscale/support/log.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
-namespace hetscale {
+namespace hetscale::detail {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-
-// Serializes writes: the experiment Runner logs from worker threads, and
+// Serializes writes: the experiment Runner warns from worker threads, and
 // interleaved operator<< chains would shear lines mid-record.
 std::mutex g_write_mutex;
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
-}
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
-namespace detail {
-void log_write(LogLevel level, const std::string& message) {
+void log_warning(const std::string& message) {
   std::lock_guard<std::mutex> lock(g_write_mutex);
-  std::clog << "[hetscale " << level_name(level) << "] " << message << '\n';
+  std::clog << "[hetscale WARN] " << message << '\n';
 }
-}  // namespace detail
 
-}  // namespace hetscale
+}  // namespace hetscale::detail

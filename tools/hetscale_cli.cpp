@@ -15,7 +15,6 @@
 //   hetscale_cli profile table2_ge_two_nodes --format json --out report.json
 //   hetscale_cli profile --algo sort --cluster "sunbladex4" --n 4096
 //                        --format table --trace-out sort.trace.json
-//   hetscale_cli trace   --algo ge --cluster "sunbladex4" --n 64 --out ge.trace.json
 //   hetscale_cli inject  --algo ge --cluster "sunbladex4" --n 256 --seed 7
 //                        --slowdown 0.6 --loss 0.05 --crash-rate 0.5
 //                        --checkpoint-interval 0.25
@@ -23,17 +22,20 @@
 // Cluster grammar: comma-separated "<type>[xCOUNT][:CPUS]" with types
 // server / sunblade / v210 (see machine/parse.hpp). Ladders name the
 // paper's GE/MM ensembles by node count. `run` executes a registered
-// scenario (the paper's tables and figures) on a --jobs-wide worker pool;
-// solve / curve / series accept --jobs too. `profile` runs either a
-// registered scenario or a single algorithm with instrumentation on and
-// exports the hetscale.obs.report in --format json | prom | table; `trace`
-// is the historical alias for the single-run form (utilization table plus
-// --out chrome trace). `analyze` runs the same subjects but exports the
-// hetscale.obs.analysis document instead: critical-path attribution, the
-// ranked communication matrix, and event-queue telemetry, in --format
-// json | csv | table. Its output is byte-stable across --jobs and kernel
-// pins.
+// scenario (the paper's tables and figures) on a --jobs-wide worker pool,
+// through the same run::run_scenario the bench launchers use; solve /
+// curve / series accept --jobs too. `profile` runs either a registered
+// scenario or a single algorithm with instrumentation on and exports the
+// hetscale.obs.report in --format json | prom | table; the single-run form
+// also prints the per-rank utilization table on stderr and, with
+// --trace-out, writes a Chrome trace. `analyze` runs the same subjects but
+// exports the hetscale.obs.analysis document instead: critical-path
+// attribution, the ranked communication matrix, and event-queue telemetry,
+// in --format json | csv | table. Its output is byte-stable across --jobs
+// and kernel pins.
 #include <climits>
+#include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -57,11 +59,8 @@
 #include "hetscale/scal/profile.hpp"
 #include "hetscale/scal/series.hpp"
 #include "hetscale/scenarios/algo_registry.hpp"
-#include "hetscale/scenarios/dist2d.hpp"
+#include "hetscale/scenarios/all.hpp"
 #include "hetscale/scenarios/fault.hpp"
-#include "hetscale/scenarios/large_p.hpp"
-#include "hetscale/scenarios/paper.hpp"
-#include "hetscale/scenarios/profile.hpp"
 #include "hetscale/scenarios/zoo.hpp"
 #include "hetscale/support/args.hpp"
 #include "hetscale/support/csv.hpp"
@@ -82,22 +81,29 @@ std::unique_ptr<scal::ClusterCombination> make_combination(
                                                     entry.spec);
 }
 
-/// All scenario registrations, shared by run / scenarios / profile.
-void register_all_scenarios() {
-  scenarios::register_paper_scenarios();
-  scenarios::register_fault_scenarios();
-  scenarios::register_profile_scenarios();
-  scenarios::register_dist2d_scenarios();
-  scenarios::register_zoo_scenarios();
-  scenarios::register_large_p_scenarios();
+/// --algo on --cluster: the ad-hoc subject of solve, curve, inject, profile
+/// and analyze.
+std::unique_ptr<scal::ClusterCombination> cluster_combination(
+    const ArgParser& args) {
+  return make_combination(args.get_or("algo", "ge"),
+                          machine::parse_cluster(args.get("cluster")));
 }
 
-/// `hetscale_cli scenarios [substring]` — the registry as a listing, with
-/// an optional case-sensitive name/summary filter.
-int cmd_scenarios(const ArgParser& args) {
-  register_all_scenarios();
-  const auto& positional = args.positional();
-  const std::string filter = positional.size() > 1 ? positional[1] : "";
+/// --ladder as ensemble node counts, each in [1, kMaxClusterNodes]; all are
+/// checked before any ensemble is built.
+std::vector<int> parse_ladder(const ArgParser& args) {
+  std::vector<int> ladder;
+  for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
+    ladder.push_back(static_cast<int>(
+        parse_int(piece, "--ladder entry", 1, machine::kMaxClusterNodes)));
+  }
+  return ladder;
+}
+
+/// Print the registered scenarios whose name or summary contains `filter`
+/// (case-sensitive; all of them when empty). Returns 2 when none matches.
+int print_scenarios(const std::string& filter) {
+  scenarios::register_all_scenarios();
   Table table(filter.empty()
                   ? std::string("Registered scenarios")
                   : "Registered scenarios matching '" + filter + "'");
@@ -122,44 +128,36 @@ int cmd_scenarios(const ArgParser& args) {
   return 0;
 }
 
-int cmd_run(const ArgParser& args) {
-  register_all_scenarios();
-  const auto& positional = args.positional();
-  const std::string name = positional.size() > 1 ? positional[1] : "list";
-  if (name == "list") {
-    Table table("Scenarios (paper artifacts)");
-    table.set_header({"name", "summary"});
-    for (const run::Scenario* scenario : run::all_scenarios()) {
-      table.add_row({scenario->name, scenario->summary});
-    }
-    std::cout << table;
-    return positional.size() > 1 ? 0 : 2;
-  }
+/// The registered scenario `name`, or nullptr after telling the user where
+/// the names are listed.
+const run::Scenario* lookup_scenario(const std::string& name) {
+  scenarios::register_all_scenarios();
   const run::Scenario* scenario = run::find_scenario(name);
   if (scenario == nullptr) {
     std::cerr << "error: unknown scenario '" << name
               << "' (try: hetscale_cli run list)\n";
-    return 2;
   }
-  run::Runner runner(resolve_jobs(args));
-  const run::RunContext context{
-      runner, run::parse_format(args.get_or("format", "text")),
-      resolve_seed(args)};
-  std::string storage;
-  if (args.has("profile")) {
-    // The artifact keeps stdout; the instrumentation report rides along
-    // on stderr as a time-budget table.
-    obs::Profiler profiler;
-    obs::ProfilerScope scope(profiler);
-    const run::RunResult result = scenario->run(context);
-    std::cout << run::render(result, context.format, storage);
-    obs::ReportOptions options;
-    options.subject = name;
-    std::cerr << profiler.report(options).to_table();
-  } else {
-    const run::RunResult result = scenario->run(context);
-    std::cout << run::render(result, context.format, storage);
+  return scenario;
+}
+
+/// `hetscale_cli scenarios [substring]` — the registry as a listing, with
+/// an optional case-sensitive name/summary filter.
+int cmd_scenarios(const ArgParser& args) {
+  const auto& positional = args.positional();
+  return print_scenarios(positional.size() > 1 ? positional[1] : "");
+}
+
+/// `hetscale_cli run <name>`; `run list` and a bare `run` print the
+/// listing (a bare `run` exits 2, as a usage error).
+int cmd_run(const ArgParser& args) {
+  const auto& positional = args.positional();
+  if (positional.size() < 2 || positional[1] == "list") {
+    print_scenarios("");
+    return positional.size() > 1 ? 0 : 2;
   }
+  const run::Scenario* scenario = lookup_scenario(positional[1]);
+  if (scenario == nullptr) return 2;
+  run::run_scenario(*scenario, args);
   return 0;
 }
 
@@ -182,8 +180,7 @@ int cmd_marked(const ArgParser& args) {
 }
 
 int cmd_solve(const ArgParser& args) {
-  auto combo = make_combination(args.get_or("algo", "ge"),
-                                machine::parse_cluster(args.get("cluster")));
+  auto combo = cluster_combination(args);
   const double target = args.get_double("target", 0.3);
   run::Runner runner(resolve_jobs(args));
   scal::IsoSolveOptions options;
@@ -201,16 +198,28 @@ int cmd_solve(const ArgParser& args) {
   return 0;
 }
 
+/// The most sizes one `curve` measures; each is a full simulation.
+constexpr std::int64_t kMaxCurveSizes = 4096;
+
 int cmd_curve(const ArgParser& args) {
-  auto combo = make_combination(args.get_or("algo", "ge"),
-                                machine::parse_cluster(args.get("cluster")));
   const auto from = args.get_int("from", 32);
   const auto to = args.get_int("to", 512);
   const auto step = args.get_int("step", 32);
   HETSCALE_REQUIRE(from >= 1 && to >= from && step >= 1,
                    "need 1 <= from <= to and step >= 1");
-  std::vector<std::int64_t> sizes;
-  for (std::int64_t n = from; n <= to; n += step) sizes.push_back(n);
+  // to - from cannot overflow once 1 <= from <= to.
+  const std::int64_t count = (to - from) / step + 1;
+  HETSCALE_REQUIRE(count <= kMaxCurveSizes,
+                   "curve measures at most " + std::to_string(kMaxCurveSizes) +
+                       " sizes; --from " + std::to_string(from) + " --to " +
+                       std::to_string(to) + " --step " +
+                       std::to_string(step) + " names " +
+                       std::to_string(count));
+  std::vector<std::int64_t> sizes(static_cast<std::size_t>(count));
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    sizes[i] = from + static_cast<std::int64_t>(i) * step;
+  }
+  auto combo = cluster_combination(args);
   run::Runner runner(resolve_jobs(args));
   const auto measured = combo->measure_many(sizes, runner);
   CsvWriter csv({"N", "seconds", "speed_mflops", "speed_efficiency"});
@@ -229,9 +238,7 @@ int cmd_series(const ArgParser& args) {
   const double target = args.get_double("target", entry.target_es);
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::Combination*> ptrs;
-  for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
-    const int nodes =
-        static_cast<int>(parse_int(piece, "--ladder entry", 1, INT_MAX));
+  for (const int nodes : parse_ladder(args)) {
     owned.push_back(make_combination(algo, entry.ensemble(nodes)));
     ptrs.push_back(owned.back().get());
   }
@@ -264,12 +271,11 @@ int cmd_predict(const ArgParser& args) {
   Table table("Predicted " + algo +
               " operating points (probed parameters, paper §4.5)");
   table.set_header({"nodes", "predicted N"});
-  for (const auto& piece : split(args.get_or("ladder", "2,4,8"), ',')) {
-    const int nodes =
-        static_cast<int>(parse_int(piece, "--ladder entry", 1, INT_MAX));
+  for (const int nodes : parse_ladder(args)) {
     const auto system = predict::system_model_for(entry.ensemble(nodes), comm);
-    table.add_row({piece, std::to_string(predict::predicted_required_size(
-                              *entry.model, system, target))});
+    table.add_row({std::to_string(nodes),
+                   std::to_string(predict::predicted_required_size(
+                       *entry.model, system, target))});
   }
   std::cout << table;
   return 0;
@@ -301,8 +307,7 @@ int cmd_fit(const ArgParser& args) {
 }
 
 int cmd_inject(const ArgParser& args) {
-  auto combo = make_combination(args.get_or("algo", "ge"),
-                                machine::parse_cluster(args.get("cluster")));
+  auto combo = cluster_combination(args);
   const auto n = args.get_int("n", 256);
   const auto seed = resolve_seed(args);
   const int ranks = combo->processor_count();
@@ -380,8 +385,72 @@ int cmd_inject(const ArgParser& args) {
   return 0;
 }
 
-// Emit `report` per --format json | prom | table to --out or stdout.
-void write_report(const ArgParser& args, const obs::Report& report) {
+/// Write `text` to the file --`flag` names, or to stdout without the flag.
+void write_output(const ArgParser& args, const std::string& flag,
+                  const std::string& text) {
+  if (!args.has(flag)) {
+    std::cout << text;
+    return;
+  }
+  std::ofstream out(args.get(flag));
+  HETSCALE_REQUIRE(out.good(), "cannot open --" + flag + " file for writing");
+  out << text;
+}
+
+/// Run `scenario` with instrumentation on, for `profile` and `analyze`:
+/// machines built while the scope is live publish their RunProfile into
+/// `profiler`. The scenario's own artifact is discarded — the product of
+/// both commands is what they derive from the profiler.
+void profile_scenario(const run::Scenario& scenario, const ArgParser& args,
+                      obs::Profiler& profiler) {
+  obs::ProfilerScope scope(profiler);
+  run::Runner runner(resolve_jobs(args));
+  const run::RunContext context{runner, run::OutputFormat::kText,
+                                resolve_seed(args)};
+  (void)scenario.run(context);
+}
+
+/// One instrumented run of --algo on --cluster at --n, the ad-hoc subject of
+/// `command` (profile or analyze), added to `profiler`. Returns the run;
+/// `subject` gets the combination's name.
+scal::ProfiledRun profile_adhoc(const std::string& command,
+                                const ArgParser& args,
+                                obs::Profiler& profiler,
+                                std::string& subject) {
+  HETSCALE_REQUIRE(args.has("cluster"),
+                   command +
+                       " needs a scenario name or --cluster (run "
+                       "hetscale_cli with no arguments for usage)");
+  const auto combo = cluster_combination(args);
+  scal::ProfiledRun profiled = scal::profile_run(*combo, args.get_int("n", 64));
+  profiler.add_run(profiled.profile);
+  subject = combo->name();
+  return profiled;
+}
+
+/// `hetscale_cli profile <scenario> | --algo ... --cluster ...` — the
+/// hetscale.obs.report of an instrumented run in --format json | prom |
+/// table, to --out or stdout.
+int cmd_profile(const ArgParser& args) {
+  const auto& positional = args.positional();
+  obs::Profiler profiler;
+  obs::ReportOptions options;
+  if (positional.size() > 1) {
+    const run::Scenario* scenario = lookup_scenario(positional[1]);
+    if (scenario == nullptr) return 2;
+    profile_scenario(*scenario, args, profiler);
+    options.subject = scenario->name;
+  } else {
+    const scal::ProfiledRun profiled =
+        profile_adhoc("profile", args, profiler, options.subject);
+    if (args.has("trace-out")) {
+      write_output(args, "trace-out", profiled.chrome_trace);
+      std::cerr << "chrome trace written to " << args.get("trace-out")
+                << " (open in chrome://tracing)\n";
+    }
+    std::cerr << profiled.utilization;
+  }
+  const obs::Report report = profiler.report(options);
   const std::string format = args.get_or("format", "table");
   std::ostringstream os;
   if (format == "json") {
@@ -393,104 +462,8 @@ void write_report(const ArgParser& args, const obs::Report& report) {
   } else {
     throw PreconditionError("profile supports --format json, prom, or table");
   }
-  if (args.has("out")) {
-    std::ofstream out(args.get("out"));
-    HETSCALE_REQUIRE(out.good(), "cannot open --out file for writing");
-    out << os.str();
-  } else {
-    std::cout << os.str();
-  }
-}
-
-/// One instrumented run of --algo on --cluster at
-/// --n. In profile mode the report goes to stdout (or --out) and the
-/// per-rank utilization table to stderr; `trace` keeps its historical
-/// contract — utilization on stdout, chrome trace via --out.
-int profile_adhoc(const ArgParser& args, bool trace_alias) {
-  auto combo = make_combination(args.get_or("algo", "ge"),
-                                machine::parse_cluster(args.get("cluster")));
-  const auto n = args.get_int("n", 64);
-  const auto profiled = scal::profile_run(*combo, n);
-  if (trace_alias) {
-    std::cout << profiled.utilization;
-    if (args.has("out")) {
-      std::ofstream out(args.get("out"));
-      HETSCALE_REQUIRE(out.good(), "cannot open --out file for writing");
-      out << profiled.chrome_trace;
-      std::cout << "chrome trace written to " << args.get("out")
-                << " (open in chrome://tracing)\n";
-    }
-    return 0;
-  }
-  if (args.has("trace-out")) {
-    std::ofstream out(args.get("trace-out"));
-    HETSCALE_REQUIRE(out.good(), "cannot open --trace-out file for writing");
-    out << profiled.chrome_trace;
-    std::cerr << "chrome trace written to " << args.get("trace-out")
-              << " (open in chrome://tracing)\n";
-  }
-  std::cerr << profiled.utilization;
-  obs::Profiler profiler;
-  profiler.add_run(profiled.profile);
-  obs::ReportOptions options;
-  options.subject = combo->name();
-  write_report(args, profiler.report(options));
+  write_output(args, "out", os.str());
   return 0;
-}
-
-int cmd_profile(const ArgParser& args) {
-  const auto& positional = args.positional();
-  if (positional.size() > 1) {
-    register_all_scenarios();
-    const std::string& name = positional[1];
-    const run::Scenario* scenario = run::find_scenario(name);
-    if (scenario == nullptr) {
-      std::cerr << "error: unknown scenario '" << name
-                << "' (try: hetscale_cli run list)\n";
-      return 2;
-    }
-    obs::Profiler profiler;
-    {
-      // Machines constructed while the scope is live publish their
-      // RunProfile automatically; the scenario's own artifact output is
-      // discarded — the product of `profile` is the report.
-      obs::ProfilerScope scope(profiler);
-      run::Runner runner(resolve_jobs(args));
-      const run::RunContext context{runner, run::OutputFormat::kText,
-                                    resolve_seed(args)};
-      (void)scenario->run(context);
-    }
-    obs::ReportOptions options;
-    options.subject = name;
-    write_report(args, profiler.report(options));
-    return 0;
-  }
-  HETSCALE_REQUIRE(args.has("cluster"),
-                   "profile needs a scenario name or --cluster (run "
-                   "hetscale_cli with no arguments for usage)");
-  return profile_adhoc(args, /*trace_alias=*/false);
-}
-
-// Emit `analysis` per --format json | csv | table to --out or stdout.
-void write_analysis(const ArgParser& args, const obs::Analysis& analysis) {
-  const std::string format = args.get_or("format", "table");
-  std::ostringstream os;
-  if (format == "json") {
-    analysis.to_json(os);
-  } else if (format == "csv") {
-    analysis.to_csv(os);
-  } else if (format == "table" || format == "text") {
-    os << analysis.to_text();
-  } else {
-    throw PreconditionError("analyze supports --format json, csv, or table");
-  }
-  if (args.has("out")) {
-    std::ofstream out(args.get("out"));
-    HETSCALE_REQUIRE(out.good(), "cannot open --out file for writing");
-    out << os.str();
-  } else {
-    std::cout << os.str();
-  }
 }
 
 /// `hetscale_cli analyze <scenario> | --algo ... --cluster ...` — the
@@ -502,38 +475,26 @@ int cmd_analyze(const ArgParser& args) {
   const auto& positional = args.positional();
   obs::Profiler profiler;
   if (positional.size() > 1) {
-    register_all_scenarios();
-    const std::string& name = positional[1];
-    const run::Scenario* scenario = run::find_scenario(name);
-    if (scenario == nullptr) {
-      std::cerr << "error: unknown scenario '" << name
-                << "' (try: hetscale_cli run list)\n";
-      return 2;
-    }
-    {
-      // Same ambient-profiler contract as `profile`: machines built while
-      // the scope is live publish their RunProfile (now including comm
-      // cells, critical path, and queue telemetry) automatically.
-      obs::ProfilerScope scope(profiler);
-      run::Runner runner(resolve_jobs(args));
-      const run::RunContext context{runner, run::OutputFormat::kText,
-                                    resolve_seed(args)};
-      (void)scenario->run(context);
-    }
-    options.subject = name;
+    const run::Scenario* scenario = lookup_scenario(positional[1]);
+    if (scenario == nullptr) return 2;
+    profile_scenario(*scenario, args, profiler);
+    options.subject = scenario->name;
   } else {
-    HETSCALE_REQUIRE(args.has("cluster"),
-                     "analyze needs a scenario name or --cluster (run "
-                     "hetscale_cli with no arguments for usage)");
-    auto combo = make_combination(
-        args.get_or("algo", "ge"),
-        machine::parse_cluster(args.get("cluster")));
-    const auto n = args.get_int("n", 64);
-    const auto profiled = scal::profile_run(*combo, n);
-    profiler.add_run(profiled.profile);
-    options.subject = combo->name();
+    (void)profile_adhoc("analyze", args, profiler, options.subject);
   }
-  write_analysis(args, obs::Analysis(profiler, options));
+  const obs::Analysis analysis(profiler, options);
+  const std::string format = args.get_or("format", "table");
+  std::ostringstream os;
+  if (format == "json") {
+    analysis.to_json(os);
+  } else if (format == "csv") {
+    analysis.to_csv(os);
+  } else if (format == "table" || format == "text") {
+    os << analysis.to_text();
+  } else {
+    throw PreconditionError("analyze supports --format json, csv, or table");
+  }
+  write_output(args, "out", os.str());
   return 0;
 }
 
@@ -548,11 +509,10 @@ int dispatch(const std::string& command, const ArgParser& args) {
   if (command == "fit") return cmd_fit(args);
   if (command == "profile") return cmd_profile(args);
   if (command == "analyze") return cmd_analyze(args);
-  if (command == "trace") return profile_adhoc(args, /*trace_alias=*/true);
   if (command == "inject") return cmd_inject(args);
   std::cout << "hetscale_cli — isospeed-efficiency scalability analyses\n"
             << "commands: run | scenarios | marked | solve | curve | series "
-               "| predict | fit | profile | analyze | trace | inject\n\n"
+               "| predict | fit | profile | analyze | inject\n\n"
             << args.help("hetscale_cli <command>");
   return command.empty() ? 0 : 2;
 }
@@ -568,9 +528,9 @@ int main(int argc, char** argv) {
       .add_flag("from", "curve: first N", "32")
       .add_flag("to", "curve: last N", "512")
       .add_flag("step", "curve: N increment", "32")
-      .add_flag("n", "profile/trace: problem size", "64")
+      .add_flag("n", "profile/analyze: problem size", "64")
       .add_flag("nmin", "solve: search floor", "4")
-      .add_flag("out", "profile: report file; trace: chrome-trace file")
+      .add_flag("out", "profile/analyze: report file")
       .add_flag("trace-out", "profile: chrome-trace output file")
       .add_flag("format",
                 "run: text, csv, json; fit: json, csv, table; profile: "
@@ -616,7 +576,7 @@ int main(int argc, char** argv) {
       }
     }
     return code;
-  } catch (const hetscale::Error& error) {
+  } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;
   }
