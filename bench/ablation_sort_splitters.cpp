@@ -51,11 +51,7 @@ int main() {
     scal::ClusterCombination combo("sort-" + std::to_string(nodes),
                                    scenarios::mm_config(nodes),
                                    scal::sort_algo());
-    scal::IsoSolveOptions options;
-    options.n_min = static_cast<std::int64_t>(combo.processor_count()) *
-                    combo.processor_count();
-    const auto point =
-        scal::required_problem_size(combo, 0.25, runner, options);
+    const auto point = scal::required_problem_size(combo, 0.25, runner);
     if (!point.found) {
       psi_table.add_row({combo.name(), "unreachable", "-"});
       continue;

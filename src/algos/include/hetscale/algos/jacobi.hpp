@@ -39,7 +39,12 @@ struct JacobiResult {
 /// W(N, sweeps) — total flops of the sweep phase.
 double jacobi_workload(std::int64_t n, std::int64_t sweeps);
 
+/// The smallest grid the solver takes on `ranks` ranks: p + 2, so every
+/// rank owns at least one interior row between the two boundary rows.
+std::int64_t jacobi_min_n(int ranks);
+
 /// Run the parallel Jacobi solver on (and consuming) the given machine.
+/// Needs options.n >= jacobi_min_n(world size).
 JacobiResult run_parallel_jacobi(vmpi::Machine& machine,
                                  const JacobiOptions& options);
 

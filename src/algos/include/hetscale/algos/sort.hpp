@@ -53,7 +53,12 @@ struct SortResult {
 /// W(N) = 6 N log2 N — the comparison-sort workload polynomial.
 double sort_workload(std::int64_t n);
 
-/// Run parallel sample sort on (and consuming) the given machine.
+/// The fewest keys sample sort takes on `ranks` ranks: max(p^2, 2), so
+/// every rank holds at least p keys to draw its p - 1 regular samples from.
+std::int64_t sort_min_keys(int ranks);
+
+/// Run parallel sample sort on (and consuming) the given machine. Needs
+/// options.n >= sort_min_keys(world size).
 SortResult run_parallel_sort(vmpi::Machine& machine,
                              const SortOptions& options);
 

@@ -194,12 +194,16 @@ double jacobi_workload(std::int64_t n, std::int64_t sweeps) {
          kernels::jacobi_sweep_flops(n, n - 2);
 }
 
+std::int64_t jacobi_min_n(int ranks) {
+  return static_cast<std::int64_t>(ranks) + 2;
+}
+
 JacobiResult run_parallel_jacobi(vmpi::Machine& machine,
                                  const JacobiOptions& options) {
   HETSCALE_REQUIRE(options.n >= 3, "Jacobi needs n >= 3");
   HETSCALE_REQUIRE(options.sweeps >= 1, "Jacobi needs sweeps >= 1");
   const int p = machine.world_size();
-  HETSCALE_REQUIRE(options.n - 2 >= p,
+  HETSCALE_REQUIRE(options.n >= jacobi_min_n(p),
                    "Jacobi needs at least one interior row per rank");
 
   auto shared = std::make_shared<JacobiShared>();

@@ -191,11 +191,14 @@ double sort_workload(std::int64_t n) {
   return 6.0 * static_cast<double>(n) * std::log2(static_cast<double>(n));
 }
 
+std::int64_t sort_min_keys(int ranks) {
+  return std::max<std::int64_t>(static_cast<std::int64_t>(ranks) * ranks, 2);
+}
+
 SortResult run_parallel_sort(vmpi::Machine& machine,
                              const SortOptions& options) {
   const int p = machine.world_size();
-  HETSCALE_REQUIRE(options.n >= static_cast<std::int64_t>(p) * p &&
-                       options.n >= 2,
+  HETSCALE_REQUIRE(options.n >= sort_min_keys(p),
                    "sample sort needs n >= p^2 keys");
 
   auto shared = std::make_shared<SortShared>();

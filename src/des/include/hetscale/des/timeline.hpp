@@ -20,15 +20,8 @@ class Timeline {
   /// Time at which the resource next becomes free.
   SimTime free_at() const { return free_at_; }
 
-  /// Busy time accumulated so far (for utilization reports).
-  SimTime busy_time() const { return busy_time_; }
-
-  /// Forget all reservations (e.g. between benchmark repetitions).
-  void reset();
-
  private:
   SimTime free_at_ = 0.0;
-  SimTime busy_time_ = 0.0;
 };
 
 }  // namespace hetscale::des

@@ -11,13 +11,7 @@ SimTime Timeline::reserve(SimTime earliest, SimTime duration) {
   HETSCALE_REQUIRE(earliest >= 0.0, "reservation time must be >= 0");
   const SimTime start = std::max(earliest, free_at_);
   free_at_ = start + duration;
-  busy_time_ += duration;
   return free_at_;
-}
-
-void Timeline::reset() {
-  free_at_ = 0.0;
-  busy_time_ = 0.0;
 }
 
 }  // namespace hetscale::des

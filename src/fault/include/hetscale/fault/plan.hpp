@@ -19,6 +19,7 @@
 //                       with exponential backoff.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -106,6 +107,11 @@ struct PlanSpec {
   des::SimTime horizon_s = 1e4;
 };
 
+/// The most events (slowdown windows, link windows and crashes) a generated
+/// plan holds. A plan is built in memory before the run starts, so
+/// FaultPlan::generate rejects a spec that asks for more.
+inline constexpr std::size_t kMaxPlanEvents = 1'000'000;
+
 class FaultPlan {
  public:
   FaultPlan() = default;
@@ -114,7 +120,8 @@ class FaultPlan {
   /// Expand a seed into a concrete event schedule for `ranks` ranks.
   /// Deterministic: same (seed, spec, ranks) -> identical plan, and every
   /// draw is counter-keyed, so plans for different rank counts share the
-  /// events of their common ranks.
+  /// events of their common ranks. Throws PreconditionError, before adding
+  /// it, on the event that would exceed kMaxPlanEvents.
   static FaultPlan generate(std::uint64_t seed, const PlanSpec& spec,
                             int ranks);
 

@@ -32,6 +32,15 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, const PlanSpec& spec,
   HETSCALE_REQUIRE(spec.horizon_s > 0.0, "plan horizon must be positive");
   FaultPlan plan(seed);
   const CounterRng rng(seed);
+  std::size_t events = 0;
+  const auto count_event = [&events] {
+    HETSCALE_REQUIRE(events < kMaxPlanEvents,
+                     "a fault plan holds at most " +
+                         std::to_string(kMaxPlanEvents) +
+                         " events (slowdown windows, link windows and "
+                         "crashes); lower the rates or the horizon");
+    ++events;
+  };
 
   if (spec.slowdown_probability > 0.0) {
     HETSCALE_REQUIRE(
@@ -51,6 +60,7 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, const PlanSpec& spec,
       const double degraded = spec.slowdown_duty * spec.slowdown_period_s;
       for (des::SimTime start = phase; start < spec.horizon_s;
            start += spec.slowdown_period_s) {
+        count_event();
         plan.add_slowdown({r, start,
                            std::min(start + degraded, spec.horizon_s),
                            spec.slowdown_factor});
@@ -64,6 +74,7 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, const PlanSpec& spec,
     const double degraded = spec.link_duty * spec.link_period_s;
     for (des::SimTime start = 0.0; start < spec.horizon_s;
          start += spec.link_period_s) {
+      count_event();
       plan.add_link_fault({start, std::min(start + degraded, spec.horizon_s),
                            spec.link_bandwidth_factor,
                            spec.link_extra_latency_s});
@@ -80,6 +91,7 @@ FaultPlan FaultPlan::generate(std::uint64_t seed, const PlanSpec& spec,
       for (std::uint64_t k = 0;; ++k) {
         at += rng.exponential(kStreamCrash, base + k, mean);
         if (at >= spec.horizon_s) break;
+        count_event();
         plan.add_crash({r, at});
       }
     }

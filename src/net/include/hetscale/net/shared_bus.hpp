@@ -14,9 +14,6 @@ class SharedBusNetwork final : public Network {
  public:
   explicit SharedBusNetwork(NetworkParams params = {}) : Network(params) {}
 
-  /// Fraction of [0, horizon] the medium was busy (utilization report).
-  double utilization(SimTime horizon) const;
-
  private:
   TransferResult remote_transfer(int src_node, int dst_node, double bytes,
                                  SimTime depart) override;

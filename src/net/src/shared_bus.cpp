@@ -19,9 +19,4 @@ TransferResult SharedBusNetwork::remote_transfer(int src_node,
   return TransferResult{arrival, wire_done};
 }
 
-double SharedBusNetwork::utilization(SimTime horizon) const {
-  if (horizon <= 0.0) return 0.0;
-  return medium_.busy_time() / horizon;
-}
-
 }  // namespace hetscale::net

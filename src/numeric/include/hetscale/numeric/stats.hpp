@@ -11,9 +11,6 @@ double mean(std::span<const double> xs);
 /// Sample standard deviation (n-1 denominator); 0 for fewer than 2 samples.
 double stddev(std::span<const double> xs);
 
-double min_value(std::span<const double> xs);
-double max_value(std::span<const double> xs);
-
 /// |a - b| / max(|a|, |b|, eps) — symmetric relative error used when
 /// comparing predicted vs measured scalability.
 double relative_error(double a, double b);

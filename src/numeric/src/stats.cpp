@@ -22,16 +22,6 @@ double stddev(std::span<const double> xs) {
   return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
-double min_value(std::span<const double> xs) {
-  HETSCALE_REQUIRE(!xs.empty(), "min of empty sample");
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_value(std::span<const double> xs) {
-  HETSCALE_REQUIRE(!xs.empty(), "max of empty sample");
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double relative_error(double a, double b) {
   constexpr double kEps = 1e-300;
   const double denom = std::max({std::abs(a), std::abs(b), kEps});

@@ -2,8 +2,11 @@
 //
 // A scenario produces one RunResult: a typed table (columns x rows) plus
 // named scalar findings, with three renderings —
-//   * text: the byte-exact legacy harness output (header block, aligned
-//     tables, commentary), prepared by the scenario itself;
+//   * text: the harness output, prepared by the scenario: a header block
+//     and commentary around the record's own rows, which table() (an
+//     aligned table) or to_csv(headings) (a CSV block) renders under
+//     display headings. Only a table whose shape differs from the record
+//     (e.g. a psi-step list with a cumulative row) is built by hand;
 //   * csv:  the tabular data alone, RFC-4180 escaped, for plotting;
 //   * json: the full record under the documented schema
 //     "hetscale.run.result/v1" (docs/architecture.md).
@@ -63,14 +66,22 @@ struct RunResult {
   /// Named scalar findings (e.g. cumulative psi), in insertion order.
   std::vector<std::pair<std::string, Value>> scalars;
 
-  /// Byte-exact legacy harness rendering, prepared by the scenario.
+  /// The harness rendering, prepared by the scenario (see above).
   std::string text;
 
   void add_row(std::vector<Value> row);
   void add_scalar(std::string name, Value value);
 
-  /// Tabular data only: columns as header, one line per row.
-  std::string to_csv() const;
+  /// The rows as an aligned text table under display `headings` (one per
+  /// column), with `title` as its first line when non-empty. A null cell
+  /// prints "-", a boolean "yes" or "no", any other cell its text().
+  std::string table(const std::vector<std::string>& headings,
+                    const std::string& title = {}) const;
+
+  /// Tabular data only: `headings` (one per column) as the header line,
+  /// then one line of cell text() per row.
+  std::string to_csv(const std::vector<std::string>& headings) const;
+  std::string to_csv() const { return to_csv(columns); }
 
   /// The full record under schema "hetscale.run.result/v1".
   std::string to_json() const;

@@ -18,6 +18,18 @@ void write_json_string(std::ostream& os, const std::string& piece) {
   os << '"' << obs::json_escape(piece) << '"';
 }
 
+/// A cell as a text table shows it.
+std::string display_text(const Value& value) {
+  switch (value.kind()) {
+    case Value::Kind::kNull:
+      return "-";
+    case Value::Kind::kBool:
+      return value.text() == "true" ? "yes" : "no";
+    default:
+      return value.text();
+  }
+}
+
 }  // namespace
 
 Value::Value(bool value)
@@ -77,8 +89,24 @@ void RunResult::add_scalar(std::string name, Value value) {
   scalars.emplace_back(std::move(name), std::move(value));
 }
 
-std::string RunResult::to_csv() const {
-  CsvWriter csv(columns);
+std::string RunResult::table(const std::vector<std::string>& headings,
+                             const std::string& title) const {
+  HETSCALE_REQUIRE(headings.size() == columns.size(),
+                   "table headings must match the column count");
+  Table out(title);
+  out.set_header(headings);
+  for (const auto& row : rows) {
+    std::vector<std::string> cells;
+    for (const auto& value : row) cells.push_back(display_text(value));
+    out.add_row(std::move(cells));
+  }
+  return out.str();
+}
+
+std::string RunResult::to_csv(const std::vector<std::string>& headings) const {
+  HETSCALE_REQUIRE(headings.size() == columns.size(),
+                   "CSV headings must match the column count");
+  CsvWriter csv(headings);
   for (const auto& row : rows) {
     std::vector<std::string> cells;
     cells.reserve(row.size());

@@ -42,6 +42,12 @@ struct AlgoSpec {
   std::function<AlgoRun(vmpi::Machine& machine, std::int64_t n,
                         const std::vector<double>& speeds, bool with_data)>
       run;
+
+  /// The smallest N a run on `ranks` ranks accepts: 1 unless the algorithm
+  /// says otherwise (sort: p^2, Jacobi: p + 2).
+  std::function<std::int64_t(int ranks)> min_n = [](int) {
+    return std::int64_t{1};
+  };
 };
 
 AlgoSpec ge_algo();

@@ -2,9 +2,10 @@
 // Work). Implemented so the ablation bench can put them side-by-side with
 // isospeed-efficiency on identical runs:
 //
-//  * Speedup / parallel efficiency and the isoefficiency view (Kumar,
-//    Grama, Gupta, Karypis [3]) — requires a *sequential* execution time,
-//    which is exactly the practical weakness the paper calls out.
+//  * Speedup, the root of parallel efficiency and the isoefficiency view
+//    (Kumar, Grama, Gupta, Karypis [3]) — requires a *sequential*
+//    execution time, which is exactly the practical weakness the paper
+//    calls out.
 //  * Jogalekar–Woodside productivity-based scalability [5] — value
 //    delivered per unit cost; needs a money cost model, not an intrinsic
 //    property of the machine.
@@ -21,16 +22,6 @@ namespace hetscale::scal {
 
 /// Speedup = T_seq / T_par.
 double speedup(double t_seq, double t_par);
-
-/// Parallel efficiency = speedup / p (the quantity isoefficiency holds
-/// constant).
-double parallel_efficiency(double t_seq, double t_par, int p);
-
-/// Isoefficiency-style scalability between two operating points that hold
-/// parallel efficiency constant: (p'·W)/(p·W') — same ratio form as
-/// isospeed, but anchored on sequential time via the efficiency solve.
-double isoefficiency_scalability(double p_from, double w_from, double p_to,
-                                 double w_to);
 
 // ---- Jogalekar–Woodside ----
 

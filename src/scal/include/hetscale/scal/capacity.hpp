@@ -25,13 +25,6 @@ using FootprintFn =
 /// workers hold their ~1/p row share.
 FootprintFn ge_footprint();
 
-/// Parallel MM: process 0 holds A, B and C; every worker holds the full B
-/// plus its A/C blocks — B replication is MM's capacity wall.
-FootprintFn mm_footprint();
-
-/// Parallel Jacobi: two full grids at the root, band + ghosts elsewhere.
-FootprintFn jacobi_footprint();
-
 /// Largest n (up to n_hi) whose footprint fits on every rank of the
 /// cluster, using `usable_fraction` of each node's installed memory
 /// (shared equally by the node's participating CPUs). Returns 0 if even

@@ -69,6 +69,9 @@ class Combination {
   /// W(N) — the workload polynomial of the algorithm.
   virtual double work(std::int64_t n) const = 0;
 
+  /// The smallest problem size the combination can run (see AlgoSpec).
+  virtual std::int64_t min_n() const { return 1; }
+
   /// The combination at problem size N: simulated once, then cached.
   const Measurement& measure(std::int64_t n);
 
@@ -118,6 +121,9 @@ class ClusterCombination final : public Combination {
   const std::string& name() const override { return name_; }
   double marked_speed() const override { return marked_speed_; }
   double work(std::int64_t n) const override { return algo_.work(n); }
+  std::int64_t min_n() const override {
+    return algo_.min_n(processor_count());
+  }
 
   /// The one measurement path: run the algorithm once at size n on
   /// `machine` — a fresh machine built from config(), possibly wrapped

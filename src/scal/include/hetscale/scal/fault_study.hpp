@@ -68,6 +68,7 @@ class FaultedCombination final : public Combination {
   /// re-mark the machine (degraded() gives the degraded view).
   double marked_speed() const override;
   double work(std::int64_t n) const override;
+  std::int64_t min_n() const override { return inner_->min_n(); }
 
   /// One run at size n with the full degraded-mode detail; uncached (each
   /// run has its own machine and injector, the plan is shared read-only).

@@ -32,7 +32,9 @@ struct IsoSolveOptions {
   enum class Method { kDirectSearch, kTrendLine };
   Method method = Method::kDirectSearch;
 
-  std::int64_t n_min = 4;             ///< search floor
+  /// Search floor; the solver raises it (and trend_n_lo) to the
+  /// combination's min_n(), so no probe runs below the smallest valid size.
+  std::int64_t n_min = 4;
   std::int64_t n_max = 1 << 22;       ///< search ceiling (fail beyond)
 
   // kTrendLine parameters:

@@ -61,7 +61,6 @@ class MeasurementStore {
   /// fields, a field not wholly numeric, a non-finite value, n < 1), loads
   /// nothing, returns false and puts the reason in `error` if given.
   bool load(std::istream& is, std::string* error = nullptr);
-  bool load_file(const std::string& path);
 
  private:
   mutable std::mutex mutex_;

@@ -23,12 +23,9 @@ double achieved_speed(double work_flops, double seconds);
 double speed_efficiency(double work_flops, double seconds,
                         double marked_speed_flops);
 
-/// The problem size that would hold E_s constant on an ideal system:
-/// W'_ideal = W · C' / C.
-double ideal_scaled_work(double c_from, double w_from, double c_to);
-
 /// Isospeed-efficiency scalability ψ(C, C') = (C'·W) / (C·W')
-/// (Definition 4 / §3.3). Equals 1 when W' is the ideal scaled work.
+/// (Definition 4 / §3.3). Equals 1 when W' is the ideal scaled work
+/// W · C' / C.
 double isospeed_efficiency_scalability(double c_from, double w_from,
                                        double c_to, double w_to);
 
@@ -36,13 +33,5 @@ double isospeed_efficiency_scalability(double c_from, double w_from,
 /// ψ(p, p') = (p'·W) / (p·W').
 double isospeed_scalability(double p_from, double w_from, double p_to,
                             double w_to);
-
-/// Verifies the isospeed-efficiency *condition* W/(T·C) == W'/(T'·C') up to
-/// a relative tolerance — used by tests and by the iso-solver's acceptance
-/// check.
-bool isospeed_efficiency_condition_holds(double w_from, double t_from,
-                                         double c_from, double w_to,
-                                         double t_to, double c_to,
-                                         double rel_tol = 0.05);
 
 }  // namespace hetscale::scal

@@ -54,7 +54,8 @@ AlgoSpec sort_algo(algos::SortSplitters splitters) {
             return outcome(algos::run_parallel_sort(
                 machine,
                 {.n = n, .splitters = splitters, .speeds = speeds}));
-          }};
+          },
+          algos::sort_min_keys};
 }
 
 AlgoSpec jacobi_algo(std::int64_t sweeps) {
@@ -70,7 +71,8 @@ AlgoSpec jacobi_algo(std::int64_t sweeps) {
                           .sweeps = sweeps,
                           .with_data = with_data,
                           .speeds = speeds}));
-          }};
+          },
+          algos::jacobi_min_n};
 }
 
 AlgoSpec summa_algo(std::int64_t tile) {

@@ -1,6 +1,5 @@
 #include "hetscale/scal/baselines.hpp"
 
-#include "hetscale/scal/metrics.hpp"
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
@@ -8,16 +7,6 @@ namespace hetscale::scal {
 double speedup(double t_seq, double t_par) {
   HETSCALE_REQUIRE(t_seq > 0.0 && t_par > 0.0, "times must be positive");
   return t_seq / t_par;
-}
-
-double parallel_efficiency(double t_seq, double t_par, int p) {
-  HETSCALE_REQUIRE(p >= 1, "processor count must be >= 1");
-  return speedup(t_seq, t_par) / static_cast<double>(p);
-}
-
-double isoefficiency_scalability(double p_from, double w_from, double p_to,
-                                 double w_to) {
-  return isospeed_scalability(p_from, w_from, p_to, w_to);
 }
 
 double productivity(double value_per_s, double cost_per_s) {

@@ -27,24 +27,6 @@ FootprintFn ge_footprint() {
   };
 }
 
-FootprintFn mm_footprint() {
-  return [](std::int64_t n, int rank, int p) {
-    const double blocks = 2.0 * dense_matrix_bytes(n) / static_cast<double>(p);
-    if (rank == 0) return 3.0 * dense_matrix_bytes(n);
-    return dense_matrix_bytes(n) + blocks;  // full B + A/C blocks
-  };
-}
-
-FootprintFn jacobi_footprint() {
-  return [](std::int64_t n, int rank, int p) {
-    const double band =
-        2.0 * kBytesPerDouble * static_cast<double>(n) *
-        (static_cast<double>(n) / static_cast<double>(p) + 2.0);
-    if (rank == 0) return 2.0 * dense_matrix_bytes(n) + band;
-    return band;
-  };
-}
-
 std::int64_t max_feasible_size(const machine::Cluster& cluster,
                                const FootprintFn& footprint,
                                double usable_fraction, std::int64_t n_hi) {

@@ -90,6 +90,7 @@ IsoSolveResult direct_search(Combination& combination, double target_es,
   // recovers (see the header comment).
   std::int64_t lo = options.n_min;
   std::int64_t hi = lo;
+  if (lo > options.n_max) return result;  // the floor is past the ceiling
   while (es_at(hi) < target_es) {
     if (hi >= options.n_max) return result;  // unreachable: not found
     lo = hi;
@@ -145,7 +146,7 @@ IsoSolveResult trend_line(Combination& combination, double target_es,
   // The paper's verification step: measure at the read-off size.
   const auto n = static_cast<std::int64_t>(std::llround(n_cross));
   result.found = true;
-  result.n = std::max<std::int64_t>(n, 1);
+  result.n = std::max(n, combination.min_n());
   result.achieved_es = combination.measure(result.n).speed_efficiency;
   return result;
 }
@@ -159,10 +160,14 @@ IsoSolveResult required_problem_size(Combination& combination,
                    "target speed-efficiency must be in (0, 1)");
   HETSCALE_REQUIRE(options.n_min >= 1 && options.n_max > options.n_min,
                    "invalid search range");
+  // Never probe below the smallest size the combination runs.
+  IsoSolveOptions floored = options;
+  floored.n_min = std::max(options.n_min, combination.min_n());
+  floored.trend_n_lo = std::max(options.trend_n_lo, combination.min_n());
   if (options.method == IsoSolveOptions::Method::kDirectSearch) {
-    return direct_search(combination, target_es, runner, options);
+    return direct_search(combination, target_es, runner, floored);
   }
-  return trend_line(combination, target_es, runner, options);
+  return trend_line(combination, target_es, runner, floored);
 }
 
 }  // namespace hetscale::scal

@@ -181,12 +181,6 @@ bool MeasurementStore::load(std::istream& is, std::string* error) {
   return true;
 }
 
-bool MeasurementStore::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) return false;
-  return load(in);
-}
-
 std::string config_fingerprint(std::string_view algo_key,
                                const machine::Cluster& cluster,
                                NetworkKind network,

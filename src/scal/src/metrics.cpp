@@ -1,7 +1,5 @@
 #include "hetscale/scal/metrics.hpp"
 
-#include <cmath>
-
 #include "hetscale/support/error.hpp"
 
 namespace hetscale::scal {
@@ -18,13 +16,6 @@ double speed_efficiency(double work_flops, double seconds,
   return achieved_speed(work_flops, seconds) / marked_speed_flops;
 }
 
-double ideal_scaled_work(double c_from, double w_from, double c_to) {
-  HETSCALE_REQUIRE(c_from > 0.0 && c_to > 0.0,
-                   "marked speeds must be positive");
-  HETSCALE_REQUIRE(w_from >= 0.0, "work must be non-negative");
-  return w_from * c_to / c_from;
-}
-
 double isospeed_efficiency_scalability(double c_from, double w_from,
                                        double c_to, double w_to) {
   HETSCALE_REQUIRE(c_from > 0.0 && c_to > 0.0,
@@ -37,15 +28,6 @@ double isospeed_scalability(double p_from, double w_from, double p_to,
                             double w_to) {
   // Identical form with processor counts in place of marked speeds.
   return isospeed_efficiency_scalability(p_from, w_from, p_to, w_to);
-}
-
-bool isospeed_efficiency_condition_holds(double w_from, double t_from,
-                                         double c_from, double w_to,
-                                         double t_to, double c_to,
-                                         double rel_tol) {
-  const double es_from = speed_efficiency(w_from, t_from, c_from);
-  const double es_to = speed_efficiency(w_to, t_to, c_to);
-  return std::abs(es_from - es_to) <= rel_tol * std::max(es_from, es_to);
 }
 
 }  // namespace hetscale::scal

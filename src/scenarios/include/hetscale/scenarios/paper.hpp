@@ -43,6 +43,10 @@ std::string artifact_header(const std::string& artifact,
 /// Mflop/s with one decimal, as the paper prints marked speeds.
 std::string mflops_str(double flops);
 
+/// The CSV headings of a curve block: a record's columns, whose first is
+/// the size "n", with that size shown as "N".
+std::vector<std::string> curve_headings(std::vector<std::string> columns);
+
 /// Register the paper's table/figure scenarios (table1..table7, fig1,
 /// fig2) with the global scenario registry. Idempotent.
 void register_paper_scenarios();

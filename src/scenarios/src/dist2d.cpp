@@ -9,7 +9,6 @@
 #include "hetscale/run/scenario.hpp"
 #include "hetscale/scal/series.hpp"
 #include "hetscale/scenarios/paper.hpp"
-#include "hetscale/support/csv.hpp"
 #include "hetscale/support/table.hpp"
 
 namespace hetscale::scenarios {
@@ -60,6 +59,18 @@ double spmv_imbalance_at(const scal::ClusterCombination& combo,
       .work_imbalance;
 }
 
+/// One row per size: n, then each curve's E_s at that size.
+void add_curve_rows(RunResult& result, const std::vector<std::int64_t>& sizes,
+                    const std::vector<scal::EfficiencyCurve>& curves) {
+  for (std::size_t s = 0; s < sizes.size(); ++s) {
+    std::vector<Value> cells{Value(sizes[s])};
+    for (const auto& curve : curves) {
+      cells.push_back(Value::fixed(curve.samples[s].speed_efficiency, 4));
+    }
+    result.add_row(std::move(cells));
+  }
+}
+
 // ---- SUMMA: speed-efficiency curves + psi vs the 1D row algorithm -------
 
 RunResult summa_mm(const RunContext& context) {
@@ -76,36 +87,20 @@ RunResult summa_mm(const RunContext& context) {
   std::vector<std::int64_t> sizes;
   for (std::int64_t n = 32; n <= 512; n += 32) sizes.push_back(n);
 
-  std::vector<std::string> header{"N"};
   result.columns = {"n"};
   std::vector<scal::EfficiencyCurve> curves;
   for (int nodes : kDist2dNodeCounts) {
     auto combo = make_summa(nodes);
     curves.push_back(
         scal::sample_efficiency_curve(*combo, sizes, context.runner));
-    header.push_back("es_" + std::to_string(nodes) + "nodes");
     result.columns.push_back("es_" + std::to_string(nodes) + "nodes");
   }
   auto row_mm = make_mm(8);
-  const auto mm_curve =
-      scal::sample_efficiency_curve(*row_mm, sizes, context.runner);
-  header.push_back("es_row_mm_8nodes");
+  curves.push_back(
+      scal::sample_efficiency_curve(*row_mm, sizes, context.runner));
   result.columns.push_back("es_row_mm_8nodes");
-
-  CsvWriter csv(std::move(header));
-  for (std::size_t s = 0; s < sizes.size(); ++s) {
-    std::vector<std::string> row{std::to_string(sizes[s])};
-    std::vector<Value> cells{Value(sizes[s])};
-    for (const auto& curve : curves) {
-      row.push_back(Table::fixed(curve.samples[s].speed_efficiency, 4));
-      cells.push_back(Value::fixed(curve.samples[s].speed_efficiency, 4));
-    }
-    row.push_back(Table::fixed(mm_curve.samples[s].speed_efficiency, 4));
-    cells.push_back(Value::fixed(mm_curve.samples[s].speed_efficiency, 4));
-    csv.add_row(std::move(row));
-    result.add_row(std::move(cells));
-  }
-  os << csv.str() << '\n';
+  add_curve_rows(result, sizes, curves);
+  os << result.to_csv(curve_headings(result.columns)) << '\n';
 
   // psi between ladder rungs at the paper's MM target, vs the row ladder.
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
@@ -166,36 +161,20 @@ RunResult ge_pivot(const RunContext& context) {
   std::vector<std::int64_t> sizes;
   for (std::int64_t n = 50; n <= 500; n += 50) sizes.push_back(n);
 
-  std::vector<std::string> header{"N"};
   result.columns = {"n"};
   std::vector<scal::EfficiencyCurve> curves;
   for (int nodes : ladder) {
     auto combo = make_ge_pivot(nodes);
     curves.push_back(
         scal::sample_efficiency_curve(*combo, sizes, context.runner));
-    header.push_back("es_" + std::to_string(nodes) + "nodes");
     result.columns.push_back("es_" + std::to_string(nodes) + "nodes");
   }
   auto plain = make_ge(4);
-  const auto plain_curve =
-      scal::sample_efficiency_curve(*plain, sizes, context.runner);
-  header.push_back("es_pivot_free_4nodes");
+  curves.push_back(
+      scal::sample_efficiency_curve(*plain, sizes, context.runner));
   result.columns.push_back("es_pivot_free_4nodes");
-
-  CsvWriter csv(std::move(header));
-  for (std::size_t s = 0; s < sizes.size(); ++s) {
-    std::vector<std::string> row{std::to_string(sizes[s])};
-    std::vector<Value> cells{Value(sizes[s])};
-    for (const auto& curve : curves) {
-      row.push_back(Table::fixed(curve.samples[s].speed_efficiency, 4));
-      cells.push_back(Value::fixed(curve.samples[s].speed_efficiency, 4));
-    }
-    row.push_back(Table::fixed(plain_curve.samples[s].speed_efficiency, 4));
-    cells.push_back(Value::fixed(plain_curve.samples[s].speed_efficiency, 4));
-    csv.add_row(std::move(row));
-    result.add_row(std::move(cells));
-  }
-  os << csv.str() << '\n';
+  add_curve_rows(result, sizes, curves);
+  os << result.to_csv(curve_headings(result.columns)) << '\n';
 
   std::vector<std::unique_ptr<scal::ClusterCombination>> owned;
   std::vector<scal::Combination*> pivot_ptrs;
@@ -256,9 +235,6 @@ RunResult spmv(const RunContext& context) {
 
   result.columns = {"nodes",  "n",      "het_imbalance", "hom_imbalance",
                     "het_es", "hom_es", "het_beats_hom"};
-  Table table;
-  table.set_header({"Nodes", "N", "Imbalance (het)", "Imbalance (hom)",
-                    "E_s (het)", "E_s (hom)", "het beats hom"});
   bool all_rows_win = true;
   for (int nodes : ensembles) {
     constexpr auto kHet = algos::SpmvDistribution::kHeterogeneousBlock;
@@ -274,17 +250,14 @@ RunResult spmv(const RunContext& context) {
       const double hom_es = hom_measured[s].speed_efficiency;
       const bool wins = het_imb < hom_imb && het_es > hom_es;
       all_rows_win = all_rows_win && wins;
-      table.add_row({std::to_string(nodes), std::to_string(sizes[s]),
-                     Table::fixed(het_imb, 4), Table::fixed(hom_imb, 4),
-                     Table::fixed(het_es, 4), Table::fixed(hom_es, 4),
-                     wins ? "yes" : "NO"});
       result.add_row({Value(nodes), Value(sizes[s]),
                       Value::fixed(het_imb, 4), Value::fixed(hom_imb, 4),
                       Value::fixed(het_es, 4), Value::fixed(hom_es, 4),
                       Value(wins)});
     }
   }
-  os << table;
+  os << result.table({"Nodes", "N", "Imbalance (het)", "Imbalance (hom)",
+                      "E_s (het)", "E_s (hom)", "het beats hom"});
   os << (all_rows_win
              ? "speed-aware row blocks win on every combination\n"
              : "NOTE: homogeneous split won somewhere above\n");

@@ -166,10 +166,6 @@ RunResult mm_crash_restart(const RunContext& context) {
   result.columns = {"interval",      "checkpoints",  "crashes",
                     "checkpoint_s",  "rework_s",     "elapsed_s",
                     "fault_overhead_s", "efficiency_retention"};
-  Table table("Checkpoint interval sweep (T_healthy = " +
-              Table::fixed(t_healthy, 4) + " s)");
-  table.set_header({"Interval", "Ckpts", "Crashes", "Ckpt s", "Rework s",
-                    "T s", "Overhead s", "E_s retention"});
   for (const auto& [label, interval] : intervals) {
     fault::PlanSpec spec = base;
     spec.checkpoint.interval_s = interval;
@@ -177,13 +173,6 @@ RunResult mm_crash_restart(const RunContext& context) {
         fault::FaultPlan::generate(context.seed, spec, ranks);
     const auto d = scal::decompose_faults(*combo, kN, plan);
     const auto& totals = d.faulty.fault_totals;
-    table.add_row({label, std::to_string(totals.checkpoints),
-                   std::to_string(totals.crashes),
-                   Table::fixed(totals.checkpoint_s, 4),
-                   Table::fixed(totals.rework_s, 4),
-                   Table::fixed(d.faulty.measurement.seconds, 4),
-                   Table::fixed(d.fault_overhead_s, 4),
-                   Table::fixed(d.efficiency_retention, 4)});
     result.add_row({Value(label),
                     Value(static_cast<std::int64_t>(totals.checkpoints)),
                     Value(static_cast<std::int64_t>(totals.crashes)),
@@ -193,7 +182,10 @@ RunResult mm_crash_restart(const RunContext& context) {
                     Value::fixed(d.fault_overhead_s, 4),
                     Value::fixed(d.efficiency_retention, 4)});
   }
-  os << table;
+  os << result.table({"Interval", "Ckpts", "Crashes", "Ckpt s", "Rework s",
+                      "T s", "Overhead s", "E_s retention"},
+                     "Checkpoint interval sweep (T_healthy = " +
+                         Table::fixed(t_healthy, 4) + " s)");
   os << "(short intervals pay more checkpoint cost but bound the rework a "
         "crash can roll back; 'none' rolls back to the start of the run)\n";
 
@@ -224,9 +216,6 @@ RunResult ge_loss_retry(const RunContext& context) {
   result.columns = {"drop_probability", "retries",  "retry_s",
                     "elapsed_s",        "speed_efficiency",
                     "efficiency_retention"};
-  Table table("Drop-probability ladder");
-  table.set_header({"p(drop)", "Retries", "Retry s", "T s", "E_s",
-                    "E_s retention"});
   for (const double p : drop_probabilities) {
     fault::FaultPlan plan(context.seed);
     fault::LossModel loss;
@@ -234,11 +223,6 @@ RunResult ge_loss_retry(const RunContext& context) {
     plan.set_loss(loss);
     const auto d = scal::decompose_faults(*combo, kN, plan);
     const auto& totals = d.faulty.fault_totals;
-    table.add_row({Table::fixed(p, 2), std::to_string(totals.retries),
-                   Table::fixed(totals.retry_s, 4),
-                   Table::fixed(d.faulty.measurement.seconds, 4),
-                   Table::fixed(d.faulty.measurement.speed_efficiency, 4),
-                   Table::fixed(d.efficiency_retention, 4)});
     result.add_row({Value::fixed(p, 2),
                     Value(static_cast<std::int64_t>(totals.retries)),
                     Value::fixed(totals.retry_s, 4),
@@ -246,7 +230,9 @@ RunResult ge_loss_retry(const RunContext& context) {
                     Value::fixed(d.faulty.measurement.speed_efficiency, 4),
                     Value::fixed(d.efficiency_retention, 4)});
   }
-  os << table;
+  os << result.table(
+      {"p(drop)", "Retries", "Retry s", "T s", "E_s", "E_s retention"},
+      "Drop-probability ladder");
   os << "(the p=0 row is the healthy baseline; retry waits compound on "
         "GE's per-step broadcasts, so efficiency falls faster than p)\n";
 

@@ -93,15 +93,8 @@ RunResult large_p(const RunContext& context) {
       scal::scalability_series(mm_ptrs, kMmTargetEs, context.runner);
 
   // ---- Render: one unified ladder table ---------------------------------
-  Table table("Operating points (MM rows at the isospeed target)");
-  table.set_header({"Workload", "p", "N", "W (flop)", "T_sim (s)", "E_s",
-                    "psi"});
   const auto add_point = [&](const char* workload, int p,
                              const scal::Measurement& m, Value psi) {
-    table.add_row({workload, std::to_string(p), std::to_string(m.n),
-                   Table::num(m.work_flops, 0), Table::num(m.seconds, 4),
-                   Table::fixed(m.speed_efficiency, 4),
-                   psi.kind() == Value::Kind::kNull ? "-" : psi.text()});
     result.add_row({Value(workload), Value(p), Value(m.n),
                     Value::real(m.work_flops, 0), Value::real(m.seconds, 4),
                     Value::fixed(m.speed_efficiency, 4), std::move(psi)});
@@ -121,7 +114,9 @@ RunResult large_p(const RunContext& context) {
               i == 0 ? Value()
                      : Value::fixed(mm_series.steps[i - 1].psi, 4));
   }
-  os << table;
+  os << result.table(
+      {"Workload", "p", "N", "W (flop)", "T_sim (s)", "E_s", "psi"},
+      "Operating points (MM rows at the isospeed target)");
   os << "MM cumulative psi (256 -> 4096 ranks): "
      << Table::fixed(mm_series.cumulative_psi(), 4) << '\n';
 

@@ -12,7 +12,6 @@
 #include "hetscale/scal/iso_solver.hpp"
 #include "hetscale/scal/metrics.hpp"
 #include "hetscale/scal/series.hpp"
-#include "hetscale/support/csv.hpp"
 #include "hetscale/support/table.hpp"
 
 namespace hetscale::scenarios {
@@ -71,28 +70,18 @@ RunResult table1(const RunContext&) {
   }
   result.columns.push_back("marked_speed_mflops");
 
-  Table per_kernel("Per-kernel sustained rate (Mflops)");
-  {
-    std::vector<std::string> header{"Node"};
-    for (auto name : marked::kKernelNames) header.emplace_back(name);
-    header.emplace_back("Marked Speed");
-    per_kernel.set_header(std::move(header));
-  }
   for (int i = 0; i < 3; ++i) {
-    const auto results = marked::run_suite(specs[i]);
-    std::vector<std::string> row{labels[i]};
     std::vector<Value> cells{Value(labels[i])};
-    for (const auto& r : results) {
-      row.push_back(mflops_str(r.rate_flops));
+    for (const auto& r : marked::run_suite(specs[i])) {
       cells.push_back(Value::fixed(r.rate_flops / 1e6, 1));
     }
-    const double node_speed = marked::node_marked_speed(specs[i]);
-    row.push_back(mflops_str(node_speed));
-    cells.push_back(Value::fixed(node_speed / 1e6, 1));
-    per_kernel.add_row(std::move(row));
+    cells.push_back(Value::fixed(marked::node_marked_speed(specs[i]) / 1e6, 1));
     result.add_row(std::move(cells));
   }
-  os << per_kernel << '\n';
+  std::vector<std::string> headings{"Node"};
+  for (auto name : marked::kKernelNames) headings.emplace_back(name);
+  headings.emplace_back("Marked Speed");
+  os << result.table(headings, "Per-kernel sustained rate (Mflops)") << '\n';
 
   // §4.3 worked example: C = server(1cpu) + SunBlade + 2 x V210(1cpu).
   machine::Cluster example;
@@ -132,19 +121,14 @@ RunResult table2(const RunContext& context) {
   result.add_scalar("marked_speed_mflops",
                     Value::fixed(combo->marked_speed() / 1e6, 1));
 
-  Table table;
-  table.set_header({"Rank N", "Workload W (Mflop)", "Execution Time T (s)",
-                    "Achieved Speed (Mflops)", "Speed-efficiency"});
   for (const auto& m : measured) {
-    table.add_row({std::to_string(m.n), Table::fixed(m.work_flops / 1e6, 2),
-                   Table::fixed(m.seconds, 3), mflops_str(m.speed_flops),
-                   Table::fixed(m.speed_efficiency, 3)});
     result.add_row({Value(m.n), Value::fixed(m.work_flops / 1e6, 2),
                     Value::fixed(m.seconds, 3),
                     Value::fixed(m.speed_flops / 1e6, 1),
                     Value::fixed(m.speed_efficiency, 3)});
   }
-  os << table;
+  os << result.table({"Rank N", "Workload W (Mflop)", "Execution Time T (s)",
+                      "Achieved Speed (Mflops)", "Speed-efficiency"});
   result.text = os.str();
   return result;
 }
@@ -168,15 +152,7 @@ RunResult table3(const RunContext& context) {
                     "achieved_es"};
   result.add_scalar("target_es", Value::fixed(kGeTargetEs, 1));
 
-  Table table;
-  table.set_header({"System Configuration", "Rank N", "Workload (Mflop)",
-                    "Marked Speed (Mflops)", "Achieved E_s"});
   for (const auto& point : report.points) {
-    table.add_row({point.system,
-                   point.found ? std::to_string(point.n) : "unreachable",
-                   point.found ? Table::fixed(point.work / 1e6, 2) : "-",
-                   mflops_str(point.marked_speed),
-                   point.found ? Table::fixed(point.achieved_es, 3) : "-"});
     result.add_row({Value(point.system),
                     point.found ? Value(point.n) : Value(),
                     point.found ? Value::fixed(point.work / 1e6, 2) : Value(),
@@ -184,7 +160,8 @@ RunResult table3(const RunContext& context) {
                     point.found ? Value::fixed(point.achieved_es, 3)
                                 : Value()});
   }
-  os << table;
+  os << result.table({"System Configuration", "Rank N", "Workload (Mflop)",
+                      "Marked Speed (Mflops)", "Achieved E_s"});
   os << "(paper: N = 310 / 480 / ... growing with system size)\n";
   result.text = os.str();
   return result;
@@ -312,17 +289,14 @@ RunResult table6(const RunContext&) {
 
   predict::GeOverheadModel model;
   result.columns = {"nodes", "predicted_n"};
-  Table table;
-  table.set_header({"Nodes", "N (prediction)"});
   for (int nodes : kPaperNodeCounts) {
     const auto system = predict::system_model_for(
         machine::sunwulf::ge_ensemble(nodes), comm);
     const auto n =
         predict::predicted_required_size(model, system, kGeTargetEs);
-    table.add_row({std::to_string(nodes), std::to_string(n)});
     result.add_row({Value(nodes), Value(n)});
   }
-  os << table;
+  os << result.table({"Nodes", "N (prediction)"});
   os << "(compare against the measured Table 3 ranks)\n";
   result.text = os.str();
   return result;
@@ -396,15 +370,11 @@ RunResult fig1(const RunContext& context) {
   const auto trend = scal::fit_trend(curve, 3);
 
   result.columns = {"n", "speed_efficiency", "trend"};
-  CsvWriter csv({"N", "speed_efficiency", "trend"});
   for (const auto& m : curve.samples) {
-    const double trend_at = trend(static_cast<double>(m.n));
-    csv.add_row({std::to_string(m.n), Table::fixed(m.speed_efficiency, 4),
-                 Table::fixed(trend_at, 4)});
     result.add_row({Value(m.n), Value::fixed(m.speed_efficiency, 4),
-                    Value::fixed(trend_at, 4)});
+                    Value::fixed(trend(static_cast<double>(m.n)), 4)});
   }
-  os << csv.str();
+  os << result.to_csv(curve_headings(result.columns));
   const double r2 =
       numeric::r_squared(trend, curve.sizes(), curve.efficiencies());
   os << "trend R^2 = " << Table::fixed(r2, 4) << "\n\n";
@@ -440,7 +410,6 @@ RunResult fig2(const RunContext& context) {
   std::vector<std::int64_t> sizes;
   for (std::int64_t n = 16; n <= 512; n += 16) sizes.push_back(n);
 
-  std::vector<std::string> header{"N"};
   result.columns = {"n"};
   std::vector<scal::EfficiencyCurve> curves;
   std::vector<numeric::Polynomial> trends;
@@ -449,28 +418,20 @@ RunResult fig2(const RunContext& context) {
     curves.push_back(
         scal::sample_efficiency_curve(*combo, sizes, context.runner));
     trends.push_back(scal::fit_trend(curves.back(), 3));
-    header.push_back("es_" + std::to_string(nodes) + "nodes");
-    header.push_back("trend_" + std::to_string(nodes) + "nodes");
     result.columns.push_back("es_" + std::to_string(nodes) + "nodes");
     result.columns.push_back("trend_" + std::to_string(nodes) + "nodes");
   }
 
-  CsvWriter csv(std::move(header));
   for (std::size_t s = 0; s < sizes.size(); ++s) {
-    std::vector<std::string> row{std::to_string(sizes[s])};
     std::vector<Value> cells{Value(sizes[s])};
     for (std::size_t c = 0; c < curves.size(); ++c) {
-      const double es = curves[c].samples[s].speed_efficiency;
-      const double trend_at = trends[c](static_cast<double>(sizes[s]));
-      row.push_back(Table::fixed(es, 4));
-      row.push_back(Table::fixed(trend_at, 4));
-      cells.push_back(Value::fixed(es, 4));
-      cells.push_back(Value::fixed(trend_at, 4));
+      cells.push_back(Value::fixed(curves[c].samples[s].speed_efficiency, 4));
+      cells.push_back(
+          Value::fixed(trends[c](static_cast<double>(sizes[s])), 4));
     }
-    csv.add_row(std::move(row));
     result.add_row(std::move(cells));
   }
-  os << csv.str();
+  os << result.to_csv(curve_headings(result.columns));
   os << "(expected shape: each curve rises with N; larger systems "
         "need larger N for the same E_s)\n";
   result.text = os.str();
@@ -519,6 +480,11 @@ std::string artifact_header(const std::string& artifact,
 }
 
 std::string mflops_str(double flops) { return Table::fixed(flops / 1e6, 1); }
+
+std::vector<std::string> curve_headings(std::vector<std::string> columns) {
+  columns.front() = "N";
+  return columns;
+}
 
 void register_paper_scenarios() {
   static const bool registered = [] {

@@ -96,9 +96,11 @@ ArgParser& add_jobs_flag(ArgParser& args);
 int resolve_jobs(const ArgParser& args);
 
 /// Map a requested simulation-thread count to an effective one: 0 means
-/// "use the hardware concurrency" (at least 1), positive values up to
-/// INT_MAX pass through, anything else throws. Mirrors normalize_jobs() so
-/// --sim-threads and set_global_sim_threads() agree on what 0 means.
+/// "use the hardware concurrency" (at least 1, at most kMaxJobs), positive
+/// values up to kMaxJobs pass through, anything else throws. A machine runs
+/// one OS thread per partition, so the bound is the worker pool's. Mirrors
+/// normalize_jobs() so --sim-threads and set_global_sim_threads() agree on
+/// what 0 means.
 int normalize_sim_threads(std::int64_t threads);
 
 /// Declare the conventional `--sim-threads N` flag.

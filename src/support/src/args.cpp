@@ -189,18 +189,28 @@ std::int64_t parse_int(std::string_view text, const std::string& what,
   return value;
 }
 
-int normalize_jobs(std::int64_t jobs) {
-  HETSCALE_REQUIRE(jobs >= 0,
-                   "jobs must be >= 0 (0 means hardware concurrency)");
-  HETSCALE_REQUIRE(jobs <= INT_MAX, "jobs must be <= " +
-                                        std::to_string(INT_MAX));
-  HETSCALE_REQUIRE(jobs <= kMaxJobs,
-                   "jobs must be <= " + std::to_string(kMaxJobs) +
-                       " (the worker pool's lane limit)");
-  if (jobs > 0) return static_cast<int>(jobs);
+namespace {
+/// The one rule for a thread count: 0 picks the hardware concurrency
+/// (clamped to [1, kMaxJobs]), 1..kMaxJobs pass through, and anything else
+/// throws a message naming `what` and, for the upper bound, `why`.
+int normalize_thread_count(std::int64_t count, const std::string& what,
+                           const std::string& why) {
+  HETSCALE_REQUIRE(count >= 0,
+                   what + " must be >= 0 (0 means hardware concurrency)");
+  HETSCALE_REQUIRE(count <= INT_MAX,
+                   what + " must be <= " + std::to_string(INT_MAX));
+  HETSCALE_REQUIRE(count <= kMaxJobs, what + " must be <= " +
+                                          std::to_string(kMaxJobs) + " (" +
+                                          why + ")");
+  if (count > 0) return static_cast<int>(count);
   const unsigned hardware = std::thread::hardware_concurrency();
   return static_cast<int>(
       std::clamp<unsigned>(hardware, 1, static_cast<unsigned>(kMaxJobs)));
+}
+}  // namespace
+
+int normalize_jobs(std::int64_t jobs) {
+  return normalize_thread_count(jobs, "jobs", "the worker pool's lane limit");
 }
 
 ArgParser& add_jobs_flag(ArgParser& args) {
@@ -220,19 +230,15 @@ int resolve_jobs(const ArgParser& args) {
 }
 
 int normalize_sim_threads(std::int64_t threads) {
-  HETSCALE_REQUIRE(threads >= 0,
-                   "sim-threads must be >= 0 (0 means hardware concurrency)");
-  HETSCALE_REQUIRE(threads <= INT_MAX, "sim-threads must be <= " +
-                                           std::to_string(INT_MAX));
-  if (threads > 0) return static_cast<int>(threads);
-  const unsigned hardware = std::thread::hardware_concurrency();
-  return hardware >= 1 ? static_cast<int>(hardware) : 1;
+  return normalize_thread_count(threads, "sim-threads",
+                                "one OS thread per machine partition");
 }
 
 ArgParser& add_sim_threads_flag(ArgParser& args) {
   args.add_flag("sim-threads",
-                "OS threads per simulated machine; 0 = hardware concurrency, "
-                "1 = sequential",
+                "OS threads per simulated machine, at most " +
+                    std::to_string(kMaxJobs) +
+                    "; 0 = hardware concurrency, 1 = sequential",
                 "1");
   return args;
 }

@@ -55,9 +55,6 @@ class TraceRecorder {
   /// listed).
   std::vector<TraceInterval> intervals() const;
 
-  /// Messages recorded so far, over all lanes.
-  std::size_t message_count() const;
-
   /// The delivered messages, one deque per sending lane, each in send
   /// order. obs::critical_path() reads them in place.
   const obs::MessageLanes& messages() const { return messages_; }

@@ -60,12 +60,6 @@ void TraceRecorder::record_message(obs::PathMessage message) {
   messages_[lane_index(message.source)].push_back(message);
 }
 
-std::size_t TraceRecorder::message_count() const {
-  std::size_t total = 0;
-  for (const auto& sent : messages_) total += sent.size();
-  return total;
-}
-
 void TraceRecorder::set_lane_phase(int lane, obs::CommPhase phase) {
   this->lane(lane).phase = static_cast<int>(phase);
 }

@@ -88,6 +88,10 @@ TEST(Jacobi, TooManyRanksRejected) {
   options.n = 4;  // 2 interior rows, but mm_ensemble(4) has 4 ranks
   EXPECT_THROW(run_jacobi(machine::sunwulf::mm_ensemble(4), options),
                PreconditionError);
+  // jacobi_min_n is the boundary: one interior row per rank runs.
+  options.n = jacobi_min_n(4);
+  EXPECT_EQ(options.n, 6);
+  EXPECT_NO_THROW(run_jacobi(machine::sunwulf::mm_ensemble(4), options));
 }
 
 TEST(Jacobi, InvalidParamsRejected) {

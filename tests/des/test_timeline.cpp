@@ -30,12 +30,10 @@ TEST(Timeline, ZeroDurationReservationsAllowed) {
 TEST(Timeline, ZeroDurationOccupancyBetweenBusyFrames) {
   Timeline t;
   EXPECT_DOUBLE_EQ(t.reserve(1.0, 2.0), 3.0);
-  // A zero-length frame queued while the line is busy neither blocks the
-  // queue nor accrues busy time — it "completes" the instant the line
-  // frees.
+  // A zero-length frame queued while the line is busy does not block the
+  // queue — it "completes" the instant the line frees.
   EXPECT_DOUBLE_EQ(t.reserve(2.0, 0.0), 3.0);
   EXPECT_DOUBLE_EQ(t.reserve(3.0, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(t.busy_time(), 3.0);
   EXPECT_DOUBLE_EQ(t.free_at(), 4.0);
 }
 
@@ -43,7 +41,6 @@ TEST(Timeline, ZeroDurationOnIdleLineAdvancesTheClockOnly) {
   Timeline t;
   EXPECT_DOUBLE_EQ(t.reserve(5.0, 0.0), 5.0);
   EXPECT_DOUBLE_EQ(t.free_at(), 5.0);
-  EXPECT_DOUBLE_EQ(t.busy_time(), 0.0);
   // An earlier-stamped frame after it still queues FIFO behind the marker.
   EXPECT_DOUBLE_EQ(t.reserve(1.0, 2.0), 7.0);
 }
@@ -55,24 +52,7 @@ TEST(Timeline, BackToBackFramesAtIdenticalTimestamps) {
   EXPECT_DOUBLE_EQ(t.reserve(5.0, 1.0), 6.0);
   EXPECT_DOUBLE_EQ(t.reserve(5.0, 1.0), 7.0);
   EXPECT_DOUBLE_EQ(t.reserve(5.0, 1.0), 8.0);
-  EXPECT_DOUBLE_EQ(t.busy_time(), 3.0);
   EXPECT_DOUBLE_EQ(t.free_at(), 8.0);
-}
-
-TEST(Timeline, AccumulatesBusyTime) {
-  Timeline t;
-  t.reserve(0.0, 3.0);
-  t.reserve(0.0, 2.0);
-  EXPECT_DOUBLE_EQ(t.busy_time(), 5.0);
-}
-
-TEST(Timeline, ResetClearsState) {
-  Timeline t;
-  t.reserve(0.0, 3.0);
-  t.reset();
-  EXPECT_DOUBLE_EQ(t.free_at(), 0.0);
-  EXPECT_DOUBLE_EQ(t.busy_time(), 0.0);
-  EXPECT_DOUBLE_EQ(t.reserve(1.0, 1.0), 2.0);
 }
 
 TEST(Timeline, NegativeInputsRejected) {

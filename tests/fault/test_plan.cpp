@@ -148,6 +148,28 @@ TEST(FaultPlan, BuildersValidate) {
   EXPECT_THROW(FaultPlan::generate(0, no_horizon, 2), PreconditionError);
 }
 
+TEST(FaultPlan, GenerationStopsAtTheEventBound) {
+  // About 2e6 crashes on two ranks: rejected at the bound, whose value the
+  // message names, before the plan holds more events than it.
+  PlanSpec crashes;
+  crashes.horizon_s = 1.0;
+  crashes.crash_rate_per_s = 1e6;
+  try {
+    (void)FaultPlan::generate(7, crashes, 2);
+    ADD_FAILURE() << "accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find(std::to_string(kMaxPlanEvents)),
+              std::string::npos)
+        << error.what();
+  }
+  // Windows count too: 1e7 link windows on one rank.
+  PlanSpec windows;
+  windows.horizon_s = 1.0;
+  windows.link_duty = 0.5;
+  windows.link_period_s = 1e-7;
+  EXPECT_THROW(FaultPlan::generate(7, windows, 1), PreconditionError);
+}
+
 TEST(FaultPlan, EmptyAndSummary) {
   FaultPlan plan(9);
   EXPECT_TRUE(plan.empty());

@@ -6,8 +6,9 @@
 //   1. Job invariance — every scenario renders byte-identical output at
 //      --jobs 1 and --jobs 4. The measurement store is disabled for the
 //      comparison so the second run genuinely recomputes.
-//   2. Golden artifacts — the CSV output matches the checked-in golden
-//      files (tests/golden/), byte for byte.
+//   2. Golden artifacts — the CSV and text renderings match the checked-in
+//      golden files (tests/golden/<name>.csv and <name>.txt), byte for
+//      byte.
 //
 // Plus the scheduler-level invariants: replaying one simulation yields the
 // same events_processed() and the same final now().
@@ -47,7 +48,13 @@ class StoreDisabledScope {
   bool was_enabled_;
 };
 
-std::string render_csv(const std::string& scenario_name, int jobs) {
+/// The CSV and text renderings of one run of a scenario.
+struct Rendered {
+  std::string csv;
+  std::string text;
+};
+
+Rendered render_scenario(const std::string& scenario_name, int jobs) {
   scenarios::register_paper_scenarios();
   scenarios::register_dist2d_scenarios();
   scenarios::register_zoo_scenarios();
@@ -58,12 +65,14 @@ std::string render_csv(const std::string& scenario_name, int jobs) {
   const run::RunContext context{runner, run::OutputFormat::kCsv, 0};
   const run::RunResult result = scenario->run(context);
   std::string storage;
-  return run::render(result, run::OutputFormat::kCsv, storage);
+  return {run::render(result, run::OutputFormat::kCsv, storage),
+          run::render(result, run::OutputFormat::kText, storage)};
 }
 
-std::string read_golden(const std::string& scenario_name) {
-  const std::string path =
-      std::string(HETSCALE_TEST_GOLDEN_DIR) + "/" + scenario_name + ".csv";
+std::string read_file(const std::string& scenario_name,
+                      const std::string& extension) {
+  const std::string path = std::string(HETSCALE_TEST_GOLDEN_DIR) + "/" +
+                           scenario_name + extension;
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
     ADD_FAILURE() << "missing golden file " << path;
@@ -72,6 +81,17 @@ std::string read_golden(const std::string& scenario_name) {
   std::ostringstream content;
   content << in.rdbuf();
   return content.str();
+}
+
+Rendered read_golden(const std::string& scenario_name) {
+  return {read_file(scenario_name, ".csv"), read_file(scenario_name, ".txt")};
+}
+
+/// Both renderings of `got` equal `want`'s; `why` names the setting.
+void expect_same(const Rendered& got, const Rendered& want,
+                 const std::string& why) {
+  EXPECT_EQ(got.csv, want.csv) << "csv: " << why;
+  EXPECT_EQ(got.text, want.text) << "text: " << why;
 }
 
 /// Pin the process-wide --sim-threads knob for one scope. New machines
@@ -94,10 +114,11 @@ class ScenarioDeterminism : public ::testing::TestWithParam<const char*> {};
 TEST_P(ScenarioDeterminism, JobInvariantAndMatchesGolden) {
   const std::string name = GetParam();
   StoreDisabledScope no_store;
-  const std::string jobs1 = render_csv(name, 1);
-  const std::string jobs4 = render_csv(name, 4);
-  EXPECT_EQ(jobs1, jobs4) << name << ": artifact depends on --jobs";
-  EXPECT_EQ(jobs1, read_golden(name)) << name << ": artifact drifted from golden";
+  const Rendered jobs1 = render_scenario(name, 1);
+  expect_same(render_scenario(name, 4), jobs1,
+              name + ": artifact depends on --jobs");
+  expect_same(jobs1, read_golden(name),
+              name + ": artifact drifted from golden");
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperArtifacts, ScenarioDeterminism,
@@ -126,20 +147,20 @@ class SimThreadInvariance : public ::testing::TestWithParam<const char*> {};
 TEST_P(SimThreadInvariance, PartitionedRenderMatchesGolden) {
   const std::string name = GetParam();
   StoreDisabledScope no_store;
-  const std::string golden = read_golden(name);
+  const Rendered golden = read_golden(name);
   {
     ScopedSimThreads two(2);
-    EXPECT_EQ(render_csv(name, 1), golden)
-        << name << ": artifact depends on --sim-threads 2";
+    expect_same(render_scenario(name, 1), golden,
+                name + ": artifact depends on --sim-threads 2");
   }
   {
     ScopedSimThreads eight(8);
-    EXPECT_EQ(render_csv(name, 1), golden)
-        << name << ": artifact depends on --sim-threads 8";
+    expect_same(render_scenario(name, 1), golden,
+                name + ": artifact depends on --sim-threads 8");
     // Replication parallelism (--jobs) on top of simulation parallelism:
     // the two knobs must compose without touching the bytes.
-    EXPECT_EQ(render_csv(name, 4), golden)
-        << name << ": --jobs x --sim-threads interaction leaks into bytes";
+    expect_same(render_scenario(name, 4), golden,
+                name + ": --jobs x --sim-threads interaction leaks into bytes");
   }
 }
 

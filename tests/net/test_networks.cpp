@@ -39,13 +39,6 @@ TEST(SharedBus, LocalTransfersBypassTheMedium) {
   EXPECT_LT(local.arrival, 1e-3);  // unaffected by the busy bus
 }
 
-TEST(SharedBus, UtilizationReflectsBusyFraction) {
-  SharedBusNetwork bus(test_params());
-  bus.transfer(0, 1, 1e6, 0.0);  // 0.1 s of wire time
-  EXPECT_NEAR(bus.utilization(0.2), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(bus.utilization(0.0), 0.0);
-}
-
 TEST(Switched, DistinctSendersDoNotContend) {
   SwitchedNetwork sw(test_params());
   const auto a = sw.transfer(0, 1, 1e5, 0.0);

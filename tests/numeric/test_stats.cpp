@@ -33,12 +33,6 @@ TEST(Stats, StddevOfSingletonIsZero) {
   EXPECT_DOUBLE_EQ(stddev(xs), 0.0);
 }
 
-TEST(Stats, MinMax) {
-  const std::vector<double> xs{3.0, -1.0, 7.0};
-  EXPECT_DOUBLE_EQ(min_value(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max_value(xs), 7.0);
-}
-
 TEST(Stats, RelativeErrorSymmetric) {
   EXPECT_DOUBLE_EQ(relative_error(10.0, 9.0), relative_error(9.0, 10.0));
   EXPECT_DOUBLE_EQ(relative_error(10.0, 9.0), 0.1);

@@ -67,6 +67,39 @@ TEST(RunResult, CsvEscapesSpecialFields) {
             "\"comma, quote\"\" and\nnewline\",2.5\n");
 }
 
+TEST(RunResult, CsvUnderHeadingsKeepsTheCells) {
+  const RunResult result = sample_result();
+  EXPECT_EQ(result.to_csv(result.columns), result.to_csv());
+  EXPECT_EQ(result.to_csv({"Name", "Value"}),
+            "Name,Value\n"
+            "plain,1\n"
+            "\"comma, quote\"\" and\nnewline\",2.5\n");
+}
+
+TEST(RunResult, TableRendersNullAsDashAndBooleansAsYesNo) {
+  RunResult result;
+  result.columns = {"system", "n", "wins"};
+  result.add_row({Value("C2"), Value(310), Value(true)});
+  result.add_row({Value("C4"), Value(), Value(false)});
+  EXPECT_EQ(result.table({"System", "Rank N", "Wins"}, "Title"),
+            "Title\n"
+            "System  Rank N  Wins\n"
+            "--------------------\n"
+            "C2      310     yes \n"
+            "C4      -       no  \n");
+  EXPECT_EQ(result.table({"System", "Rank N", "Wins"}).rfind("System", 0), 0u)
+      << "no title line without a title";
+  // The CSV keeps the record's own cell text.
+  EXPECT_EQ(result.to_csv(), "system,n,wins\nC2,310,true\nC4,,false\n");
+}
+
+TEST(RunResult, HeadingsMustMatchTheColumns) {
+  const RunResult result = sample_result();
+  EXPECT_THROW(result.table({"Name"}), hetscale::Error);
+  EXPECT_THROW(result.table({"Name", "Value", "Extra"}), hetscale::Error);
+  EXPECT_THROW(result.to_csv({"Name"}), hetscale::Error);
+}
+
 TEST(RunResult, JsonCarriesSchemaRowsAndScalars) {
   const std::string json = sample_result().to_json();
   EXPECT_NE(json.find("\"schema\": \"hetscale.run.result/v1\""),

@@ -12,16 +12,6 @@ namespace {
 
 TEST(Baselines, SpeedupAndEfficiency) {
   EXPECT_DOUBLE_EQ(speedup(10.0, 2.0), 5.0);
-  EXPECT_DOUBLE_EQ(parallel_efficiency(10.0, 2.0, 8), 0.625);
-}
-
-TEST(Baselines, EfficiencyOfPerfectScalingIsOne) {
-  EXPECT_DOUBLE_EQ(parallel_efficiency(8.0, 1.0, 8), 1.0);
-}
-
-TEST(Baselines, IsoefficiencySameRatioFormAsIsospeed) {
-  EXPECT_DOUBLE_EQ(isoefficiency_scalability(2, 100.0, 4, 300.0),
-                   (4.0 * 100.0) / (2.0 * 300.0));
 }
 
 TEST(Baselines, ProductivityAndJwScalability) {
@@ -65,7 +55,6 @@ TEST(Baselines, PastorBosqueRequiresSequentialTime) {
 
 TEST(Baselines, InvalidInputsRejected) {
   EXPECT_THROW(speedup(0.0, 1.0), PreconditionError);
-  EXPECT_THROW(parallel_efficiency(1.0, 1.0, 0), PreconditionError);
   EXPECT_THROW(productivity(1.0, 0.0), PreconditionError);
   EXPECT_THROW(jw_scalability(0.0, 1.0), PreconditionError);
   const std::vector<double> bad{1.0, 0.0};

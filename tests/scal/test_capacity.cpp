@@ -10,24 +10,16 @@ namespace hetscale::scal {
 namespace {
 
 TEST(Capacity, FootprintsGrowQuadratically) {
-  for (const auto& footprint :
-       {ge_footprint(), mm_footprint(), jacobi_footprint()}) {
-    const double small = footprint(100, 0, 4);
-    const double big = footprint(200, 0, 4);
-    EXPECT_GT(big, 3.0 * small);  // ~4x for dense-matrix-dominated roots
-    EXPECT_LT(big, 5.0 * small);
-  }
+  const auto footprint = ge_footprint();
+  const double small = footprint(100, 0, 4);
+  const double big = footprint(200, 0, 4);
+  EXPECT_GT(big, 3.0 * small);  // ~4x for a dense-matrix-dominated root
+  EXPECT_LT(big, 5.0 * small);
 }
 
 TEST(Capacity, RootHoldsMoreThanWorkersForGe) {
   const auto footprint = ge_footprint();
   EXPECT_GT(footprint(500, 0, 8), footprint(500, 3, 8));
-}
-
-TEST(Capacity, MmWorkersStillHoldFullB) {
-  const auto footprint = mm_footprint();
-  // Worker footprint is dominated by the replicated B: more than 8N².
-  EXPECT_GT(footprint(500, 3, 8), 8.0 * 500.0 * 500.0);
 }
 
 TEST(Capacity, MaxFeasibleSizeRespectsSmallestNode) {

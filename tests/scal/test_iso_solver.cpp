@@ -82,14 +82,15 @@ TEST(IsoSolver, TrendLineOnRealGe) {
 
 TEST(IsoSolver, WorksOnSort) {
   // A real-data combination with sub-cubic work: the solver must handle
-  // its (noisier, slowly rising) efficiency curve and the p^2 size floor.
+  // its (noisier, slowly rising) efficiency curve and, with default
+  // options, start at the p^2 size floor rather than below it.
   run::Runner runner(1);
   ClusterCombination::Config config;
   config.cluster = machine::sunwulf::mm_ensemble(4);
   ClusterCombination combo("sort-4", std::move(config), sort_algo());
-  IsoSolveOptions options;
-  options.n_min = 16;  // p^2
-  const auto result = required_problem_size(combo, 0.2, runner, options);
+  ASSERT_EQ(combo.processor_count(), 4);
+  EXPECT_EQ(combo.min_n(), 16);
+  const auto result = required_problem_size(combo, 0.2, runner);
   ASSERT_TRUE(result.found);
   EXPECT_GE(result.achieved_es, 0.2);
   // Sort's curve is data-dependent (bucket sizes), so only require the

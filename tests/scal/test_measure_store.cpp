@@ -7,8 +7,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <iterator>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -325,11 +326,12 @@ TEST_F(MeasureStoreTest, PersistedCacheWarmStartsFitStudyByteIdentically) {
       ::testing::TempDir() + "/hetscale_measure_cache_test.txt";
   ASSERT_TRUE(store.save_file(path));
 
-  // Warm pass: a fresh process (modeled by clear + load_file) must serve
-  // every measurement from the cache — zero new misses — and reproduce
-  // the fit output bit for bit.
+  // Warm pass: a fresh process (modeled by clear + load) must serve every
+  // measurement from the cache — zero new misses — and reproduce the fit
+  // output bit for bit.
   store.clear();
-  ASSERT_TRUE(store.load_file(path));
+  std::ifstream saved(path);
+  ASSERT_TRUE(store.load(saved));
   ASSERT_EQ(store.size(), sizes.size());
   const std::uint64_t hits_before = store.hits();
   const std::uint64_t misses_before = store.misses();

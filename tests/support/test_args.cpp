@@ -253,6 +253,23 @@ TEST(Args, JobsAboveTheLaneLimitAreRejected) {
   expect_rejected([&] { return resolve_jobs(args); });
 }
 
+TEST(Args, SimThreadsAboveTheLaneLimitAreRejected) {
+  // Checked before any machine starts a partition thread.
+  const std::string limit = std::to_string(kMaxJobs);
+  EXPECT_EQ(normalize_sim_threads(kMaxJobs), kMaxJobs);
+  EXPECT_LE(normalize_sim_threads(0), kMaxJobs);
+  ArgParser args;
+  add_sim_threads_flag(args);
+  args.parse({"--sim-threads", std::to_string(kMaxJobs + 1)});
+  try {
+    (void)resolve_sim_threads(args);
+    ADD_FAILURE() << "accepted";
+  } catch (const PreconditionError& error) {
+    EXPECT_NE(std::string(error.what()).find(limit), std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(Args, SeedFlagResolution) {
   ArgParser args;
   add_seed_flag(args);

@@ -311,16 +311,10 @@ int cmd_inject(const ArgParser& args) {
   const auto n = args.get_int("n", 256);
   const auto seed = resolve_seed(args);
   const int ranks = combo->processor_count();
-  const double t_healthy = combo->measure(n).seconds;
 
-  // Assemble the plan spec from the flags; each knob is off by default.
-  // Event generation and the restart delay scale with the healthy runtime:
-  // crashes scheduled far beyond the run would otherwise chain (each
-  // restart pushes the run past the next scheduled crash) into a rework
-  // cascade that says nothing about the combination.
+  // Assemble the plan spec from the flags, all checked before the healthy
+  // run; each knob is off by default.
   fault::PlanSpec spec;
-  spec.horizon_s = 20.0 * t_healthy;
-  spec.restart_delay_s = 0.1 * t_healthy;
   const double slowdown = args.get_double("slowdown", 1.0);
   HETSCALE_REQUIRE(slowdown > 0.0 && slowdown <= 1.0,
                    "--slowdown must be in (0, 1]");
@@ -333,7 +327,12 @@ int cmd_inject(const ArgParser& args) {
   }
   spec.loss.drop_probability = args.get_double("loss", 0.0);
   spec.crash_rate_per_s = args.get_double("crash-rate", 0.0);
+  HETSCALE_REQUIRE(spec.crash_rate_per_s >= 0.0,
+                   "--crash-rate must be >= 0 (0 disables crashes)");
   const double interval = args.get_double("checkpoint-interval", 0.0);
+  HETSCALE_REQUIRE(interval >= 0.0,
+                   "--checkpoint-interval must be >= 0 (0 disables "
+                   "checkpoints)");
   if (interval > 0.0) {
     spec.checkpoint.interval_s = interval;
     spec.checkpoint.bytes = 8.0 * static_cast<double>(n) *
@@ -342,6 +341,13 @@ int cmd_inject(const ArgParser& args) {
     spec.checkpoint.flops =
         static_cast<double>(n) * static_cast<double>(n);
   }
+  // Event generation and the restart delay scale with the healthy runtime:
+  // crashes scheduled far beyond the run would otherwise chain (each
+  // restart pushes the run past the next scheduled crash) into a rework
+  // cascade that says nothing about the combination.
+  const double t_healthy = combo->measure(n).seconds;
+  spec.horizon_s = 20.0 * t_healthy;
+  spec.restart_delay_s = 0.1 * t_healthy;
   const auto plan = fault::FaultPlan::generate(seed, spec, ranks);
   const auto d = scal::decompose_faults(*combo, n, plan);
 
